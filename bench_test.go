@@ -12,6 +12,7 @@ package dvsim
 // metrics next to the model's value.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -108,7 +109,10 @@ func BenchmarkFig10Summary(b *testing.B) {
 	p := core.DefaultParams()
 	var outs []core.Outcome
 	for i := 0; i < b.N; i++ {
-		outs = core.RunSuite(core.Fig10Experiments, p)
+		var err error
+		if outs, err = core.RunSuite(core.Fig10Experiments, p, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, o := range outs {
 		b.ReportMetric(o.Rnorm*100, "Rnorm_"+string(o.ID)+"_pct")
@@ -247,11 +251,10 @@ func BenchmarkAblationPipelineWidth(b *testing.B) {
 			if !pt.Feasible {
 				b.Skip("split infeasible")
 			}
-			stages := core.StagesFromPartition(pt, true)
+			spec := core.Spec{Stages: core.StagesFromPartition(pt, true), Label: fmt.Sprintf("%d-node", n), Params: p}
 			var o core.Outcome
 			for i := 0; i < b.N; i++ {
-				o = core.RunCustom(fmt.Sprintf("%d-node", n), p, stages,
-					core.Options{RotationPeriod: p.RotationPeriod})
+				o = simulate(b, spec)
 			}
 			b.ReportMetric(o.BatteryLifeH, "hours")
 			b.ReportMetric(o.BatteryLifeH/float64(n)/t1*100, "Rnorm_pct")
@@ -355,12 +358,12 @@ func BenchmarkGovernedFrameLoop(b *testing.B) {
 			label = "none"
 		}
 		b.Run(label, func(b *testing.B) {
+			spec := core.Spec{Stages: stages, Label: "bench", Params: p, Frames: 200}
+			spec.Params.RotationPeriod = 0
+			spec.Params.Governor = governor.Spec{Name: name}
 			var o core.Outcome
 			for i := 0; i < b.N; i++ {
-				o = core.RunCustom("bench", p, stages, core.Options{
-					MaxFrames: 200,
-					Governor:  governor.Spec{Name: name},
-				})
+				o = simulate(b, spec)
 			}
 			b.ReportMetric(float64(o.Frames), "frames")
 		})
@@ -431,19 +434,29 @@ func BenchmarkRunTelemetry(b *testing.B) {
 	b.ReportMetric(float64(records), "records")
 }
 
-// BenchmarkMonteCarloFork measures one warm-state fork — replayed
-// history with warm-point verification plus the divergent future — the
+// BenchmarkMonteCarloRun measures one Monte Carlo run — a cold 600 s
+// telemetry run of 2D whose fault stream is reseeded at 150 s — the
 // unit cost of a thousand-seed study.
-func BenchmarkMonteCarloFork(b *testing.B) {
-	snap, err := core.TakeSnapshot(core.Exp2D, core.DefaultParams(), 150)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkMonteCarloRun(b *testing.B) {
+	spec := core.Spec{ID: core.Exp2D, Params: core.DefaultParams(), UntilS: 600}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snap.Fork(uint64(i)+1, 600, io.Discard); err != nil {
+		_, res, err := core.MonteCarlo(spec, 150, []uint64{uint64(i) + 1}, 1)
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// simulate runs a spec with no sinks, failing the benchmark on error.
+func simulate(b *testing.B, s core.Spec) core.Outcome {
+	b.Helper()
+	out, err := core.Simulate(context.Background(), s, core.Sinks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }

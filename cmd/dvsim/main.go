@@ -13,12 +13,13 @@
 //	dvsim -exp 1 -assert spec.json        # check an assertion catalog online during the run
 //	dvsim -check log.jsonl -assert spec.json   # replay a recorded telemetry log offline
 //	dvsim -manifest sweep.toml [-j N] [-agg-jsonl FILE]   # run a declarative sweep (see MANIFESTS.md)
-//	dvsim -exp 2D -mc 1000 [-mc-warm 60] [-until 3600]    # warm-state Monte Carlo: fork seeded futures from one snapshot
+//	dvsim -exp 2D -mc 1000 [-mc-warm 60] [-until 3600]    # Monte Carlo: seeded futures diverging at the warm point
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -269,6 +270,20 @@ func runRemote(r remoteRun) {
 		what, info.Cache, info.Bytes, info.Key)
 }
 
+// exitOnRunError reports a failed run on one line and exits: 2 for a
+// spec the simulator rejects (an unknown experiment, 3A without a
+// governor, …), 1 for a failure while running or writing.
+func exitOnRunError(flagName string, err error) {
+	if err == nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "dvsim: %s: %v\n", flagName, err)
+	if errors.Is(err, core.ErrBadSpec) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
 func firstNonEmpty(a, b string) string {
 	if a != "" {
 		return a
@@ -297,7 +312,7 @@ func main() {
 	assertFile := flag.String("assert", "", "load a JSON assertion spec (see scenarios/assertions/) and check it against the run's telemetry stream; with -check, against a recorded log")
 	checkFile := flag.String("check", "", "replay a recorded telemetry JSONL FILE through the -assert spec and report the verdict (offline; no simulation)")
 	violationsFile := flag.String("violations", "", "write assertion violations as CSV to FILE (header-only when every invariant holds)")
-	mcForks := flag.Int("mc", 0, "with -exp: warm-state Monte Carlo — snapshot the run at the warm point, fork N seeded futures from it (in parallel, see -j) and print one digest row per fork")
+	mcForks := flag.Int("mc", 0, "with -exp: Monte Carlo — run N futures whose fault stream is reseeded at the warm point (in parallel, see -j) and print one digest row per run")
 	mcWarm := flag.Float64("mc-warm", 0, "with -mc: warm point in simulated seconds, quantized to a frame boundary (0 = a quarter of the horizon)")
 	mcSeed := flag.Uint64("mc-seed", 1, "with -mc: first fork seed; forks use seeds BASE..BASE+N-1")
 	manifestFile := flag.String("manifest", "", "run a declarative experiment manifest (see MANIFESTS.md and scenarios/manifests/): expand every line into a sweep, run it all-core, aggregate one row per run")
@@ -521,16 +536,12 @@ func main() {
 		if warm <= 0 {
 			warm = horizon / 4
 		}
-		snap, err := core.TakeSnapshot(id, p, warm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvsim: -mc: %v\n", err)
-			os.Exit(1)
-		}
 		seeds := make([]uint64, *mcForks)
 		for i := range seeds {
 			seeds[i] = *mcSeed + uint64(i)
 		}
-		res := snap.MonteCarlo(seeds, horizon, *workers)
+		warmAt, res, err := core.MonteCarlo(core.Spec{ID: id, Params: p, UntilS: horizon}, warm, seeds, *workers)
+		exitOnRunError("-mc", err)
 		distinct := make(map[uint64]bool)
 		failures := 0
 		fmt.Println("seed,records,digest")
@@ -543,8 +554,8 @@ func main() {
 			fmt.Printf("%d,%d,%016x\n", r.Seed, r.Records, r.Sum64)
 			distinct[r.Sum64] = true
 		}
-		fmt.Fprintf(os.Stderr, "exp %s: %d fork(s) from warm point %g s (%d frame(s) in), horizon %g s: %d distinct future(s)\n",
-			id, len(res), snap.WarmS, snap.Frames, horizon, len(distinct))
+		fmt.Fprintf(os.Stderr, "exp %s: %d fork(s) from warm point %g s, horizon %g s: %d distinct future(s)\n",
+			id, len(res), warmAt, horizon, len(distinct))
 		if failures > 0 {
 			os.Exit(1)
 		}
@@ -555,10 +566,9 @@ func main() {
 		if *expFlag != "" {
 			id = core.ID(*expFlag)
 		}
-		if _, err := core.RunLogged(id, p, *runlog, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		spec := core.Spec{ID: id, Params: p, UntilS: *runlog}
+		_, err := core.Simulate(context.Background(), spec, core.Sinks{Log: os.Stdout})
+		exitOnRunError("-runlog", err)
 		return
 	}
 	if *telemetry != "" {
@@ -570,13 +580,11 @@ func main() {
 		if window <= 0 {
 			window = 30 * 3600
 		}
-		n, err := core.RunTelemetry(id, p, window, telemetryW)
+		spec := core.Spec{ID: id, Params: p, UntilS: window}
+		out, err := core.Simulate(context.Background(), spec, core.Sinks{Log: telemetryW, Telemetry: true})
 		telemetryClose()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "exp %s: %d telemetry records (%.0f s window)\n", id, n, window)
+		exitOnRunError("-telemetry", err)
+		fmt.Fprintf(os.Stderr, "exp %s: %d telemetry records (%.0f s window)\n", id, out.Records, window)
 		return
 	}
 	if *plan > 0 {
@@ -597,7 +605,8 @@ func main() {
 	}
 
 	if core.ID(*expFlag) == core.Exp3A {
-		outs := core.RunGovernorStudy(p, *workers, *framesFlag)
+		outs, err := core.RunGovernorStudy(p, *workers, *framesFlag)
+		exitOnRunError("-exp 3A", err)
 		if *csvOut {
 			fmt.Print(report.GovernorCSV(outs))
 		} else {
@@ -614,7 +623,8 @@ func main() {
 	if metricsOut.on {
 		outs := make([]core.Outcome, 0, len(ids))
 		for _, id := range ids {
-			out := core.RunInstrumented(id, p)
+			out, err := core.Simulate(context.Background(), core.Spec{ID: id, Params: p}, core.Sinks{Metrics: true})
+			exitOnRunError("-metrics", err)
 			fmt.Fprintf(metricsW, "# exp %s\n%s", out.ID, report.MetricsCSV(out.Metrics))
 			outs = append(outs, out)
 		}
@@ -622,7 +632,8 @@ func main() {
 		finishAssertions(spec, outs, violW, stopProf)
 		return
 	}
-	outs := core.RunSuiteParallel(ids, p, *workers)
+	outs, err := core.RunSuite(ids, p, *workers)
+	exitOnRunError("-exp", err)
 
 	switch {
 	case portsOut.on:

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -90,7 +91,11 @@ func main() {
 				core.Exp2C, pr, 9, 90, []string{"node1", "node2"}},
 		}
 		traces := sweep.Run(figs, 0, func(f tl) [][]node.ModeSpan {
-			return core.RunTraced(f.id, f.p, f.frames*f.p.FrameDelayS)
+			var tr [][]node.ModeSpan
+			spec := core.Spec{ID: f.id, Params: f.p, UntilS: f.frames * f.p.FrameDelayS}
+			_, err := core.Simulate(context.Background(), spec, core.Sinks{Traces: &tr})
+			exitOn(err)
+			return tr
 		})
 		for i, f := range figs {
 			fmt.Println(f.caption)
@@ -98,7 +103,8 @@ func main() {
 		}
 	}
 	if want("10") || want("compare") || want("energy") || want("md") {
-		outs := core.RunSuiteParallel(core.AllExperiments, p, 0)
+		outs, err := core.RunSuite(core.AllExperiments, p, 0)
+		exitOn(err)
 		if want("10") {
 			var fig10 []core.Outcome
 			for _, o := range outs {
@@ -119,6 +125,14 @@ func main() {
 		if *fig == "md" {
 			fmt.Print(report.MarkdownCompare(outs))
 		}
+	}
+}
+
+// exitOn aborts on a failed run.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 

@@ -18,7 +18,10 @@
 // The library lives under internal/ (sim, cpu, battery, serial, atr,
 // node, host, core, topology, manifest, fault, metrics, sched, report);
 // executables under cmd/ (dvsim, paperbench, calibrate, atr); runnable
-// examples under examples/. The benchmarks in this directory regenerate
+// examples under examples/. Every run, whatever its kind, goes through
+// one entry point, core.Simulate(ctx, Spec, Sinks): a Spec names a paper
+// experiment, custom pipeline stages or a topology graph with its
+// Params, and Sinks select the event log, metrics and traces. The benchmarks in this directory regenerate
 // every table and figure of the paper's evaluation; see DESIGN.md,
 // EXPERIMENTS.md and MANIFESTS.md.
 package dvsim

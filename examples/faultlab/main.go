@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
@@ -34,11 +35,18 @@ func main() {
 	}
 
 	const frames = 200
-	out := core.RunCustom("faultlab", p, core.StagesFromPartition(best, true), core.Options{
-		Ack:       true,
-		MaxFrames: frames,
-		Faults:    sc,
-	})
+	p.Faults = sc
+	p.RotationPeriod = 0
+	out, err := core.Simulate(context.Background(), core.Spec{
+		Stages: core.StagesFromPartition(best, true),
+		Label:  "faultlab",
+		Ack:    true,
+		Params: p,
+		Frames: frames,
+	}, core.Sinks{})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("best two-node scheme under faults, %d frames offered\n\n", frames)
 	fs := out.FaultStats

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
@@ -24,8 +25,20 @@ func row(out core.Outcome) {
 		out.Label, out.Nodes, out.Frames, out.FramesDropped, mah, out.EnergyPerFrameMAh())
 }
 
+// run simulates a fleet for 60 rounds.
+func run(label string, p core.Params, g *topology.Graph) core.Outcome {
+	out, err := core.Simulate(context.Background(),
+		core.Spec{Graph: g, Label: label, Params: p, Frames: 60}, core.Sinks{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func main() {
 	p := core.DefaultParams()
+	// Rotation is a ring protocol; these graphs are not rings.
+	p.RotationPeriod = 0
 
 	// A binary tree of depth 4: 16 leaf sensors source frames, interior
 	// vertices gather both children and aggregate, the root delivers
@@ -38,14 +51,14 @@ func main() {
 
 	fmt.Printf("%-18s %6s %8s %8s %10s %12s\n",
 		"fleet", "nodes", "frames", "dropped", "mAh", "mAh/frame")
-	row(core.RunTopology("tree 2x4", p, tree, core.Options{MaxFrames: 60}))
-	row(core.RunTopology("mesh 12x3", p, mesh, core.Options{MaxFrames: 60}))
+	row(run("tree 2x4", p, tree))
+	row(run("mesh 12x3", p, mesh))
 
 	// The same mesh with the wire made hostile: the default scenario's
 	// seeded 2% drop / 1% garble on every link.
 	pf := p
 	pf.Faults = core.DefaultFaultScenario()
-	out := core.RunTopology("mesh 12x3 faults", pf, mesh, core.Options{MaxFrames: 60})
+	out := run("mesh 12x3 faults", pf, mesh)
 	row(out)
 	fmt.Printf("\nfaults injected into the mesh: %d drops, %d garbles\n",
 		out.FaultStats.Drops, out.FaultStats.Garbles)

@@ -26,7 +26,10 @@ func main() {
 	fmt.Println("governor study (experiment 3A): 2-node pipeline, compute started at 206.4 MHz")
 	fmt.Printf("frame budget D = %.1f s; every run on the same battery budget\n\n", p.FrameDelayS)
 
-	outs := core.RunGovernorStudy(p, 0, 0)
+	outs, err := core.RunGovernorStudy(p, 0, 0)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println(report.GovernorTable(outs))
 

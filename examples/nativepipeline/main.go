@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -33,15 +34,23 @@ func main() {
 	}
 
 	results := make([]*atr.Result, frames)
-	out := core.RunCustom("native two-node", p, core.StagesFromPartition(best, true), core.Options{
-		Native:    &core.Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
-		MaxFrames: frames,
+	p.RotationPeriod = 0
+	out, err := core.Simulate(context.Background(), core.Spec{
+		Stages: core.StagesFromPartition(best, true),
+		Label:  "native two-node",
+		Native: &core.Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
+		Params: p,
+		Frames: frames,
+	}, core.Sinks{
 		OnResult: func(frame int, payload any) {
 			if r, ok := payload.(*atr.Result); ok && frame < frames {
 				results[frame] = r
 			}
 		},
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	detected, tplRight, distN := 0, 0, 0
 	var distErr float64

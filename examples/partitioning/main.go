@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
@@ -26,8 +27,16 @@ func main() {
 				i+1, s.Stages[0].RequiredMHz)
 			continue
 		}
-		stages := core.StagesFromPartition(s, false)
-		o := core.RunCustom(fmt.Sprintf("scheme %d", i+1), p, stages, core.Options{})
+		static := p
+		static.RotationPeriod = 0
+		o, err := core.Simulate(context.Background(), core.Spec{
+			Stages: core.StagesFromPartition(s, false),
+			Label:  fmt.Sprintf("scheme %d", i+1),
+			Params: static,
+		}, core.Sinks{})
+		if err != nil {
+			panic(err)
+		}
 		rnorm := o.BatteryLifeH / 2 / baseline
 		fmt.Printf("scheme %d: (%v | %v)\n", i+1, s.Stages[0].Span, s.Stages[1].Span)
 		fmt.Printf("   clocks %.1f / %.1f MHz -> %d frames in %.2f h (Rnorm %.0f%%)\n",

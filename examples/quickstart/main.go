@@ -21,7 +21,10 @@ func main() {
 		p.FrameDelayS, p.RotationPeriod)
 
 	// RunSuite fills the normalized metrics against the baseline.
-	outs := core.RunSuite([]core.ID{core.Exp1, core.Exp2C}, p)
+	outs, err := core.RunSuite([]core.ID{core.Exp1, core.Exp2C}, p, 0)
+	if err != nil {
+		panic(err)
+	}
 	for _, o := range outs {
 		fmt.Printf("(%s) %s\n", o.ID, o.Label)
 		fmt.Printf("    battery life %6.2f h   (paper: %5.2f h)\n", o.BatteryLifeH, core.PaperHours(o.ID))

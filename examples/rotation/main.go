@@ -5,9 +5,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
+	"dvsim/internal/node"
 	"dvsim/internal/report"
 )
 
@@ -43,6 +45,10 @@ func main() {
 	fmt.Println("rotation in action (period 4 for visibility):")
 	pp := p
 	pp.RotationPeriod = 4
-	traces := core.RunTraced(core.Exp2C, pp, 9*pp.FrameDelayS)
+	var traces [][]node.ModeSpan
+	spec := core.Spec{ID: core.Exp2C, Params: pp, UntilS: 9 * pp.FrameDelayS}
+	if _, err := core.Simulate(context.Background(), spec, core.Sinks{Traces: &traces}); err != nil {
+		panic(err)
+	}
 	fmt.Println(report.Timeline([]string{"node1", "node2"}, traces, 0, 9*pp.FrameDelayS, 90))
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/atr"
@@ -22,13 +23,20 @@ func main() {
 	for _, d := range []float64{2.3, 4.6, 11.5, 23, 115, 230} {
 		p := base
 		p.FrameDelayS = d
+		p.RotationPeriod = 0
 		// Both configurations idle at the lowest point (any sane duty-
 		// cycled system clocks down when idle); they differ only in the
 		// clock DURING serial transfers — isolating §5.2's technique.
 		stagesBase := []core.StageConfig{{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint, Idle: cpu.MinPoint}}
 		stagesDVS := []core.StageConfig{{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MinPoint, Idle: cpu.MinPoint}}
-		ob := core.RunCustom("base", p, stagesBase, core.Options{})
-		od := core.RunCustom("dvs-io", p, stagesDVS, core.Options{})
+		ob, err := core.Simulate(context.Background(), core.Spec{Stages: stagesBase, Label: "base", Params: p}, core.Sinks{})
+		if err != nil {
+			panic(err)
+		}
+		od, err := core.Simulate(context.Background(), core.Spec{Stages: stagesDVS, Label: "dvs-io", Params: p}, core.Sinks{})
+		if err != nil {
+			panic(err)
+		}
 		busy := 2.3 // RECV+PROC+SEND at full clock
 		idleFrac := 1 - busy/d
 		gain := od.BatteryLifeH / ob.BatteryLifeH

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/atr"
@@ -30,11 +31,18 @@ func main() {
 	baseline := core.Run(core.Exp1, p).BatteryLifeH
 	fmt.Printf("\nbaseline T(1) = %.2f h\n\n", baseline)
 
-	static := core.RunCustom("4-node static", p, core.StagesFromPartition(pt, true), core.Options{})
-	rotated := core.RunCustom("4-node rotation", p, core.StagesFromPartition(pt, true),
-		core.Options{RotationPeriod: p.RotationPeriod})
-
-	for _, o := range []core.Outcome{static, rotated} {
+	for _, period := range []int{0, p.RotationPeriod} {
+		label := "4-node static"
+		if period > 0 {
+			label = "4-node rotation"
+		}
+		pr := p
+		pr.RotationPeriod = period
+		o, err := core.Simulate(context.Background(),
+			core.Spec{Stages: core.StagesFromPartition(pt, true), Label: label, Params: pr}, core.Sinks{})
+		if err != nil {
+			panic(err)
+		}
 		rnorm := o.BatteryLifeH / float64(o.Nodes) / baseline
 		fmt.Printf("%s: %d frames, T = %.2f h, Tnorm = %.2f h, Rnorm = %.0f%%\n",
 			o.Label, o.Frames, o.BatteryLifeH, o.BatteryLifeH/float64(o.Nodes), rnorm*100)

@@ -5,9 +5,8 @@
 // shape of governor.Spec and fault.Scenario — declares invariants with
 // bound, rate, implication and temporal-window operators; New compiles
 // it into streaming monitors that consume telemetry records one at a
-// time, either online during an instrumented run (core.Options.
-// Assertions) or offline over a recorded JSONL log (Replay, dvsim
-// -check). Both paths observe the identical deterministic record
+// time, either online during a run (core.Params.Assertions) or
+// offline over a recorded JSONL log (Replay, dvsim -check). Both paths observe the identical deterministic record
 // stream, so they return identical verdicts.
 //
 // Checking is opt-in and must cost nothing when off: a nil *Engine is

@@ -132,9 +132,8 @@ func decodeRecord(t *testing.T, line string) LogRecord {
 	return r
 }
 
-// TestCheckedRunOutcome checks the plumbing: Params.Assertions and
-// Options.Assertions both turn a plain run into a checked one whose
-// verdict lands in the Outcome, and Options takes precedence.
+// TestCheckedRunOutcome checks the plumbing: Params.Assertions turns a
+// plain run into a checked one whose verdict lands in the Outcome.
 func TestCheckedRunOutcome(t *testing.T) {
 	catalog := loadSpec(t, "catalog.json")
 	p := DefaultParams()
@@ -152,29 +151,6 @@ func TestCheckedRunOutcome(t *testing.T) {
 	if out.BatteryLifeH != plain.BatteryLifeH || out.Frames != plain.Frames {
 		t.Fatalf("checking perturbed the run: %v/%d vs %v/%d",
 			out.BatteryLifeH, out.Frames, plain.BatteryLifeH, plain.Frames)
-	}
-
-	// Options.Assertions overrides Params.Assertions.
-	broken := loadSpec(t, "broken.json")
-	pb := DefaultParams()
-	pb.Assertions = broken
-	best, err := pb.BestTwoNodeScheme()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := RunCustom("override", pb, StagesFromPartition(best, true),
-		Options{MaxFrames: 100, Assertions: catalog})
-	if o.AssertionsRun != len(catalog.Assertions) {
-		t.Fatalf("Options.Assertions did not take precedence: evaluated %d", o.AssertionsRun)
-	}
-	// The catalog may legitimately flag this partition (its ~2%
-	// feasibility slack lets latency drift past the 3·D deadline on a
-	// long unrotated run); precedence only demands that the broken
-	// spec's verdicts never appear.
-	for _, v := range o.Violations {
-		if v.Assertion == "impossible-deadline" {
-			t.Fatalf("Params spec leaked into an Options-checked run: %+v", v)
-		}
 	}
 }
 

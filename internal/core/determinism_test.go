@@ -54,8 +54,8 @@ func TestTelemetryByteDeterminism(t *testing.T) {
 // order, so worker count must be unobservable in the results.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	p := DefaultParams()
-	serial := RunSuiteParallel(Fig10Experiments, p, 1)
-	parallel := RunSuiteParallel(Fig10Experiments, p, 4)
+	serial := mustSuite(t, Fig10Experiments, p, 1)
+	parallel := mustSuite(t, Fig10Experiments, p, 4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/core"
@@ -28,11 +29,15 @@ func ExampleRun() {
 
 // Build a custom two-node pipeline with DVS during I/O and node rotation
 // — the paper's winning combination — and run it to battery exhaustion.
-func ExampleRunCustom() {
+func ExampleSimulate() {
 	p := core.DefaultParams()
+	p.RotationPeriod = 100
 	best, _ := p.BestTwoNodeScheme()
-	stages := core.StagesFromPartition(best, true)
-	o := core.RunCustom("rotation", p, stages, core.Options{RotationPeriod: 100})
+	spec := core.Spec{Stages: core.StagesFromPartition(best, true), Label: "rotation", Params: p}
+	o, err := core.Simulate(context.Background(), spec, core.Sinks{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("%d nodes, %.1f h\n", o.Nodes, o.BatteryLifeH)
 	// Output:
 	// 2 nodes, 16.2 h

@@ -1,20 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"dvsim/internal/assert"
 	"dvsim/internal/atr"
-	"dvsim/internal/battery"
 	"dvsim/internal/cpu"
 	"dvsim/internal/fault"
-	"dvsim/internal/governor"
-	"dvsim/internal/host"
 	"dvsim/internal/metrics"
-	"dvsim/internal/node"
 	"dvsim/internal/serial"
-	"dvsim/internal/sim"
-	"dvsim/internal/sweep"
 )
 
 // ID names one of the paper's experiments (§6).
@@ -176,7 +171,7 @@ type Outcome struct {
 	// network, sorted by port name.
 	PortStats []PortStat
 	// Metrics is the run's instrumentation snapshot; empty unless the
-	// run was instrumented (RunInstrumented, Options.Instrument) —
+	// run was instrumented (Sinks.Metrics or a full-vocabulary log) —
 	// assertion-checked runs are instrumented implicitly.
 	Metrics metrics.Snapshot
 	// Violations are the assertion-catalog failures of a checked run in
@@ -188,53 +183,15 @@ type Outcome struct {
 	Violations     []assert.Violation
 	AssertionsRun  int
 	ViolationTotal int
+	// Records is the number of records written to Sinks.Log. It
+	// describes the log, not the simulation, so it is not serialized.
+	Records int `json:"-"`
 }
 
 // PortStat is one serial port's transfer accounting after a run.
 type PortStat struct {
 	Port string
 	serial.PortStats
-}
-
-// stageSetup is the per-node configuration an experiment derives.
-// refS/outKB, when positive, override the profile-driven work model
-// (see node.Role); the paper's experiments leave them zero.
-type stageSetup struct {
-	span    atr.Span
-	compute cpu.OperatingPoint
-	comm    cpu.OperatingPoint
-	idle    cpu.OperatingPoint
-	refS    float64
-	outKB   float64
-}
-
-// Run executes one experiment and returns its outcome. Runs are
-// deterministic.
-func Run(id ID, p Params) Outcome { return run(id, p, false) }
-
-// RunInstrumented is Run with the telemetry subsystem attached: the
-// kernel, serial network, nodes, batteries and host all record into a
-// metrics registry (see internal/metrics), periodic samplers track
-// battery state and queue depths on the simulation clock, and the
-// resulting snapshot is returned in Outcome.Metrics. Plain Run leaves
-// instrumentation disabled — the no-op instruments cost one nil check
-// each, keeping the benchmarks honest.
-func RunInstrumented(id ID, p Params) Outcome { return run(id, p, true) }
-
-func run(id ID, p Params, instrument bool) Outcome {
-	switch id {
-	case Exp0A:
-		return runNoIO(id, p, cpu.MaxPoint, instrument)
-	case Exp0B:
-		return runNoIO(id, p, cpu.PointAt(103.2), instrument)
-	default:
-		stages, opts := stagesFor(id, p)
-		opts.instrument = instrument
-		if p.Faults != nil {
-			opts.faults = p.Faults
-		}
-		return runPipeline(id, p, stages, opts)
-	}
 }
 
 // DefaultFaultScenario is experiment 2D's built-in link-fault load: a
@@ -254,179 +211,64 @@ func DefaultFaultScenario() *fault.Scenario {
 // hot path.
 const DefaultSamplePeriodS = 60.0
 
-// stagesFor derives the per-node configuration of a pipeline experiment.
-func stagesFor(id ID, p Params) ([]stageSetup, pipelineOpts) {
+// stagesFor derives the per-node configuration of a pipeline
+// experiment: its stages, and whether the recovery protocol and node
+// rotation are on.
+func stagesFor(id ID, p Params) (stages []StageConfig, ack bool, rotation int, err error) {
 	switch id {
 	case Exp1:
-		return []stageSetup{
-			{span: atr.FullSpan, compute: cpu.MaxPoint, comm: cpu.MaxPoint},
-		}, pipelineOpts{}
+		return []StageConfig{
+			{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint},
+		}, false, 0, nil
 	case Exp1A:
-		return []stageSetup{
-			{span: atr.FullSpan, compute: cpu.MaxPoint, comm: cpu.MinPoint},
-		}, pipelineOpts{}
-	case Exp2:
-		s := mustBest(p)
-		return []stageSetup{
-			{span: s.Stages[0].Span, compute: s.Stages[0].Compute, comm: s.Stages[0].Compute},
-			{span: s.Stages[1].Span, compute: s.Stages[1].Compute, comm: s.Stages[1].Compute},
-		}, pipelineOpts{}
-	case Exp2A:
-		s := mustBest(p)
-		return []stageSetup{
-			{span: s.Stages[0].Span, compute: s.Stages[0].Compute, comm: cpu.MinPoint},
-			{span: s.Stages[1].Span, compute: s.Stages[1].Compute, comm: cpu.MinPoint},
-		}, pipelineOpts{}
-	case Exp2B:
-		// §6.6: with the recovery protocol's extra transactions both
-		// nodes run faster — the paper operates them at 73.7 and 118 MHz
-		// — and DVS during I/O stays on.
-		return []stageSetup{
-			{span: mustSpan(p, 0), compute: cpu.PointAt(73.7), comm: cpu.MinPoint},
-			{span: mustSpan(p, 1), compute: cpu.PointAt(118.0), comm: cpu.MinPoint},
-		}, pipelineOpts{ack: true}
-	case Exp2C:
-		s := mustBest(p)
-		return []stageSetup{
-			{span: s.Stages[0].Span, compute: s.Stages[0].Compute, comm: cpu.MinPoint},
-			{span: s.Stages[1].Span, compute: s.Stages[1].Compute, comm: cpu.MinPoint},
-		}, pipelineOpts{rotation: p.RotationPeriod}
-	case Exp2D:
-		// The 2B recovery configuration with the wire made hostile:
-		// seeded link faults, recovered by bounded retransmission.
-		return []stageSetup{
-			{span: mustSpan(p, 0), compute: cpu.PointAt(73.7), comm: cpu.MinPoint},
-			{span: mustSpan(p, 1), compute: cpu.PointAt(118.0), comm: cpu.MinPoint},
-		}, pipelineOpts{ack: true, faults: DefaultFaultScenario()}
+		return []StageConfig{
+			{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MinPoint},
+		}, false, 0, nil
+	case Exp2, Exp2A, Exp2B, Exp2C, Exp2D, Exp3A:
 	default:
-		panic(fmt.Sprintf("core: unknown experiment %q", id))
+		return nil, false, 0, specErr("unknown experiment %q", id)
 	}
-}
-
-func mustBest(p Params) Partition {
 	s, err := p.BestTwoNodeScheme()
 	if err != nil {
-		panic(err)
+		return nil, false, 0, specErr("experiment %s: %v", id, err)
 	}
-	return s
-}
-
-func mustSpan(p Params, i int) atr.Span {
-	return mustBest(p).Stages[i].Span
-}
-
-// runNoIO is experiments 0A/0B: one node computing frames from local
-// storage until its battery dies.
-func runNoIO(id ID, p Params, at cpu.OperatingPoint, instrument bool) Outcome {
-	k := sim.NewKernel()
-	var reg *metrics.Registry
-	if instrument {
-		reg = metrics.New(k)
-	}
-	net := serial.NewNetwork(k, p.Link)
-	net.SetMetrics(reg)
-	c := cpu.New(p.Power, at)
-	c.SetMode(cpu.Compute)
-	pw := node.NewPower(k, c, p.Battery())
-	cfg := node.Config{Prof: p.Profile, D: p.FrameDelayS, NoIO: true, Metrics: reg}
-	roles := []node.Role{{Index: 1, Span: atr.FullSpan, Compute: at, Comm: at}}
-	n := node.New(k, net, pw, cfg, roles, 0)
-	n.Wire([]*node.Node{n}, net.Port("unused-sink"))
-	n.Start()
-	if reg != nil {
-		registerNodeSamplers(reg, n, DefaultSamplePeriodS)
-		registerKernelSamplers(reg, k, DefaultSamplePeriodS)
-		// The lone battery's death ends the run; stop the samplers there
-		// so they do not keep the event queue alive forever.
-		prev := pw.OnDeath
-		pw.OnDeath = func() {
-			prev()
-			reg.StopSamplers()
+	s0, s1 := s.Stages[0], s.Stages[1]
+	switch id {
+	case Exp2:
+		return []StageConfig{
+			{Span: s0.Span, Compute: s0.Compute, Comm: s0.Compute},
+			{Span: s1.Span, Compute: s1.Compute, Comm: s1.Compute},
+		}, false, 0, nil
+	case Exp2A:
+		return []StageConfig{
+			{Span: s0.Span, Compute: s0.Compute, Comm: cpu.MinPoint},
+			{Span: s1.Span, Compute: s1.Compute, Comm: cpu.MinPoint},
+		}, false, 0, nil
+	case Exp2B, Exp2D:
+		// §6.6: with the recovery protocol's extra transactions both
+		// nodes run faster — the paper operates them at 73.7 and 118 MHz
+		// — and DVS during I/O stays on. 2D is the same configuration
+		// with the wire made hostile (see DefaultFaultScenario).
+		return []StageConfig{
+			{Span: s0.Span, Compute: cpu.PointAt(73.7), Comm: cpu.MinPoint},
+			{Span: s1.Span, Compute: cpu.PointAt(118.0), Comm: cpu.MinPoint},
+		}, true, 0, nil
+	case Exp2C:
+		return []StageConfig{
+			{Span: s0.Span, Compute: s0.Compute, Comm: cpu.MinPoint},
+			{Span: s1.Span, Compute: s1.Compute, Comm: cpu.MinPoint},
+		}, false, p.RotationPeriod, nil
+	default: // Exp3A
+		// The experiment-2 partition with both compute clocks started
+		// at the full 206.4 MHz; the governor has to find the savings.
+		if !p.Governor.Enabled() {
+			return nil, false, 0, specErr("experiment 3A needs a governor (set Params.Governor)")
 		}
+		return []StageConfig{
+			{Span: s0.Span, Compute: cpu.MaxPoint, Comm: cpu.MinPoint},
+			{Span: s1.Span, Compute: cpu.MaxPoint, Comm: cpu.MinPoint},
+		}, false, 0, nil
 	}
-	k.Run()
-
-	wallH := float64(k.Now()) / 3600
-	return Outcome{
-		ID:           id,
-		Label:        Label(id),
-		Nodes:        1,
-		Frames:       n.FramesProcessed,
-		BatteryLifeH: wallH,
-		WallH:        wallH,
-		Events:       k.Fired(),
-		NodeStats:    []NodeStat{statOf(n)},
-		PortStats:    portStatsOf(net),
-		Metrics:      reg.Snapshot(),
-	}
-}
-
-// registerNodeSamplers tracks one node's battery dynamics and inbound
-// backlog as sim-time series.
-func registerNodeSamplers(reg *metrics.Registry, n *node.Node, period float64) {
-	registerSamplers(reg, n.Name, n.Power(), n.Port(), period)
-}
-
-// registerSamplers is the node-kind-agnostic sampler set shared by
-// pipeline nodes and fleet workers.
-func registerSamplers(reg *metrics.Registry, name string, pw *node.Power, port *serial.Port, period float64) {
-	reg.Sample("battery_soc", name, sim.Duration(period), func() float64 {
-		return pw.Battery().StateOfCharge()
-	})
-	reg.Sample("battery_available", name, sim.Duration(period), func() float64 {
-		return battery.Available(pw.Battery())
-	})
-	reg.Sample("port_pending", name, sim.Duration(period), func() float64 {
-		return float64(port.Pending())
-	})
-}
-
-// registerKernelSamplers tracks the event-queue depth and cumulative
-// events fired (the events-processed rate is its discrete derivative).
-func registerKernelSamplers(reg *metrics.Registry, k *sim.Kernel, period float64) {
-	reg.Sample("sim_queue_depth", "", sim.Duration(period), func() float64 {
-		return float64(k.QueueLen())
-	})
-	reg.Sample("sim_events_fired", "", sim.Duration(period), func() float64 {
-		return float64(k.Fired())
-	})
-}
-
-// portStatsOf exports the network's per-port accounting.
-func portStatsOf(net *serial.Network) []PortStat {
-	ports := net.Ports()
-	out := make([]PortStat, 0, len(ports))
-	for _, pt := range ports {
-		out = append(out, PortStat{Port: pt.Name(), PortStats: pt.Stats()})
-	}
-	return out
-}
-
-type pipelineOpts struct {
-	ack       bool
-	rotation  int
-	trace     bool
-	native    *Native
-	maxFrames int
-	onResult  func(frame int, payload any)
-	// instrument attaches a metrics registry to the rig.
-	instrument bool
-	// samplePeriodS overrides the sampler cadence (≤ 0 selects
-	// DefaultSamplePeriodS).
-	samplePeriodS float64
-	// onTransfer observes every completed serial transaction.
-	onTransfer func(serial.TransferEvent)
-	// faults, when non-nil, injects the scenario into the run.
-	faults *fault.Scenario
-	// governor, when enabled, attaches the online DVS policy to every
-	// node; Params.Governor fills it when the caller leaves it zero.
-	governor governor.Spec
-	// onGovern observes every governor decision.
-	onGovern func(node string, ev governor.Event)
-	// assertions, when non-nil, checks the invariant catalog over the
-	// run's telemetry stream; Params.Assertions fills it when the
-	// caller leaves it nil.
-	assertions *assert.Spec
 }
 
 // Native carries the real-workload hooks for native pipeline execution:
@@ -436,271 +278,6 @@ type pipelineOpts struct {
 type Native struct {
 	Scene *atr.Scene
 	Pipe  *atr.Pipeline
-}
-
-// Rig is an assembled pipeline simulation: kernel, host and nodes. Use
-// Run in this package for the paper experiments, or Build + custom
-// driving for timelines and bespoke studies.
-type Rig struct {
-	K     *sim.Kernel
-	Net   *serial.Network
-	Host  *host.Host
-	Nodes []*node.Node
-	// Metrics is the rig's instrumentation registry; nil when the run is
-	// uninstrumented.
-	Metrics *metrics.Registry
-	// Injector is the run's fault engine; nil when no scenario is
-	// active.
-	Injector *fault.Injector
-	// GovernorSpec is the online DVS policy the rig's nodes run under;
-	// the zero spec on ungoverned rigs.
-	GovernorSpec governor.Spec
-
-	lastResult sim.Time
-}
-
-// buildPipeline assembles host + N nodes with the experiment's stop
-// conditions armed: every battery dead, or a death followed by a long
-// silence at the sink (the pipeline stalled with charge remaining, the
-// failure mode of §6.4).
-func buildPipeline(p Params, stages []stageSetup, opts pipelineOpts) *Rig {
-	k := sim.NewKernel()
-	var reg *metrics.Registry
-	if opts.instrument {
-		reg = metrics.New(k)
-	}
-	net := serial.NewNetwork(k, p.Link)
-	net.SetMetrics(reg)
-	net.OnTransfer = opts.onTransfer
-	var inj *fault.Injector
-	rp := p.Retry
-	if opts.faults != nil {
-		// MustInjector: a scenario that reaches here was validated at
-		// load time, so a failure is a programming error.
-		inj = fault.MustInjector(*opts.faults)
-		net.Fault = inj
-		if rpo := opts.faults.Retry; rpo != nil {
-			rp = *rpo
-		}
-	}
-	h := host.New(k, net)
-	h.D = p.FrameDelayS
-	h.FrameKB = p.Profile.InputKB
-	h.RotationPeriod = opts.rotation
-	h.Metrics = reg
-	h.Retry = rp
-
-	// An explicit per-run governor wins; otherwise the platform-wide
-	// selection applies (same precedence as fault scenarios).
-	gov := opts.governor
-	if !gov.Enabled() {
-		gov = p.Governor
-	}
-	cfg := node.Config{
-		Prof:           p.Profile,
-		D:              p.FrameDelayS,
-		RotationPeriod: opts.rotation,
-		Ack:            opts.ack,
-		AckTimeoutS:    p.AckTimeoutS,
-		Retry:          rp,
-		Metrics:        reg,
-		Governor:       gov,
-		OnGovern:       opts.onGovern,
-	}
-	h.MaxFrames = opts.maxFrames
-	if opts.native != nil {
-		nat := opts.native
-		h.MakeFrame = func(int) any {
-			frame, _ := nat.Scene.Frame(1)
-			return frame
-		}
-		cfg.Exec = nat.Pipe.ApplySpan
-	}
-	roles := make([]node.Role, len(stages))
-	for i, s := range stages {
-		roles[i] = node.Role{Index: i + 1, Span: s.span, Compute: s.compute, Comm: s.comm, Idle: s.idle,
-			RefS: s.refS, OutKB: s.outKB}
-	}
-	nodes := make([]*node.Node, len(stages))
-	for i := range stages {
-		c := cpu.New(p.Power, roles[i].Comm)
-		bat := p.Battery()
-		// Per-node capacity variance is applied before metering starts,
-		// so the death prediction sees the scaled pack.
-		battery.ScaleCapacity(bat, opts.faults.CapacityScale(fmt.Sprintf("node%d", i+1)))
-		pw := node.NewPower(k, c, bat)
-		if opts.trace {
-			pw.EnableTrace()
-		}
-		nodes[i] = node.New(k, net, pw, cfg, roles, i)
-	}
-	for _, n := range nodes {
-		n.Wire(nodes, h.SinkPort())
-	}
-	for _, n := range nodes {
-		h.Targets = append(h.Targets, n.Port())
-		n := n
-		h.Alive = append(h.Alive, n.Available)
-	}
-	if inj != nil {
-		targets := make(map[string]fault.CrashTarget, len(nodes))
-		for _, n := range nodes {
-			targets[n.Name] = n
-		}
-		inj.Arm(k, targets)
-	}
-
-	rig := &Rig{K: k, Net: net, Host: h, Nodes: nodes, Metrics: reg, Injector: inj, GovernorSpec: gov}
-	if reg != nil {
-		period := opts.samplePeriodS
-		if period <= 0 {
-			period = DefaultSamplePeriodS
-		}
-		for _, n := range nodes {
-			registerNodeSamplers(reg, n, period)
-		}
-		registerKernelSamplers(reg, k, period)
-	}
-	h.OnResult = func(r host.Result) {
-		rig.lastResult = k.Now()
-		if opts.onResult != nil {
-			opts.onResult(r.Frame, r.Payload)
-		}
-	}
-	stallWindow := sim.Time(50 * p.FrameDelayS)
-	// The watchdog re-arms through one reusable Event (Bind+Reschedule)
-	// so a long run costs no allocation per tick.
-	var watchEv sim.Event
-	watch := func() {
-		allDead := true
-		anyDead := false
-		for _, n := range nodes {
-			// A crash outage counts toward stall detection (a
-			// permanently crashed node never produces again) but not
-			// toward allDead: its battery still holds charge.
-			if !n.Available() {
-				anyDead = true
-			}
-			if !n.Dead() {
-				allDead = false
-			}
-		}
-		if allDead || ((anyDead || h.Stopped()) && k.Now()-rig.lastResult > stallWindow) {
-			rig.Finish()
-			return
-		}
-		k.Reschedule(&watchEv, k.Now()+sim.Time(10*p.FrameDelayS))
-	}
-	watchEv.Bind(watch)
-	k.Reschedule(&watchEv, k.Now()+sim.Time(10*p.FrameDelayS))
-	return rig
-}
-
-// Start launches every node and the host.
-func (r *Rig) Start() {
-	for _, n := range r.Nodes {
-		n.Start()
-	}
-	r.Host.Start()
-}
-
-// Finish stops the source and interrupts nodes stranded with live
-// batteries so the run can end; their remaining charge is reported.
-func (r *Rig) Finish() {
-	r.Host.Stop()
-	r.Metrics.StopSamplers()
-	for _, n := range r.Nodes {
-		if !n.Dead() {
-			nn := n
-			r.K.At(r.K.Now(), func() {
-				if pr := nn.Proc(); pr != nil && !pr.Done() {
-					pr.Interrupt("experiment ended")
-				}
-			})
-		}
-	}
-}
-
-// Release tears the rig down and returns its recyclable simulation
-// state — parked processes, rendezvous offers, frame-job carriers — to
-// the process-wide pools, so the next run warm-starts instead of
-// re-allocating its working set. Call it exactly once, after every
-// outcome, record or trace has been extracted; the rig is unusable
-// afterwards. Long-lived callers that run many experiments in one
-// process (sweeps, the service layer, Monte Carlo forks) depend on this
-// for steady-state zero-allocation behavior.
-func (r *Rig) Release() {
-	r.K.Shutdown()
-	r.Net.Release()
-	r.Host.Release()
-}
-
-// outcome extracts the paper's metrics after the run.
-func (r *Rig) outcome(id ID, p Params) Outcome {
-	frames := len(r.Host.Results)
-	var govName string
-	if r.GovernorSpec.Enabled() {
-		govName = r.GovernorSpec.String()
-	}
-	out := Outcome{
-		ID:            id,
-		Label:         Label(id),
-		Governor:      govName,
-		Nodes:         len(r.Nodes),
-		Frames:        frames,
-		BatteryLifeH:  float64(frames) * p.FrameDelayS / 3600,
-		WallH:         float64(r.lastResult) / 3600,
-		FramesDropped: r.Host.FramesDropped,
-		Events:        r.K.Fired(),
-		FaultStats:    r.Injector.Stats(),
-		PortStats:     portStatsOf(r.Net),
-		Metrics:       r.Metrics.Snapshot(),
-	}
-	for _, n := range r.Nodes {
-		out.NodeStats = append(out.NodeStats, statOf(n))
-	}
-	return out
-}
-
-// runPipeline assembles the rig and runs to system exhaustion. With an
-// assertion catalog active (opts.assertions, else Params.Assertions)
-// the run is forced traced + instrumented, its full telemetry record
-// stream is gathered exactly as RunTelemetry would, and the compiled
-// monitors' verdicts land in Outcome.Violations. A nil catalog — the
-// default — takes the plain path: no recorder, no extra allocations.
-func runPipeline(id ID, p Params, stages []stageSetup, opts pipelineOpts) Outcome {
-	spec := opts.assertions
-	if spec == nil {
-		spec = p.Assertions
-	}
-	// Specs reaching a run were validated at load time (assert.Load,
-	// Options plumbing), so a compile failure is a programming error —
-	// the same contract as fault.MustInjector.
-	eng := assert.MustNew(spec)
-	if eng == nil {
-		rig := buildPipeline(p, stages, opts)
-		rig.Start()
-		rig.K.Run()
-		out := rig.outcome(id, p)
-		rig.Release()
-		return out
-	}
-	opts.trace = true
-	opts.instrument = true
-	rc := newRecorder(true, estimateRecords(p, len(stages), 0, true))
-	rc.hooks(&opts)
-	rig := buildPipeline(p, stages, opts)
-	rc.attach(rig)
-	rig.Start()
-	rig.K.Run()
-	records := rc.collect(rig)
-	out := rig.outcome(id, p)
-	rig.Release()
-	out.Violations = evalAssertions(eng, records)
-	rc.release()
-	out.AssertionsRun = eng.Evaluated()
-	out.ViolationTotal = eng.Total()
-	return out
 }
 
 // StageConfig describes one stage of a custom pipeline: its block span
@@ -716,74 +293,6 @@ type StageConfig struct {
 	Idle    cpu.OperatingPoint
 	RefS    float64
 	OutKB   float64
-}
-
-// Options selects the distributed techniques for a custom pipeline run.
-type Options struct {
-	// Ack enables the power-failure recovery protocol (two-node
-	// pipelines only, as in the paper).
-	Ack bool
-	// RotationPeriod > 1 enables node rotation every that many frames.
-	RotationPeriod int
-	// Native runs the real ATR computation through the pipeline.
-	Native *Native
-	// MaxFrames bounds the run; 0 runs to battery exhaustion.
-	MaxFrames int
-	// OnResult, when set, observes each result as it reaches the host
-	// (frame number and, for native runs, the decoded payload).
-	OnResult func(frame int, payload any)
-	// Instrument attaches the telemetry subsystem (see RunInstrumented);
-	// the snapshot lands in Outcome.Metrics.
-	Instrument bool
-	// Faults, when non-nil, injects the scenario into the run (see
-	// internal/fault); it takes precedence over Params.Faults.
-	Faults *fault.Scenario
-	// Governor attaches an online DVS policy to every node (see
-	// internal/governor); it takes precedence over Params.Governor.
-	Governor governor.Spec
-	// OnGovern, when set, observes every governor decision.
-	OnGovern func(node string, ev governor.Event)
-	// Assertions, when non-nil, evaluates the invariant catalog over
-	// the run's telemetry stream (see internal/assert); it takes
-	// precedence over Params.Assertions.
-	Assertions *assert.Spec
-}
-
-// RunCustom simulates a custom pipeline to system exhaustion: one node
-// per stage, frames paced every Params.FrameDelayS, each node on its own
-// battery. It is the library entry point for configurations beyond the
-// paper's experiment suite (different partitions, N > 2 pipelines,
-// alternative rotation periods).
-func RunCustom(label string, p Params, stages []StageConfig, opts Options) Outcome {
-	if len(stages) == 0 {
-		panic("core: no stages")
-	}
-	if opts.Ack && len(stages) != 2 {
-		panic("core: recovery protocol is defined for two-node pipelines")
-	}
-	ss := make([]stageSetup, len(stages))
-	for i, s := range stages {
-		ss[i] = stageSetup{span: s.Span, compute: s.Compute, comm: s.Comm, idle: s.Idle,
-			refS: s.RefS, outKB: s.OutKB}
-	}
-	faults := opts.Faults
-	if faults == nil {
-		faults = p.Faults
-	}
-	out := runPipeline(ID(label), p, ss, pipelineOpts{
-		ack:        opts.Ack,
-		rotation:   opts.RotationPeriod,
-		native:     opts.Native,
-		maxFrames:  opts.MaxFrames,
-		onResult:   opts.OnResult,
-		instrument: opts.Instrument,
-		faults:     faults,
-		governor:   opts.Governor,
-		onGovern:   opts.OnGovern,
-		assertions: opts.Assertions,
-	})
-	out.Label = label
-	return out
 }
 
 // StagesFromPartition converts a feasible Partition into stage configs,
@@ -804,78 +313,22 @@ func StagesFromPartition(pt Partition, dvsDuringIO bool) []StageConfig {
 	return out
 }
 
-// RunTraced runs the first `until` seconds of an experiment with mode
-// tracing enabled and returns each node's constant-power spans — the
-// material of the paper's timing diagrams (Figs 2, 3 and 9). Only the
-// pipeline experiments (1…2C) can be traced; 0A/0B have no I/O structure
-// worth drawing.
-func RunTraced(id ID, p Params, until float64) [][]node.ModeSpan {
-	stages, opts := stagesFor(id, p)
-	opts.trace = true
-	rig := buildPipeline(p, stages, opts)
-	rig.Start()
-	rig.K.RunUntil(sim.Time(until))
-	out := make([][]node.ModeSpan, len(rig.Nodes))
-	for i, n := range rig.Nodes {
-		n.Power().Finish()
-		out[i] = n.Power().Trace()
-	}
-	rig.K.Stop()
-	rig.Release()
-	return out
-}
-
-// govMean is the node's mean decided compute clock, zero when ungoverned.
-func govMean(n *node.Node) float64 {
-	if n.GovernorDecisions == 0 {
-		return 0
-	}
-	return n.GovernorFreqSumMHz / float64(n.GovernorDecisions)
-}
-
-func statOf(n *node.Node) NodeStat {
-	pw := n.Power()
-	return NodeStat{
-		Name:            n.Name,
-		DiedAtH:         float64(n.DeadAt) / 3600,
-		FramesProcessed: n.FramesProcessed,
-		ResultsSent:     n.ResultsSent,
-		Rotations:       n.Rotations,
-		Migrations:      n.Migrations,
-		Crashes:         n.Crashes,
-		Restarts:        n.Restarts,
-		FramesAbandoned: n.FramesAbandoned,
-		GovDecisions:    n.GovernorDecisions,
-		GovSwitches:     n.GovernorSwitches,
-		DeadlineMisses:  n.DeadlineMisses,
-		GovMeanMHz:      govMean(n),
-		DeliveredMAh:    pw.Battery().DeliveredMAh(),
-		FinalSoC:        pw.Battery().StateOfCharge(),
-		IdleS:           pw.ModeSeconds(cpu.Idle),
-		CommS:           pw.ModeSeconds(cpu.Comm),
-		ComputeS:        pw.ModeSeconds(cpu.Compute),
-		IdleMAh:         pw.ModeMAh(cpu.Idle),
-		CommMAh:         pw.ModeMAh(cpu.Comm),
-		ComputeMAh:      pw.ModeMAh(cpu.Compute),
-	}
-}
-
 // RunSuite executes the given experiments and fills the normalized
 // metrics (§4.5): Tnorm(N) = T(N)/N and Rnorm(N) = Tnorm(N)/T(1). The
-// baseline is run if not already in the list. Experiments run on all
-// cores; each is an independent deterministic simulation and results
-// are returned in input order, so the output is identical to a serial
-// evaluation (see RunSuiteParallel for an explicit worker count).
-func RunSuite(ids []ID, p Params) []Outcome {
-	return RunSuiteParallel(ids, p, 0)
-}
-
-// RunSuiteParallel is RunSuite with the experiments evaluated
-// concurrently on up to workers goroutines — each experiment is an
-// independent deterministic simulation, so the suite parallelizes
-// perfectly. workers ≤ 0 selects GOMAXPROCS.
-func RunSuiteParallel(ids []ID, p Params, workers int) []Outcome {
-	outs := sweep.Run(ids, workers, func(id ID) Outcome { return Run(id, p) })
+// baseline is run if not already in the list. Experiments run
+// concurrently on up to workers goroutines (≤ 0 selects GOMAXPROCS);
+// each is an independent deterministic simulation and results are
+// returned in input order, so the output is identical to a serial
+// evaluation. The first failing experiment's error is returned.
+func RunSuite(ids []ID, p Params, workers int) ([]Outcome, error) {
+	specs := make([]Spec, len(ids))
+	for i, id := range ids {
+		specs[i] = Spec{ID: id, Params: p}
+	}
+	outs, err := simulateAll(specs, workers)
+	if err != nil {
+		return nil, err
+	}
 	var t1 float64
 	for _, o := range outs {
 		if o.ID == Exp1 {
@@ -890,11 +343,15 @@ func RunSuiteParallel(ids []ID, p Params, workers int) []Outcome {
 		pb := p
 		pb.Faults = nil
 		pb.Assertions = nil
-		t1 = Run(Exp1, pb).BatteryLifeH
+		base, err := Simulate(context.Background(), Spec{ID: Exp1, Params: pb}, Sinks{})
+		if err != nil {
+			return nil, err
+		}
+		t1 = base.BatteryLifeH
 	}
 	for i := range outs {
 		outs[i].TnormH = outs[i].BatteryLifeH / float64(outs[i].Nodes)
 		outs[i].Rnorm = outs[i].TnormH / t1
 	}
-	return outs
+	return outs, nil
 }

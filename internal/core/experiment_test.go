@@ -41,7 +41,7 @@ func TestCalibratedBatteryShape(t *testing.T) {
 // of §6 within tolerance of the published battery life, and the ordering
 // of the normalized ratios preserved exactly.
 func TestSuiteReproducesPaper(t *testing.T) {
-	outs := RunSuite(AllExperiments, DefaultParams())
+	outs := mustSuite(t, AllExperiments, DefaultParams(), 0)
 	byID := map[ID]Outcome{}
 	for _, o := range outs {
 		byID[o.ID] = o
@@ -150,7 +150,7 @@ func TestExp1AMatchesRecoveryEffectStory(t *testing.T) {
 }
 
 func TestRunSuiteComputesNormalizedMetrics(t *testing.T) {
-	outs := RunSuite([]ID{Exp1, Exp2}, DefaultParams())
+	outs := mustSuite(t, []ID{Exp1, Exp2}, DefaultParams(), 0)
 	if len(outs) != 2 {
 		t.Fatalf("%d outcomes", len(outs))
 	}
@@ -167,7 +167,7 @@ func TestRunSuiteComputesNormalizedMetrics(t *testing.T) {
 }
 
 func TestRunSuiteWithoutBaselineStillNormalizes(t *testing.T) {
-	outs := RunSuite([]ID{Exp2C}, DefaultParams())
+	outs := mustSuite(t, []ID{Exp2C}, DefaultParams(), 0)
 	if outs[0].Rnorm <= 1 {
 		t.Errorf("2C Rnorm %v, want > 1", outs[0].Rnorm)
 	}
@@ -246,8 +246,8 @@ func TestIdealBatteryErasesTheHeadline(t *testing.T) {
 
 func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	p := DefaultParams()
-	seq := RunSuite([]ID{Exp1, Exp1A, Exp2}, p)
-	par := RunSuiteParallel([]ID{Exp1, Exp1A, Exp2}, p, 3)
+	seq := mustSuite(t, []ID{Exp1, Exp1A, Exp2}, p, 1)
+	par := mustSuite(t, []ID{Exp1, Exp1A, Exp2}, p, 3)
 	for i := range seq {
 		if seq[i].Frames != par[i].Frames || seq[i].BatteryLifeH != par[i].BatteryLifeH ||
 			seq[i].Rnorm != par[i].Rnorm {

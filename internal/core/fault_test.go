@@ -15,7 +15,8 @@ func lossyLinks() *fault.Scenario {
 	}
 }
 
-func faultyStages(t *testing.T, p Params) []StageConfig {
+// bestStages is Fig 8's best two-node scheme with DVS during I/O.
+func bestStages(t *testing.T, p Params) []StageConfig {
 	t.Helper()
 	best, err := p.BestTwoNodeScheme()
 	if err != nil {
@@ -66,11 +67,9 @@ func TestFaultTelemetryDeterministic(t *testing.T) {
 // retransmit, visible in the PortStats retry counters, and the pipeline
 // still delivers its frames.
 func TestFaultRecoveryViaRetransmit(t *testing.T) {
-	p := DefaultParams()
-	out := RunCustom("faulty", p, faultyStages(t, p), Options{
-		MaxFrames: 300,
-		Faults:    lossyLinks(),
-	})
+	p := staticParams()
+	p.Faults = lossyLinks()
+	out := mustSimulate(t, Spec{Stages: bestStages(t, p), Label: "faulty", Params: p, Frames: 300}, Sinks{})
 	if out.FaultStats.Drops == 0 || out.FaultStats.Garbles == 0 {
 		t.Fatalf("no injected faults: %+v", out.FaultStats)
 	}
@@ -97,11 +96,11 @@ func TestFaultRecoveryViaRetransmit(t *testing.T) {
 // platform's. MaxAttempts 1 disables retransmission entirely, so heavy
 // loss shows up as give-ups instead of retries.
 func TestFaultRetryOverride(t *testing.T) {
-	p := DefaultParams()
-	sc := lossyLinks()
-	sc.Links[0].DropRate = 0.3
-	sc.Retry = &serial.RetryPolicy{MaxAttempts: 1}
-	out := RunCustom("no-retry", p, faultyStages(t, p), Options{MaxFrames: 100, Faults: sc})
+	p := staticParams()
+	p.Faults = lossyLinks()
+	p.Faults.Links[0].DropRate = 0.3
+	p.Faults.Retry = &serial.RetryPolicy{MaxAttempts: 1}
+	out := mustSimulate(t, Spec{Stages: bestStages(t, p), Label: "no-retry", Params: p, Frames: 100}, Sinks{})
 	var retries, giveUps int
 	for _, ps := range out.PortStats {
 		retries += ps.TxRetries
@@ -119,16 +118,12 @@ func TestFaultRetryOverride(t *testing.T) {
 // by the §5.4 migration path — node1 takes over the remaining stages and
 // results keep flowing.
 func TestFaultCrashMigration(t *testing.T) {
-	p := DefaultParams()
-	sc := &fault.Scenario{
+	p := staticParams()
+	p.Faults = &fault.Scenario{
 		Seed:    3,
 		Crashes: []fault.Crash{{Node: "node2", AtS: 100}},
 	}
-	out := RunCustom("crash", p, faultyStages(t, p), Options{
-		Ack:       true,
-		MaxFrames: 150,
-		Faults:    sc,
-	})
+	out := mustSimulate(t, Spec{Stages: bestStages(t, p), Label: "crash", Ack: true, Params: p, Frames: 150}, Sinks{})
 	if out.FaultStats.Crashes != 1 || out.FaultStats.Restarts != 0 {
 		t.Fatalf("fault stats %+v", out.FaultStats)
 	}
@@ -159,16 +154,12 @@ func TestFaultCrashMigration(t *testing.T) {
 
 // TestFaultCrashRestart: a transient outage ends with the node back up.
 func TestFaultCrashRestart(t *testing.T) {
-	p := DefaultParams()
-	sc := &fault.Scenario{
+	p := staticParams()
+	p.Faults = &fault.Scenario{
 		Seed:    3,
 		Crashes: []fault.Crash{{Node: "node2", AtS: 60, RestartAfterS: 10}},
 	}
-	out := RunCustom("blip", p, faultyStages(t, p), Options{
-		Ack:       true,
-		MaxFrames: 100,
-		Faults:    sc,
-	})
+	out := mustSimulate(t, Spec{Stages: bestStages(t, p), Label: "blip", Ack: true, Params: p, Frames: 100}, Sinks{})
 	if out.FaultStats.Crashes != 1 || out.FaultStats.Restarts != 1 {
 		t.Fatalf("fault stats %+v", out.FaultStats)
 	}

@@ -1,132 +1,36 @@
 package core
 
 import (
-	"fmt"
-
-	"dvsim/internal/assert"
 	"dvsim/internal/battery"
 	"dvsim/internal/cpu"
 	"dvsim/internal/fault"
-	"dvsim/internal/metrics"
+	"dvsim/internal/host"
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
-	"dvsim/internal/topology"
 )
 
-// RunTopology simulates a fleet over an arbitrary topology graph (see
-// internal/topology). Chain-shaped graphs — the paper's serial
-// pipelines at any length — run on the pipeline engine, with host
-// pacing, rotation and the recovery protocol available through opts
-// exactly as RunCustom offers them. Everything else (wide pipelines,
-// trees, meshes, hand-built DAGs) runs on the graph worker engine:
-// sources pace themselves, interior vertices gather fan-in, and sink
-// results land at a host collector that plays the role of the paper's
-// workstation.
-//
-// All of Options applies to chains; on the graph engine Ack, Rotation
-// and Native are rejected (those are ring protocols), while MaxFrames,
-// Instrument, Faults, Governor, OnGovern and Assertions behave
-// identically. The run is deterministic: graph construction order fixes
-// same-instant event ordering.
-func RunTopology(label string, p Params, g *topology.Graph, opts Options) Outcome {
-	if err := g.Validate(); err != nil {
-		panic(fmt.Sprintf("core: invalid topology: %v", err))
-	}
-	if chain := g.Chain(); chain != nil {
-		stages := make([]StageConfig, len(chain))
-		for i, ns := range chain {
-			stages[i] = StageConfig{
-				Compute: ns.Compute, Comm: ns.Comm, Idle: ns.Idle,
-				RefS: ns.RefS, OutKB: ns.OutKB,
-			}
-		}
-		return RunCustom(label, p, stages, opts)
-	}
-	if opts.Ack || opts.RotationPeriod > 1 || opts.Native != nil {
-		panic("core: ack/rotation/native are pipeline-engine options; this graph is not a chain")
-	}
-	return runFleet(label, p, g, opts)
-}
-
-// runFleet materializes a non-chain graph on the worker engine and runs
-// it to completion: every source exhausted (bounded runs) or the fleet
-// dead/stalled (unbounded runs), mirroring buildPipeline's stop
-// conditions.
-func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
-	spec := opts.Assertions
-	if spec == nil {
-		spec = p.Assertions
-	}
-	// Specs reaching a run were validated at load time; a compile
-	// failure here is a programming error (assert.MustNew contract).
-	eng := assert.MustNew(spec)
-	instrument := opts.Instrument || eng != nil
-
-	k := sim.NewKernel()
-	var reg *metrics.Registry
-	if instrument {
-		reg = metrics.New(k)
-	}
-	net := serial.NewNetwork(k, p.Link)
-	net.SetMetrics(reg)
-
-	faults := opts.Faults
-	if faults == nil {
-		faults = p.Faults
-	}
-	var inj *fault.Injector
-	rp := p.Retry
-	if faults != nil {
-		inj = fault.MustInjector(*faults)
-		net.Fault = inj
-		if rpo := faults.Retry; rpo != nil {
-			rp = *rpo
-		}
-	}
-	gov := opts.Governor
-	if !gov.Enabled() {
-		gov = p.Governor
-	}
-
-	// Recording: the same recorder substrate as assertion-checked
-	// pipeline runs, fed by fleet-side hooks.
-	var rc *recorder
-	onGovern := opts.OnGovern
-	if eng != nil {
-		rc = newRecorder(true, estimateRecords(p, len(g.Nodes), float64(opts.MaxFrames)*p.FrameDelayS, true))
-		popts := pipelineOpts{onGovern: opts.OnGovern}
-		rc.hooks(&popts)
-		onGovern = popts.onGovern
-		net.OnTransfer = popts.onTransfer
-		net.OnRetry = func(ev serial.RetryEvent) {
-			rc.retry = append(rc.retry, LogRecord{
-				T: float64(ev.T), Event: "retry",
-				From: ev.From, To: ev.To,
-				Kind: ev.Kind.String(), Frame: ev.Frame,
-				Attempt: ev.Attempt, Value: ev.BackoffS,
-				Fault: ev.Cause.String(),
-			})
-		}
-		if inj != nil {
-			inj.OnFault = func(ev fault.Event) {
-				rc.fault = append(rc.fault, LogRecord{
-					T: float64(ev.T), Event: "fault", Fault: ev.Kind,
-					Node: ev.Node, From: ev.From, To: ev.To,
-					Kind: ev.MsgKind, Frame: ev.Frame,
-				})
-			}
-		}
-	}
+// buildFleet materializes a non-chain topology graph (see
+// internal/topology) on the worker engine: sources pace themselves,
+// interior vertices gather fan-in, and sink results land at a host
+// collector that plays the role of the paper's workstation. The stop
+// conditions mirror the pipeline's: every source exhausted (bounded
+// runs) or the fleet dead/stalled (unbounded runs). Graph construction
+// order fixes same-instant event ordering, so the run is deterministic.
+func (pl *plan) buildFleet() *rig {
+	p, g := pl.p, pl.graph
+	r := pl.newRig()
+	k, net, reg := r.k, r.net, r.reg
+	rp := pl.armFaults(r)
 
 	sink := net.Port("host-sink")
 	workers := make([]*node.Worker, len(g.Nodes))
 	for i, ns := range g.Nodes {
 		c := cpu.New(p.Power, ns.Comm)
 		bat := p.Battery()
-		battery.ScaleCapacity(bat, faults.CapacityScale(ns.Name))
+		battery.ScaleCapacity(bat, pl.faults.CapacityScale(ns.Name))
 		pw := node.NewPower(k, c, bat)
-		if eng != nil {
+		if pl.trace {
 			pw.EnableTrace()
 		}
 		budget := p.FrameDelayS
@@ -138,7 +42,7 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 			D:        p.FrameDelayS,
 			BudgetS:  budget,
 			Source:   ns.Source(),
-			Rounds:   opts.MaxFrames,
+			Rounds:   pl.maxFrames,
 			Stride:   ns.Stride,
 			Phase:    ns.Phase,
 			RefS:     ns.RefS,
@@ -148,8 +52,8 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 			Idle:     ns.Idle,
 			FanInAll: ns.FanInAll,
 			Retry:    rp,
-			Governor: gov,
-			OnGovern: onGovern,
+			Governor: p.Governor,
+			OnGovern: pl.onGovern,
 			Metrics:  reg,
 		})
 	}
@@ -164,13 +68,14 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 		}
 		workers[i].WireGraph(len(ns.Parents), children, sp)
 	}
-	if inj != nil {
+	if r.inj != nil {
 		targets := make(map[string]fault.CrashTarget, len(workers))
 		for _, w := range workers {
 			targets[w.Name] = w
 		}
-		inj.Arm(k, targets)
+		r.inj.Arm(k, targets)
 	}
+	r.workers = workers
 	if reg != nil {
 		for _, w := range workers {
 			registerSamplers(reg, w.Name, w.Power(), w.Port(), DefaultSamplePeriodS)
@@ -178,52 +83,20 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 		registerKernelSamplers(reg, k, DefaultSamplePeriodS)
 	}
 
-	// The collector: the workstation's sink, counting results and
-	// timestamping the last one for the stall clock.
-	var results int
-	var lastResult sim.Time
+	// The collector: the workstation's sink.
 	k.Spawn("host-sink", func(pr *sim.Proc) {
 		for {
 			msg, err := sink.Recv(pr)
 			if err != nil {
 				return
 			}
-			results++
-			lastResult = k.Now()
-			if rc != nil {
-				t := float64(k.Now())
-				rc.result = append(rc.result, LogRecord{
-					T: t, Event: "result", Frame: msg.Frame, From: msg.From,
-				})
-				rc.latency = append(rc.latency, LogRecord{
-					T: t, Event: "latency", Frame: msg.Frame, From: msg.From,
-					Value: t - float64(msg.Frame)*p.FrameDelayS,
-				})
-			}
+			r.result(host.Result{Frame: msg.Frame, At: k.Now(), From: msg.From, Payload: msg.Payload})
 		}
 	})
 
-	// Stop conditions, mirroring buildPipeline's watch: everyone dead,
-	// or silence at the sink after a death/outage or source exhaustion.
-	finished := false
-	finish := func() {
-		if finished {
-			return
-		}
-		finished = true
-		reg.StopSamplers()
-		for _, w := range workers {
-			if !w.Dead() {
-				ww := w
-				k.At(k.Now(), func() {
-					if pr := ww.Proc(); pr != nil && !pr.Done() {
-						pr.Interrupt("experiment ended")
-					}
-				})
-			}
-		}
-	}
-	stallWindow := sim.Time(50 * p.FrameDelayS)
+	// Stop conditions: everyone dead, or silence at the sink after a
+	// death/outage or source exhaustion.
+	stallWindow := sim.Time(50 * r.d)
 	var watch func()
 	watch = func() {
 		allDead, anyDown, sourcesDone := true, false, true
@@ -238,141 +111,12 @@ func runFleet(label string, p Params, g *topology.Graph, opts Options) Outcome {
 				sourcesDone = false
 			}
 		}
-		if allDead || ((anyDown || sourcesDone) && k.Now()-lastResult > stallWindow) {
-			finish()
+		if allDead || ((anyDown || sourcesDone) && k.Now()-r.lastResult > stallWindow) {
+			r.finish()
 			return
 		}
-		k.After(sim.Duration(10*p.FrameDelayS), watch)
+		k.After(sim.Duration(10*r.d), watch)
 	}
-	k.After(sim.Duration(10*p.FrameDelayS), watch)
-
-	for _, w := range workers {
-		w.Start()
-	}
-	k.Run()
-
-	var govName string
-	if gov.Enabled() {
-		govName = gov.String()
-	}
-	out := Outcome{
-		ID:           ID(label),
-		Label:        label,
-		Governor:     govName,
-		Nodes:        len(workers),
-		Frames:       results,
-		BatteryLifeH: float64(results) * p.FrameDelayS / 3600,
-		WallH:        float64(lastResult) / 3600,
-		Events:       k.Fired(),
-		FaultStats:   inj.Stats(),
-		PortStats:    portStatsOf(net),
-		Metrics:      reg.Snapshot(),
-	}
-	for _, w := range workers {
-		out.NodeStats = append(out.NodeStats, workerStat(w))
-	}
-	if eng != nil {
-		records := collectFleet(rc, workers, reg)
-		out.Violations = evalAssertions(eng, records)
-		rc.release()
-		out.AssertionsRun = eng.Evaluated()
-		out.ViolationTotal = eng.Total()
-	}
-	return out
-}
-
-// collectFleet finalizes a fleet run's record stream — mode traces,
-// deaths, sampler series, then the canonical ordered merge — the
-// worker-engine counterpart of recorder.collect.
-func collectFleet(rc *recorder, workers []*node.Worker, reg *metrics.Registry) []LogRecord {
-	for _, w := range workers {
-		lo := len(rc.scratch)
-		w.Power().Finish()
-		for _, span := range w.Power().Trace() {
-			rc.scratch = append(rc.scratch, LogRecord{
-				T:     float64(span.Start),
-				End:   float64(span.End),
-				Event: "mode",
-				Node:  w.Name,
-				Mode:  span.Mode.String(),
-				MHz:   span.Op.FreqMHz,
-			})
-		}
-		if w.DeadAt > 0 {
-			rc.scratch = append(rc.scratch, LogRecord{
-				T: float64(w.DeadAt), Event: "death", Node: w.Name,
-			})
-		}
-		rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
-	}
-	if reg != nil {
-		for _, s := range reg.Snapshot().Series {
-			lo := len(rc.scratch)
-			for _, pt := range s.Samples {
-				rc.scratch = append(rc.scratch, LogRecord{
-					T: float64(pt.T), Event: "sample",
-					Node: s.Node, Metric: s.Name, Value: pt.V,
-				})
-			}
-			rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
-		}
-	}
-	return rc.finalize()
-}
-
-// workerStat mirrors statOf for fleet workers; the ring-only fields
-// (rotations, migrations) stay zero.
-func workerStat(w *node.Worker) NodeStat {
-	pw := w.Power()
-	stat := NodeStat{
-		Name:            w.Name,
-		DiedAtH:         float64(w.DeadAt) / 3600,
-		FramesProcessed: w.FramesProcessed,
-		ResultsSent:     w.ResultsSent,
-		Crashes:         w.Crashes,
-		Restarts:        w.Restarts,
-		FramesAbandoned: w.FramesAbandoned,
-		GovDecisions:    w.GovernorDecisions,
-		GovSwitches:     w.GovernorSwitches,
-		DeadlineMisses:  w.DeadlineMisses,
-		DeliveredMAh:    pw.Battery().DeliveredMAh(),
-		FinalSoC:        pw.Battery().StateOfCharge(),
-		IdleS:           pw.ModeSeconds(cpu.Idle),
-		CommS:           pw.ModeSeconds(cpu.Comm),
-		ComputeS:        pw.ModeSeconds(cpu.Compute),
-		IdleMAh:         pw.ModeMAh(cpu.Idle),
-		CommMAh:         pw.ModeMAh(cpu.Comm),
-		ComputeMAh:      pw.ModeMAh(cpu.Compute),
-	}
-	if w.GovernorDecisions > 0 {
-		stat.GovMeanMHz = w.GovernorFreqSumMHz / float64(w.GovernorDecisions)
-	}
-	return stat
-}
-
-// RunExperiment is Run with a frame bound: experiment lines in manifest
-// runfiles use it to keep hundred-line sweeps affordable. maxFrames ≤ 0
-// runs to battery exhaustion, exactly like Run. The no-I/O experiments
-// (0A/0B) have no frame source to bound and always run to exhaustion;
-// 3A requires a governor and runs that single policy (use
-// RunGovernorStudy for the full four-policy comparison).
-func RunExperiment(id ID, p Params, maxFrames int) Outcome {
-	switch id {
-	case Exp0A, Exp0B:
-		return Run(id, p)
-	case Exp3A:
-		if !p.Governor.Enabled() {
-			panic("core: experiment 3A needs a governor (set Params.Governor)")
-		}
-		return RunGovernorPolicy(p, p.Governor, maxFrames)
-	}
-	if maxFrames <= 0 {
-		return Run(id, p)
-	}
-	stages, opts := stagesFor(id, p)
-	if p.Faults != nil {
-		opts.faults = p.Faults
-	}
-	opts.maxFrames = maxFrames
-	return runPipeline(id, p, stages, opts)
+	k.After(sim.Duration(10*r.d), watch)
+	return r
 }

@@ -10,23 +10,30 @@ import (
 	"dvsim/internal/topology"
 )
 
+// fleet runs a graph with rotation off (it is a ring protocol; the
+// default period belongs to experiment 2C).
+func fleet(t *testing.T, label string, p Params, g *topology.Graph, frames int) Outcome {
+	t.Helper()
+	p.RotationPeriod = 0
+	return mustSimulate(t, Spec{Graph: g, Label: label, Params: p, Frames: frames}, Sinks{})
+}
+
 // TestFleetChainRoutesThroughPipeline: a serial topology graph must be
-// exactly the pipeline engine under another entry point — same frames,
-// same node accounting — so manifests expressing the paper's shapes
-// inherit all of its behavior (rotation, recovery, telemetry).
+// exactly the pipeline engine under another spec — same frames, same
+// node accounting — so manifests expressing the paper's shapes inherit
+// all of its behavior (rotation, recovery, telemetry).
 func TestFleetChainRoutesThroughPipeline(t *testing.T) {
-	p := DefaultParams()
+	p := staticParams()
 	g := topology.Serial(3, topology.Config{})
-	opts := Options{MaxFrames: 40}
-	got := RunTopology("serial/3", p, g, opts)
+	got := fleet(t, "serial/3", p, g, 40)
 
 	stages := make([]StageConfig, len(g.Nodes))
 	for i, ns := range g.Nodes {
 		stages[i] = StageConfig{Compute: ns.Compute, Comm: ns.Comm, Idle: ns.Idle, RefS: ns.RefS, OutKB: ns.OutKB}
 	}
-	want := RunCustom("serial/3", p, stages, opts)
+	want := mustSimulate(t, Spec{Stages: stages, Label: "serial/3", Params: p, Frames: 40}, Sinks{})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("chain topology diverged from RunCustom:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("chain topology diverged from the same stages:\n got %+v\nwant %+v", got, want)
 	}
 	if got.Frames != 40 {
 		t.Fatalf("bounded chain delivered %d frames, want 40", got.Frames)
@@ -38,7 +45,7 @@ func TestFleetChainRoutesThroughPipeline(t *testing.T) {
 func TestFleetTreeDelivers(t *testing.T) {
 	p := DefaultParams()
 	g := topology.Tree(2, 2, topology.Config{})
-	out := RunTopology("tree/2x2", p, g, Options{MaxFrames: 20})
+	out := fleet(t, "tree/2x2", p, g, 20)
 	if out.Nodes != 7 {
 		t.Fatalf("tree has %d nodes, want 7", out.Nodes)
 	}
@@ -51,7 +58,7 @@ func TestFleetTreeDelivers(t *testing.T) {
 		}
 	}
 	// Determinism: an identical run is byte-identical in outcome.
-	again := RunTopology("tree/2x2", p, g, Options{MaxFrames: 20})
+	again := fleet(t, "tree/2x2", p, g, 20)
 	if !reflect.DeepEqual(out, again) {
 		t.Fatal("tree run is not deterministic")
 	}
@@ -62,7 +69,7 @@ func TestFleetTreeDelivers(t *testing.T) {
 func TestFleetWideRoundRobin(t *testing.T) {
 	p := DefaultParams()
 	g := topology.Wide(2, 2, topology.Config{})
-	out := RunTopology("wide/2x2", p, g, Options{MaxFrames: 40})
+	out := fleet(t, "wide/2x2", p, g, 40)
 	if out.Frames != 40 {
 		t.Fatalf("wide pipeline delivered %d frames, want 40", out.Frames)
 	}
@@ -85,14 +92,14 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 		Links: []fault.LinkFault{{DropRate: 0.05, GarbleRate: 0.02}},
 	}
 	g := topology.Mesh(4, 2, topology.Config{})
-	out := RunTopology("mesh/4x2", p, g, Options{MaxFrames: 60})
+	out := fleet(t, "mesh/4x2", p, g, 60)
 	if out.FaultStats.Drops+out.FaultStats.Garbles == 0 {
 		t.Fatal("scenario injected nothing")
 	}
 	if out.Frames == 0 {
 		t.Fatal("mesh delivered nothing under a 5% drop rate")
 	}
-	again := RunTopology("mesh/4x2", p, g, Options{MaxFrames: 60})
+	again := fleet(t, "mesh/4x2", p, g, 60)
 	if !reflect.DeepEqual(out, again) {
 		t.Fatal("faulted mesh run is not deterministic")
 	}
@@ -102,11 +109,9 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 // worker engine and its accounting lands in NodeStats.
 func TestFleetGoverned(t *testing.T) {
 	p := DefaultParams()
+	p.Governor = governor.Spec{Name: "interval"}
 	g := topology.Tree(2, 2, topology.Config{})
-	out := RunTopology("tree/governed", p, g, Options{
-		MaxFrames: 30,
-		Governor:  governor.Spec{Name: "interval"},
-	})
+	out := fleet(t, "tree/governed", p, g, 30)
 	if out.Governor == "" {
 		t.Fatal("outcome does not name the governor")
 	}
@@ -143,8 +148,9 @@ func TestFleetAssertions(t *testing.T) {
 		},
 	}
 	p := DefaultParams()
+	p.Assertions = clean
 	g := topology.Mesh(3, 1, topology.Config{})
-	out := RunTopology("mesh/checked", p, g, Options{MaxFrames: 20, Assertions: clean})
+	out := fleet(t, "mesh/checked", p, g, 20)
 	if out.AssertionsRun != 2 {
 		t.Fatalf("ran %d assertions, want 2", out.AssertionsRun)
 	}
@@ -162,7 +168,8 @@ func TestFleetAssertions(t *testing.T) {
 			Max:    &impossible,
 		}},
 	}
-	out = RunTopology("mesh/broken", p, g, Options{MaxFrames: 20, Assertions: broken})
+	p.Assertions = broken
+	out = fleet(t, "mesh/broken", p, g, 20)
 	if out.ViolationTotal == 0 {
 		t.Fatal("unsatisfiable spec reported no violations")
 	}
@@ -183,16 +190,20 @@ func TestRunExperimentBound(t *testing.T) {
 	}
 }
 
-// TestRunGovernorPolicyMatchesStudy: the single-policy entry point is
-// one point of RunGovernorStudy, byte for byte.
+// TestRunGovernorPolicyMatchesStudy: a single-policy 3A spec is one
+// point of RunGovernorStudy, byte for byte.
 func TestRunGovernorPolicyMatchesStudy(t *testing.T) {
 	p := DefaultParams()
-	study := RunGovernorStudy(p, 0, 120)
-	specs := GovernorStudySpecs()
-	for i, s := range specs {
-		got := RunGovernorPolicy(p, s, 120)
+	study, err := RunGovernorStudy(p, 0, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range GovernorStudySpecs() {
+		pg := p
+		pg.Governor = g
+		got := mustSimulate(t, Spec{ID: Exp3A, Params: pg, Frames: 120}, Sinks{})
 		if !reflect.DeepEqual(got, study[i]) {
-			t.Fatalf("policy %s diverged from the study run", s.String())
+			t.Fatalf("policy %s diverged from the study run", g.String())
 		}
 	}
 }

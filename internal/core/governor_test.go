@@ -14,7 +14,10 @@ import (
 // with zero misses while spending no more charge per frame than the
 // full-clock static baseline they start from.
 func TestGovernorStudyAcceptance(t *testing.T) {
-	outs := RunGovernorStudy(DefaultParams(), 0, 300)
+	outs, err := RunGovernorStudy(DefaultParams(), 0, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	byName := map[string]Outcome{}
 	for _, o := range outs {
 		byName[o.Governor] = o
@@ -122,7 +125,10 @@ func TestGovernorConvergesToOfflineAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := RunGovernorStudy(p, 0, 300)
+	outs, err := RunGovernorStudy(p, 0, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range outs {
 		if o.Governor != "interval" {
 			continue

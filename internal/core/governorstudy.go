@@ -1,10 +1,6 @@
 package core
 
-import (
-	"dvsim/internal/cpu"
-	"dvsim/internal/governor"
-	"dvsim/internal/sweep"
-)
+import "dvsim/internal/governor"
 
 // Exp3A is the governor study: the experiment-2 two-node partition with
 // both compute clocks deliberately started at the full 206.4 MHz (and
@@ -28,28 +24,16 @@ func GovernorStudySpecs() []governor.Spec {
 // GovernorStudySpecs, each on the same pipeline and battery budget, so
 // the outcomes are directly comparable (Outcome.Governor tells them
 // apart). maxFrames bounds each run (0 runs to battery exhaustion);
-// workers parallelizes across policies (≤ 0 selects GOMAXPROCS).
-func RunGovernorStudy(p Params, workers, maxFrames int) []Outcome {
-	return sweep.Run(GovernorStudySpecs(), workers, func(s governor.Spec) Outcome {
-		return RunGovernorPolicy(p, s, maxFrames)
-	})
-}
-
-// RunGovernorPolicy executes one point of the governor study: the 3A
-// pipeline (experiment-2 partition, full-clock cold start, DVS during
-// I/O) under a single online policy. It is what manifest experiment
-// lines with `experiment = "3A"` expand to, one line per policy.
-func RunGovernorPolicy(p Params, s governor.Spec, maxFrames int) Outcome {
-	stages := []stageSetup{
-		{span: mustSpan(p, 0), compute: cpu.MaxPoint, comm: cpu.MinPoint},
-		{span: mustSpan(p, 1), compute: cpu.MaxPoint, comm: cpu.MinPoint},
+// workers parallelizes across policies (≤ 0 selects GOMAXPROCS). A
+// single policy is Simulate of Spec{ID: Exp3A} with Params.Governor set.
+func RunGovernorStudy(p Params, workers, maxFrames int) ([]Outcome, error) {
+	govs := GovernorStudySpecs()
+	specs := make([]Spec, len(govs))
+	for i, g := range govs {
+		specs[i] = Spec{ID: Exp3A, Params: p, Frames: maxFrames}
+		specs[i].Params.Governor = g
 	}
-	out := runPipeline(Exp3A, p, stages, pipelineOpts{
-		governor:  s,
-		maxFrames: maxFrames,
-	})
-	out.Label = "Governor study: " + s.String()
-	return out
+	return simulateAll(specs, workers)
 }
 
 // EnergyPerFrameMAh is the run's total battery charge spent per

@@ -11,21 +11,22 @@ import (
 // delivered to the host equals what single-node local processing of the
 // same frames produces: the distributed execution is semantics-preserving.
 func TestNativePipelineMatchesLocalProcessing(t *testing.T) {
-	p := DefaultParams()
-	best := mustBest(p)
+	p := staticParams()
 	const frames = 25
 	seed := int64(77)
 
 	got := make([]*atr.Result, frames)
-	out := RunCustom("native", p, StagesFromPartition(best, true), Options{
-		Native:    &Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
-		MaxFrames: frames,
-		OnResult: func(frame int, payload any) {
-			if r, ok := payload.(*atr.Result); ok && frame < frames {
-				got[frame] = r
-			}
-		},
-	})
+	out := mustSimulate(t, Spec{
+		Stages: bestStages(t, p),
+		Label:  "native",
+		Native: &Native{Scene: atr.NewScene(seed), Pipe: atr.NewPipeline()},
+		Params: p,
+		Frames: frames,
+	}, Sinks{OnResult: func(frame int, payload any) {
+		if r, ok := payload.(*atr.Result); ok && frame < frames {
+			got[frame] = r
+		}
+	}})
 	if out.Frames != frames {
 		t.Fatalf("delivered %d results, want %d", out.Frames, frames)
 	}
@@ -57,19 +58,20 @@ func TestNativePipelineMatchesLocalProcessing(t *testing.T) {
 
 func TestNativeRotationPreservesResults(t *testing.T) {
 	p := DefaultParams()
-	best := mustBest(p)
+	p.RotationPeriod = 7
 	const frames = 30
 	got := make([]*atr.Result, frames)
-	out := RunCustom("native-rot", p, StagesFromPartition(best, true), Options{
-		Native:         &Native{Scene: atr.NewScene(5), Pipe: atr.NewPipeline()},
-		MaxFrames:      frames,
-		RotationPeriod: 7,
-		OnResult: func(frame int, payload any) {
-			if r, ok := payload.(*atr.Result); ok && frame < frames {
-				got[frame] = r
-			}
-		},
-	})
+	out := mustSimulate(t, Spec{
+		Stages: bestStages(t, p),
+		Label:  "native-rot",
+		Native: &Native{Scene: atr.NewScene(5), Pipe: atr.NewPipeline()},
+		Params: p,
+		Frames: frames,
+	}, Sinks{OnResult: func(frame int, payload any) {
+		if r, ok := payload.(*atr.Result); ok && frame < frames {
+			got[frame] = r
+		}
+	}})
 	if out.Frames != frames {
 		t.Fatalf("delivered %d results, want %d", out.Frames, frames)
 	}

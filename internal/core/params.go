@@ -37,8 +37,11 @@ type Params struct {
 	// its own (§1: "a distributed architecture powered by separate
 	// batteries").
 	Battery func() battery.Model
-	// RotationPeriod is the number of frames between node rotations in
-	// experiment 2C (§6.7: every 100 frames).
+	// RotationPeriod is the number of frames between node rotations
+	// (§6.7: every 100 frames); > 1 enables rotation. Experiment 2C,
+	// custom stages and chain graphs read it; the other paper
+	// experiments ignore it, and a non-chain graph rejects it — set 0
+	// for a static custom run or a fleet.
 	RotationPeriod int
 	// AckTimeoutS is the failure-detection timeout of the recovery
 	// scheme (§5.4). Chosen as a small multiple of the ack transaction
@@ -59,12 +62,10 @@ type Params struct {
 	// paper's static behaviour byte-identical.
 	Governor governor.Spec
 	// Assertions, when non-nil, evaluates the invariant catalog over
-	// every pipeline run's telemetry stream (see internal/assert):
-	// violations land in Outcome.Violations and, for RunTelemetry, as
-	// "violation" records in the JSONL. Checked runs force tracing and
-	// instrumentation on; nil — the default — costs nothing (no-I/O
-	// experiments 0A/0B are never checked, same restriction as
-	// telemetry).
+	// every run's telemetry stream (see internal/assert): violations
+	// land in Outcome.Violations and, in a telemetry log, as
+	// "violation" records. Checked runs force tracing and
+	// instrumentation on; nil — the default — costs nothing.
 	Assertions *assert.Spec
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"dvsim/internal/atr"
 	"dvsim/internal/cpu"
-	"dvsim/internal/sweep"
 )
 
 // Deployment planning: given a target battery life, search the space the
@@ -85,11 +84,19 @@ func PlanForLifetime(p Params, targetH float64, maxNodes, workers int) (Candidat
 	if maxNodes < 1 {
 		return Candidate{}, fmt.Errorf("core: maxNodes %d", maxNodes)
 	}
-	cands := enumerateCandidates(p, maxNodes)
-	evaluated := sweep.Run(cands, workers, func(c Candidate) Candidate {
-		c.Outcome = RunCustom(c.Name, p, c.Stages, Options{RotationPeriod: c.RotationPeriod})
-		return c
-	})
+	evaluated := enumerateCandidates(p, maxNodes)
+	specs := make([]Spec, len(evaluated))
+	for i, c := range evaluated {
+		specs[i] = Spec{Stages: c.Stages, Label: c.Name, Params: p}
+		specs[i].Params.RotationPeriod = c.RotationPeriod
+	}
+	outs, err := simulateAll(specs, workers)
+	if err != nil {
+		return Candidate{}, err
+	}
+	for i := range evaluated {
+		evaluated[i].Outcome = outs[i]
+	}
 	sort.SliceStable(evaluated, func(i, j int) bool {
 		a, b := evaluated[i], evaluated[j]
 		if a.Nodes() != b.Nodes() {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -11,6 +9,7 @@ import (
 	"dvsim/internal/fault"
 	"dvsim/internal/governor"
 	"dvsim/internal/host"
+	"dvsim/internal/node"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
 	telem "dvsim/internal/telemetry"
@@ -143,18 +142,18 @@ func lessRecord(a, b LogRecord) bool {
 	return a.Assert < b.Assert
 }
 
-// recorder gathers a rig's observable events as LogRecords. hooks must
-// be installed before buildPipeline (they ride in pipelineOpts), attach
-// after it; collect finalizes the stream in deterministic order. It is
-// the shared substrate of RunLogged/RunTelemetry and assertion-checked
-// runs.
+// recorder gathers a run's observable events as LogRecords, on every
+// engine: governHook rides in the engine configuration, attach wires
+// the remaining observers once the rig is built, and collect finalizes
+// the stream in deterministic order. It backs both Simulate's event log
+// and its assertion checking.
 //
 // Records land in per-source buckets, one per event kind: the kernel
 // fires events in time order, so each bucket is (near-)sorted under
 // lessRecord as it is built, and collect finalizes with an O(n·sources)
 // ordered merge instead of a global sort. The buckets and the merged
 // slab are recycled through a process-wide pool — a long-lived host
-// (the simulation server, sweeps, Monte Carlo forks) re-runs telemetry
+// (the simulation server, sweeps, Monte Carlo runs) re-runs telemetry
 // with a warm record store and allocates nothing per record.
 type recorder struct {
 	telemetry bool
@@ -196,10 +195,14 @@ func newRecorder(telemetry bool, capHint int) *recorder {
 	return rc
 }
 
-// release clears the record store and returns it to the pool. The
-// caller must be done with every slice obtained from collect — the
-// backing arrays are recycled into the next run's recorder.
+// release clears the record store and returns it to the pool; a nil
+// recorder is a no-op. The caller must be done with every slice
+// obtained from collect — the backing arrays are recycled into the next
+// run's recorder.
 func (rc *recorder) release() {
+	if rc == nil {
+		return
+	}
 	for _, b := range [][]LogRecord{rc.govern, rc.fault, rc.retry, rc.link, rc.latency, rc.result, rc.scratch, rc.merged} {
 		clear(b) // drop string references
 	}
@@ -227,13 +230,12 @@ func estimateRecords(p Params, nodes int, until float64, telemetry bool) int {
 	return est + 256
 }
 
-// hooks chains the pre-build observers into opts, preserving any the
-// caller installed.
-func (rc *recorder) hooks(opts *pipelineOpts) {
-	prevGov := opts.onGovern
-	opts.onGovern = func(nodeName string, ev governor.Event) {
-		if prevGov != nil {
-			prevGov(nodeName, ev)
+// governHook chains the recorder behind the caller's governor observer
+// (nil for none); the result goes into the engine configuration.
+func (rc *recorder) governHook(prev func(string, governor.Event)) func(string, governor.Event) {
+	return func(nodeName string, ev governor.Event) {
+		if prev != nil {
+			prev(nodeName, ev)
 		}
 		rc.govern = append(rc.govern, LogRecord{
 			T: ev.Obs.NowS, Event: "govern", Node: nodeName,
@@ -242,36 +244,22 @@ func (rc *recorder) hooks(opts *pipelineOpts) {
 			Ctl: ev.Terms,
 		})
 	}
+}
+
+// attach wires the post-build observers onto the rig: results always,
+// and for the full vocabulary every serial transaction, retransmission,
+// injected fault and frame latency. Nothing has fired yet, so no event
+// is missed.
+func (rc *recorder) attach(r *rig) {
 	if rc.telemetry {
-		prevTransfer := opts.onTransfer
-		opts.onTransfer = func(ev serial.TransferEvent) {
-			if prevTransfer != nil {
-				prevTransfer(ev)
-			}
+		r.net.OnTransfer = func(ev serial.TransferEvent) {
 			rc.link = append(rc.link, LogRecord{
 				T: float64(ev.T), Event: "link",
 				From: ev.From, To: ev.To,
 				Kind: ev.Kind.String(), KB: ev.KB, DurS: ev.DurS,
 			})
 		}
-	}
-}
-
-// attach chains the post-build observers onto the rig. The host's
-// OnResult set by buildPipeline (stall clock, caller callback) keeps
-// running first.
-func (rc *recorder) attach(rig *Rig) {
-	if rc.telemetry {
-		if rig.Injector != nil {
-			rig.Injector.OnFault = func(ev fault.Event) {
-				rc.fault = append(rc.fault, LogRecord{
-					T: float64(ev.T), Event: "fault", Fault: ev.Kind,
-					Node: ev.Node, From: ev.From, To: ev.To,
-					Kind: ev.MsgKind, Frame: ev.Frame,
-				})
-			}
-		}
-		rig.Net.OnRetry = func(ev serial.RetryEvent) {
+		r.net.OnRetry = func(ev serial.RetryEvent) {
 			rc.retry = append(rc.retry, LogRecord{
 				T: float64(ev.T), Event: "retry",
 				From: ev.From, To: ev.To,
@@ -280,20 +268,27 @@ func (rc *recorder) attach(rig *Rig) {
 				Fault: ev.Cause.String(),
 			})
 		}
-	}
-	prevResult := rig.Host.OnResult
-	host0 := rig.Host
-	rig.Host.OnResult = func(r host.Result) {
-		if prevResult != nil {
-			prevResult(r)
+		if r.inj != nil {
+			r.inj.OnFault = func(ev fault.Event) {
+				rc.fault = append(rc.fault, LogRecord{
+					T: float64(ev.T), Event: "fault", Fault: ev.Kind,
+					Node: ev.Node, From: ev.From, To: ev.To,
+					Kind: ev.MsgKind, Frame: ev.Frame,
+				})
+			}
 		}
+	}
+	d := r.d
+	r.observe = func(res host.Result) {
 		rc.result = append(rc.result, LogRecord{
-			T: float64(r.At), Event: "result", Frame: r.Frame, From: r.From,
+			T: float64(res.At), Event: "result", Frame: res.Frame, From: res.From,
 		})
 		if rc.telemetry {
+			// End-to-end latency: arrival minus the instant the frame
+			// entered the system (frame·D).
 			rc.latency = append(rc.latency, LogRecord{
-				T: float64(r.At), Event: "latency", Frame: r.Frame,
-				From: r.From, Value: host0.Latency(r),
+				T: float64(res.At), Event: "latency", Frame: res.Frame,
+				From: res.From, Value: float64(res.At) - float64(res.Frame)*d,
 			})
 		}
 	}
@@ -305,33 +300,20 @@ func (rc *recorder) attach(rig *Rig) {
 // and one ordered merge produces the canonical stream — O(n·sources)
 // instead of the global O(n log n) sort it replaces. The result aliases
 // the recorder's pooled slab; it is valid until release.
-func (rc *recorder) collect(rig *Rig) []LogRecord {
-	// Per-node stream: mode spans (chronological by construction), then
-	// the death record, whose rank sorts it after a span starting at the
-	// same instant.
-	for _, n := range rig.Nodes {
-		lo := len(rc.scratch)
+func (rc *recorder) collect(r *rig) []LogRecord {
+	// Finishing the metering settles the last segment, which may kill
+	// a node: read DeadAt only afterwards.
+	for _, n := range r.nodes {
 		n.Power().Finish()
-		for _, span := range n.Power().Trace() {
-			rc.scratch = append(rc.scratch, LogRecord{
-				T:     float64(span.Start),
-				End:   float64(span.End),
-				Event: "mode",
-				Node:  n.Name,
-				Mode:  span.Mode.String(),
-				MHz:   span.Op.FreqMHz,
-			})
-		}
-		if n.DeadAt > 0 {
-			rc.scratch = append(rc.scratch, LogRecord{
-				T: float64(n.DeadAt), Event: "death", Node: n.Name,
-			})
-		}
-		rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
+		rc.modes(n.Name, n.Power().Trace(), n.DeadAt)
+	}
+	for _, w := range r.workers {
+		w.Power().Finish()
+		rc.modes(w.Name, w.Power().Trace(), w.DeadAt)
 	}
 	// Per-series stream: one sampler's points are strictly time-ordered.
-	if rc.telemetry && rig.Metrics != nil {
-		for _, s := range rig.Metrics.Snapshot().Series {
+	if rc.telemetry {
+		for _, s := range r.reg.Snapshot().Series {
 			lo := len(rc.scratch)
 			for _, pt := range s.Samples {
 				rc.scratch = append(rc.scratch, LogRecord{
@@ -343,6 +325,29 @@ func (rc *recorder) collect(rig *Rig) []LogRecord {
 		}
 	}
 	return rc.finalize()
+}
+
+// modes adds one node's stream: its mode spans (chronological by
+// construction), then the death record, whose rank sorts it after a
+// span starting at the same instant.
+func (rc *recorder) modes(name string, trace []node.ModeSpan, deadAt sim.Time) {
+	lo := len(rc.scratch)
+	for _, span := range trace {
+		rc.scratch = append(rc.scratch, LogRecord{
+			T:     float64(span.Start),
+			End:   float64(span.End),
+			Event: "mode",
+			Node:  name,
+			Mode:  span.Mode.String(),
+			MHz:   span.Op.FreqMHz,
+		})
+	}
+	if deadAt > 0 {
+		rc.scratch = append(rc.scratch, LogRecord{
+			T: float64(deadAt), Event: "death", Node: name,
+		})
+	}
+	rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
 }
 
 // finalize materializes the merge streams — the scratch ranges plus the
@@ -454,49 +459,23 @@ func violationRecords(vio []assert.Violation) []LogRecord {
 	return out
 }
 
-// RunLogged simulates the first `until` seconds of an experiment with
-// tracing enabled and writes one JSON record per event to w, ordered by
-// (time, event kind, labels). It returns the number of records written.
-func RunLogged(id ID, p Params, until float64, w io.Writer) (int, error) {
-	return writeRunLog(context.Background(), id, p, until, w, false)
-}
-
-// RunTelemetry is RunLogged with the telemetry subsystem attached: on
-// top of the mode/result/death events it logs every serial transaction
-// ("link"), each result's end-to-end frame latency ("latency"), the
-// periodic sampler series ("sample": battery state of charge and
-// availability, port backlogs, kernel queue depth), — when a fault
-// scenario is active — every injected fault ("fault") and scheduled
-// retransmission ("retry"), and — when Params.Assertions is set —
-// every assertion violation ("violation"). Only the pipeline
-// experiments (1…2D) can be logged.
-func RunTelemetry(id ID, p Params, until float64, w io.Writer) (int, error) {
-	return writeRunLog(context.Background(), id, p, until, w, true)
-}
-
-// RunTelemetryContext is RunTelemetry with a cancellable run entry: the
-// context is polled every few thousand kernel events (via
-// sim.Kernel.SetCancelCheck, so the poll perturbs neither event
-// ordering nor telemetry bytes) and an expired context abandons the
-// simulation mid-flight, returning the context's error with nothing
-// written to w. It is the entry the simulation service uses to stop
-// in-flight runs when a client hangs up or the server drains for
-// shutdown; an uncancelled run is byte-identical to RunTelemetry.
-func RunTelemetryContext(ctx context.Context, id ID, p Params, until float64, w io.Writer) (int, error) {
-	return writeRunLog(ctx, id, p, until, w, true)
-}
-
-func writeRunLog(ctx context.Context, id ID, p Params, until float64, w io.Writer, telemetry bool) (int, error) {
-	return writeRunLogWith(ctx, id, p, until, w, telemetry, nil)
-}
-
-// writeRunLogWith is writeRunLog with an optional mid-run capture hook
-// (see runLogCapture); Snapshot.Fork uses it to verify warm-point state.
-func writeRunLogWith(ctx context.Context, id ID, p Params, until float64, w io.Writer, telemetry bool, hook *runLogCapture) (int, error) {
-	records, rc, err := collectRunLogWith(ctx, id, p, until, telemetry, hook)
-	if err != nil {
-		return 0, err
+// withViolations merges a checked run's verdicts into its record
+// stream as "violation" events.
+func withViolations(records []LogRecord, vio []assert.Violation) []LogRecord {
+	if len(vio) == 0 {
+		return records
 	}
+	vr := violationRecords(vio)
+	ensureOrdered(vr)
+	merged := make([]LogRecord, 0, len(records)+len(vr))
+	var cursor []int
+	return mergeRecords(merged, [][]LogRecord{records, vr}, &cursor)
+}
+
+// writeLog encodes the records to w as JSON lines. On a mid-stream
+// write failure the count is the number of records whose bytes fully
+// reached w, not zero — the caller knows how much of the log is intact.
+func writeLog(w io.Writer, records []LogRecord) (int, error) {
 	enc := telem.NewEncoder(w)
 	for i := range records {
 		encodeRecord(enc, &records[i])
@@ -505,12 +484,6 @@ func writeRunLogWith(ctx context.Context, id ID, p Params, until float64, w io.W
 		}
 	}
 	enc.Flush()
-	if rc != nil {
-		rc.release()
-	}
-	// On a mid-stream write failure the count is the number of records
-	// whose bytes fully reached w, not zero — the caller knows how much
-	// of the log is intact.
 	return enc.Flushed(), enc.Err()
 }
 
@@ -544,106 +517,4 @@ func encodeRecord(enc *telem.Encoder, r *LogRecord) {
 	enc.StrOmit("detail", r.Detail)
 	enc.FloatOmit("bound", r.Bound)
 	enc.End()
-}
-
-// collectRunLog runs the bounded window and gathers the records in
-// deterministic order. The recorder is not pooled on this path: the
-// returned records stay valid indefinitely.
-func collectRunLog(id ID, p Params, until float64, telemetry bool) ([]LogRecord, error) {
-	records, _, err := collectRunLogContext(context.Background(), id, p, until, telemetry)
-	return records, err
-}
-
-// cancelPollEvents is how many kernel events run between context polls
-// of a cancellable run: coarse enough to cost nothing on the hot path
-// (one nil-check per event, one poll per few thousand), fine enough to
-// abandon a run within milliseconds of cancellation.
-const cancelPollEvents = 4096
-
-// runLogCapture pauses a bounded run at a chosen instant: the kernel
-// halts after every event with time ≤ atS has fired (RunUntil leaves
-// the queue intact), fn reads the rig, and the run resumes to its
-// horizon. Because fn only observes — it must schedule no events and
-// mutate no simulation state — the split run is byte-identical to an
-// uninterrupted one; a non-nil error from fn abandons the run.
-type runLogCapture struct {
-	atS float64
-	fn  func(*Rig) error
-}
-
-// collectRunLogContext runs the bounded window and gathers the records
-// in deterministic order. The returned records alias the returned
-// recorder's pooled slab; a caller done with them should release the
-// recorder (a nil recorder — the error paths — needs no release).
-func collectRunLogContext(ctx context.Context, id ID, p Params, until float64, telemetry bool) ([]LogRecord, *recorder, error) {
-	return collectRunLogWith(ctx, id, p, until, telemetry, nil)
-}
-
-// collectRunLogWith is collectRunLogContext with an optional mid-run
-// capture hook.
-func collectRunLogWith(ctx context.Context, id ID, p Params, until float64, telemetry bool, hook *runLogCapture) ([]LogRecord, *recorder, error) {
-	if until <= 0 {
-		return nil, nil, fmt.Errorf("core: non-positive log window %v", until)
-	}
-	switch id {
-	case Exp1, Exp1A, Exp2, Exp2A, Exp2B, Exp2C, Exp2D:
-	default:
-		return nil, nil, fmt.Errorf("core: experiment %q cannot be event-logged (pipeline experiments 1…2D only)", id)
-	}
-	eng, err := assert.New(p.Assertions)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	stages, opts := stagesFor(id, p)
-	opts.trace = true
-	opts.instrument = telemetry
-	if p.Faults != nil {
-		opts.faults = p.Faults
-	}
-	rc := newRecorder(telemetry, estimateRecords(p, len(stages), until, telemetry))
-	rc.hooks(&opts)
-	rig := buildPipeline(p, stages, opts)
-	rc.attach(rig)
-	if ctx.Done() != nil {
-		rig.K.SetCancelCheck(cancelPollEvents, func() bool { return ctx.Err() != nil })
-	}
-	rig.Start()
-	if hook != nil && hook.atS > 0 && hook.atS <= until {
-		rig.K.RunUntil(sim.Time(hook.atS))
-		err := ctx.Err()
-		if err == nil {
-			err = hook.fn(rig)
-		}
-		if err != nil {
-			rig.Release()
-			rc.release()
-			return nil, nil, err
-		}
-	}
-	rig.K.RunUntil(sim.Time(until))
-	if err := ctx.Err(); err != nil {
-		rig.Release()
-		rc.release()
-		return nil, nil, err
-	}
-	records := rc.collect(rig)
-	// Release the rig: a long-running host (the simulation server) would
-	// otherwise strand a pipeline's worth of parked goroutines — and
-	// re-allocate every offer and frame job — on every bounded run.
-	rig.Release()
-
-	if eng != nil {
-		vio := evalAssertions(eng, records)
-		if len(vio) > 0 {
-			vr := violationRecords(vio)
-			ensureOrdered(vr)
-			merged := make([]LogRecord, 0, len(records)+len(vr))
-			var cursor []int
-			records = mergeRecords(merged, [][]LogRecord{records, vr}, &cursor)
-		}
-	}
-	return records, rc, nil
 }

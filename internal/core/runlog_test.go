@@ -10,13 +10,17 @@ import (
 	"testing"
 )
 
+// plainLog runs an experiment's first until seconds with the plain log
+// vocabulary.
+func plainLog(t *testing.T, id ID, until float64, buf *bytes.Buffer) int {
+	t.Helper()
+	return mustSimulate(t, Spec{ID: id, Params: DefaultParams(), UntilS: until}, Sinks{Log: buf}).Records
+}
+
 func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 	p := DefaultParams()
 	var buf bytes.Buffer
-	n, err := RunLogged(Exp2, p, 5*p.FrameDelayS, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := plainLog(t, Exp2, 5*p.FrameDelayS, &buf)
 	if n < 20 {
 		t.Fatalf("only %d records", n)
 	}
@@ -53,9 +57,7 @@ func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 func TestRunLoggedModesCoverBothNodes(t *testing.T) {
 	p := DefaultParams()
 	var buf bytes.Buffer
-	if _, err := RunLogged(Exp2, p, 4*p.FrameDelayS, &buf); err != nil {
-		t.Fatal(err)
-	}
+	plainLog(t, Exp2, 4*p.FrameDelayS, &buf)
 	out := buf.String()
 	for _, want := range []string{`"node":"node1"`, `"node":"node2"`, `"mode":"communication"`, `"mode":"computation"`} {
 		if !strings.Contains(out, want) {
@@ -66,32 +68,38 @@ func TestRunLoggedModesCoverBothNodes(t *testing.T) {
 
 func TestRunLoggedRejectsBadWindow(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := RunLogged(Exp1, DefaultParams(), 0, &buf); err == nil {
-		t.Fatal("zero window accepted")
+	spec := Spec{ID: Exp1, Params: DefaultParams(), UntilS: -1}
+	if _, err := Simulate(context.Background(), spec, Sinks{Log: &buf}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("negative window: err = %v, want ErrBadSpec", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected run wrote %d bytes", buf.Len())
 	}
 }
 
 func TestRunTelemetryContextCancellation(t *testing.T) {
-	p := DefaultParams()
+	spec := Spec{ID: Exp1, Params: DefaultParams(), UntilS: 120}
 	// An already-expired context abandons the run before it starts and
 	// writes nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	n, err := RunTelemetryContext(ctx, Exp1, p, 120, &buf)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run: n=%d err=%v, want context.Canceled", n, err)
+	out, err := Simulate(ctx, spec, Sinks{Log: &buf, Telemetry: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: records=%d err=%v, want context.Canceled", out.Records, err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("cancelled run wrote %d bytes, want 0", buf.Len())
 	}
-	// An uncancelled context-aware run is byte-identical to the plain
-	// entry: the cancel poll must not perturb the simulation.
+	// A live cancellable run polls its context every few thousand
+	// events; the poll must not perturb the simulation.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	var plain, polled bytes.Buffer
-	if _, err := RunTelemetry(Exp1, p, 120, &plain); err != nil {
+	if _, err := RunTelemetry(Exp1, spec.Params, spec.UntilS, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTelemetryContext(context.Background(), Exp1, p, 120, &polled); err != nil {
+	if _, err := Simulate(live, spec, Sinks{Log: &polled, Telemetry: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), polled.Bytes()) {

@@ -96,7 +96,7 @@ func TestTelemetrySoCOrdering(t *testing.T) {
 		id := id
 		t.Run(string(id), func(t *testing.T) {
 			t.Parallel()
-			out := RunInstrumented(id, p)
+			out := mustSimulate(t, Spec{ID: id, Params: p}, Sinks{Metrics: true})
 			soc := map[string][]float64{}
 			for _, s := range out.Metrics.Series {
 				if s.Name != "battery_soc" {
@@ -144,7 +144,7 @@ func TestTelemetrySoCOrdering(t *testing.T) {
 func TestInstrumentedMatchesPlainRun(t *testing.T) {
 	p := DefaultParams()
 	plain := Run(Exp2, p)
-	inst := RunInstrumented(Exp2, p)
+	inst := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{Metrics: true})
 	if plain.Frames != inst.Frames {
 		t.Fatalf("frames %d vs %d with telemetry", plain.Frames, inst.Frames)
 	}
@@ -163,7 +163,7 @@ func TestInstrumentedMatchesPlainRun(t *testing.T) {
 }
 
 func TestRunInstrumentedNoIO(t *testing.T) {
-	out := RunInstrumented(Exp0A, DefaultParams())
+	out := mustSimulate(t, Spec{ID: Exp0A, Params: DefaultParams()}, Sinks{Metrics: true})
 	if out.Metrics.Empty() {
 		t.Fatal("no metrics from instrumented 0A run")
 	}
@@ -176,5 +176,35 @@ func TestRunInstrumentedNoIO(t *testing.T) {
 	// 0A dies at ~3.4 h ≈ 200+ samples at the 60 s default cadence.
 	if socSamples < 100 {
 		t.Fatalf("only %d battery_soc samples for the 0A run", socSamples)
+	}
+}
+
+// TestTelemetryLogMatchesOutcome: a log and the outcome of the same run
+// tell one story — a result record per delivered frame and a death
+// record per dead node. In 2C over the 30 h default window, node1's
+// stranded charge runs out only when the final metering segment
+// settles at the window's end; that death must still be logged.
+func TestTelemetryLogMatchesOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full window")
+	}
+	var buf bytes.Buffer
+	out := mustSimulate(t, Spec{ID: Exp2C, Params: DefaultParams(), UntilS: 30 * 3600}, Sinks{Log: &buf, Telemetry: true})
+	results, deaths := 0, map[string]bool{}
+	for _, r := range decodeLog(t, &buf) {
+		switch r.Event {
+		case "result":
+			results++
+		case "death":
+			deaths[r.Node] = true
+		}
+	}
+	if results != out.Frames {
+		t.Errorf("%d result records for %d frames", results, out.Frames)
+	}
+	for _, ns := range out.NodeStats {
+		if dead := ns.DiedAtH > 0; dead != deaths[ns.Name] {
+			t.Errorf("%s: outcome says dead=%v (%.2f h), log says %v", ns.Name, dead, ns.DiedAtH, deaths[ns.Name])
+		}
 	}
 }

@@ -39,8 +39,8 @@ type Scenario struct {
 	Seed uint64 `json:"seed"`
 	// ReseedAtS, when > 0, replaces the link-fault stream at that
 	// simulated instant with a fresh splitmix64 stream seeded by
-	// ReseedSeed. It is the Monte Carlo forking hook (core.Snapshot):
-	// runs sharing Seed are identical up to the reseed point and diverge
+	// ReseedSeed. It is the Monte Carlo hook (core.MonteCarlo): runs
+	// sharing Seed are identical up to the reseed point and diverge
 	// deterministically per ReseedSeed after it.
 	ReseedAtS  float64 `json:"reseed_at_s,omitempty"`
 	ReseedSeed uint64  `json:"reseed_seed,omitempty"`

@@ -100,7 +100,7 @@ func (p *Program) Cached(key string, build func() any) any {
 // so identity must be by name, not pointer:
 //
 //	dvsim/internal/core.RunTelemetry
-//	(*dvsim/internal/core.Rig).Release
+//	(*dvsim/internal/host.Host).Release
 func FuncID(fn *types.Func) string {
 	if fn == nil {
 		return ""

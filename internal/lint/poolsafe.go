@@ -35,7 +35,7 @@ import (
 // value — or the pool handle that releases it — becomes a source
 // itself, with facts recording which results and parameters belong to
 // the slab group, so the check follows the value through helpers like
-// core's collectRunLogWith without any annotation on them.
+// core's Simulate without any annotation on them.
 //
 // Known limits, chosen to keep the check quiet: closures are analyzed
 // as separate functions (a slab value captured by a closure that runs
@@ -558,8 +558,8 @@ func (c *poolCtx) bindSourceCall(call *ast.CallExpr, lhs []ast.Expr) {
 
 // handleReturn records the enclosing function's slab exposure: result
 // indices returning live group members, and the receiver/parameters
-// sharing their group. This is how collectRunLogWith-style helpers
-// become sources without a doc marker.
+// sharing their group. This is how helpers that pass a collected slab
+// on become sources without a doc marker.
 func (c *poolCtx) handleReturn(s *ast.ReturnStmt) {
 	for i, res := range s.Results {
 		switch e := ast.Unparen(res).(type) {
@@ -705,7 +705,7 @@ func callReceiverIdent(call *ast.CallExpr) *ast.Ident {
 }
 
 // calledName renders the called function for diagnostics: "rc.collect"
-// or "collectFleet".
+// or "writeLog".
 func calledName(info *types.Info, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -33,8 +33,6 @@ type Experiment struct {
 	Nodes int
 	// Frames bounds the run; 0 runs to battery exhaustion.
 	Frames int
-	// Rotation is the node-rotation period of a serial topology line.
-	Rotation int
 	// Shape records a topology line's builder arguments (e.g.
 	// {"stages": 2, "width": 3}); nil for paper-experiment lines. It
 	// is key material: two wide graphs with the same node count but
@@ -231,7 +229,9 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 		e.Graph = g
 		e.Shape = shape
 		e.Nodes = len(g.Nodes)
-		e.Rotation = rotation
+		// A topology line rotates only when it asks to: the platform's
+		// default period belongs to experiment 2C.
+		e.Params.RotationPeriod = rotation
 	}
 
 	e.Label = m.value(row, "label")

@@ -101,19 +101,15 @@ func (e Experiment) KeySpec(output string, untilS float64) KeySpec {
 		Frames:      e.Frames,
 		FrameDelayS: e.Params.FrameDelayS,
 		Governor:    e.Params.Governor,
-	}
-	ks.Faults = e.Params.Faults
-	ks.Assert = e.Params.Assertions
-	if e.ID != "" {
 		// Experiments other than 2C ignore the rotation period, so
 		// keying it over-discriminates at worst (a spurious miss, never
 		// a wrong hit).
-		ks.Rotation = e.Params.RotationPeriod
-		if e.ID == core.Exp2D && ks.Faults == nil {
-			ks.Faults = core.DefaultFaultScenario()
-		}
-	} else {
-		ks.Rotation = e.Rotation
+		Rotation: e.Params.RotationPeriod,
+		Faults:   e.Params.Faults,
+		Assert:   e.Params.Assertions,
+	}
+	if e.ID == core.Exp2D && ks.Faults == nil {
+		ks.Faults = core.DefaultFaultScenario()
 	}
 	return ks
 }

@@ -1,8 +1,10 @@
 package manifest
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -17,17 +19,19 @@ type Result struct {
 	Outcome core.Outcome
 }
 
-// Run executes one sweep point: paper-experiment lines dispatch through
-// core.RunExperiment, topology lines through core.RunTopology. Either
-// way the run is deterministic for a fixed manifest.
+// Run executes one sweep point through core.Simulate: a paper
+// experiment or a topology graph under the line's resolved Params and
+// frame bound. The run is deterministic for a fixed manifest. Expand
+// validated the line's shape; the one spec error left, a platform on
+// which a two-node experiment has no feasible partition, panics as
+// core.RunExperiment does.
 func (e Experiment) Run() core.Outcome {
-	if e.ID != "" {
-		return core.RunExperiment(e.ID, e.Params, e.Frames)
+	spec := core.Spec{ID: e.ID, Graph: e.Graph, Label: e.Label, Params: e.Params, Frames: e.Frames}
+	out, err := core.Simulate(context.Background(), spec, core.Sinks{})
+	if err != nil {
+		panic(fmt.Sprintf("manifest: line %d: %v", e.Line, err))
 	}
-	return core.RunTopology(e.Label, e.Params, e.Graph, core.Options{
-		MaxFrames:      e.Frames,
-		RotationPeriod: e.Rotation,
-	})
+	return out
 }
 
 // RunAll executes an expanded sweep through the all-core worker pool

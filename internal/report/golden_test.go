@@ -52,7 +52,7 @@ func TestGoldenFig8(t *testing.T) {
 
 func TestGoldenTimelineBaseline(t *testing.T) {
 	p := core.DefaultParams()
-	tr := core.RunTraced(core.Exp1, p, 3*p.FrameDelayS)
+	tr := traced(t, core.Exp1, p, 3*p.FrameDelayS)
 	checkGolden(t, "timeline_fig2", Timeline([]string{"node1"}, tr, 0, 3*p.FrameDelayS, 69))
 }
 
@@ -66,16 +66,19 @@ func TestGoldenFaultCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &fault.Scenario{
+	p.RotationPeriod = 0
+	p.Faults = &fault.Scenario{
 		Seed:    7,
 		Links:   []fault.LinkFault{{DropRate: 0.05, GarbleRate: 0.02}},
 		Crashes: []fault.Crash{{Node: "node2", AtS: 100}},
 	}
-	out := core.RunCustom("2D-sample", p, core.StagesFromPartition(best, true), core.Options{
-		Ack:       true,
-		MaxFrames: 150,
-		Faults:    sc,
-	})
+	out := simulate(t, core.Spec{
+		Stages: core.StagesFromPartition(best, true),
+		Label:  "2D-sample",
+		Ack:    true,
+		Params: p,
+		Frames: 150,
+	}, core.Sinks{})
 	checkGolden(t, "fault_csv", CSV([]core.Outcome{out}))
 }
 
@@ -84,7 +87,10 @@ func TestGoldenFaultCSV(t *testing.T) {
 // Every observation feeding the governors comes off the simulation
 // clock, so the whole table is deterministic.
 func TestGoldenGovernorCSV(t *testing.T) {
-	outs := core.RunGovernorStudy(core.DefaultParams(), 0, 300)
+	outs, err := core.RunGovernorStudy(core.DefaultParams(), 0, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "governor_csv", GovernorCSV(outs))
 }
 
@@ -92,6 +98,9 @@ func TestGoldenCompare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	outs := core.RunSuiteParallel(core.AllExperiments, core.DefaultParams(), 0)
+	outs, err := core.RunSuite(core.AllExperiments, core.DefaultParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "compare", Compare(outs))
 }

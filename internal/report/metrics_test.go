@@ -138,8 +138,9 @@ func TestPortsCSV(t *testing.T) {
 // the frame traffic.
 func TestPortsCSVFromRun(t *testing.T) {
 	p := core.DefaultParams()
-	out := core.RunCustom("mini", p, core.StagesFromPartition(mustBest2(t, p), true),
-		core.Options{MaxFrames: 5, Instrument: true})
+	p.RotationPeriod = 0
+	out := simulate(t, core.Spec{Stages: core.StagesFromPartition(mustBest2(t, p), true), Label: "mini", Params: p, Frames: 5},
+		core.Sinks{Metrics: true})
 	got := PortsCSV([]core.Outcome{out})
 	for _, port := range []string{"host-src", "host-sink", "node1", "node2"} {
 		if !strings.Contains(got, "mini,"+port+",") {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,6 +12,25 @@ import (
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
 )
+
+// simulate runs a spec, failing the test on error.
+func simulate(t *testing.T, s core.Spec, sk core.Sinks) core.Outcome {
+	t.Helper()
+	out, err := core.Simulate(context.Background(), s, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// traced returns each node's mode spans over an experiment's first
+// until seconds.
+func traced(t *testing.T, id core.ID, p core.Params, until float64) [][]node.ModeSpan {
+	t.Helper()
+	var traces [][]node.ModeSpan
+	simulate(t, core.Spec{ID: id, Params: p, UntilS: until}, core.Sinks{Traces: &traces})
+	return traces
+}
 
 func TestTableAlignsColumns(t *testing.T) {
 	tb := NewTable("a", "bbbb")
@@ -110,7 +130,7 @@ func TestTimelineFromTracedRun(t *testing.T) {
 	// Integration: trace the first three frames of the baseline and check
 	// the diagram shows the RECV-PROC-SEND rhythm (Fig 2).
 	p := core.DefaultParams()
-	traces := core.RunTraced(core.Exp1, p, 3*p.FrameDelayS)
+	traces := traced(t, core.Exp1, p, 3*p.FrameDelayS)
 	if len(traces) != 1 || len(traces[0]) < 6 {
 		t.Fatalf("trace shape: %d nodes, %d spans", len(traces), len(traces[0]))
 	}
@@ -130,7 +150,7 @@ func TestTimelineFromTracedRun(t *testing.T) {
 func TestTimelineTwoNodeOverlap(t *testing.T) {
 	// Fig 3: while node1 receives frame I+1, node2 computes frame I.
 	p := core.DefaultParams()
-	traces := core.RunTraced(core.Exp2, p, 4*p.FrameDelayS)
+	traces := traced(t, core.Exp2, p, 4*p.FrameDelayS)
 	if len(traces) != 2 {
 		t.Fatalf("%d nodes traced", len(traces))
 	}
@@ -195,7 +215,10 @@ func TestDischargePlot(t *testing.T) {
 }
 
 func TestEnergyBreakdown(t *testing.T) {
-	outs := core.RunSuite([]core.ID{core.Exp1, core.Exp1A}, core.DefaultParams())
+	outs, err := core.RunSuite([]core.ID{core.Exp1, core.Exp1A}, core.DefaultParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := EnergyBreakdown(outs)
 	if !strings.Contains(out, "comm share") || !strings.Contains(out, "node1") {
 		t.Fatalf("breakdown:\n%s", out)

@@ -210,7 +210,7 @@ func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) ([]byt
 	defer j.stream.close()
 	var buf bytes.Buffer
 	w := streamTee{&buf, j.stream}
-	if _, err := core.RunTelemetryContext(ctx, res.id, res.params, res.untilS, w); err != nil {
+	if _, err := core.Simulate(ctx, res.spec, core.Sinks{Log: w, Telemetry: true}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -340,3 +340,63 @@ func TestLoadTestHarness(t *testing.T) {
 		t.Fatalf("report lacks artifact identity: %+v", rep)
 	}
 }
+
+// postSubmit sends a raw synchronous submission and returns the HTTP
+// status with the response body.
+func postSubmit(t *testing.T, c *Client, sub Submission) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.Base+"/api/v1/submit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out.Bytes()
+}
+
+// eventCounts tallies a telemetry artifact's records by event kind.
+func eventCounts(t *testing.T, log []byte) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(log)), "\n") {
+		var r struct {
+			Event string `json:"event"`
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad record %q: %v", line, err)
+		}
+		counts[r.Event]++
+	}
+	return counts
+}
+
+// TestSubmitAcceptedExperimentsRun: every experiment the envelope
+// accepts produces telemetry — the no-I/O 0A (mode and sample records,
+// no host results) and the single-policy governor study 3A (govern
+// records) included.
+func TestSubmitAcceptedExperimentsRun(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+
+	status, log := postSubmit(t, c, Submission{Experiment: "0A", UntilS: 120})
+	if status != http.StatusOK {
+		t.Fatalf("0A: HTTP %d: %s", status, log)
+	}
+	if n := eventCounts(t, log); n["mode"] == 0 || n["sample"] == 0 || n["result"] != 0 {
+		t.Fatalf("0A telemetry counts %v, want mode and sample records and no results", n)
+	}
+
+	status, log = postSubmit(t, c, Submission{Experiment: "3A", UntilS: 120, Governor: "pid"})
+	if status != http.StatusOK {
+		t.Fatalf("3A: HTTP %d: %s", status, log)
+	}
+	if n := eventCounts(t, log); n["govern"] == 0 {
+		t.Fatalf("3A telemetry counts %v, want govern records", n)
+	}
+}

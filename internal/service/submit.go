@@ -63,9 +63,7 @@ type resolved struct {
 	priority Priority
 
 	// Single run:
-	id     core.ID
-	params core.Params
-	untilS float64
+	spec core.Spec
 
 	// Sweep:
 	exps []manifest.Experiment
@@ -190,9 +188,7 @@ func (s *Server) resolve(sub Submission) (*resolved, error) {
 		kind:     "run",
 		desc:     fmt.Sprintf("exp %s, %.0f s telemetry", id, until),
 		priority: prio,
-		id:       id,
-		params:   p,
-		untilS:   until,
+		spec:     core.Spec{ID: id, Params: p, UntilS: until},
 	}, nil
 }
 

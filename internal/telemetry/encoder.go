@@ -1,5 +1,5 @@
 // Package telemetry is the zero-allocation JSON Lines encoder behind
-// the run-log writers (core.RunLogged / core.RunTelemetry). It emits
+// core.Simulate's event log (Sinks.Log). It emits
 // exactly the bytes encoding/json's Encoder would for the same field
 // sequence — string escaping (HTML-safe, U+2028/U+2029, invalid UTF-8),
 // ES6 shortest-round-trip float formatting and the trailing newline all

@@ -214,7 +214,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestFlushedCountsOnlyDeliveredRecords pins the partial-write contract
-// behind writeRunLog's return value: records stuck in the buffer when
+// behind core.Simulate's Outcome.Records: records stuck in the buffer when
 // the writer dies are not counted.
 func TestFlushedCountsOnlyDeliveredRecords(t *testing.T) {
 	enc := NewEncoder(&failAfter{})

@@ -8,11 +8,11 @@
 // vocabulary (reference seconds of work, operating points, payload
 // kilobytes).
 //
-// A Graph is pure data: core.RunTopology materializes it into a running
-// fleet (serial chains route through the pipeline engine so the paper's
-// experiments stay byte-identical; everything else runs on the graph
-// worker engine), and internal/manifest sweeps it from declarative
-// runfiles.
+// A Graph is pure data: core.Simulate (Spec.Graph) materializes it into
+// a running fleet (serial chains route through the pipeline engine so
+// the paper's experiments stay byte-identical; everything else runs on
+// the graph worker engine), and internal/manifest sweeps it from
+// declarative runfiles.
 package topology
 
 import (

@@ -16,10 +16,10 @@ import (
 	"dvsim/internal/topology"
 )
 
-// plan is a Spec resolved onto one of the three engines: the no-I/O
-// single node of experiments 0A/0B, the host-paced pipeline (paper
-// experiments, custom stages, chain graphs), or the graph worker fleet
-// (every other topology).
+// plan is a Spec resolved onto one of the three rigs: the no-I/O single
+// node of experiments 0A/0B, the host-paced pipeline (paper experiments,
+// custom stages, chain graphs), or the self-paced graph fleet (every
+// other topology). All three run node.Node.
 type plan struct {
 	id    ID
 	label string
@@ -27,7 +27,7 @@ type plan struct {
 
 	noIO   bool               // 0A/0B: one node computing at `at`
 	at     cpu.OperatingPoint // no-I/O operating point
-	graph  *topology.Graph    // non-chain topology on the worker engine
+	graph  *topology.Graph    // non-chain topology, self-paced
 	stages []StageConfig      // pipeline stages, one node each
 
 	ack       bool
@@ -66,9 +66,9 @@ func (pl *plan) build() *rig {
 	return pl.buildPipeline()
 }
 
-// rig is one assembled simulation, whichever engine built it. Everything
+// rig is one assembled simulation, whichever builder made it. Everything
 // after construction — observers, the run, outcome extraction and
-// teardown — is engine-independent.
+// teardown — is the same for all three.
 type rig struct {
 	k   *sim.Kernel
 	net *serial.Network
@@ -76,12 +76,13 @@ type rig struct {
 	inj *fault.Injector   // nil without a fault scenario
 	d   float64           // frame budget D
 
-	nodes   []*node.Node   // pipeline and no-I/O engines
-	host    *host.Host     // pipeline engine
-	workers []*node.Worker // graph engine
+	nodes []*node.Node
+	host  *host.Host // the frame source and result sink; nil without I/O
 
 	results    int
 	lastResult sim.Time
+	// watchEv re-arms the stop watch without allocating per tick.
+	watchEv sim.Event
 	// onResult is the caller's result observer, observe the recorder's.
 	onResult func(frame int, payload any)
 	observe  func(host.Result)
@@ -110,6 +111,65 @@ func (pl *plan) newRig() *rig {
 	r.net = serial.NewNetwork(k, pl.p.Link)
 	r.net.SetMetrics(r.reg)
 	return r
+}
+
+// newNode builds one node on its own battery: a CPU starting at the
+// role's comm point, the platform pack scaled by the fault scenario's
+// capacity variance before metering starts (so the death prediction sees
+// the scaled pack), and a power meter that traces when the run records
+// mode spans.
+func (pl *plan) newNode(r *rig, cfg node.Config, name string, roles []node.Role, phys int) *node.Node {
+	c := cpu.New(pl.p.Power, roles[phys].Comm)
+	bat := pl.p.Battery()
+	battery.ScaleCapacity(bat, pl.faults.CapacityScale(name))
+	pw := node.NewPower(r.k, c, bat)
+	if pl.trace {
+		pw.EnableTrace()
+	}
+	return node.New(r.k, r.net, pw, cfg, name, roles, phys)
+}
+
+// arm completes a pipeline or fleet rig: its nodes become fault targets
+// and sampled series, the host sink feeds the rig's results, and the
+// stop watch starts.
+func (r *rig) arm(h *host.Host, nodes []*node.Node) {
+	r.host, r.nodes = h, nodes
+	if r.inj != nil {
+		targets := make(map[string]fault.CrashTarget, len(nodes))
+		for _, n := range nodes {
+			targets[n.Name] = n
+		}
+		r.inj.Arm(r.k, targets)
+	}
+	r.sample()
+	h.OnResult = r.result
+	r.watchEv.Bind(r.watch)
+	r.k.Reschedule(&r.watchEv, r.k.Now()+sim.Time(10*r.d))
+}
+
+// watch is the stop condition, polled every 10·D: every battery dead,
+// or a node down or the frame source finished followed by 50·D without
+// a result (a stall with charge remaining, the failure mode of §6.4). A
+// crash outage counts as down — a permanently crashed node never
+// produces again — but not as dead: its battery still holds charge.
+func (r *rig) watch() {
+	allDead, anyDown, srcDone := true, false, r.host.Stopped()
+	for _, n := range r.nodes {
+		if !n.Available() {
+			anyDown = true
+		}
+		if !n.Dead() {
+			allDead = false
+		}
+		if n.Pacing() {
+			srcDone = false
+		}
+	}
+	if allDead || ((anyDown || srcDone) && r.k.Now()-r.lastResult > sim.Time(50*r.d)) {
+		r.finish()
+		return
+	}
+	r.k.Reschedule(&r.watchEv, r.k.Now()+sim.Time(10*r.d))
 }
 
 // armFaults installs the plan's fault scenario on the network and
@@ -141,13 +201,12 @@ func (pl *plan) buildNoIO() *rig {
 	}
 	cfg := node.Config{Prof: pl.p.Profile, D: pl.p.FrameDelayS, NoIO: true, Metrics: reg}
 	roles := []node.Role{{Index: 1, Span: atr.FullSpan, Compute: pl.at, Comm: pl.at}}
-	n := node.New(k, r.net, pw, cfg, roles, 0)
+	n := node.New(k, r.net, pw, cfg, "node1", roles, 0)
 	r.nodes = []*node.Node{n}
 	n.Wire(r.nodes, r.net.Port("unused-sink"))
 	n.Start()
+	r.sample()
 	if reg != nil {
-		registerSamplers(reg, n.Name, pw, n.Port(), DefaultSamplePeriodS)
-		registerKernelSamplers(reg, k, DefaultSamplePeriodS)
 		// The lone battery's death ends the run; stop the samplers there
 		// so they do not keep the event queue alive forever.
 		prev := pw.OnDeath
@@ -159,22 +218,18 @@ func (pl *plan) buildNoIO() *rig {
 	return r
 }
 
-// buildPipeline assembles host + N nodes with the experiment's stop
-// conditions armed: every battery dead, or a death followed by a long
-// silence at the sink (the pipeline stalled with charge remaining, the
-// failure mode of §6.4).
+// buildPipeline assembles host + N nodes on the paper's ring: the host
+// paces frames into role 1, and the last role's results return to it.
 func (pl *plan) buildPipeline() *rig {
 	p := pl.p
 	r := pl.newRig()
-	k, net, reg := r.k, r.net, r.reg
 	rp := pl.armFaults(r)
-	h := host.New(k, net)
+	h := host.New(r.k, r.net)
 	h.D = p.FrameDelayS
 	h.FrameKB = p.Profile.InputKB
 	h.RotationPeriod = pl.rotation
-	h.Metrics = reg
+	h.Metrics = r.reg
 	h.Retry = rp
-	r.host = h
 
 	cfg := node.Config{
 		Prof:           p.Profile,
@@ -183,7 +238,7 @@ func (pl *plan) buildPipeline() *rig {
 		Ack:            pl.ack,
 		AckTimeoutS:    p.AckTimeoutS,
 		Retry:          rp,
-		Metrics:        reg,
+		Metrics:        r.reg,
 		Governor:       p.Governor,
 		OnGovern:       pl.onGovern,
 	}
@@ -203,89 +258,34 @@ func (pl *plan) buildPipeline() *rig {
 	}
 	nodes := make([]*node.Node, len(pl.stages))
 	for i := range pl.stages {
-		c := cpu.New(p.Power, roles[i].Comm)
-		bat := p.Battery()
-		// Per-node capacity variance is applied before metering starts,
-		// so the death prediction sees the scaled pack.
-		battery.ScaleCapacity(bat, pl.faults.CapacityScale(fmt.Sprintf("node%d", i+1)))
-		pw := node.NewPower(k, c, bat)
-		if pl.trace {
-			pw.EnableTrace()
-		}
-		nodes[i] = node.New(k, net, pw, cfg, roles, i)
+		nodes[i] = pl.newNode(r, cfg, fmt.Sprintf("node%d", i+1), roles, i)
 	}
 	for _, n := range nodes {
 		n.Wire(nodes, h.SinkPort())
-	}
-	for _, n := range nodes {
 		h.Targets = append(h.Targets, n.Port())
 		h.Alive = append(h.Alive, n.Available)
 	}
-	if r.inj != nil {
-		targets := make(map[string]fault.CrashTarget, len(nodes))
-		for _, n := range nodes {
-			targets[n.Name] = n
-		}
-		r.inj.Arm(k, targets)
-	}
-	r.nodes = nodes
-	if reg != nil {
-		for _, n := range nodes {
-			registerSamplers(reg, n.Name, n.Power(), n.Port(), DefaultSamplePeriodS)
-		}
-		registerKernelSamplers(reg, k, DefaultSamplePeriodS)
-	}
-	h.OnResult = r.result
-	stallWindow := sim.Time(50 * r.d)
-	// The watchdog re-arms through one reusable Event (Bind+Reschedule)
-	// so a long run costs no allocation per tick.
-	var watchEv sim.Event
-	watch := func() {
-		allDead := true
-		anyDead := false
-		for _, n := range nodes {
-			// A crash outage counts toward stall detection (a
-			// permanently crashed node never produces again) but not
-			// toward allDead: its battery still holds charge.
-			if !n.Available() {
-				anyDead = true
-			}
-			if !n.Dead() {
-				allDead = false
-			}
-		}
-		if allDead || ((anyDead || h.Stopped()) && k.Now()-r.lastResult > stallWindow) {
-			r.finish()
-			return
-		}
-		k.Reschedule(&watchEv, k.Now()+sim.Time(10*r.d))
-	}
-	watchEv.Bind(watch)
-	k.Reschedule(&watchEv, k.Now()+sim.Time(10*r.d))
+	r.arm(h, nodes)
 	return r
 }
 
-// start launches the pipeline's nodes and host, or the fleet's workers.
-// (The no-I/O node starts at construction.)
+// start launches the nodes, then the host. (The no-I/O node starts at
+// construction.)
 func (r *rig) start() {
-	if r.host != nil {
-		for _, n := range r.nodes {
-			n.Start()
-		}
-		r.host.Start()
+	if r.host == nil {
+		return
 	}
-	for _, w := range r.workers {
-		w.Start()
+	for _, n := range r.nodes {
+		n.Start()
 	}
+	r.host.Start()
 }
 
 // finish stops the source and samplers and interrupts nodes stranded
 // with live batteries so the run can end; their remaining charge is
 // reported.
 func (r *rig) finish() {
-	if r.host != nil {
-		r.host.Stop()
-	}
+	r.host.Stop()
 	r.reg.StopSamplers()
 	interrupt := func(pr *sim.Proc) {
 		if pr != nil && !pr.Done() {
@@ -297,11 +297,6 @@ func (r *rig) finish() {
 			r.k.At(r.k.Now(), func() { interrupt(n.Proc()) })
 		}
 	}
-	for _, w := range r.workers {
-		if !w.Dead() {
-			r.k.At(r.k.Now(), func() { interrupt(w.Proc()) })
-		}
-	}
 }
 
 // release tears the rig down and returns its recyclable simulation
@@ -311,13 +306,11 @@ func (r *rig) finish() {
 // outcome, records and traces have been extracted.
 func (r *rig) release() {
 	r.k.Shutdown()
-	if r.host == nil && r.workers == nil {
+	if r.host == nil {
 		return // the no-I/O node never transfers, so it pools nothing
 	}
 	r.net.Release()
-	if r.host != nil {
-		r.host.Release()
-	}
+	r.host.Release()
 }
 
 // traces finishes every node's metering and returns its mode spans.
@@ -326,10 +319,6 @@ func (r *rig) traces() [][]node.ModeSpan {
 	for _, n := range r.nodes {
 		n.Power().Finish()
 		out = append(out, n.Power().Trace())
-	}
-	for _, w := range r.workers {
-		w.Power().Finish()
-		out = append(out, w.Power().Trace())
 	}
 	return out
 }
@@ -346,7 +335,7 @@ func (r *rig) outcome(pl *plan) Outcome {
 		FaultStats:   r.inj.Stats(),
 		PortStats:    portStatsOf(r.net),
 		Metrics:      r.reg.Snapshot(),
-		Nodes:        len(r.nodes) + len(r.workers),
+		Nodes:        len(r.nodes),
 	}
 	if g := pl.p.Governor; g.Enabled() && !pl.noIO {
 		out.Governor = g.String()
@@ -364,33 +353,35 @@ func (r *rig) outcome(pl *plan) Outcome {
 	for _, n := range r.nodes {
 		out.NodeStats = append(out.NodeStats, statOf(n))
 	}
-	for _, w := range r.workers {
-		out.NodeStats = append(out.NodeStats, workerStat(w))
-	}
 	return out
 }
 
-// registerSamplers tracks one node's battery dynamics and inbound
-// backlog as sim-time series.
-func registerSamplers(reg *metrics.Registry, name string, pw *node.Power, port *serial.Port, period float64) {
-	reg.Sample("battery_soc", name, sim.Duration(period), func() float64 {
-		return pw.Battery().StateOfCharge()
-	})
-	reg.Sample("battery_available", name, sim.Duration(period), func() float64 {
-		return battery.Available(pw.Battery())
-	})
-	reg.Sample("port_pending", name, sim.Duration(period), func() float64 {
-		return float64(port.Pending())
-	})
-}
-
-// registerKernelSamplers tracks the event-queue depth and cumulative
-// events fired (the events-processed rate is its discrete derivative).
-func registerKernelSamplers(reg *metrics.Registry, k *sim.Kernel, period float64) {
-	reg.Sample("sim_queue_depth", "", sim.Duration(period), func() float64 {
+// sample registers an instrumented rig's sim-time series: each node's
+// battery dynamics and inbound backlog, then the event-queue depth and
+// cumulative events fired (the events-processed rate is its discrete
+// derivative).
+func (r *rig) sample() {
+	reg, k := r.reg, r.k
+	if reg == nil {
+		return
+	}
+	period := sim.Duration(DefaultSamplePeriodS)
+	for _, n := range r.nodes {
+		pw, port := n.Power(), n.Port()
+		reg.Sample("battery_soc", n.Name, period, func() float64 {
+			return pw.Battery().StateOfCharge()
+		})
+		reg.Sample("battery_available", n.Name, period, func() float64 {
+			return battery.Available(pw.Battery())
+		})
+		reg.Sample("port_pending", n.Name, period, func() float64 {
+			return float64(port.Pending())
+		})
+	}
+	reg.Sample("sim_queue_depth", "", period, func() float64 {
 		return float64(k.QueueLen())
 	})
-	reg.Sample("sim_events_fired", "", sim.Duration(period), func() float64 {
+	reg.Sample("sim_events_fired", "", period, func() float64 {
 		return float64(k.Fired())
 	})
 }
@@ -405,56 +396,34 @@ func portStatsOf(net *serial.Network) []PortStat {
 	return out
 }
 
+// statOf is one node's accounting: its battery and per-mode time and
+// charge, and its frame, fault and governor counters.
 func statOf(n *node.Node) NodeStat {
 	pw := n.Power()
-	stat := powerStat(n.Name, pw, n.DeadAt)
-	stat.FramesProcessed = n.FramesProcessed
-	stat.ResultsSent = n.ResultsSent
-	stat.Rotations = n.Rotations
-	stat.Migrations = n.Migrations
-	stat.Crashes = n.Crashes
-	stat.Restarts = n.Restarts
-	stat.FramesAbandoned = n.FramesAbandoned
-	stat.GovDecisions = n.GovernorDecisions
-	stat.GovSwitches = n.GovernorSwitches
-	stat.DeadlineMisses = n.DeadlineMisses
+	stat := NodeStat{
+		Name:            n.Name,
+		DiedAtH:         float64(n.DeadAt) / 3600,
+		DeliveredMAh:    pw.Battery().DeliveredMAh(),
+		FinalSoC:        pw.Battery().StateOfCharge(),
+		IdleS:           pw.ModeSeconds(cpu.Idle),
+		CommS:           pw.ModeSeconds(cpu.Comm),
+		ComputeS:        pw.ModeSeconds(cpu.Compute),
+		IdleMAh:         pw.ModeMAh(cpu.Idle),
+		CommMAh:         pw.ModeMAh(cpu.Comm),
+		ComputeMAh:      pw.ModeMAh(cpu.Compute),
+		FramesProcessed: n.FramesProcessed,
+		ResultsSent:     n.ResultsSent,
+		Rotations:       n.Rotations,
+		Migrations:      n.Migrations,
+		Crashes:         n.Crashes,
+		Restarts:        n.Restarts,
+		FramesAbandoned: n.FramesAbandoned,
+		GovDecisions:    n.GovernorDecisions,
+		GovSwitches:     n.GovernorSwitches,
+		DeadlineMisses:  n.DeadlineMisses,
+	}
 	if n.GovernorDecisions > 0 {
 		stat.GovMeanMHz = n.GovernorFreqSumMHz / float64(n.GovernorDecisions)
 	}
 	return stat
-}
-
-// workerStat mirrors statOf for fleet workers; the ring-only fields
-// (rotations, migrations) stay zero.
-func workerStat(w *node.Worker) NodeStat {
-	stat := powerStat(w.Name, w.Power(), w.DeadAt)
-	stat.FramesProcessed = w.FramesProcessed
-	stat.ResultsSent = w.ResultsSent
-	stat.Crashes = w.Crashes
-	stat.Restarts = w.Restarts
-	stat.FramesAbandoned = w.FramesAbandoned
-	stat.GovDecisions = w.GovernorDecisions
-	stat.GovSwitches = w.GovernorSwitches
-	stat.DeadlineMisses = w.DeadlineMisses
-	if w.GovernorDecisions > 0 {
-		stat.GovMeanMHz = w.GovernorFreqSumMHz / float64(w.GovernorDecisions)
-	}
-	return stat
-}
-
-// powerStat is the battery and per-mode accounting shared by both node
-// kinds.
-func powerStat(name string, pw *node.Power, deadAt sim.Time) NodeStat {
-	return NodeStat{
-		Name:         name,
-		DiedAtH:      float64(deadAt) / 3600,
-		DeliveredMAh: pw.Battery().DeliveredMAh(),
-		FinalSoC:     pw.Battery().StateOfCharge(),
-		IdleS:        pw.ModeSeconds(cpu.Idle),
-		CommS:        pw.ModeSeconds(cpu.Comm),
-		ComputeS:     pw.ModeSeconds(cpu.Compute),
-		IdleMAh:      pw.ModeMAh(cpu.Idle),
-		CommMAh:      pw.ModeMAh(cpu.Comm),
-		ComputeMAh:   pw.ModeMAh(cpu.Compute),
-	}
 }

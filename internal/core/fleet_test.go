@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"dvsim/internal/assert"
+	"dvsim/internal/cpu"
 	"dvsim/internal/fault"
 	"dvsim/internal/governor"
+	"dvsim/internal/node"
+	"dvsim/internal/sim"
 	"dvsim/internal/topology"
 )
 
@@ -19,7 +22,7 @@ func fleet(t *testing.T, label string, p Params, g *topology.Graph, frames int) 
 }
 
 // TestFleetChainRoutesThroughPipeline: a serial topology graph must be
-// exactly the pipeline engine under another spec — same frames, same
+// exactly the host-paced pipeline under another spec — same frames, same
 // node accounting — so manifests expressing the paper's shapes inherit
 // all of its behavior (rotation, recovery, telemetry).
 func TestFleetChainRoutesThroughPipeline(t *testing.T) {
@@ -106,7 +109,7 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 }
 
 // TestFleetGoverned: the per-round governor control loop runs on the
-// worker engine and its accounting lands in NodeStats.
+// graph fleet and its accounting lands in NodeStats.
 func TestFleetGoverned(t *testing.T) {
 	p := DefaultParams()
 	p.Governor = governor.Spec{Name: "interval"}
@@ -205,5 +208,88 @@ func TestRunGovernorPolicyMatchesStudy(t *testing.T) {
 		if !reflect.DeepEqual(got, study[i]) {
 			t.Fatalf("policy %s diverged from the study run", g.String())
 		}
+	}
+}
+
+// TestFleetSourceCrashRestart: a graph source crashed mid-frame and
+// restarted later resumes at the first frame time of its sequence after
+// the outage, at its normal pace rather than in a burst through the
+// frames it slept over, and the outage lands in its NodeStats.
+func TestFleetSourceCrashRestart(t *testing.T) {
+	p := DefaultParams()
+	// Two interleaved source-sinks: node1 owns the even frames, node2
+	// the odd ones, each delivering straight to the host.
+	g := topology.Wide(1, 2, topology.Config{})
+	// node1 crashes half a second into frame 4 (it starts at 4·D = 9.2 s).
+	const crashAt, restartAt = 9.7, 31.0
+	p.Faults = &fault.Scenario{Crashes: []fault.Crash{
+		{Node: "node1", AtS: crashAt, RestartAfterS: restartAt - crashAt},
+	}}
+	p.RotationPeriod = 0
+	var traces [][]node.ModeSpan
+	out := mustSimulate(t, Spec{Graph: g, Label: "wide/crash", Params: p, Frames: 40},
+		Sinks{Traces: &traces})
+
+	st := out.NodeStats[0]
+	if st.Name != "node1" || st.Crashes != 1 || st.Restarts != 1 {
+		t.Fatalf("node1 stats: %+v, want one crash and one restart", st)
+	}
+	d := p.FrameDelayS
+	// The first even frame whose time is not before the restart.
+	resume := 0
+	for float64(resume)*d < restartAt {
+		resume += 2
+	}
+	var starts []sim.Time
+	done := 0 // frames finished before the crash
+	for _, sp := range traces[0] {
+		switch {
+		case sp.Mode != cpu.Compute:
+		case float64(sp.Start) >= restartAt:
+			starts = append(starts, sp.Start)
+		case float64(sp.End) < crashAt:
+			done++
+		}
+	}
+	if len(starts) == 0 {
+		t.Fatal("node1 computed nothing after its restart")
+	}
+	for i, s := range starts {
+		want := sim.Time(float64(resume+2*i) * d)
+		if s != want {
+			t.Fatalf("post-restart compute %d starts at %v s, want frame %d at %v s",
+				i, float64(s), resume+2*i, float64(want))
+		}
+	}
+	// Frames 0 and 2 before the crash (4 is lost mid-compute), then the
+	// resumed sequence up to the bound.
+	if done != 2 {
+		t.Fatalf("node1 finished %d frames before the crash, want 2", done)
+	}
+	if want := done + (40-resume)/2; st.FramesProcessed != want {
+		t.Fatalf("node1 processed %d frames, want %d", st.FramesProcessed, want)
+	}
+}
+
+// TestFleetBufferSeesDownstreamWait: on a graph, the buffer governor's
+// congestion signal is live — a sensor whose aggregator is too slow to
+// keep up observes its outbound transfer waiting for the aggregator.
+func TestFleetBufferSeesDownstreamWait(t *testing.T) {
+	p := DefaultParams()
+	p.RotationPeriod = 0
+	p.Governor = governor.Spec{Name: "buffer"}
+	// Each aggregator input costs 2 s of reference work: far more than
+	// the 2.3 s frame delay once two sensors feed it.
+	g := topology.Mesh(2, 1, topology.Config{AggRefS: 2})
+	maxWait := 0.0
+	mustSimulate(t, Spec{Graph: g, Label: "mesh/slow", Params: p, Frames: 20}, Sinks{
+		OnGovern: func(name string, ev governor.Event) {
+			if (name == "node1" || name == "node2") && ev.Obs.DownWaitS > maxWait {
+				maxWait = ev.Obs.DownWaitS
+			}
+		},
+	})
+	if maxWait <= 0 {
+		t.Fatal("no sensor observed a downstream wait behind a saturated aggregator")
 	}
 }

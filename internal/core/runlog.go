@@ -307,10 +307,6 @@ func (rc *recorder) collect(r *rig) []LogRecord {
 		n.Power().Finish()
 		rc.modes(n.Name, n.Power().Trace(), n.DeadAt)
 	}
-	for _, w := range r.workers {
-		w.Power().Finish()
-		rc.modes(w.Name, w.Power().Trace(), w.DeadAt)
-	}
 	// Per-series stream: one sampler's points are strictly time-ordered.
 	if rc.telemetry {
 		for _, s := range r.reg.Snapshot().Series {

@@ -24,9 +24,10 @@ type Spec struct {
 	// Stages describes a custom pipeline: one node per stage, frames
 	// paced every Params.FrameDelayS, each node on its own battery.
 	Stages []StageConfig
-	// Graph describes a fleet (see internal/topology). A chain runs on
-	// the pipeline engine, exactly like the equivalent Stages; any
-	// other shape runs on the graph worker engine.
+	// Graph describes a fleet (see internal/topology). A chain runs as
+	// the host-paced pipeline, exactly like the equivalent Stages; any
+	// other shape wires the same nodes as graph vertices, whose sources
+	// pace themselves and whose sinks deliver to the host.
 	Graph *topology.Graph
 	// Label names a Stages or Graph run in its Outcome.
 	Label string

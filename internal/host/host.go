@@ -71,8 +71,6 @@ type Host struct {
 	// the frame budget (the paper's scheme-1 Node2 needs 2.33 s of a
 	// 2.3 s slot).
 	MaxQueue int
-	// Results collects final results in arrival order.
-	Results []Result
 	// OnResult, when set, observes each arriving result.
 	OnResult func(Result)
 
@@ -92,7 +90,6 @@ func New(k *sim.Kernel, net *serial.Network) *Host {
 	return &Host{
 		k:        k,
 		net:      net,
-		srcPort:  net.Port("host-src"),
 		sinkPort: net.Port("host-sink"),
 	}
 }
@@ -105,13 +102,18 @@ func (h *Host) SinkPort() *serial.Port { return h.sinkPort }
 // backlogs.
 var latencyBuckets = []float64{2.5, 5, 7.5, 10, 15, 20, 30, 60, 120}
 
-// Start spawns the source and sink processes.
+// Start spawns the source and sink processes. A host stopped before
+// Start is a sink only: it collects results from self-paced sources
+// and never opens its source port.
 func (h *Host) Start() {
 	h.latencyS = h.Metrics.Histogram("host_frame_latency_s", "", latencyBuckets)
 	h.sentCtr = h.Metrics.Counter("host_frames_sent", "")
 	h.droppedCtr = h.Metrics.Counter("host_frames_dropped", "")
 	h.queueDepth = h.Metrics.Gauge("host_queue_depth", "")
-	h.k.Spawn("host-src", h.runSource)
+	if !h.stopped {
+		h.srcPort = h.net.Port("host-src")
+		h.k.Spawn("host-src", h.runSource)
+	}
 	h.k.Spawn("host-sink", h.runSink)
 }
 
@@ -282,7 +284,6 @@ func (h *Host) runSink(p *sim.Proc) {
 			return
 		}
 		r := Result{Frame: msg.Frame, At: p.Now(), From: msg.From, Payload: msg.Payload}
-		h.Results = append(h.Results, r)
 		h.latencyS.Observe(h.Latency(r))
 		if h.OnResult != nil {
 			h.OnResult(r)

@@ -109,11 +109,41 @@ func TestSinkCollectsResults(t *testing.T) {
 		}
 	})
 	k.RunUntil(10)
-	if len(h.Results) != 3 || len(seen) != 3 {
-		t.Fatalf("results %d observed %d", len(h.Results), len(seen))
+	if len(seen) != 3 {
+		t.Fatalf("observed %d results, want 3", len(seen))
 	}
-	if h.Results[2].Frame != 2 || h.Results[2].From != "node1" {
-		t.Fatalf("result: %+v", h.Results[2])
+	if seen[2].Frame != 2 || seen[2].From != "node1" {
+		t.Fatalf("result: %+v", seen[2])
+	}
+}
+
+// TestStoppedHostOnlyCollects: a host stopped before Start — the
+// collector of a fleet whose sources pace themselves — runs its sink
+// but no source, and never opens a source port.
+func TestStoppedHostOnlyCollects(t *testing.T) {
+	k := sim.NewKernel()
+	net := serial.NewNetwork(k, serial.DefaultLink())
+	h := New(k, net)
+	h.D = 2.3
+	h.Stop()
+	var seen []Result
+	h.OnResult = func(r Result) { seen = append(seen, r) }
+	h.Start()
+	nodePort := net.Port("node1")
+	k.Spawn("node", func(p *sim.Proc) {
+		nodePort.Send(p, h.SinkPort(), serial.Message{Kind: serial.KindResult, Frame: 4, KB: 0.1})
+	})
+	k.RunUntil(10)
+	if len(seen) != 1 || seen[0].Frame != 4 {
+		t.Fatalf("observed %+v, want frame 4", seen)
+	}
+	for _, pt := range net.Ports() {
+		if pt.Name() == "host-src" {
+			t.Fatal("a sink-only host opened its source port")
+		}
+	}
+	if h.FramesSent != 0 || h.FramesDropped != 0 {
+		t.Fatalf("sink-only host sourced frames: sent %d dropped %d", h.FramesSent, h.FramesDropped)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dvsim/internal/core"
@@ -124,5 +125,27 @@ func TestPaperManifestReproducesGoldens(t *testing.T) {
 	}
 	if got := report.GovernorCSV(outs); got != string(want) {
 		t.Errorf("3A via the manifest diverged from governor_csv.golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestFleetManifestGoldens pins the graph engine: the committed tree
+// and mesh manifests aggregate to their goldens byte for byte, CSV and
+// JSONL alike (dvsim -manifest … -agg-csv … -agg-jsonl …).
+func TestFleetManifestGoldens(t *testing.T) {
+	for _, name := range []string{"tree_scaling", "mesh_faults"} {
+		results := RunAll(repoManifest(t, name+".toml"), 0)
+		var jsonl strings.Builder
+		if err := WriteJSONL(&jsonl, results); err != nil {
+			t.Fatal(err)
+		}
+		for ext, got := range map[string]string{".csv": CSV(results), ".jsonl": jsonl.String()} {
+			want, err := os.ReadFile(filepath.Join("testdata", name+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s aggregate drifted from testdata/%s%s.\n--- got ---\n%s\n--- want ---\n%s", name, name, ext, got, want)
+			}
+		}
 	}
 }

@@ -12,9 +12,11 @@ import (
 	"dvsim/internal/sim"
 )
 
-// Role is one stage of the pipeline: which ATR blocks to run, at which
-// operating points. Roles are global to the pipeline; node rotation moves
-// nodes between roles without changing the roles themselves.
+// Role is one node's work: which ATR blocks to run, at which operating
+// points, and how its input is paced and gathered. A pipeline's roles
+// are global to the ring; node rotation moves nodes between roles
+// without changing the roles themselves. A graph vertex holds one role
+// (Index 1) for its whole life.
 type Role struct {
 	// Index is the 1-based pipeline position.
 	Index int
@@ -39,6 +41,21 @@ type Role struct {
 	// OutKB, when positive, overrides the profiled output size for the
 	// stage's downstream transfer. Zero falls back to Prof.OutKB(Span).
 	OutKB float64
+	// BudgetS, when positive, overrides the governor's per-frame
+	// deadline D. A wide-pipeline stage that sees every width-th frame
+	// gets width·D.
+	BudgetS float64
+	// Rounds bounds a self-paced source's frame numbers to < Rounds
+	// (0 = run until the battery dies).
+	Rounds int
+	// Stride and Phase select a self-paced source's frames: Phase,
+	// Phase+Stride, … each at its frame time. Zero Stride means 1.
+	Stride int
+	Phase  int
+	// FanInAll makes a node with several parents gather one message
+	// from every parent before computing (aggregation); otherwise one
+	// message from any parent suffices (round-robin distribution).
+	FanInAll bool
 }
 
 // IdlePoint returns the role's idle operating point (Comm when unset).
@@ -47,6 +64,14 @@ func (r Role) IdlePoint() cpu.OperatingPoint {
 		return r.Comm
 	}
 	return r.Idle
+}
+
+// stride is the role's source stride (1 when unset).
+func (r Role) stride() int {
+	if r.Stride > 0 {
+		return r.Stride
+	}
+	return 1
 }
 
 // refSeconds is the role's per-frame reference compute time: the
@@ -67,10 +92,11 @@ func (n *Node) outKB(r Role) float64 {
 	return n.cfg.Prof.OutKB(r.Span)
 }
 
-// Config is the pipeline-wide behavior shared by all nodes.
+// Config is the behavior shared by all nodes of a run.
 type Config struct {
 	Prof atr.Profile
-	// D is the frame delay (§4.5).
+	// D is the frame delay (§4.5): the pace of the host and of
+	// self-paced sources, and the governor's default frame budget.
 	D float64
 	// NoIO runs the paper's 0A/0B mode: frames come from local storage,
 	// no communication at all.
@@ -106,8 +132,8 @@ type Config struct {
 	// compute operating point at every frame boundary (see
 	// internal/governor). The zero spec disables the decision loop
 	// entirely, reproducing the paper's static Table-driven assignment
-	// byte for byte. Governors only apply to the pipeline frame loop;
-	// the NoIO mode has no frame deadline to govern against.
+	// byte for byte. The NoIO mode has no frame deadline to govern
+	// against.
 	Governor governor.Spec
 	// OnGovern, when set, observes every governor decision (the
 	// telemetry run log's "govern" events). Only called when Governor is
@@ -128,12 +154,15 @@ type instruments struct {
 	govDecisions, govSwitches, misses      *metrics.Counter
 }
 
-// Node is one Itsy computer in the pipeline.
+// Node is one Itsy computer: a pipeline stage on the paper's ring, or a
+// vertex of a fleet graph. Either way its frame loop obtains input
+// (carried data, its own pace, or a receive), computes, rotates or
+// sends, governs and idles; the wiring decides which input and output
+// cases apply.
 type Node struct {
 	Name string
 
 	k     *sim.Kernel
-	net   *serial.Network
 	port  *serial.Port
 	power *Power
 	cfg   Config
@@ -142,10 +171,22 @@ type Node struct {
 	roleIdx int    // current role (0-based index into roles)
 	phys    int    // physical position in the ring, 0-based
 
-	// ring[i] is the physical node at position i; set by Wire.
+	// ring[i] is the physical node at position i; set by Wire, nil for
+	// graph vertices.
 	ring []*Node
-	// hostSink is where final results go.
-	hostSink *serial.Port
+	// parents is the number of inbound edges; a node without any is a
+	// self-paced source.
+	parents int
+	// children receive the node's output, chosen round-robin by frame
+	// number; a ring node's one child is its ring successor.
+	children []*serial.Port
+	// sink is the host collector final results go to: always set on
+	// the ring (for whichever node holds the last role), set only on
+	// sink vertices of a graph.
+	sink *serial.Port
+	// nextFrame is a source's next frame: advanced as frames are
+	// emitted, fast-forwarded past an outage on restart.
+	nextFrame int
 
 	// carry marks data kept across a rotation (the "input data already
 	// available" of §5.5), tagged with its frame number.
@@ -200,9 +241,10 @@ type carriedFrame struct {
 	payload any
 }
 
-// New creates a node at physical ring position phys. Wire must be called
-// before Start.
-func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, roles []Role, phys int) *Node {
+// New creates the node named name at physical ring position phys (0 for
+// a graph vertex, whose roles hold its one role). Wire or WireGraph must
+// be called before Start.
+func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, name string, roles []Role, phys int) *Node {
 	if cfg.RotationPeriod > 1 && cfg.RotationPeriod < len(roles) {
 		// A rotation takes one pipeline slot per role to propagate
 		// (Fig 9); a shorter period would overlap transitions and strand
@@ -210,21 +252,18 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, roles []Role
 		panic(fmt.Sprintf("node: rotation period %d shorter than pipeline depth %d",
 			cfg.RotationPeriod, len(roles)))
 	}
-	name := fmt.Sprintf("node%d", phys+1)
 	own := make([]Role, len(roles))
 	copy(own, roles)
 	pw.SetMetrics(cfg.Metrics, name)
 	met := instruments{
-		recvS:      cfg.Metrics.Histogram("node_recv_s", name, phaseBuckets),
-		procS:      cfg.Metrics.Histogram("node_proc_s", name, phaseBuckets),
-		sendS:      cfg.Metrics.Histogram("node_send_s", name, phaseBuckets),
-		frames:     cfg.Metrics.Counter("node_frames_processed", name),
-		results:    cfg.Metrics.Counter("node_results_sent", name),
-		rotations:  cfg.Metrics.Counter("node_rotations", name),
-		migrations: cfg.Metrics.Counter("node_migrations", name),
-		crashes:    cfg.Metrics.Counter("node_crashes", name),
-		restarts:   cfg.Metrics.Counter("node_restarts", name),
-		abandoned:  cfg.Metrics.Counter("node_frames_abandoned", name),
+		recvS:     cfg.Metrics.Histogram("node_recv_s", name, phaseBuckets),
+		procS:     cfg.Metrics.Histogram("node_proc_s", name, phaseBuckets),
+		sendS:     cfg.Metrics.Histogram("node_send_s", name, phaseBuckets),
+		frames:    cfg.Metrics.Counter("node_frames_processed", name),
+		results:   cfg.Metrics.Counter("node_results_sent", name),
+		crashes:   cfg.Metrics.Counter("node_crashes", name),
+		restarts:  cfg.Metrics.Counter("node_restarts", name),
+		abandoned: cfg.Metrics.Counter("node_frames_abandoned", name),
 	}
 	if cfg.Governor.Enabled() {
 		met.govDecisions = cfg.Metrics.Counter("node_governor_decisions", name)
@@ -239,14 +278,14 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, roles []Role
 		met:   met,
 		Name:  name,
 		k:     k,
-		net:   net,
 		port:  net.Port(name),
 		power: pw,
 		cfg:   cfg,
 		roles: own,
 		// Initially physical position i holds role i+1.
-		roleIdx: phys,
-		phys:    phys,
+		roleIdx:   phys,
+		phys:      phys,
+		nextFrame: own[phys].Phase,
 	}
 	n.acceptKindFn = n.acceptKind
 	n.commStartFn = n.commStart
@@ -255,11 +294,26 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, roles []Role
 	return n
 }
 
-// Wire connects the node to the pipeline ring and the host sink port.
+// Wire connects the node to the pipeline ring: its input comes from the
+// host (role 1) or its ring predecessor, its output goes to its ring
+// successor or, from the last role, to the host sink. The ring protocols
+// — rotation and the ack/migration recovery — apply only here.
 func (n *Node) Wire(ring []*Node, hostSink *serial.Port) {
 	n.ring = ring
-	n.hostSink = hostSink
 	n.peerDead = make([]bool, len(ring))
+	n.met.rotations = n.cfg.Metrics.Counter("node_rotations", n.Name)
+	n.met.migrations = n.cfg.Metrics.Counter("node_migrations", n.Name)
+	n.WireGraph(1, []*serial.Port{ring[n.downstreamPhys()].Port()}, hostSink)
+}
+
+// WireGraph connects the node as a graph vertex: parents inbound edges
+// (none makes it a self-paced source), the child ports its output goes
+// to round-robin by frame number, and — for a sink vertex — the host
+// collector port its results go to.
+func (n *Node) WireGraph(parents int, children []*serial.Port, sink *serial.Port) {
+	n.parents = parents
+	n.children = children
+	n.sink = sink
 }
 
 // Port returns the node's serial port.
@@ -282,6 +336,13 @@ func (n *Node) Crashed() bool { return n.crashed }
 // from one that is merely slow (retransmitting).
 func (n *Node) Available() bool { return !n.Dead() && !n.crashed }
 
+// Pacing reports whether the node is a self-paced source with frames
+// still to emit; a run is not finished while any source is pacing.
+func (n *Node) Pacing() bool {
+	r := n.Role().Rounds
+	return n.parents == 0 && (r <= 0 || n.nextFrame < r)
+}
+
 // Crash applies an injected outage (fault.CrashTarget): the node's
 // process is interrupted, and its battery rests at zero draw until
 // Restart. It reports whether it applied — a dead or already-crashed
@@ -302,8 +363,10 @@ func (n *Node) Crash() bool {
 
 // Restart ends an injected outage (fault.CrashTarget): metering
 // resumes, any carried frame is lost, and a fresh process re-enters the
-// frame loop in the node's current role. It reports whether it applied —
-// only a crashed, non-dead node can restart.
+// frame loop in the node's current role. A source resumes at the first
+// frame time after the outage instead of bursting through the frames it
+// slept over. It reports whether it applied — only a crashed, non-dead
+// node can restart.
 func (n *Node) Restart() bool {
 	if !n.crashed || n.Dead() {
 		return false
@@ -314,6 +377,11 @@ func (n *Node) Restart() bool {
 	n.power.Resume()
 	n.carry = nil
 	n.governReset()
+	if n.parents == 0 {
+		for float64(n.nextFrame)*n.cfg.D < float64(n.k.Now()) {
+			n.nextFrame += n.Role().stride()
+		}
+	}
 	n.proc = n.k.Spawn(n.Name, n.run)
 	return true
 }
@@ -338,7 +406,8 @@ func (n *Node) Start() *sim.Proc {
 func (n *Node) upstreamPhys() int   { return (n.phys - 1 + len(n.ring)) % len(n.ring) }
 func (n *Node) downstreamPhys() int { return (n.phys + 1) % len(n.ring) }
 
-// run is the node's frame loop.
+// run is the node's frame loop: obtain input, compute, rotate or send,
+// govern, idle.
 func (n *Node) run(p *sim.Proc) {
 	defer n.power.Finish()
 	if n.cfg.NoIO {
@@ -374,7 +443,7 @@ func (n *Node) run(p *sim.Proc) {
 		// replace the eliminated SEND/RECV pair.
 		rotating := n.cfg.RotationPeriod > 1 && len(n.roles) > 1 &&
 			(frame+n.Role().Index)%n.cfg.RotationPeriod == 0
-		last := n.Role().Index == len(n.roles)
+		last := n.toHost()
 
 		if rotating && !last {
 			// §5.5: keep the result, become the next role, continue
@@ -394,7 +463,7 @@ func (n *Node) run(p *sim.Proc) {
 			return
 		}
 		n.met.sendS.Observe(float64(p.Now() - ts))
-		if n.Role().Index == len(n.roles) && !handled {
+		if n.toHost() && !handled {
 			n.ResultsSent++
 			n.met.results.Inc()
 		}
@@ -437,13 +506,17 @@ func (n *Node) govern(p *sim.Proc, frame int, proc0, comm0 float64) {
 	procS := n.power.ModeSeconds(cpu.Compute) - proc0
 	commS := n.power.ModeSeconds(cpu.Comm) - comm0
 	cur := n.computePoint()
+	budget := n.Role().BudgetS
+	if budget <= 0 {
+		budget = n.cfg.D
+	}
 	obs := governor.Observation{
 		Frame:       frame,
 		NowS:        float64(p.Now()),
-		DeadlineS:   n.cfg.D,
+		DeadlineS:   budget,
 		ProcS:       procS,
 		CommS:       commS,
-		SlackS:      n.cfg.D - procS - commS,
+		SlackS:      budget - procS - commS,
 		RefS:        procS * cur.FreqMHz / cpu.MaxPoint.FreqMHz,
 		QueueIn:     n.port.Pending(),
 		DownWaitS:   n.sendWaitS,
@@ -513,16 +586,58 @@ func (n *Node) runNoIO(p *sim.Proc) {
 	}
 }
 
-// obtainInput produces the frame number to work on: carried data after a
-// rotation, or a receive from upstream (host for role 1, ring predecessor
-// otherwise). ok is false when the node should stop (death).
+// obtainInput produces the frame to work on: carried data after a
+// rotation, the next paced frame for a source, or a receive from
+// upstream — one message, or one per parent for a fan-in aggregator,
+// whose frame is the latest gathered. ok is false when the node should
+// stop (death, an exhausted source).
 func (n *Node) obtainInput(p *sim.Proc) (frame int, payload any, ok bool) {
 	if n.carry != nil {
 		frame, payload = n.carry.frame, n.carry.payload
 		n.carry = nil
 		return frame, payload, true
 	}
+	if n.parents == 0 {
+		frame, ok = n.pace(p)
+		return frame, nil, ok
+	}
+	need := 1
+	if n.Role().FanInAll {
+		need = n.parents
+	}
 	t0 := p.Now()
+	for i := 0; i < need; i++ {
+		msg, ok := n.receive(p)
+		if !ok {
+			return 0, nil, false
+		}
+		frame, payload = max(frame, msg.Frame), msg.Payload
+	}
+	n.met.recvS.Observe(float64(p.Now() - t0))
+	return frame, payload, true
+}
+
+// pace waits for a source's next frame time. ok is false once a bounded
+// source has emitted every frame, or on interruption.
+func (n *Node) pace(p *sim.Proc) (frame int, ok bool) {
+	if !n.Pacing() {
+		return 0, false
+	}
+	frame = n.nextFrame
+	n.idle()
+	if err := p.WaitUntil(sim.Time(float64(frame) * n.cfg.D)); err != nil {
+		return 0, false
+	}
+	n.nextFrame = frame + n.Role().stride()
+	return frame, true
+}
+
+// receive takes one inbound message: a frame from the host for role 1
+// of the ring, internode data otherwise. Under the recovery protocol it
+// acknowledges the transfer, and a silent upstream peer gets one grace
+// window before its span is absorbed (§5.4). ok is false on
+// interruption (death or shutdown).
+func (n *Node) receive(p *sim.Proc) (serial.Message, bool) {
 	grace := false
 	for {
 		n.idle() // blocked waiting is idle time
@@ -546,11 +661,10 @@ func (n *Node) obtainInput(p *sim.Proc) (frame int, payload any, ok bool) {
 				}, serial.TxOpts{OnStart: n.commStartFn, OnBackoff: n.idleFn}, n.cfg.Retry)
 				n.idle()
 				if err != nil && !serial.IsFault(err) && !errors.Is(err, serial.ErrRetriesExhausted) {
-					return 0, nil, false
+					return serial.Message{}, false
 				}
 			}
-			n.met.recvS.Observe(float64(p.Now() - t0))
-			return msg.Frame, msg.Payload, true
+			return msg, true
 		case errors.Is(err, sim.ErrTimeout):
 			// No data within the detection window. A peer that is alive
 			// (merely slow: backoffs, a transient outage it already
@@ -561,10 +675,10 @@ func (n *Node) obtainInput(p *sim.Proc) (frame int, payload any, ok bool) {
 				continue
 			}
 			if _, ok := n.migrateFrom(p, n.upstreamPhys()); !ok {
-				return 0, nil, false
+				return serial.Message{}, false
 			}
 		default:
-			return 0, nil, false // interrupted: battery death or shutdown
+			return serial.Message{}, false // interrupted: battery death or shutdown
 		}
 	}
 }
@@ -584,12 +698,19 @@ func (n *Node) recvDeadline(p *sim.Proc) sim.Time {
 func isAck(m serial.Message) bool { return m.Kind == serial.KindAck }
 
 // acceptKind filters the node's inbound port traffic to the data messages
-// its role expects; acks are consumed explicitly by sendOutput.
+// its role expects — host frames for role 1 of the ring, internode data
+// otherwise; acks are consumed explicitly by sendOutput.
 func (n *Node) acceptKind(m serial.Message) bool {
-	if n.Role().Index == 1 {
+	if n.ring != nil && n.Role().Index == 1 {
 		return m.Kind == serial.KindFrame
 	}
 	return m.Kind == serial.KindInter
+}
+
+// toHost reports whether the node's output is a final result for the
+// host: it holds the ring's last role, or it is a graph sink.
+func (n *Node) toHost() bool {
+	return n.sink != nil && n.Role().Index == len(n.roles)
 }
 
 // process runs the role's computation at the given point, applying the
@@ -611,8 +732,8 @@ func (n *Node) process(p *sim.Proc, role Role, at cpu.OperatingPoint, in any, ou
 }
 
 // sendOutput ships the span's product downstream: the final result to the
-// host for the last role, the intermediate payload to the ring successor
-// otherwise. With Ack enabled, internode sends wait for the ack and treat
+// host from the last role or a graph sink, the intermediate payload to
+// the frame's child otherwise (the ring successor, on the ring). With Ack enabled, internode sends wait for the ack and treat
 // a timeout as peer death, migrating the dead peer's span here and
 // finishing the current frame locally. handled reports that the frame's
 // result accounting was resolved internally — counted inside the
@@ -620,8 +741,8 @@ func (n *Node) process(p *sim.Proc, role Role, at cpu.OperatingPoint, in any, ou
 // spent retransmit budget.
 func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool) {
 	role := n.Role()
-	if role.Index == len(n.roles) {
-		err := n.port.SendReliable(p, n.hostSink, serial.Message{
+	if n.toHost() {
+		err := n.port.SendReliable(p, n.sink, serial.Message{
 			Kind: serial.KindResult, Frame: frame, KB: n.outKB(role), Payload: payload,
 		}, serial.TxOpts{OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
 		n.idle()
@@ -630,10 +751,10 @@ func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool
 		}
 		return err == nil, false
 	}
-	dst := n.ring[n.downstreamPhys()]
+	dst := n.children[frame%len(n.children)]
 	msg := serial.Message{Kind: serial.KindInter, Frame: frame, KB: n.outKB(role), Payload: payload}
 	if !n.cfg.Ack {
-		err := n.port.SendReliable(p, dst.Port(), msg,
+		err := n.port.SendReliable(p, dst, msg,
 			serial.TxOpts{OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
 		n.idle()
 		if err != nil && (serial.IsFault(err) || errors.Is(err, serial.ErrRetriesExhausted)) {
@@ -643,7 +764,7 @@ func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool
 	}
 	// Recovery protocol: deliver, then await the ack.
 	deadline := p.Now() + sim.Time(n.cfg.D+n.cfg.AckTimeoutS)
-	err := n.port.SendReliable(p, dst.Port(), msg,
+	err := n.port.SendReliable(p, dst, msg,
 		serial.TxOpts{Deadline: deadline, OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
 	n.idle()
 	if err == nil {
@@ -669,7 +790,7 @@ func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool
 		// frame and continue. A dead or crashed peer is absorbed, this
 		// frame's remaining blocks finished locally, and the result
 		// delivered (§5.4/§6.6).
-		if dst.Available() {
+		if n.ring[n.downstreamPhys()].Available() {
 			return true, n.abandon()
 		}
 		absorbed, ok := n.migrateFrom(p, n.downstreamPhys())

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"testing"
 
 	"dvsim/internal/atr"
@@ -52,7 +53,7 @@ func newRigRaw(cfg Config, roles []Role, capMAh ...float64) *rig {
 		}
 		c := cpu.New(nil, roles[i].Comm)
 		pw := NewPower(k, c, battery.NewIdeal(cap))
-		r.nodes = append(r.nodes, New(k, net, pw, cfg, roles, i))
+		r.nodes = append(r.nodes, New(k, net, pw, cfg, fmt.Sprintf("node%d", i+1), roles, i))
 	}
 	for _, n := range r.nodes {
 		n.Wire(r.nodes, r.sink)
@@ -335,5 +336,57 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if n.Role().Index != 1 {
 		t.Fatalf("initial role %d", n.Role().Index)
+	}
+}
+
+// TestGraphFanInGathersEveryParent: two self-paced sources feed one
+// aggregating sink. Each round the sink gathers one message per parent
+// and delivers that frame to the host; the bounded sources stop pacing
+// after their last frame.
+func TestGraphFanInGathersEveryParent(t *testing.T) {
+	k := sim.NewKernel()
+	net := serial.NewNetwork(k, serial.DefaultLink())
+	sink := net.Port("host-sink")
+	const rounds = 5
+	role := Role{Index: 1, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint, RefS: 0.2, OutKB: 1,
+		Rounds: rounds, FanInAll: true}
+	var nodes []*Node
+	for _, name := range []string{"a", "b", "agg"} {
+		pw := NewPower(k, cpu.New(nil, cpu.MaxPoint), battery.NewIdeal(1e6))
+		nodes = append(nodes, New(k, net, pw, Config{D: 2.3}, name, []Role{role}, 0))
+	}
+	a, b, agg := nodes[0], nodes[1], nodes[2]
+	a.WireGraph(0, []*serial.Port{agg.Port()}, nil)
+	b.WireGraph(0, []*serial.Port{agg.Port()}, nil)
+	agg.WireGraph(2, nil, sink)
+	for _, n := range nodes {
+		n.Start()
+	}
+	var got []serial.Message
+	k.Spawn("sink", func(p *sim.Proc) {
+		for {
+			m, err := sink.Recv(p)
+			if err != nil {
+				return
+			}
+			got = append(got, m)
+		}
+	})
+	k.RunUntil(60)
+	if len(got) != rounds {
+		t.Fatalf("host got %d results, want %d", len(got), rounds)
+	}
+	for i, m := range got {
+		if m.Frame != i || m.Kind != serial.KindResult || m.From != "agg" {
+			t.Fatalf("result %d: %+v", i, m)
+		}
+	}
+	for _, n := range nodes {
+		if n.FramesProcessed != rounds || n.Pacing() {
+			t.Fatalf("%s: %d frames, pacing %v", n.Name, n.FramesProcessed, n.Pacing())
+		}
+	}
+	if a.ResultsSent != 0 || agg.ResultsSent != rounds {
+		t.Fatalf("results sent: source %d, sink %d", a.ResultsSent, agg.ResultsSent)
 	}
 }

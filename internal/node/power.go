@@ -1,8 +1,10 @@
-// Package node implements the runtime of one Itsy node in the distributed
-// pipeline: exact battery accounting over CPU mode transitions, the
-// RECV → PROC → SEND frame loop (§3), per-node DVS policy (fixed clock or
-// DVS-during-I/O), pipeline role reconfiguration (node rotation, §5.5) and
-// failure detection/migration (power-failure recovery, §5.4).
+// Package node implements the runtime of one Itsy node, on the paper's
+// pipeline ring or as a vertex of a fleet graph: exact battery accounting
+// over CPU mode transitions, the RECV → PROC → SEND frame loop (§3) with
+// self-paced sources and fan-in gathering as input cases, per-node DVS
+// policy (fixed clock, DVS-during-I/O or an online governor), pipeline
+// role reconfiguration (node rotation, §5.5) and failure
+// detection/migration (power-failure recovery, §5.4).
 package node
 
 import (

@@ -9,10 +9,11 @@
 // kilobytes).
 //
 // A Graph is pure data: core.Simulate (Spec.Graph) materializes it into
-// a running fleet (serial chains route through the pipeline engine so
-// the paper's experiments stay byte-identical; everything else runs on
-// the graph worker engine), and internal/manifest sweeps it from
-// declarative runfiles.
+// a running fleet of node.Node vertices (serial chains run host-paced on
+// the paper's pipeline ring so the paper's experiments stay
+// byte-identical; everything else is wired as a graph whose sources pace
+// themselves), and internal/manifest sweeps it from declarative
+// runfiles.
 package topology
 
 import (
@@ -192,8 +193,8 @@ func (g *Graph) Validate() error {
 // Chain returns the node order of a simple path graph — single source,
 // single sink, every vertex with at most one parent and one child, no
 // striding — or nil when the graph is not that shape. Chains run on the
-// pipeline engine (host-paced frames, rotation, the paper's recovery
-// protocol); everything else runs on the graph worker engine.
+// pipeline ring (host-paced frames, rotation, the paper's recovery
+// protocol); everything else runs self-paced as a graph.
 func (g *Graph) Chain() []NodeSpec {
 	start := -1
 	for i, ns := range g.Nodes {
@@ -294,7 +295,7 @@ func (c Config) vertex(name string, refS, outKB float64) NodeSpec {
 // Serial builds an n-stage serial pipeline: the paper's shape at any
 // length. The frame's work is split evenly across stages; the final
 // stage delivers the result. Serial graphs are chains, so they run on
-// the pipeline engine with host pacing and (optionally) rotation.
+// the pipeline ring with host pacing and (optionally) rotation.
 func Serial(n int, c Config) *Graph {
 	if n < 1 {
 		panic(fmt.Sprintf("topology: serial pipeline needs at least 1 node, got %d", n))

@@ -1,10 +1,13 @@
-// Command calibrate fits the KiBaM battery parameters against the four
-// single-node anchor experiments the paper reports (0A, 0B, 1, 1A) and
-// prints the fitted parameters plus per-anchor residuals. The fitted
-// values are baked into core.DefaultItsyBattery; rerun this tool after
-// changing the CPU power model.
+// Command calibrate solves the constrained two-well battery parameters
+// (C, A, F, R) in closed form from the four single-node anchor
+// experiments the paper reports (0A, 0B, 1, 1A), falling back to a grid
+// fit when the anchors are inconsistent, and prints the parameters plus
+// per-anchor residuals. The solved values are baked into
+// core.DefaultItsyBattery; rerun this tool after changing the CPU power
+// model. -kibam also fits the classical KiBaM (with a Peukert draw) for
+// comparison.
 //
-// Usage: calibrate [-ref mA]
+// Usage: calibrate [-kibam] [-ref mA]
 package main
 
 import (

@@ -287,30 +287,11 @@ func (r *rig) start() {
 func (r *rig) finish() {
 	r.host.Stop()
 	r.reg.StopSamplers()
-	interrupt := func(pr *sim.Proc) {
-		if pr != nil && !pr.Done() {
-			pr.Interrupt("experiment ended")
-		}
-	}
 	for _, n := range r.nodes {
 		if !n.Dead() {
-			r.k.At(r.k.Now(), func() { interrupt(n.Proc()) })
+			r.k.At(r.k.Now(), n.Interrupt)
 		}
 	}
-}
-
-// release tears the rig down and returns its recyclable simulation
-// state — parked processes, rendezvous offers, frame-job carriers — to
-// the process-wide pools, so the next run warm-starts instead of
-// re-allocating its working set. Call it exactly once, after the
-// outcome, records and traces have been extracted.
-func (r *rig) release() {
-	r.k.Shutdown()
-	if r.host == nil {
-		return // the no-I/O node never transfers, so it pools nothing
-	}
-	r.net.Release()
-	r.host.Release()
 }
 
 // traces finishes every node's metering and returns its mode spans.

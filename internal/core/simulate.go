@@ -146,7 +146,6 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 		r.k.Run()
 	}
 	if err := ctx.Err(); err != nil {
-		r.release()
 		rc.release()
 		return Outcome{}, err
 	}
@@ -158,7 +157,6 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 		*sk.Traces = r.traces()
 	}
 	out := r.outcome(&pl)
-	r.release()
 	if eng != nil {
 		out.Violations = evalAssertions(eng, records)
 		out.AssertionsRun = eng.Evaluated()

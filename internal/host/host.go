@@ -5,8 +5,6 @@
 package host
 
 import (
-	"sync"
-
 	"dvsim/internal/metrics"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
@@ -75,23 +73,28 @@ type Host struct {
 	OnResult func(Result)
 
 	stopped bool
-	// freeJobs heads the free list of recycled frame-delivery jobs.
-	freeJobs *frameJob
-	// jobs registers every job this host ever obtained, free or in
-	// flight, so Release can return all of them to the process-wide pool
-	// (a job whose process was killed mid-send never reaches the free
-	// list on its own).
-	jobs []*frameJob
+
+	src  source
+	sink sink
+	// free holds delivery jobs not in flight; jobs counts those
+	// allocated, in batches that double, so a backlog of n frames costs
+	// O(log n) allocations.
+	free []*frameJob
+	jobs int
 }
 
 // New returns a host on the network. Configure the exported fields, then
 // call Start.
 func New(k *sim.Kernel, net *serial.Network) *Host {
-	return &Host{
+	h := &Host{
 		k:        k,
 		net:      net,
 		sinkPort: net.Port("host-sink"),
 	}
+	h.src.h, h.sink.h = h, h
+	h.src.task.Init(k, &h.src)
+	h.sink.task.Init(k, &h.sink)
+	return h
 }
 
 // SinkPort is where pipeline nodes address final results.
@@ -102,9 +105,9 @@ func (h *Host) SinkPort() *serial.Port { return h.sinkPort }
 // backlogs.
 var latencyBuckets = []float64{2.5, 5, 7.5, 10, 15, 20, 30, 60, 120}
 
-// Start spawns the source and sink processes. A host stopped before
-// Start is a sink only: it collects results from self-paced sources
-// and never opens its source port.
+// Start starts the source and the sink. A host stopped before Start is
+// a sink only: it collects results from self-paced sources and never
+// opens its source port.
 func (h *Host) Start() {
 	h.latencyS = h.Metrics.Histogram("host_frame_latency_s", "", latencyBuckets)
 	h.sentCtr = h.Metrics.Counter("host_frames_sent", "")
@@ -112,9 +115,9 @@ func (h *Host) Start() {
 	h.queueDepth = h.Metrics.Gauge("host_queue_depth", "")
 	if !h.stopped {
 		h.srcPort = h.net.Port("host-src")
-		h.k.Spawn("host-src", h.runSource)
+		h.src.task.Start(h.k.Now())
 	}
-	h.k.Spawn("host-sink", h.runSink)
+	h.sink.task.Start(h.k.Now())
 }
 
 // Stop makes the source cease sending new frames (the sink keeps
@@ -135,112 +138,112 @@ func (h *Host) role1Phys(frame int) int {
 	return ((-k)%n + n) % n
 }
 
-// runSource emits one frame every D seconds, queued at the current
-// role-1 node's port. The mains-powered host buffers freely: a frame the
-// node is not yet ready for simply waits at the port (the paper's Fig 5
-// host forwards over per-node PPP links and has no memory pressure), so
-// a pipeline running a couple of percent over budget lags but never
+// source emits one frame every D seconds, queued at the current role-1
+// node's port. The mains-powered host buffers freely: a frame the node
+// is not yet ready for simply waits at the port (the paper's Fig 5 host
+// forwards over per-node PPP links and has no memory pressure), so a
+// pipeline running a couple of percent over budget lags but never
 // desynchronizes. If the role-1 node is known dead the next live node in
 // ring order is addressed instead, which is how the host follows a
 // post-failure migration.
-func (h *Host) runSource(p *sim.Proc) {
-	for frame := 0; ; frame++ {
-		if h.MaxFrames > 0 && frame >= h.MaxFrames {
-			h.stopped = true
-			return
-		}
-		if err := p.WaitUntil(sim.Time(float64(frame) * h.D)); err != nil {
-			return
-		}
-		if h.stopped {
-			return
-		}
-		target := h.pickTarget(frame)
-		if target == nil {
-			h.FramesDropped++
-			h.droppedCtr.Inc()
-			continue
-		}
+type source struct {
+	h     *Host
+	task  sim.Task
+	frame int
+	// pacing is set once the first frame period is running.
+	pacing bool
+}
+
+// Resume is the source's continuation: its start, then each frame
+// time.
+func (s *source) Resume(err error) {
+	h := s.h
+	if !s.pacing {
+		s.pacing = true
+		s.await()
+		return
+	}
+	if err != nil || h.stopped {
+		s.task.Exit()
+		return
+	}
+	if target := h.pickTarget(s.frame); target == nil {
+		h.FramesDropped++
+		h.droppedCtr.Inc()
+	} else {
 		q := target.Pending() + 1
 		if q > h.MaxQueue {
 			h.MaxQueue = q
 		}
 		h.queueDepth.Set(float64(q))
-		// Deliver from a dedicated process so pacing never blocks on a
-		// busy node; the port preserves posting order. The process is
-		// detached: nothing observes it, so the kernel may recycle it —
-		// and the job carrier itself is recycled through h.freeJobs, so
-		// a steady-state frame costs no closure allocation either.
-		job := h.getJob(frame, target)
-		h.k.SpawnDetached("host-frame", job.fn)
+		// Deliver from a job of its own so pacing never blocks on a busy
+		// node; the port preserves posting order.
+		h.job(s.frame, target)
 	}
+	s.frame++
+	s.await()
 }
 
-// frameJob carries one frame delivery through a detached process. The
-// fn closure is built once per job and closes over the job itself, so
-// recycled jobs reuse it; frame and target are rewritten per delivery.
+// await waits for the next frame's time, or stops a bounded source.
+func (s *source) await() {
+	h := s.h
+	if h.MaxFrames > 0 && s.frame >= h.MaxFrames {
+		h.stopped = true
+		s.task.Exit()
+		return
+	}
+	s.task.WaitUntil(sim.Time(float64(s.frame) * h.D))
+}
+
+// frameJob is one frame delivery in flight: a reliable send from the
+// host's source port, started as a task of its own.
 type frameJob struct {
 	h      *Host
+	task   sim.Task
+	tx     serial.Tx
 	frame  int
 	target *serial.Port
-	fn     func(p *sim.Proc)
-	next   *frameJob
+	// sending is set once the start event has begun the send.
+	sending bool
 }
 
-// jobPool recycles frame jobs across hosts (and therefore across runs),
-// so a fresh rig warm-started after a previous run's Release allocates
-// no job carriers at all.
-var jobPool sync.Pool
-
-// getJob pops (or creates) a job configured to deliver frame to target.
-func (h *Host) getJob(frame int, target *serial.Port) *frameJob {
-	j := h.freeJobs
-	if j != nil {
-		h.freeJobs = j.next
-		j.next = nil
-	} else {
-		if v := jobPool.Get(); v != nil {
-			j = v.(*frameJob)
+// job starts the delivery of frame to target, drawing a free job or
+// allocating a batch.
+func (h *Host) job(frame int, target *serial.Port) {
+	if len(h.free) == 0 {
+		batch := make([]frameJob, max(8, h.jobs))
+		h.jobs += len(batch)
+		for i := range batch {
+			j := &batch[i]
 			j.h = h
-		} else {
-			j = &frameJob{h: h}
-			j.fn = func(p *sim.Proc) { j.deliver(p) }
+			j.task.Init(h.k, j)
+			h.free = append(h.free, j)
 		}
-		h.jobs = append(h.jobs, j)
 	}
-	j.frame, j.target = frame, target
-	return j
+	j := h.free[len(h.free)-1]
+	h.free = h.free[:len(h.free)-1]
+	j.frame, j.target, j.sending = frame, target, false
+	j.task.Start(h.k.Now())
 }
 
-// Release returns every frame job — free or abandoned in flight — to the
-// process-wide pool. Call only after the kernel has shut down, when no
-// delivery process can still touch a job.
-func (h *Host) Release() {
-	for i, j := range h.jobs {
-		j.h = nil
-		j.target = nil
-		j.next = nil
-		jobPool.Put(j)
-		h.jobs[i] = nil
-	}
-	h.jobs = nil
-	h.freeJobs = nil
-}
-
-// deliver is the detached process body: one reliable frame send. The job
-// returns itself to the free list on completion; a process killed
-// mid-send unwinds past the release and the job is simply dropped.
-func (j *frameJob) deliver(p *sim.Proc) {
+// Resume is the job's continuation: its start event, then each step of
+// the send.
+func (j *frameJob) Resume(err error) {
 	h := j.h
-	msg := serial.Message{
-		Kind:  serial.KindFrame,
-		Frame: j.frame,
-		KB:    h.FrameKB,
+	var done bool
+	if !j.sending {
+		j.sending = true
+		msg := serial.Message{Kind: serial.KindFrame, Frame: j.frame, KB: h.FrameKB}
+		if h.MakeFrame != nil {
+			msg.Payload = h.MakeFrame(j.frame)
+		}
+		done, err = j.tx.SendReliable(&j.task, h.srcPort, j.target, msg, serial.TxOpts{}, h.Retry)
+	} else {
+		done, err = j.tx.Step(err)
 	}
-	if h.MakeFrame != nil {
-		msg.Payload = h.MakeFrame(j.frame)
+	if !done {
+		return
 	}
-	err := h.srcPort.SendReliable(p, j.target, msg, serial.TxOpts{}, h.Retry)
 	switch {
 	case err == nil:
 		h.FramesSent++
@@ -250,9 +253,9 @@ func (j *frameJob) deliver(p *sim.Proc) {
 		h.FramesDropped++
 		h.droppedCtr.Inc()
 	}
+	j.task.Exit()
 	j.target = nil
-	j.next = h.freeJobs
-	h.freeJobs = j
+	h.free = append(h.free, j)
 }
 
 // pickTarget selects the port to offer the frame to.
@@ -276,17 +279,50 @@ func (h *Host) Latency(r Result) float64 {
 	return float64(r.At) - float64(r.Frame)*h.D
 }
 
-// runSink accepts results forever.
-func (h *Host) runSink(p *sim.Proc) {
+// sink accepts results forever.
+type sink struct {
+	h    *Host
+	task sim.Task
+	rx   serial.Rx
+	// receiving is set once the first receive is running.
+	receiving bool
+}
+
+// Resume is the sink's continuation: its start, then each step of the
+// receive in progress.
+func (s *sink) Resume(err error) {
+	if !s.receiving {
+		s.receiving = true
+		s.recv()
+		return
+	}
+	done, msg, err := s.rx.Step(err)
+	if done && s.got(msg, err) {
+		s.recv()
+	}
+}
+
+// recv starts receives until one blocks.
+func (s *sink) recv() {
 	for {
-		msg, err := h.sinkPort.Recv(p)
-		if err != nil {
+		done, msg, err := s.rx.Recv(&s.task, s.h.sinkPort, serial.RxOpts{})
+		if !done || !s.got(msg, err) {
 			return
 		}
-		r := Result{Frame: msg.Frame, At: p.Now(), From: msg.From, Payload: msg.Payload}
-		h.latencyS.Observe(h.Latency(r))
-		if h.OnResult != nil {
-			h.OnResult(r)
-		}
 	}
+}
+
+// got records one result; it reports false when the sink stops.
+func (s *sink) got(msg serial.Message, err error) bool {
+	h := s.h
+	if err != nil {
+		s.task.Exit()
+		return false
+	}
+	r := Result{Frame: msg.Frame, At: h.k.Now(), From: msg.From, Payload: msg.Payload}
+	h.latencyS.Observe(h.Latency(r))
+	if h.OnResult != nil {
+		h.OnResult(r)
+	}
+	return true
 }

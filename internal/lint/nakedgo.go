@@ -8,20 +8,20 @@ import (
 
 // NakedGo forbids raw `go` statements outside internal/sim.
 //
-// Invariant: at any simulated instant at most one process (or event
-// callback) executes; the kernel's epoch-guarded handoff in
-// internal/sim is the only scheduler. A raw goroutine anywhere else
-// races the kernel — it can observe half-updated node state, interleave
-// telemetry writes, and break the one-runnable-at-a-time discipline
-// that makes runs bit-for-bit reproducible. All simulated concurrency
-// must flow through Kernel.Spawn / SpawnAt / SpawnDetached.
+// Invariant: a simulation runs on one goroutine, its caller's; the
+// kernel's event queue in internal/sim is the only scheduler. A raw
+// goroutine anywhere else races the kernel — it can observe
+// half-updated node state, interleave telemetry writes, and break the
+// one-event-at-a-time discipline that makes runs bit-for-bit
+// reproducible. All simulated concurrency must be kernel events and
+// sim.Task state machines.
 // Infrastructure that parallelizes across *independent* simulations
 // (e.g. internal/sweep's worker pool) annotates its go statement with a
 // //lint:allow nakedgo directive explaining why it is outside the
 // kernel's jurisdiction.
 var NakedGo = &analysis.Analyzer{
 	Name: "nakedgo",
-	Doc:  "forbids raw go statements outside internal/sim: concurrency must flow through Spawn/SpawnDetached",
+	Doc:  "forbids raw go statements outside internal/sim: simulated concurrency must be kernel events and sim.Task state machines",
 	Run:  runNakedGo,
 }
 
@@ -29,7 +29,7 @@ func runNakedGo(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "raw go statement: simulated concurrency must be scheduled by the kernel (Spawn/SpawnDetached); a worker pool over independent simulations needs //lint:allow nakedgo <reason>")
+				pass.Reportf(g.Pos(), "raw go statement: simulated concurrency must be scheduled by the kernel (events and sim.Task state machines); a worker pool over independent simulations needs //lint:allow nakedgo <reason>")
 			}
 			return true
 		})

@@ -9,11 +9,11 @@ import (
 )
 
 // PoolSafe polices the slab-valid-until-release contract the
-// zero-allocation telemetry pipeline introduced: record slabs, parked
-// processes, offers and frame jobs are recycled through process-wide
-// pools, and every slice or handle obtained from a pooled store is
-// valid only until the matching release()/Release() call — afterwards
-// the backing memory belongs to the next run. The benchmark gate
+// zero-allocation telemetry pipeline introduced: the run recorder's
+// record slabs are recycled through a process-wide pool, and every
+// slice or handle obtained from a pooled store is valid only until the
+// matching release()/Release() call — afterwards the backing memory
+// belongs to the next run. The benchmark gate
 // catches a *reintroduced allocation*; nothing dynamic reliably catches
 // a *retained reference*, because the recycled slab usually still holds
 // plausible bytes. This analyzer catches the known shapes of that bug

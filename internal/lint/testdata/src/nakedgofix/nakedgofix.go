@@ -1,7 +1,7 @@
 // Package nakedgofix exercises the nakedgo analyzer: outside
-// internal/sim, a raw goroutine races the kernel's one-runnable-at-a-
-// time handoff; all simulated concurrency must flow through
-// Spawn/SpawnDetached.
+// internal/sim, a raw goroutine races the kernel's one-event-at-a-time
+// schedule; all simulated concurrency must be kernel events and
+// sim.Task state machines.
 package nakedgofix
 
 import "sync"

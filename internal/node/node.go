@@ -1,7 +1,6 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 
 	"dvsim/internal/atr"
@@ -188,11 +187,13 @@ type Node struct {
 	// emitted, fast-forwarded past an outage on restart.
 	nextFrame int
 
-	// carry marks data kept across a rotation (the "input data already
-	// available" of §5.5), tagged with its frame number.
-	carry *carriedFrame
+	// carry is data kept across a rotation (the "input data already
+	// available" of §5.5), tagged with its frame number; carrying marks
+	// it held.
+	carry    carriedFrame
+	carrying bool
 
-	proc *sim.Proc
+	loop *loop // the frame loop in progress; nil before Start
 	met  instruments
 
 	// Hoisted serial callbacks: method values allocate a closure per
@@ -344,7 +345,7 @@ func (n *Node) Pacing() bool {
 }
 
 // Crash applies an injected outage (fault.CrashTarget): the node's
-// process is interrupted, and its battery rests at zero draw until
+// frame loop is interrupted, and its battery rests at zero draw until
 // Restart. It reports whether it applied — a dead or already-crashed
 // node cannot crash.
 func (n *Node) Crash() bool {
@@ -355,18 +356,16 @@ func (n *Node) Crash() bool {
 	n.Crashes++
 	n.met.crashes.Inc()
 	n.power.Suspend()
-	if n.proc != nil && !n.proc.Done() {
-		n.proc.Interrupt("crash")
-	}
+	n.Interrupt()
 	return true
 }
 
 // Restart ends an injected outage (fault.CrashTarget): metering
-// resumes, any carried frame is lost, and a fresh process re-enters the
-// frame loop in the node's current role. A source resumes at the first
-// frame time after the outage instead of bursting through the frames it
-// slept over. It reports whether it applied — only a crashed, non-dead
-// node can restart.
+// resumes, any carried frame is lost, and a fresh frame loop starts in
+// the node's current role. A source resumes at the first frame time
+// after the outage instead of bursting through the frames it slept
+// over. It reports whether it applied — only a crashed, non-dead node
+// can restart.
 func (n *Node) Restart() bool {
 	if !n.crashed || n.Dead() {
 		return false
@@ -375,111 +374,40 @@ func (n *Node) Restart() bool {
 	n.Restarts++
 	n.met.restarts.Inc()
 	n.power.Resume()
-	n.carry = nil
+	n.carry, n.carrying = carriedFrame{}, false
 	n.governReset()
 	if n.parents == 0 {
 		for float64(n.nextFrame)*n.cfg.D < float64(n.k.Now()) {
 			n.nextFrame += n.Role().stride()
 		}
 	}
-	n.proc = n.k.Spawn(n.Name, n.run)
+	n.start()
 	return true
 }
 
-// Proc returns the node's simulation process (nil before Start).
-func (n *Node) Proc() *sim.Proc { return n.proc }
-
-// Start spawns the node's process. Battery death interrupts it at the
-// exact exhaustion instant.
-func (n *Node) Start() *sim.Proc {
+// Start starts the node's frame loop. Battery death interrupts it at
+// the exact exhaustion instant.
+func (n *Node) Start() {
 	n.power.OnDeath = func() {
 		n.DeadAt = n.k.Now()
-		if n.proc != nil && !n.proc.Done() {
-			n.proc.Interrupt("battery exhausted")
-		}
+		n.Interrupt()
 	}
-	n.proc = n.k.Spawn(n.Name, n.run)
-	return n.proc
+	n.start()
+}
+
+// Interrupt ends the node's frame loop at its current wait (a no-op
+// when no loop is running). The loop's continuation runs in a later
+// event of the same instant, or — if the loop is in its own
+// continuation — at its next wait.
+func (n *Node) Interrupt() {
+	if n.loop != nil {
+		n.loop.task.Interrupt()
+	}
 }
 
 // upstreamPhys / downstreamPhys are the ring neighbors.
 func (n *Node) upstreamPhys() int   { return (n.phys - 1 + len(n.ring)) % len(n.ring) }
 func (n *Node) downstreamPhys() int { return (n.phys + 1) % len(n.ring) }
-
-// run is the node's frame loop: obtain input, compute, rotate or send,
-// govern, idle.
-func (n *Node) run(p *sim.Proc) {
-	defer n.power.Finish()
-	if n.cfg.NoIO {
-		n.runNoIO(p)
-		return
-	}
-	for {
-		// Frame-budget measurement anchors for the governor: busy time
-		// is metered as mode-clock deltas across the whole iteration
-		// (RECV+PROC+SEND, acks and retransmissions included), which the
-		// power meter keeps settled at every transition.
-		var proc0, comm0 float64
-		if n.gov != nil {
-			proc0 = n.power.ModeSeconds(cpu.Compute)
-			comm0 = n.power.ModeSeconds(cpu.Comm)
-			n.sendWaitS, n.sendWaitSet = 0, false
-		}
-		frame, payload, ok := n.obtainInput(p)
-		if !ok {
-			return
-		}
-		var out any
-		if !n.process(p, n.Role(), n.computePoint(), payload, &out) {
-			return
-		}
-		n.FramesProcessed++
-		n.met.frames.Inc()
-
-		// Rotation trigger (§5.5): the node holding role r rotates after
-		// processing frame f with (f + r) ≡ 0 (mod R). Since role r works
-		// on frame I − (r−1) when role 1 works on I, every role triggers
-		// in the same pipeline slot, which is what lets the carried data
-		// replace the eliminated SEND/RECV pair.
-		rotating := n.cfg.RotationPeriod > 1 && len(n.roles) > 1 &&
-			(frame+n.Role().Index)%n.cfg.RotationPeriod == 0
-		last := n.toHost()
-
-		if rotating && !last {
-			// §5.5: keep the result, become the next role, continue
-			// computing on the data already in memory. The eliminated
-			// SEND/RECV pair pays for the reconfiguration.
-			n.carry = &carriedFrame{frame: frame, payload: out}
-			n.roleIdx = (n.roleIdx + 1) % len(n.roles)
-			n.Rotations++
-			n.met.rotations.Inc()
-			n.governReset()
-			n.idle()
-			continue
-		}
-		ts := p.Now()
-		ok, handled := n.sendOutput(p, frame, out)
-		if !ok {
-			return
-		}
-		n.met.sendS.Observe(float64(p.Now() - ts))
-		if n.toHost() && !handled {
-			n.ResultsSent++
-			n.met.results.Inc()
-		}
-		if rotating && last {
-			// The last node becomes the first (§5.5): next iteration it
-			// receives a fresh frame from the host.
-			n.roleIdx = (n.roleIdx + 1) % len(n.roles)
-			n.Rotations++
-			n.met.rotations.Inc()
-			n.governReset()
-		} else {
-			n.govern(p, frame, proc0, comm0)
-		}
-		n.idle()
-	}
-}
 
 // computePoint is the operating point PROC runs at: the governed point
 // when a governor has decided one, the role's static assignment
@@ -499,7 +427,7 @@ const deadlineMissEps = 1e-9
 // from sim-clock measurements, ask the policy for the next compute
 // point, and account the decision. proc0/comm0 are the mode clocks at
 // the iteration's start.
-func (n *Node) govern(p *sim.Proc, frame int, proc0, comm0 float64) {
+func (n *Node) govern(frame int, proc0, comm0 float64) {
 	if n.gov == nil {
 		return
 	}
@@ -512,7 +440,7 @@ func (n *Node) govern(p *sim.Proc, frame int, proc0, comm0 float64) {
 	}
 	obs := governor.Observation{
 		Frame:       frame,
-		NowS:        float64(p.Now()),
+		NowS:        float64(n.k.Now()),
 		DeadlineS:   budget,
 		ProcS:       procS,
 		CommS:       commS,
@@ -544,6 +472,14 @@ func (n *Node) govern(p *sim.Proc, frame int, proc0, comm0 float64) {
 	}
 }
 
+// rotate moves the node to the next role on the ring (§5.5).
+func (n *Node) rotate() {
+	n.roleIdx = (n.roleIdx + 1) % len(n.roles)
+	n.Rotations++
+	n.met.rotations.Inc()
+	n.governReset()
+}
+
 // governReset clears the governor after a role change — rotation,
 // migration, crash restart — because measurements from the old span do
 // not transfer to the new one. The next frame runs at the new role's
@@ -560,8 +496,8 @@ func (n *Node) governReset() {
 // outbound data transfer: under a governor it additionally records,
 // once per frame, how long the offer waited before the downstream port
 // accepted it (the buffer-aware policy's congestion signal).
-func (n *Node) sendStart(p *sim.Proc) func() {
-	n.sendQueued = p.Now()
+func (n *Node) sendStart() func() {
+	n.sendQueued = n.k.Now()
 	return n.sendStartFn
 }
 
@@ -574,132 +510,23 @@ func (n *Node) onSendStart() {
 	n.commStart()
 }
 
-// runNoIO is the 0A/0B loop: back-to-back whole-algorithm computation.
-func (n *Node) runNoIO(p *sim.Proc) {
-	var sink any
-	for {
-		if !n.process(p, n.Role(), n.Role().Compute, nil, &sink) {
-			return
-		}
-		n.FramesProcessed++
-		n.met.frames.Inc()
-	}
-}
-
-// obtainInput produces the frame to work on: carried data after a
-// rotation, the next paced frame for a source, or a receive from
-// upstream — one message, or one per parent for a fan-in aggregator,
-// whose frame is the latest gathered. ok is false when the node should
-// stop (death, an exhausted source).
-func (n *Node) obtainInput(p *sim.Proc) (frame int, payload any, ok bool) {
-	if n.carry != nil {
-		frame, payload = n.carry.frame, n.carry.payload
-		n.carry = nil
-		return frame, payload, true
-	}
-	if n.parents == 0 {
-		frame, ok = n.pace(p)
-		return frame, nil, ok
-	}
-	need := 1
-	if n.Role().FanInAll {
-		need = n.parents
-	}
-	t0 := p.Now()
-	for i := 0; i < need; i++ {
-		msg, ok := n.receive(p)
-		if !ok {
-			return 0, nil, false
-		}
-		frame, payload = max(frame, msg.Frame), msg.Payload
-	}
-	n.met.recvS.Observe(float64(p.Now() - t0))
-	return frame, payload, true
-}
-
-// pace waits for a source's next frame time. ok is false once a bounded
-// source has emitted every frame, or on interruption.
-func (n *Node) pace(p *sim.Proc) (frame int, ok bool) {
-	if !n.Pacing() {
-		return 0, false
-	}
-	frame = n.nextFrame
-	n.idle()
-	if err := p.WaitUntil(sim.Time(float64(frame) * n.cfg.D)); err != nil {
-		return 0, false
-	}
-	n.nextFrame = frame + n.Role().stride()
-	return frame, true
-}
-
-// receive takes one inbound message: a frame from the host for role 1
-// of the ring, internode data otherwise. Under the recovery protocol it
-// acknowledges the transfer, and a silent upstream peer gets one grace
-// window before its span is absorbed (§5.4). ok is false on
-// interruption (death or shutdown).
-func (n *Node) receive(p *sim.Proc) (serial.Message, bool) {
-	grace := false
-	for {
-		n.idle() // blocked waiting is idle time
-		msg, err := n.port.RecvOpts(p, serial.RxOpts{
-			Deadline: n.recvDeadline(p),
-			Match:    n.acceptKindFn,
-			OnStart:  n.commStartFn,
-			OnAbort:  n.idleFn, // faulted transfer discarded; back to waiting
-		})
-		n.idle()
-		switch {
-		case err == nil:
-			if n.cfg.Ack && msg.Kind == serial.KindInter {
-				// Acknowledge the transfer (§5.4), retransmitting a
-				// faulted ack within the budget. An exhausted budget
-				// keeps the frame anyway — the sender abandons or
-				// migrates on its own timeout.
-				src := n.ring[n.upstreamPhys()]
-				err := n.port.SendReliable(p, src.Port(), serial.Message{
-					Kind: serial.KindAck, Frame: msg.Frame,
-				}, serial.TxOpts{OnStart: n.commStartFn, OnBackoff: n.idleFn}, n.cfg.Retry)
-				n.idle()
-				if err != nil && !serial.IsFault(err) && !errors.Is(err, serial.ErrRetriesExhausted) {
-					return serial.Message{}, false
-				}
-			}
-			return msg, true
-		case errors.Is(err, sim.ErrTimeout):
-			// No data within the detection window. A peer that is alive
-			// (merely slow: backoffs, a transient outage it already
-			// recovered from) gets one grace window; after that — or
-			// when the peer is dead or crashed — it is absorbed (§5.4).
-			if !grace && n.ring[n.upstreamPhys()].Available() {
-				grace = true
-				continue
-			}
-			if _, ok := n.migrateFrom(p, n.upstreamPhys()); !ok {
-				return serial.Message{}, false
-			}
-		default:
-			return serial.Message{}, false // interrupted: battery death or shutdown
-		}
-	}
-}
-
 // recvDeadline is the failure-detection deadline for inbound data: only
 // recovery-enabled interior stages time out.
-func (n *Node) recvDeadline(p *sim.Proc) sim.Time {
+func (n *Node) recvDeadline() sim.Time {
 	if n.cfg.Ack && n.Role().Index > 1 {
 		// Upstream should deliver within about one frame period; allow
 		// generous slack for pipeline jitter.
-		return p.Now() + sim.Time(2*n.cfg.D+n.cfg.AckTimeoutS)
+		return n.k.Now() + sim.Time(2*n.cfg.D+n.cfg.AckTimeoutS)
 	}
 	return sim.Infinity
 }
 
-// isAck matches acknowledgment transactions (sendOutput's ack wait).
+// isAck matches acknowledgment transactions (the sender's ack wait).
 func isAck(m serial.Message) bool { return m.Kind == serial.KindAck }
 
 // acceptKind filters the node's inbound port traffic to the data messages
 // its role expects — host frames for role 1 of the ring, internode data
-// otherwise; acks are consumed explicitly by sendOutput.
+// otherwise; acks are consumed explicitly by the sender's ack wait.
 func (n *Node) acceptKind(m serial.Message) bool {
 	if n.ring != nil && n.Role().Index == 1 {
 		return m.Kind == serial.KindFrame
@@ -711,105 +538,6 @@ func (n *Node) acceptKind(m serial.Message) bool {
 // host: it holds the ring's last role, or it is a graph sink.
 func (n *Node) toHost() bool {
 	return n.sink != nil && n.Role().Index == len(n.roles)
-}
-
-// process runs the role's computation at the given point, applying the
-// native stage function to the payload when one is configured. ok is
-// false on interruption (death).
-func (n *Node) process(p *sim.Proc, role Role, at cpu.OperatingPoint, in any, out *any) bool {
-	t0 := p.Now()
-	n.power.Transition(cpu.Compute, at)
-	work := cpu.ScaledTime(n.refSeconds(role), at)
-	if err := p.Wait(sim.Duration(work)); err != nil {
-		return false
-	}
-	n.met.procS.Observe(float64(p.Now() - t0))
-	if n.cfg.Exec != nil {
-		*out = n.cfg.Exec(role.Span, in)
-	}
-	n.idle()
-	return true
-}
-
-// sendOutput ships the span's product downstream: the final result to the
-// host from the last role or a graph sink, the intermediate payload to
-// the frame's child otherwise (the ring successor, on the ring). With Ack enabled, internode sends wait for the ack and treat
-// a timeout as peer death, migrating the dead peer's span here and
-// finishing the current frame locally. handled reports that the frame's
-// result accounting was resolved internally — counted inside the
-// recursive migration completion, or written off as abandoned after a
-// spent retransmit budget.
-func (n *Node) sendOutput(p *sim.Proc, frame int, payload any) (ok, handled bool) {
-	role := n.Role()
-	if n.toHost() {
-		err := n.port.SendReliable(p, n.sink, serial.Message{
-			Kind: serial.KindResult, Frame: frame, KB: n.outKB(role), Payload: payload,
-		}, serial.TxOpts{OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
-		n.idle()
-		if err != nil && (serial.IsFault(err) || errors.Is(err, serial.ErrRetriesExhausted)) {
-			return true, n.abandon()
-		}
-		return err == nil, false
-	}
-	dst := n.children[frame%len(n.children)]
-	msg := serial.Message{Kind: serial.KindInter, Frame: frame, KB: n.outKB(role), Payload: payload}
-	if !n.cfg.Ack {
-		err := n.port.SendReliable(p, dst, msg,
-			serial.TxOpts{OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
-		n.idle()
-		if err != nil && (serial.IsFault(err) || errors.Is(err, serial.ErrRetriesExhausted)) {
-			return true, n.abandon()
-		}
-		return err == nil, false
-	}
-	// Recovery protocol: deliver, then await the ack.
-	deadline := p.Now() + sim.Time(n.cfg.D+n.cfg.AckTimeoutS)
-	err := n.port.SendReliable(p, dst, msg,
-		serial.TxOpts{Deadline: deadline, OnStart: n.sendStart(p), OnBackoff: n.idleFn}, n.cfg.Retry)
-	n.idle()
-	if err == nil {
-		ackDeadline := p.Now() + sim.Time(n.cfg.AckTimeoutS)
-		_, err = n.port.RecvOpts(p, serial.RxOpts{
-			Deadline: ackDeadline,
-			Match:    isAck,
-			OnStart:  n.commStartFn,
-			OnAbort:  n.idleFn,
-		})
-		n.idle()
-	}
-	switch {
-	case err == nil:
-		return true, false
-	case serial.IsFault(err), errors.Is(err, serial.ErrRetriesExhausted):
-		// The wire ate the frame past the retransmit budget; write it
-		// off and move on rather than stall the pipeline.
-		return true, n.abandon()
-	case errors.Is(err, sim.ErrTimeout):
-		// No ack within the window. A peer that is alive is merely slow
-		// (or the ack itself was lost past its budget): abandon the
-		// frame and continue. A dead or crashed peer is absorbed, this
-		// frame's remaining blocks finished locally, and the result
-		// delivered (§5.4/§6.6).
-		if n.ring[n.downstreamPhys()].Available() {
-			return true, n.abandon()
-		}
-		absorbed, ok := n.migrateFrom(p, n.downstreamPhys())
-		if !ok {
-			return false, false
-		}
-		var out any
-		if !n.process(p, absorbed, n.Role().Compute, payload, &out) {
-			return false, false
-		}
-		ok, _ = n.sendOutput(p, frame, out)
-		if ok {
-			n.ResultsSent++
-			n.met.results.Inc()
-		}
-		return ok, true
-	default:
-		return false, false
-	}
 }
 
 // abandon writes off the in-flight frame and always reports true, so
@@ -827,7 +555,7 @@ func (n *Node) abandon() bool {
 // the surviving node. Migration is defined for two-node pipelines (the
 // paper's experiment); with everyone else dead, ok is false and the node
 // stops.
-func (n *Node) migrateFrom(p *sim.Proc, deadPhys int) (absorbed Role, ok bool) {
+func (n *Node) migrateFrom(deadPhys int) (absorbed Role, ok bool) {
 	if deadPhys == n.phys || n.peerDead[deadPhys] || len(n.ring) != 2 {
 		return Role{}, false
 	}

@@ -328,9 +328,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.Name != "node1" || n.Port() == nil || n.Power() == nil {
 		t.Fatal("accessors broken")
 	}
-	if n.Proc() != nil {
-		t.Fatal("Proc before Start should be nil")
-	}
+	n.Interrupt() // no frame loop before Start: a no-op
 	if n.Dead() {
 		t.Fatal("fresh node dead")
 	}

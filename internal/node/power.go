@@ -34,7 +34,7 @@ type Power struct {
 	suspended bool
 
 	// OnDeath is invoked exactly once, at the instant the battery
-	// empties. It typically interrupts the node's process.
+	// empties. It typically interrupts the node's frame loop.
 	OnDeath func()
 
 	// Accounting per mode (seconds and mA·s at the battery), indexed by

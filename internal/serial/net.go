@@ -1,10 +1,8 @@
 package serial
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"dvsim/internal/metrics"
 	"dvsim/internal/sim"
@@ -25,6 +23,13 @@ import (
 // sides together. Time spent blocked waiting for the peer is idle time,
 // not transfer time; the OnStart callbacks tell callers the instant the
 // line actually goes active, so they can account CPU modes precisely.
+//
+// Both ends are callback state machines on the caller's sim.Task: a Tx
+// walks offer → accept → wire time → done (or withdraw, timeout, fault
+// and retry backoff), an Rx walks arrival → accept → done. The owner
+// starts one, then feeds each of its task's resumes to Step until Step
+// reports done. The *sim.Proc methods (Send, Recv, …) are blocking
+// adapters over the same machines.
 
 // Kind classifies messages for the node runtime's protocol logic.
 type Kind int
@@ -75,25 +80,21 @@ type Message struct {
 	Note string
 }
 
-// offer is a sender waiting at a receiver's port. The rendezvous
-// channels are embedded values so a send costs one allocation, not
-// three — and offers are recycled through the network's free list, so
-// at steady state a send costs none at all.
-//
-// Release discipline (who returns an offer to the pool): the last party
-// that can still touch it. On the success, sender-fault, sender-died and
-// withdrawn-while-accepting paths that is the receiver (RecvOpts); a
-// withdrawn offer nobody accepted is released by take() when a later
-// receive walks over it. A receiver that leaves mid-rendezvous
-// (interrupt/shutdown) releases nothing: the sender may still signal the
-// embedded channels, so that offer is simply abandoned to the GC —
-// bounded by the number of interrupts, not by traffic.
+// offer is a sender's transfer at a receiver's port: queued until a
+// receive accepts it, then held by that receive until the transfer ends.
+// It is embedded in the sender's Tx, so a send allocates nothing.
 type offer struct {
-	msg       Message
-	withdrawn bool
-	fault     FaultVerdict // set when the transfer was dropped or garbled
-	accepted  sim.Chan[struct{}]
-	done      sim.Chan[struct{}]
+	msg Message
+	// queued marks an offer in its destination's pending FIFO.
+	queued bool
+	// sender and seq are the sender's accept wait; waiting is set while
+	// it is registered (the rendezvous' accept signal has one waiter).
+	sender  *sim.Task
+	seq     uint64
+	waiting bool
+	// rx is the receive that accepted the offer; the sender's done or
+	// withdrawal reaches it only while it still holds the offer.
+	rx *Rx
 }
 
 // PortStats is one port's transfer accounting, split by direction. The
@@ -121,12 +122,20 @@ type PortStats struct {
 
 // Port is one serial endpoint. Senders address the receiving port
 // directly (the host's forwarding is implicit in the timing model).
-// Each port is owned by a single receiving process.
+// Each port is owned by a single receiving task.
 type Port struct {
-	net     *Network
-	name    string
+	net  *Network
+	name string
+	// pending is the FIFO of live offers, head-indexed: pops advance
+	// head, so a backlog drains in O(1) per offer. Withdrawn offers
+	// leave at once, so Pending is the live length.
 	pending []*offer
-	arrival *sim.Chan[struct{}]
+	head    int
+	// waiter and waitSeq are the receive blocked for an arrival; waiting
+	// is set while it is registered.
+	waiter  *sim.Task
+	waitSeq uint64
+	waiting bool
 	stats   PortStats
 	inst    *portInstruments
 }
@@ -172,14 +181,66 @@ func (pt *Port) met() *portInstruments {
 }
 
 // Pending returns the number of senders waiting at this port.
-func (pt *Port) Pending() int {
-	n := 0
-	for _, of := range pt.pending {
-		if !of.withdrawn {
-			n++
+func (pt *Port) Pending() int { return len(pt.pending) - pt.head }
+
+// push queues an offer, first compacting the FIFO when its consumed
+// prefix outgrows the live part (amortized O(1) per offer).
+func (pt *Port) push(of *offer) {
+	if pt.head > 0 && pt.head >= len(pt.pending)/2 {
+		n := copy(pt.pending, pt.pending[pt.head:])
+		clear(pt.pending[n:])
+		pt.pending = pt.pending[:n]
+		pt.head = 0
+	}
+	pt.pending = append(pt.pending, of)
+	of.queued = true
+}
+
+// take removes and returns the first matching pending offer.
+func (pt *Port) take(match func(Message) bool) *offer {
+	for i := pt.head; i < len(pt.pending); i++ {
+		if of := pt.pending[i]; match == nil || match(of.msg) {
+			pt.remove(i)
+			return of
 		}
 	}
-	return n
+	return nil
+}
+
+// unqueue removes a withdrawn offer from the FIFO.
+func (pt *Port) unqueue(of *offer) {
+	for i := pt.head; i < len(pt.pending); i++ {
+		if pt.pending[i] == of {
+			pt.remove(i)
+			return
+		}
+	}
+}
+
+// remove drops pending[i], keeping FIFO order.
+func (pt *Port) remove(i int) {
+	pt.pending[i].queued = false
+	if i == pt.head {
+		pt.pending[i] = nil
+		pt.head++
+	} else {
+		last := len(pt.pending) - 1
+		copy(pt.pending[i:], pt.pending[i+1:])
+		pt.pending[last] = nil
+		pt.pending = pt.pending[:last]
+	}
+	if pt.head == len(pt.pending) {
+		pt.pending = pt.pending[:0]
+		pt.head = 0
+	}
+}
+
+// arrive signals a new offer to the receive blocked on an arrival.
+func (pt *Port) arrive() {
+	if pt.waiting {
+		pt.waiting = false
+		pt.waiter.Wake(pt.waitSeq, nil)
+	}
 }
 
 // TxOpts modifies a send.
@@ -242,65 +303,6 @@ type Network struct {
 	transfers int
 	kbMoved   float64
 	faulted   int
-	// freeOffers is the LIFO free list of recycled offers. Reuse keeps
-	// the embedded rendezvous channels' grown buffers, so steady-state
-	// sends allocate nothing.
-	freeOffers []*offer
-}
-
-// offerPool recycles offers across networks (and therefore across runs):
-// a fresh rig warm-started after a previous network's Release draws its
-// offers — with their grown rendezvous channel buffers — from here.
-var offerPool sync.Pool
-
-// getOffer returns a recycled (or fresh) offer carrying msg, with both
-// rendezvous channels reset.
-func (n *Network) getOffer(msg Message) *offer {
-	var of *offer
-	if ln := len(n.freeOffers); ln > 0 {
-		of = n.freeOffers[ln-1]
-		n.freeOffers[ln-1] = nil
-		n.freeOffers = n.freeOffers[:ln-1]
-	} else if v := offerPool.Get(); v != nil {
-		of = v.(*offer)
-	} else {
-		of = &offer{}
-	}
-	of.msg = msg
-	of.withdrawn = false
-	of.fault = FaultNone
-	of.accepted.Init(n.k, "accepted")
-	of.done.Init(n.k, "done")
-	return of
-}
-
-// putOffer returns an offer to the free list. The caller must be the
-// offer's last toucher (see the offer type comment).
-func (n *Network) putOffer(of *offer) {
-	of.msg = Message{} // drop payload references
-	n.freeOffers = append(n.freeOffers, of)
-}
-
-// Release returns the network's recyclable offers — the free list plus
-// every offer still stranded in a port's pending queue — to the
-// process-wide pool. Call only after the kernel has shut down, when no
-// process can still touch an offer. Offers that were accepted but whose
-// transaction was cut short by shutdown are not pooled (their channels
-// may hold a dangling waiter reference); they fall to the collector.
-func (n *Network) Release() {
-	for _, pt := range n.Ports() {
-		for i, of := range pt.pending {
-			of.msg = Message{}
-			offerPool.Put(of)
-			pt.pending[i] = nil
-		}
-		pt.pending = nil
-	}
-	for i, of := range n.freeOffers {
-		offerPool.Put(of)
-		n.freeOffers[i] = nil
-	}
-	n.freeOffers = nil
 }
 
 // NewNetwork returns a network on kernel k with the given link timing.
@@ -319,7 +321,7 @@ func (n *Network) Port(name string) *Port {
 	if p, ok := n.ports[name]; ok {
 		return p
 	}
-	p := &Port{net: n, name: name, arrival: sim.NewChan[struct{}](n.k, "port:"+name)}
+	p := &Port{net: n, name: name}
 	n.ports[name] = p
 	return p
 }
@@ -342,251 +344,4 @@ func (n *Network) Ports() []*Port {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// Send performs one transaction delivering msg to dst: it blocks until
-// the receiver accepts, then for the transaction time. The returned
-// error is non-nil if the process was interrupted (e.g. battery death)
-// before completion.
-func (pt *Port) Send(p *sim.Proc, dst *Port, msg Message) error {
-	return pt.SendOpts(p, dst, msg, TxOpts{})
-}
-
-// SendDeadline is Send that gives up with sim.ErrTimeout if the receiver
-// has not accepted by the absolute deadline.
-func (pt *Port) SendDeadline(p *sim.Proc, dst *Port, msg Message, deadline sim.Time) error {
-	return pt.SendOpts(p, dst, msg, TxOpts{Deadline: deadline})
-}
-
-// SendOpts is Send with options.
-func (pt *Port) SendOpts(p *sim.Proc, dst *Port, msg Message, opts TxOpts) error {
-	deadline := opts.Deadline
-	if deadline == 0 {
-		deadline = sim.Infinity
-	}
-	msg.From = pt.name
-	of := pt.net.getOffer(msg)
-	dst.pending = append(dst.pending, of)
-	if q := dst.Pending(); q > dst.stats.MaxPending {
-		dst.stats.MaxPending = q
-	}
-	dst.met().pendingDepth.Set(float64(dst.Pending()))
-	dst.arrival.Send(struct{}{})
-	if _, err := of.accepted.RecvDeadline(p, deadline); err != nil {
-		// Withdraw: a late accept must be ignored.
-		of.withdrawn = true
-		of.done.Close()
-		if errors.Is(err, sim.ErrTimeout) {
-			pt.stats.TxTimeouts++
-			pt.met().txTimeouts.Inc()
-		}
-		return err
-	}
-	if opts.OnStart != nil {
-		opts.OnStart()
-	}
-	// The fault verdict is drawn at the instant the line goes active;
-	// either way the wire time (and both sides' energy) is fully spent.
-	verdict := FaultNone
-	if f := pt.net.Fault; f != nil {
-		verdict = f.Transfer(p.Now(), pt.name, dst.name, msg)
-	}
-	dur := sim.Duration(pt.net.Params.TxTime(msg.KB))
-	startup := 0.0
-	if msg.KB > 0 {
-		startup = pt.net.Params.StartupS
-	}
-	if msg.Kind == KindAck {
-		dur = sim.Duration(pt.net.Params.AckTime())
-		startup = pt.net.Params.AckTime()
-	}
-	if err := p.Wait(dur); err != nil {
-		// Sender died mid-transfer; the receiver never sees completion.
-		return err
-	}
-	if verdict != FaultNone {
-		pt.net.faulted++
-		pt.accountTxFault(verdict)
-		of.fault = verdict
-		of.done.Send(struct{}{})
-		if verdict == FaultGarble {
-			return ErrGarbled
-		}
-		return ErrDropped
-	}
-	pt.net.transfers++
-	pt.net.kbMoved += msg.KB
-	pt.accountTx(msg, startup)
-	dst.accountRx(msg)
-	if f := pt.net.OnTransfer; f != nil {
-		f(TransferEvent{
-			T: p.Now(), From: pt.name, To: dst.name,
-			Kind: msg.Kind, KB: msg.KB, DurS: float64(dur),
-		})
-	}
-	of.done.Send(struct{}{})
-	return nil
-}
-
-// accountTxFault charges a dropped or garbled send to the sending port.
-func (pt *Port) accountTxFault(v FaultVerdict) {
-	m := pt.met()
-	if v == FaultGarble {
-		pt.stats.TxGarbled++
-		m.txGarbled.Inc()
-		return
-	}
-	pt.stats.TxDropped++
-	m.txDropped.Inc()
-}
-
-// accountRxFault charges a faulted delivery to the receiving port.
-func (pt *Port) accountRxFault(v FaultVerdict) {
-	m := pt.met()
-	if v == FaultGarble {
-		pt.stats.RxGarbled++
-		m.rxGarbled.Inc()
-	} else {
-		pt.stats.RxDropped++
-		m.rxDropped.Inc()
-	}
-	m.pendingDepth.Set(float64(pt.Pending()))
-}
-
-// accountTx credits a completed send to the sending port.
-func (pt *Port) accountTx(msg Message, startup float64) {
-	pt.stats.TxTransfers++
-	pt.stats.TxKB += msg.KB
-	pt.stats.TxStartupS += startup
-	if msg.Kind == KindAck {
-		pt.stats.TxAcks++
-	}
-	m := pt.met()
-	m.txTransfers.Inc()
-	m.txKB.Add(msg.KB)
-	m.txStartupS.Add(startup)
-}
-
-// accountRx credits a completed receive to the accepting port.
-func (pt *Port) accountRx(msg Message) {
-	pt.stats.RxTransfers++
-	pt.stats.RxKB += msg.KB
-	m := pt.met()
-	m.rxTransfers.Inc()
-	m.rxKB.Add(msg.KB)
-	m.pendingDepth.Set(float64(pt.Pending()))
-}
-
-// Recv accepts the next transaction at this port and blocks until the
-// sender completes it.
-func (pt *Port) Recv(p *sim.Proc) (Message, error) {
-	return pt.RecvOpts(p, RxOpts{})
-}
-
-// RecvDeadline is Recv that gives up with sim.ErrTimeout by the absolute
-// deadline. Failure detection in the paper's recovery scheme (§5.4) is
-// built on this timeout.
-func (pt *Port) RecvDeadline(p *sim.Proc, deadline sim.Time) (Message, error) {
-	return pt.RecvOpts(p, RxOpts{Deadline: deadline})
-}
-
-// RecvMatch is Recv accepting only messages that match, leaving others
-// queued in order.
-func (pt *Port) RecvMatch(p *sim.Proc, deadline sim.Time, match func(Message) bool, onStart func()) (Message, error) {
-	return pt.RecvOpts(p, RxOpts{Deadline: deadline, Match: match, OnStart: onStart})
-}
-
-// RecvOpts is Recv with options.
-func (pt *Port) RecvOpts(p *sim.Proc, opts RxOpts) (Message, error) {
-	deadline := opts.Deadline
-	if deadline == 0 {
-		deadline = sim.Infinity
-	}
-	for {
-		if of := pt.take(opts.Match); of != nil {
-			of.accepted.Send(struct{}{})
-			if opts.OnStart != nil {
-				opts.OnStart()
-			}
-			// Once a transfer begins it is no longer subject to the
-			// caller's deadline; but a sender that dies mid-transfer
-			// never completes it, so escape shortly after the wire
-			// time a live sender would have taken.
-			dur := pt.net.Params.TxTime(of.msg.KB)
-			if of.msg.Kind == KindAck {
-				dur = pt.net.Params.AckTime()
-			}
-			escape := p.Now() + sim.Time(dur) + 1e-6
-			if _, err := of.done.RecvDeadline(p, escape); err != nil {
-				if err == sim.ErrClosed {
-					// The sender withdrew in the same instant we
-					// accepted; pretend we never saw the offer.
-					pt.net.putOffer(of)
-					continue
-				}
-				if errors.Is(err, sim.ErrTimeout) {
-					// The sender died (or crashed) mid-transfer: the
-					// wire went quiet and the message never completed.
-					// To the receiver that is an aborted delivery like
-					// any other — discard it and keep waiting under the
-					// caller's original deadline.
-					pt.net.putOffer(of)
-					pt.accountRxFault(FaultDrop)
-					if opts.OnAbort != nil {
-						opts.OnAbort()
-					}
-					continue
-				}
-				// Leaving mid-rendezvous: the sender may still touch the
-				// offer, so it cannot be recycled here.
-				return Message{}, err
-			}
-			if of.fault != FaultNone {
-				// The wire time was spent but the message never arrived
-				// (drop) or failed its integrity check (garble); discard
-				// it and keep waiting under the original deadline. The
-				// sender learns the same instant and may retransmit.
-				fault := of.fault
-				pt.net.putOffer(of)
-				pt.accountRxFault(fault)
-				if opts.OnAbort != nil {
-					opts.OnAbort()
-				}
-				continue
-			}
-			msg := of.msg
-			pt.net.putOffer(of)
-			return msg, nil
-		}
-		// Nothing acceptable queued: wait for an arrival signal, then
-		// rescan. Signals are hints — take() above always rescans the
-		// whole queue, so consuming a signal for a non-matching offer
-		// cannot lose messages.
-		if _, err := pt.arrival.RecvDeadline(p, deadline); err != nil {
-			if errors.Is(err, sim.ErrTimeout) {
-				pt.stats.RxTimeouts++
-				pt.met().rxTimeouts.Inc()
-			}
-			return Message{}, err
-		}
-	}
-}
-
-// take removes and returns the first live, matching pending offer, also
-// dropping withdrawn entries it walks over.
-func (pt *Port) take(match func(Message) bool) *offer {
-	for i := 0; i < len(pt.pending); i++ {
-		of := pt.pending[i]
-		if of.withdrawn {
-			pt.pending = append(pt.pending[:i], pt.pending[i+1:]...)
-			pt.net.putOffer(of)
-			i--
-			continue
-		}
-		if match == nil || match(of.msg) {
-			pt.pending = append(pt.pending[:i], pt.pending[i+1:]...)
-			return of
-		}
-	}
-	return nil
 }

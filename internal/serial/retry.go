@@ -67,7 +67,7 @@ func IsFault(err error) bool {
 	return errors.Is(err, ErrDropped) || errors.Is(err, ErrGarbled)
 }
 
-// RetryPolicy bounds the retransmit loop of SendReliable. The zero value
+// RetryPolicy bounds the retransmit loop of a reliable send. The zero value
 // (and any MaxAttempts ≤ 1) disables retransmission: a faulted send
 // fails immediately.
 type RetryPolicy struct {
@@ -137,48 +137,39 @@ type RetryEvent struct {
 	Cause FaultVerdict
 }
 
-// SendReliable is SendOpts with bounded retransmission: a send that
-// fails with a wire fault (ErrDropped / ErrGarbled) is retried after an
-// exponential backoff, up to rp.MaxAttempts transmissions in total.
-// Non-fault errors (timeout, interruption) propagate immediately; a
-// spent budget returns an error wrapping ErrRetriesExhausted. Each
-// attempt pays full wire time and honours opts.Deadline independently.
-func (pt *Port) SendReliable(p *sim.Proc, dst *Port, msg Message, opts TxOpts, rp RetryPolicy) error {
-	attempts := rp.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+// result ends one attempt with err: a reliable send retransmits a wire
+// fault after its backoff while the budget lasts, and every other
+// outcome ends the transfer.
+func (tx *Tx) result(err error) (bool, error) {
+	if !tx.reliable || err == nil || !IsFault(err) {
+		return tx.end(err)
 	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = pt.SendOpts(p, dst, msg, opts)
-		if err == nil || !IsFault(err) {
-			return err
-		}
-		if attempt >= attempts {
-			break
-		}
-		verdict := FaultDrop
-		if errors.Is(err, ErrGarbled) {
-			verdict = FaultGarble
-		}
-		back := rp.Backoff(attempt)
-		pt.stats.TxRetries++
-		pt.met().txRetries.Inc()
-		if f := pt.net.OnRetry; f != nil {
-			f(RetryEvent{
-				T: p.Now(), From: pt.name, To: dst.name,
-				Kind: msg.Kind, Frame: msg.Frame,
-				Attempt: attempt, BackoffS: back, Cause: verdict,
-			})
-		}
-		if opts.OnBackoff != nil {
-			opts.OnBackoff()
-		}
-		if werr := p.Wait(sim.Duration(back)); werr != nil {
-			return werr
-		}
+	attempts := max(tx.rp.MaxAttempts, 1)
+	pt, msg := tx.pt, &tx.of.msg
+	if tx.tries >= attempts {
+		pt.stats.TxGiveUps++
+		pt.met().txGiveUps.Inc()
+		return tx.end(fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempts, err))
 	}
-	pt.stats.TxGiveUps++
-	pt.met().txGiveUps.Inc()
-	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempts, err)
+	verdict := FaultDrop
+	if errors.Is(err, ErrGarbled) {
+		verdict = FaultGarble
+	}
+	now := tx.pt.net.k.Now()
+	back := tx.rp.Backoff(tx.tries)
+	pt.stats.TxRetries++
+	pt.met().txRetries.Inc()
+	if f := pt.net.OnRetry; f != nil {
+		f(RetryEvent{
+			T: now, From: pt.name, To: tx.dst.name,
+			Kind: msg.Kind, Frame: msg.Frame,
+			Attempt: tx.tries, BackoffS: back, Cause: verdict,
+		})
+	}
+	if tx.opts.OnBackoff != nil {
+		tx.opts.OnBackoff()
+	}
+	tx.task.WaitUntil(now + sim.Duration(back))
+	tx.state = txBackoff
+	return false, nil
 }

@@ -479,3 +479,50 @@ func TestNetworkMetricsAndOnTransfer(t *testing.T) {
 		t.Fatalf("serial_rx_kb{b} = %v, want 0.6", v)
 	}
 }
+
+// TestPendingFIFOUnderMatchAndWithdraw: the pending FIFO keeps posting
+// order when a matching receive takes an offer from its middle and when
+// a sender withdraws, and Pending counts live offers only.
+func TestPendingFIFOUnderMatchAndWithdraw(t *testing.T) {
+	k := sim.NewKernel()
+	net := NewNetwork(k, DefaultLink())
+	c := net.Port("c")
+	send := func(from string, msg Message, deadline sim.Time) {
+		k.Spawn(from, func(p *sim.Proc) { net.Port(from).SendDeadline(p, c, msg, deadline) })
+	}
+	send("a", Message{Kind: KindFrame, Frame: 1, KB: 1}, 0)
+	send("w", Message{Kind: KindFrame, Frame: 9, KB: 1}, 0.5) // withdraws
+	send("b", Message{Kind: KindAck, Frame: 1}, 0)
+	send("d", Message{Kind: KindFrame, Frame: 2, KB: 1}, 0)
+	k.RunUntil(0.1)
+	if c.Pending() != 4 {
+		t.Fatalf("pending = %d, want 4", c.Pending())
+	}
+	var got []Message
+	var pendingAfterAck int
+	k.SpawnAt(1, "r", func(p *sim.Proc) {
+		m, err := c.RecvOpts(p, RxOpts{Match: func(m Message) bool { return m.Kind == KindAck }})
+		if err != nil {
+			t.Errorf("ack: %v", err)
+		}
+		got = append(got, m)
+		pendingAfterAck = c.Pending()
+		for i := 0; i < 2; i++ {
+			m, err := c.Recv(p)
+			if err != nil {
+				t.Errorf("recv: %v", err)
+			}
+			got = append(got, m)
+		}
+	})
+	k.Run()
+	if pendingAfterAck != 2 {
+		t.Errorf("pending after the ack = %d, want 2 (withdrawn offer gone)", pendingAfterAck)
+	}
+	if len(got) != 3 || got[0].From != "b" || got[1].Frame != 1 || got[2].Frame != 2 {
+		t.Fatalf("received %+v, want b's ack, then frames 1 and 2 in order", got)
+	}
+	if c.Pending() != 0 || c.Stats().MaxPending != 4 {
+		t.Fatalf("pending %d, max %d; want 0 and 4", c.Pending(), c.Stats().MaxPending)
+	}
+}

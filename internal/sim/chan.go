@@ -29,24 +29,6 @@ func NewChan[T any](k *Kernel, name string) *Chan[T] {
 	return &Chan[T]{k: k, name: name}
 }
 
-// Init prepares a Chan value in place, for embedding channels in larger
-// structures without one allocation per channel. It fully resets the
-// channel's state while keeping any previously grown buffer capacity, so
-// pooled owners (see internal/serial's offer free list) can recycle
-// embedded channels. It must not be called on a channel with blocked
-// receivers.
-func (c *Chan[T]) Init(k *Kernel, name string) {
-	c.k = k
-	c.name = name
-	clear(c.queue)
-	c.queue = c.queue[:0]
-	c.qhead = 0
-	clear(c.recvrs)
-	c.recvrs = c.recvrs[:0]
-	c.rhead = 0
-	c.closed = false
-}
-
 // Name returns the channel's diagnostic name.
 func (c *Chan[T]) Name() string { return c.name }
 
@@ -107,18 +89,18 @@ func (c *Chan[T]) wakeOne(err error) {
 			c.recvrs = c.recvrs[:0]
 			c.rhead = 0
 		}
-		if w.p.deliverAt(w.seq, wakeMsg{err: err}) {
+		if w.t.deliver(w.seq, err) {
 			return
 		}
 	}
 }
 
-// dropWaiter removes the waiter registered under (p, seq), preserving
+// dropWaiter removes the waiter registered under (t, seq), preserving
 // FIFO order. Receivers that leave with an error remove themselves so
 // the waiter list holds only parked processes.
-func (c *Chan[T]) dropWaiter(p *Proc, seq uint64) {
+func (c *Chan[T]) dropWaiter(t *Task, seq uint64) {
 	for i := c.rhead; i < len(c.recvrs); i++ {
-		if c.recvrs[i].p == p && c.recvrs[i].seq == seq {
+		if c.recvrs[i].t == t && c.recvrs[i].seq == seq {
 			c.recvrs = append(c.recvrs[:i], c.recvrs[i+1:]...)
 			if c.rhead == len(c.recvrs) {
 				c.recvrs = c.recvrs[:0]
@@ -139,7 +121,7 @@ func (c *Chan[T]) Recv(p *Proc) (T, error) {
 // RecvTimeout is Recv with a relative timeout; it returns ErrTimeout if no
 // value arrives within d.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (T, error) {
-	return c.RecvDeadline(p, p.k.now+d)
+	return c.RecvDeadline(p, p.t.k.now+d)
 }
 
 // RecvDeadline is Recv with an absolute deadline (Infinity = wait forever).
@@ -152,29 +134,24 @@ func (c *Chan[T]) RecvDeadline(p *Proc, deadline Time) (T, error) {
 		if c.closed {
 			return zero, ErrClosed
 		}
-		if deadline <= p.k.now {
+		if deadline <= p.t.k.now {
 			return zero, ErrTimeout
 		}
 		seq := p.blockBegin("Recv", c.name)
-		c.recvrs = append(c.recvrs, waiterRef{p: p, seq: seq})
-		hasDeadline := deadline < Infinity
-		if hasDeadline {
-			p.armTimer(seq, deadline, ErrTimeout)
+		c.recvrs = append(c.recvrs, waiterRef{t: &p.t, seq: seq})
+		if deadline < Infinity {
+			p.t.armTimer(seq, deadline, ErrTimeout)
 		}
-		msg := p.park()
-		if hasDeadline {
-			p.k.Cancel(&p.timer)
-		}
-		if msg.err != nil {
+		if err := p.park(); err != nil {
 			// On timeout/interrupt a value may have raced in via wakeOne
 			// before the timer fired; the loop re-checks the queue first,
 			// so nothing is lost — but a wake consumed by a dying waiter
 			// must be passed on.
-			c.dropWaiter(p, seq)
+			c.dropWaiter(&p.t, seq)
 			if c.Len() > 0 {
 				c.wakeOne(nil)
 			}
-			return zero, msg.err
+			return zero, err
 		}
 		// Woken for a value (or closure): loop re-checks.
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Errors returned from blocking process operations.
@@ -24,74 +23,14 @@ type killed struct{ err error }
 
 // killedShutdown is the pre-boxed shutdown payload. Shutdown unwinds
 // every live process, so boxing a fresh value per panic would cost one
-// allocation per parked goroutine at every rig teardown.
+// allocation per parked goroutine.
 var killedShutdown any = &killed{err: ErrShutdown}
 
-// procPool is the cross-kernel free list of detached processes: their
-// goroutines stay parked between simulations, so a host that runs many
-// bounded simulations (benchmark loops, the simulation service, sweep
-// workers) reuses goroutines, channels and hoisted callbacks across
-// rigs instead of re-creating a backlog's worth per run. Bounded so an
-// idle host pins a bounded number of parked goroutines.
-var procPool struct {
-	sync.Mutex
-	head *Proc
-	n    int
-}
-
-// procPoolCap bounds the cross-kernel pool (~a few MB of parked
-// goroutine stacks at most, sized to the largest experiment backlog).
-const procPoolCap = 8192
-
-// releaseProcGlobal pushes a finished detached process onto the
-// cross-kernel pool, detaching it from its (dying) kernel. It reports
-// false when the pool is full, in which case the caller lets the
-// goroutine exit. Safe to call from the process's own goroutine (after
-// finish) or from a shutdown that owns the parked process.
-func releaseProcGlobal(p *Proc) bool {
-	procPool.Lock()
-	if procPool.n >= procPoolCap {
-		procPool.Unlock()
-		return false
-	}
-	p.k = nil
-	p.timer = Event{}
-	p.timerSeq, p.timerErr = 0, nil
-	p.pending = wakeMsg{}
-	p.freeNext = procPool.head
-	procPool.head = p
-	procPool.n++
-	procPool.Unlock()
-	return true
-}
-
-// adoptProcGlobal pops a pooled detached process and re-homes it on k.
-func adoptProcGlobal(k *Kernel) *Proc {
-	procPool.Lock()
-	p := procPool.head
-	if p != nil {
-		procPool.head = p.freeNext
-		procPool.n--
-	}
-	procPool.Unlock()
-	if p != nil {
-		p.freeNext = nil
-		p.k = k
-	}
-	return p
-}
-
-// wakeMsg carries the reason a parked process is resumed.
-type wakeMsg struct {
-	err    error // nil for a normal wake
-	reason any   // payload: interrupt reason or received value
-}
-
-// waiterRef identifies one blocking episode of a process: the block
-// epoch seq only matches while the process is still parked in the block
-// that registered the reference, so stale refs are harmless.
+// waiterRef identifies one blocking episode of a task: the epoch seq
+// only matches while the task is still blocked in the episode that
+// registered the reference, so stale refs are harmless.
 type waiterRef struct {
-	p   *Proc
+	t   *Task
 	seq uint64
 }
 
@@ -125,35 +64,20 @@ func (s ProcState) String() string {
 // goroutine under the kernel's strict handoff discipline. At any instant
 // at most one process (or event callback) executes; all others are parked.
 //
-// Process bodies receive the Proc and use its blocking operations (Wait,
-// WaitUntil, and the channel/resource operations in this package). Blocking
-// operations return an error when the process is interrupted or the kernel
-// shuts down; bodies should propagate such errors and return.
-//
-// A Proc allocates nothing per blocking operation: wakeups are delivered
-// through hoisted callbacks guarded by a block-epoch counter, and timed
-// waits reuse one embedded timer Event per process.
+// A Proc is a Task whose owner is a goroutine: its blocking operations
+// open an episode on the task, park the goroutine, and continue where
+// the task's resume hands control back. Process bodies receive the Proc
+// and use its blocking operations (Wait, WaitUntil, and the channel and
+// resource operations in this package). Blocking operations return an
+// error when the process is interrupted or the kernel shuts down; bodies
+// should propagate such errors and return.
 type Proc struct {
-	k    *Kernel
+	t    Task
 	id   uint64
 	name string
 
-	wake   chan wakeMsg  // kernel -> proc: resume
+	wake   chan error    // kernel -> proc: resume with the wake error
 	parked chan struct{} // proc -> kernel: parked or finished
-
-	// blockSeq numbers blocking episodes; armed is true from blockBegin
-	// until the episode's wake is claimed. Together they make every
-	// registered wake path one-shot: deliverAt(seq, …) is a no-op unless
-	// seq names the current episode.
-	blockSeq uint64
-	armed    bool
-	// starting marks the episode between Spawn and the start event.
-	starting bool
-	// timedOut records that the current episode's wake was claimed by
-	// the deadline timer (a waiter that gave up, for Chan bookkeeping).
-	timedOut bool
-	// pending carries the wake message from deliverAt to resumeFn.
-	pending wakeMsg
 
 	// blockedOp/blockedObj name the blocking call (e.g. "Recv", "data0")
 	// for deadlock diagnostics, without building the combined string on
@@ -161,63 +85,46 @@ type Proc struct {
 	blockedOp  string
 	blockedObj string
 
-	done    bool
 	killErr error
 	state   ProcState
 
 	// joiners are woken when the process finishes.
 	joiners []waiterRef
-
-	// timer is the process's reusable deadline event: a process runs one
-	// blocking operation at a time, so one handle serves every timed wait
-	// (and doubles as the spawn start event). timerSeq/timerErr are the
-	// episode and error the armed timer will deliver.
-	timer    Event
-	timerSeq uint64
-	timerErr error
-
-	// Hoisted callbacks, bound once per process so the hot wake/timer
-	// paths never allocate closures.
-	resumeFn func()
-	timerFn  func()
-	startFn  func()
-
-	// body and freeNext support detached processes recycled through the
-	// kernel free-list (see SpawnDetached).
-	body     func(p *Proc)
-	freeNext *Proc
 }
+
+// procResumer is a Proc as its task's owner: a resume hands control to
+// the goroutine.
+type procResumer Proc
+
+func (r *procResumer) Resume(err error) { (*Proc)(r).resume(err) }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
 // Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
+func (p *Proc) Kernel() *Kernel { return p.t.k }
+
+// Task returns the process's task, on which blocking operations built
+// outside this package open their episodes before parking with Await.
+func (p *Proc) Task() *Task { return &p.t }
 
 // Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.k.now }
+func (p *Proc) Now() Time { return p.t.k.now }
 
 // Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }
+func (p *Proc) Done() bool { return p.t.done }
 
 // Err returns the error the process was terminated with, if any.
 func (p *Proc) Err() error { return p.killErr }
 
 func newProc(k *Kernel, name string) *Proc {
 	p := &Proc{
-		k:      k,
 		name:   name,
-		wake:   make(chan wakeMsg),
+		wake:   make(chan error),
 		parked: make(chan struct{}),
 		state:  StateCreated,
 	}
-	p.resumeFn = func() { p.resume(p.pending) }
-	p.timerFn = func() {
-		if p.deliverAt(p.timerSeq, wakeMsg{err: p.timerErr}) {
-			p.timedOut = true
-		}
-	}
-	p.startFn = func() { p.start() }
+	p.t.Init(k, (*procResumer)(p))
 	return p
 }
 
@@ -233,235 +140,94 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := newProc(k, name)
 	k.procs[p] = struct{}{}
 	go p.run(fn)
-	p.beginStart(t)
+	// The start event's sequence number is the process id, preserving
+	// spawn-order determinism.
+	p.t.Start(t)
+	p.id = p.t.timer.seq
 	k.trace(p, StateCreated, "spawn")
 	return p
-}
-
-// SpawnDetached starts a fire-and-forget process at the current time.
-// The caller must not retain or share any reference to the process:
-// finished detached processes (goroutine, channels, embedded timer) are
-// recycled through a kernel free-list, so a held pointer could alias a
-// later, unrelated process. Use Spawn when the process must be observed
-// (Join, Interrupt, Done) after spawning.
-func (k *Kernel) SpawnDetached(name string, fn func(p *Proc)) {
-	p := k.freeProc
-	if p != nil {
-		k.freeProc = p.freeNext
-		p.freeNext = nil
-	} else {
-		p = adoptProcGlobal(k)
-	}
-	if p == nil {
-		p = newProc(k, name)
-		go p.runDetached()
-	} else {
-		p.name = name
-		p.done = false
-		p.killErr = nil
-		p.state = StateCreated
-	}
-	p.body = fn
-	k.procs[p] = struct{}{}
-	p.beginStart(k.now)
-	k.trace(p, StateCreated, "spawn")
-}
-
-// beginStart queues the start event for a (re)spawned process. The
-// embedded timer handle carries it; p.id is the start sequence number,
-// preserving spawn-order determinism.
-func (p *Proc) beginStart(t Time) {
-	p.blockSeq++
-	p.armed = true
-	p.starting = true
-	p.timedOut = false
-	p.timer.fn = p.startFn
-	p.k.Reschedule(&p.timer, t)
-	p.id = p.timer.seq
-}
-
-// start fires from the start event and hands the process its first slice.
-func (p *Proc) start() {
-	if !p.armed || !p.starting {
-		return
-	}
-	p.armed = false
-	p.starting = false
-	p.resume(wakeMsg{})
 }
 
 // run is the goroutine body: wait for the initial resume, execute fn,
 // then signal completion.
 func (p *Proc) run(fn func(p *Proc)) {
-	msg := <-p.wake
-	if msg.err != nil {
+	if err := <-p.wake; err != nil {
 		// Killed before it ever ran.
-		p.killErr = msg.err
-		p.finish(false)
+		p.killErr = err
+		p.finish()
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			if kd, ok := r.(*killed); ok {
 				p.killErr = kd.err
-				p.finish(false)
+				p.finish()
 				return
 			}
 			// Record the panic, return control to the kernel, then crash:
 			// dying silently on a detached goroutine would hang the kernel.
 			p.killErr = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			p.finish(false)
+			p.finish()
 			panic(r)
 		}
-		p.finish(false)
+		p.finish()
 	}()
 	p.setState(StateRunning, "start")
 	fn(p)
 }
 
-// runDetached is the goroutine body of a pooled process: it serves one
-// body per activation and parks on the free-list between them, so frame-
-// rate spawners reuse one goroutine instead of creating one per spawn.
-func (p *Proc) runDetached() {
-	for {
-		msg := <-p.wake
-		if msg.err != nil {
-			// Killed before starting (kernel shutdown). Park on the
-			// cross-kernel pool for the next simulation; exit for good
-			// only when the pool is full.
-			p.killErr = msg.err
-			p.finish(false)
-			if !releaseProcGlobal(p) {
-				return
-			}
-			continue
-		}
-		if !p.runBody() {
-			return
-		}
-	}
-}
-
-// runBody executes one detached body under the kill/panic protocol and
-// reports whether the goroutine should keep serving the free-list.
-func (p *Proc) runBody() (again bool) {
-	again = true
-	defer func() {
-		if r := recover(); r != nil {
-			again = false
-			if kd, ok := r.(*killed); ok {
-				// Shutdown unwound the body; the goroutine itself is
-				// healthy, so park it on the cross-kernel pool.
-				p.killErr = kd.err
-				p.finish(false)
-				again = releaseProcGlobal(p)
-				return
-			}
-			p.killErr = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			p.finish(false)
-			panic(r)
-		}
-		p.finish(true)
-	}()
-	p.setState(StateRunning, "start")
-	p.body(p)
-	return
-}
-
-// finish marks the process done, wakes joiners, optionally releases it to
-// the detached free-list, and returns control to the kernel.
-func (p *Proc) finish(release bool) {
-	p.done = true
-	p.armed = false
-	p.body = nil
+// finish marks the process done, wakes joiners and returns control to
+// the kernel.
+func (p *Proc) finish() {
+	p.t.Exit()
 	p.setState(StateDone, "done")
-	delete(p.k.procs, p)
+	delete(p.t.k.procs, p)
 	for _, j := range p.joiners {
-		j.p.deliverAt(j.seq, wakeMsg{})
+		j.t.deliver(j.seq, nil)
 	}
 	p.joiners = p.joiners[:0]
-	if release {
-		p.freeNext = p.k.freeProc
-		p.k.freeProc = p
-	}
 	p.parked <- struct{}{}
 }
 
 // resume hands control to the process and blocks until it parks again or
 // finishes. Must be called from kernel context (an event callback).
-func (p *Proc) resume(msg wakeMsg) {
-	p.wake <- msg
+func (p *Proc) resume(err error) {
+	p.wake <- err
 	<-p.parked
 }
 
-// deliverAt wakes the process out of block episode seq with msg. Exactly
-// one delivery per episode wins; the rest are no-ops. It reports whether
-// the wake was consumed: false means the target had already given up
-// (stale episode, or a same-instant timeout), so the caller may pass the
-// wake to another waiter.
-func (p *Proc) deliverAt(seq uint64, msg wakeMsg) bool {
-	if p.blockSeq != seq {
-		return false
-	}
-	if !p.armed {
-		// Already woken this episode. A timeout means the waiter gave up
-		// (skip it); any other wake is consumed — the resuming waiter is
-		// responsible for passing the signal on.
-		return !p.timedOut
-	}
-	p.armed = false
-	p.timedOut = false
-	if p.starting {
-		// Unwinding a process that never started: drop the pending start
-		// event and resume directly (pre-start interrupts and shutdown
-		// may run when no further events are allowed to fire).
-		p.starting = false
-		p.k.Cancel(&p.timer)
-		p.resume(msg)
-		return true
-	}
-	p.pending = msg
-	// Route the wake through the event queue so wake ordering is
-	// determined by schedule order, never by goroutine scheduling.
-	p.k.post(p.resumeFn)
-	return true
-}
-
-// blockBegin opens a new blocking episode and returns its epoch, which
-// wake sources pass back through deliverAt.
+// blockBegin names the blocking call and opens a new episode on the
+// task, returning its epoch for wake sources.
 func (p *Proc) blockBegin(op, obj string) uint64 {
-	p.blockSeq++
-	p.armed = true
-	p.timedOut = false
 	p.blockedOp, p.blockedObj = op, obj
-	return p.blockSeq
-}
-
-// armTimer schedules the episode's deadline on the process's reusable
-// timer event. On expiry the current episode (and only it) is woken with
-// err.
-func (p *Proc) armTimer(seq uint64, t Time, err error) {
-	p.timerSeq = seq
-	p.timerErr = err
-	p.timer.fn = p.timerFn
-	p.k.Reschedule(&p.timer, t)
+	return p.t.block()
 }
 
 // park suspends the process until the current episode's wake arrives.
 // Shutdown unwinds the process via panic(killed{...}).
-func (p *Proc) park() wakeMsg {
+func (p *Proc) park() error {
 	p.state = StateBlocked
-	if p.k.tracer != nil {
-		p.k.tracer.ProcState(p.k.now, p, StateBlocked, p.blockedWhy())
+	if p.t.k.tracer != nil {
+		p.t.k.tracer.ProcState(p.t.k.now, p, StateBlocked, p.blockedWhy())
 	}
 	p.parked <- struct{}{}
-	msg := <-p.wake
+	err := <-p.wake
 	p.blockedOp, p.blockedObj = "", ""
-	if msg.err != nil && errors.Is(msg.err, ErrShutdown) {
+	if err != nil && errors.Is(err, ErrShutdown) {
 		panic(killedShutdown)
 	}
 	p.setState(StateRunning, "resume")
-	return msg
+	return err
+}
+
+// Await parks the process in the episode the caller just opened on its
+// Task (Block or WaitUntil) and returns the episode's wake error. op and
+// obj name the blocking call for diagnostics. It is how blocking
+// adapters over callback state machines (internal/serial's Proc API)
+// suspend a process.
+func (p *Proc) Await(op, obj string) error {
+	p.blockedOp, p.blockedObj = op, obj
+	return p.park()
 }
 
 // blockedWhy renders the blocking call for diagnostics ("Recv data0").
@@ -478,24 +244,15 @@ func (p *Proc) Wait(d Duration) error {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative wait %v", d))
 	}
-	return p.WaitUntil(p.k.now + d)
+	return p.WaitUntil(p.t.k.now + d)
 }
 
 // WaitUntil suspends the process until absolute time t. If t ≤ Now the
 // process still yields to the kernel for one instant, so pending same-time
 // events run in schedule order.
 func (p *Proc) WaitUntil(t Time) error {
-	if t < p.k.now {
-		t = p.k.now
-	}
-	seq := p.blockBegin("Wait", "")
-	p.armTimer(seq, t, nil)
-	msg := p.park()
-	if msg.err != nil {
-		p.k.Cancel(&p.timer)
-		return msg.err
-	}
-	return nil
+	p.t.WaitUntil(t)
+	return p.Await("Wait", "")
 }
 
 // Join blocks until other finishes (returning immediately if it already
@@ -505,51 +262,32 @@ func (p *Proc) Join(other *Proc) error {
 		return p.Wait(0) // yield once for deterministic ordering
 	}
 	seq := p.blockBegin("Join", other.name)
-	other.joiners = append(other.joiners, waiterRef{p: p, seq: seq})
-	msg := p.park()
-	if msg.err != nil {
-		return msg.err
-	}
-	return nil
+	other.joiners = append(other.joiners, waiterRef{t: &p.t, seq: seq})
+	return p.park()
 }
 
 // Interrupt wakes the process out of its current blocking call with
-// ErrInterrupted carrying reason. If the process is running, the interrupt
-// is delivered at its next blocking call within the same instant; if it is
-// already done, Interrupt is a no-op.
-func (p *Proc) Interrupt(reason any) {
-	if p.done {
-		return
-	}
-	if p.armed {
-		p.deliverAt(p.blockSeq, wakeMsg{err: ErrInterrupted, reason: reason})
-		return
-	}
-	// Running: arm a one-shot that fires when it next blocks.
-	p.k.At(p.k.now, func() {
-		if p.done || !p.armed {
-			return
-		}
-		p.deliverAt(p.blockSeq, wakeMsg{err: ErrInterrupted, reason: reason})
-	})
-}
+// ErrInterrupted. If the process is running, the interrupt is delivered
+// at its next blocking call within the same instant; if it is already
+// done, Interrupt is a no-op. reason documents the call site.
+func (p *Proc) Interrupt(reason any) { p.t.Interrupt() }
 
 // kill terminates a process with err (normally ErrShutdown).
 func (p *Proc) kill(err error) {
-	if p.done {
-		delete(p.k.procs, p)
+	if p.t.done {
+		delete(p.t.k.procs, p)
 		return
 	}
-	if p.armed {
+	if p.t.armed {
 		// Deliver directly rather than via the queue: shutdown runs after
 		// the queue has drained, so no more events will fire.
-		p.armed = false
+		p.t.armed = false
 		p.killErr = err
-		if p.starting {
-			p.starting = false
-			p.k.Cancel(&p.timer)
+		if p.t.starting {
+			p.t.starting = false
+			p.t.k.Cancel(&p.t.timer)
 		}
-		p.resume(wakeMsg{err: err})
+		p.resume(err)
 		return
 	}
 	panic(fmt.Sprintf("sim: killing process %q that is not blocked", p.name))
@@ -557,7 +295,7 @@ func (p *Proc) kill(err error) {
 
 func (p *Proc) setState(s ProcState, why string) {
 	p.state = s
-	p.k.trace(p, s, why)
+	p.t.k.trace(p, s, why)
 }
 
 func (k *Kernel) trace(p *Proc, s ProcState, why string) {

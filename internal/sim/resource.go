@@ -14,7 +14,7 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p       *Proc
+	t       *Task
 	seq     uint64
 	n       int
 	dead    bool
@@ -63,11 +63,10 @@ func (r *Resource) AcquireN(p *Proc, n int) error {
 		r.inUse += n
 		return nil
 	}
-	w := &resWaiter{p: p, n: n}
+	w := &resWaiter{t: &p.t, n: n}
 	w.seq = p.blockBegin("Acquire", r.name)
 	r.waiters = append(r.waiters, w)
-	msg := p.park()
-	if msg.err != nil {
+	if err := p.park(); err != nil {
 		if w.granted {
 			// The grant raced with the interrupt and already charged our
 			// units; hand them back (this also wakes the next waiter).
@@ -76,7 +75,7 @@ func (r *Resource) AcquireN(p *Proc, n int) error {
 			w.dead = true
 			r.grant()
 		}
-		return msg.err
+		return err
 	}
 	return nil
 }
@@ -105,6 +104,6 @@ func (r *Resource) grant() {
 		r.waiters = r.waiters[1:]
 		r.inUse += w.n
 		w.granted = true
-		w.p.deliverAt(w.seq, wakeMsg{})
+		w.t.deliver(w.seq, nil)
 	}
 }

@@ -5,15 +5,19 @@
 // scheduled (FIFO tie-breaking by sequence number), which makes every run
 // of a simulation bit-for-bit reproducible.
 //
-// On top of the raw event queue, the package provides a process abstraction
-// (Proc) in the style of process-oriented simulators: each process runs on
-// its own goroutine, but the kernel enforces a strict one-runnable-at-a-time
-// handoff, so processes may use ordinary sequential control flow (loops,
-// blocking waits, channel receives) without introducing nondeterminism.
+// Simulated activities are callback state machines driven by a Task: a
+// Task owns one reusable deadline event and a blocking-episode protocol
+// (wait, wake, timeout, interrupt), and resumes its owner through a
+// continuation when the episode ends. Every experiment in this
+// repository — serial transactions, node frame loops, the host's frame
+// source and sink, battery deaths and fault injection — runs as events
+// and Tasks on a single Kernel, on the caller's goroutine.
 //
-// The kernel is the substrate for every experiment in this repository: CPU
-// activity, serial transactions, battery integration and node control loops
-// are all expressed as events or processes on a single Kernel.
+// Proc layers sequential, blocking control flow over the same protocol:
+// its body runs on a goroutine of its own under a strict one-runnable-
+// at-a-time handoff, and Chan and Resource block Procs. They remain for
+// tests and micro-benchmarks written as sequential processes; the
+// simulator itself starts no goroutines.
 //
 // # Performance
 //
@@ -22,8 +26,10 @@
 // allocates per schedule (beyond amortized slice growth). Cancellation is
 // lazy — Cancel and Reschedule mark the handle and leave the stale heap
 // entry behind to be skipped when it surfaces — so neither is O(log n).
-// Internal wakeups (process resumes) are scheduled as handle-free entries
-// and allocate nothing. Periodic callers reuse one Event handle through
+// Internal wakeups (task resumes) are scheduled as handle-free entries
+// and allocate nothing: a Task's continuations are named pointer types
+// over the Task itself, so scheduling one stores an interface, never a
+// fresh closure. Periodic callers reuse one Event handle through
 // Reschedule instead of allocating per occurrence.
 package sim
 
@@ -48,10 +54,20 @@ const Infinity Time = Time(math.MaxFloat64)
 type Event struct {
 	t        Time
 	seq      uint64
-	fn       func()
+	h        handler
 	canceled bool
 	queued   bool
 }
+
+// handler is what an event runs when it fires. Plain callbacks are
+// wrapped as funcHandler; a Task's continuations are named pointer types
+// over the Task, so binding one is a conversion, not an allocation.
+type handler interface{ fire() }
+
+// funcHandler adapts a plain callback to handler.
+type funcHandler func()
+
+func (f funcHandler) fire() { f() }
 
 // Time reports when the event is (or was last) scheduled to fire.
 func (e *Event) Time() Time { return e.t }
@@ -61,7 +77,12 @@ func (e *Event) Canceled() bool { return e.canceled }
 
 // Bind sets the callback a zero Event handle fires, for use with
 // Reschedule. Events returned by At and After are already bound.
-func (e *Event) Bind(fn func()) { e.fn = fn }
+func (e *Event) Bind(fn func()) {
+	e.h = nil
+	if fn != nil {
+		e.h = funcHandler(fn)
+	}
+}
 
 // entry is one slot of the event heap. Entries are pointer-free values:
 // sift operations copy plain scalars, so heap maintenance incurs no GC
@@ -76,12 +97,12 @@ type entry struct {
 	slot int32
 }
 
-// eventSlot holds the pointerful half of a queued entry: the callback
+// eventSlot holds the pointerful half of a queued entry: the handler
 // and, for cancelable events, the handle. Slots are recycled through
 // Kernel.freeSlots as entries are popped.
 type eventSlot struct {
-	e  *Event
-	fn func()
+	e *Event
+	h handler
 }
 
 // before is the queue order: time first, then scheduling sequence, so
@@ -122,11 +143,6 @@ type Kernel struct {
 	// installed.
 	cancelFn    func() bool
 	cancelEvery uint64
-
-	// freeProc heads the free-list of finished detached processes; their
-	// goroutines, channels and embedded timer Events are recycled by
-	// SpawnDetached. See proc.go.
-	freeProc *Proc
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
@@ -151,8 +167,8 @@ func (k *Kernel) QueueLen() int { return k.live }
 // MaxQueueLen returns the high-water mark of pending events.
 func (k *Kernel) MaxQueueLen() int { return k.maxQueue }
 
-// LiveProcs returns the number of spawned processes that have not
-// finished.
+// LiveProcs returns the number of spawned Procs that have not
+// finished. Tasks are not counted: they hold no goroutine.
 func (k *Kernel) LiveProcs() int { return len(k.procs) }
 
 // SetEventLimit aborts Run with a panic after n events have fired.
@@ -226,14 +242,14 @@ func (k *Kernel) heapPop() entry {
 
 // takeTop pops the minimum entry, releases its slot and returns its
 // payload. ok distinguishes a live event from a stale (superseded) one.
-func (k *Kernel) takeTop() (ent entry, e *Event, fn func(), ok bool) {
+func (k *Kernel) takeTop() (ent entry, e *Event, h handler, ok bool) {
 	ent = k.heapPop()
 	s := &k.slots[ent.slot]
-	e, fn = s.e, s.fn
+	e, h = s.e, s.h
 	*s = eventSlot{} // release references
 	k.freeSlots = append(k.freeSlots, ent.slot)
 	ok = e == nil || (!e.canceled && e.seq == ent.seq)
-	return ent, e, fn, ok
+	return ent, e, h, ok
 }
 
 // topStale reports whether the heap's head entry was superseded.
@@ -310,9 +326,9 @@ func (k *Kernel) siftDown(i int) {
 	q[i] = moved
 }
 
-// schedule queues fn at time t under a fresh sequence number, tied to
+// schedule queues h at time t under a fresh sequence number, tied to
 // handle e (nil for internal wakeups), and returns that sequence number.
-func (k *Kernel) schedule(t Time, e *Event, fn func()) uint64 {
+func (k *Kernel) schedule(t Time, e *Event, h handler) uint64 {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -327,10 +343,10 @@ func (k *Kernel) schedule(t Time, e *Event, fn func()) uint64 {
 	if n := len(k.freeSlots); n > 0 {
 		slot = k.freeSlots[n-1]
 		k.freeSlots = k.freeSlots[:n-1]
-		k.slots[slot] = eventSlot{e: e, fn: fn}
+		k.slots[slot] = eventSlot{e: e, h: h}
 	} else {
 		slot = int32(len(k.slots))
-		k.slots = append(k.slots, eventSlot{e: e, fn: fn})
+		k.slots = append(k.slots, eventSlot{e: e, h: h})
 	}
 	k.heapPush(entry{t: t, seq: seq, slot: slot})
 	return seq
@@ -346,18 +362,17 @@ func (k *Kernel) maybeCompact() {
 	}
 }
 
-// post schedules fn at the current instant with no cancellation handle.
-// It is the kernel's zero-allocation path for internal wakeups: fn must
-// be a long-lived func value (hoisted, not built at the call site).
-func (k *Kernel) post(fn func()) {
-	k.schedule(k.now, nil, fn)
+// post schedules h at the current instant with no cancellation handle.
+// It is the kernel's zero-allocation path for internal wakeups.
+func (k *Kernel) post(h handler) {
+	k.schedule(k.now, nil, h)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: allowing it would silently reorder causality.
 func (k *Kernel) At(t Time, fn func()) *Event {
-	e := &Event{t: t, fn: fn}
-	e.seq = k.schedule(t, e, fn)
+	e := &Event{t: t, h: funcHandler(fn)}
+	e.seq = k.schedule(t, e, e.h)
 	e.queued = true
 	return e
 }
@@ -394,7 +409,7 @@ func (k *Kernel) Cancel(e *Event) {
 // pending (its old occurrence is superseded), fired, canceled, or a zero
 // Event bound with Bind. Scheduling in the past panics, as with At.
 func (k *Kernel) Reschedule(e *Event, t Time) {
-	if e.fn == nil {
+	if e.h == nil {
 		panic("sim: Reschedule of an unbound Event (missing Bind)")
 	}
 	if e.queued {
@@ -403,7 +418,7 @@ func (k *Kernel) Reschedule(e *Event, t Time) {
 	}
 	e.canceled = false
 	e.t = t
-	e.seq = k.schedule(t, e, e.fn)
+	e.seq = k.schedule(t, e, e.h)
 	e.queued = true
 	k.drainStale()
 	k.maybeCompact()
@@ -412,7 +427,7 @@ func (k *Kernel) Reschedule(e *Event, t Time) {
 // step fires the next event. It reports false when the queue is empty.
 func (k *Kernel) step() bool {
 	for len(k.queue) > 0 {
-		ent, e, fn, ok := k.takeTop()
+		ent, e, h, ok := k.takeTop()
 		if !ok {
 			continue
 		}
@@ -432,7 +447,7 @@ func (k *Kernel) step() bool {
 			k.stopped = true
 		}
 		k.drainStale()
-		fn()
+		h.fire()
 		return true
 	}
 	return false
@@ -482,16 +497,6 @@ func (k *Kernel) SetCancelCheck(every int, fn func() bool) {
 	k.cancelFn, k.cancelEvery = fn, uint64(every)
 }
 
-// Shutdown terminates every live process and releases its goroutine,
-// for hosts that end a simulation at a bounded horizon (RunUntil)
-// instead of draining the queue. Run performs the same teardown
-// implicitly when the queue empties; a bounded run that skips Shutdown
-// strands its parked process goroutines for the life of the host
-// process — harmless in a run-once CLI, a leak per request in a
-// long-running simulation server. The kernel must not be run again
-// afterwards.
-func (k *Kernel) Shutdown() { k.shutdownProcs() }
-
 // Idle reports whether no events remain queued. It is a pure read.
 func (k *Kernel) Idle() bool { return k.live == 0 }
 
@@ -506,8 +511,7 @@ func (k *Kernel) NextEventTime() Time {
 
 // shutdownProcs terminates all parked processes so their goroutines exit.
 // Called when Run drains the queue; processes receive ErrShutdown from
-// their blocking call and are expected to return promptly. The detached
-// process free-list is drained last so recycled goroutines exit too.
+// their blocking call and are expected to return promptly.
 func (k *Kernel) shutdownProcs() {
 	for len(k.procs) > 0 {
 		var p *Proc
@@ -519,19 +523,6 @@ func (k *Kernel) shutdownProcs() {
 		}
 		p.kill(ErrShutdown)
 	}
-	for p := k.freeProc; p != nil; {
-		next := p.freeNext
-		p.freeNext = nil
-		// Idle pooled processes are parked between bodies; move them to
-		// the cross-kernel pool without waking them. Only when that pool
-		// is full does the goroutine get shut down for good.
-		if !releaseProcGlobal(p) {
-			p.wake <- wakeMsg{err: ErrShutdown}
-			<-p.parked
-		}
-		p = next
-	}
-	k.freeProc = nil
 }
 
 // Diagnose lists the live (not finished) processes and the blocking call

@@ -18,7 +18,7 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// The hotalloc escape gate (the eighth analyzer; it drives the
+// The hotalloc escape gate (the seventh analyzer; it drives the
 // compiler, not the AST) runs whenever the requested patterns cover the
 // whole module; -hotalloc=false skips it, -hotalloc-only runs nothing
 // else, and -hotalloc-diff writes the got-vs-allowlist comparison to a

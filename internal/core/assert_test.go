@@ -111,7 +111,11 @@ func TestOnlineOfflineParity(t *testing.T) {
 		if _, err := assert.Replay(bytes.NewReader(log.Bytes()), eng); err != nil {
 			t.Fatal(err)
 		}
-		offline := violationRecords(eng.Violations())
+		vio := eng.Violations()
+		offline := make([]LogRecord, len(vio))
+		for i := range vio {
+			violationRecord(&vio[i], &offline[i])
+		}
 		if len(offline) != len(online) {
 			t.Fatalf("%s on %s: online %d violations, offline %d", c.spec, c.id, len(online), len(offline))
 		}

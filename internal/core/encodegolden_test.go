@@ -94,3 +94,53 @@ func TestEncodeRecordCtlMatchesStdlib(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEncodeRecord checks encodeRecord differentially against
+// encoding/json for arbitrary field values, seeded from every committed
+// telemetry golden line: the bytes agree, or both encoders reject the
+// record (a NaN or infinite float); neither panics.
+func FuzzEncodeRecord(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "telemetry_*.jsonl"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no telemetry goldens found: %v", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var r LogRecord
+			if err := json.Unmarshal(line, &r); err != nil {
+				f.Fatalf("%s: %v", path, err)
+			}
+			f.Add(r.T, r.Event, r.Node, r.Mode, r.MHz, r.End, r.Frame, r.From, r.To,
+				r.Metric, r.Value, r.Kind, r.KB, r.DurS, r.Fault, r.Attempt,
+				r.FromMHz, r.Queue, r.Ctl[0], r.Ctl[1], r.Ctl[2], r.Assert, r.Detail, r.Bound)
+		}
+	}
+	f.Fuzz(func(t *testing.T, tt float64, event, nodeName, mode string, mhz, end float64, frame int,
+		from, to, metric string, value float64, kind string, kb, durS float64, fault string,
+		attempt int, fromMHz float64, queue int, c0, c1, c2 float64, assertion, detail string, bound float64) {
+		r := LogRecord{
+			T: tt, Event: event, Node: nodeName, Mode: mode, MHz: mhz, End: end, Frame: frame,
+			From: from, To: to, Metric: metric, Value: value, Kind: kind, KB: kb, DurS: durS,
+			Fault: fault, Attempt: attempt, FromMHz: fromMHz, Queue: queue,
+			Ctl: [3]float64{c0, c1, c2}, Assert: assertion, Detail: detail, Bound: bound,
+		}
+		std, stdErr := json.Marshal(r)
+		var fast bytes.Buffer
+		enc := telem.NewEncoder(&fast)
+		encodeRecord(enc, &r)
+		enc.Flush()
+		if stdErr != nil || enc.Err() != nil {
+			if stdErr == nil || enc.Err() == nil {
+				t.Fatalf("encoders disagree on rejecting %+v: encoding/json %v, telemetry %v", r, stdErr, enc.Err())
+			}
+			return
+		}
+		if want := append(std, '\n'); !bytes.Equal(fast.Bytes(), want) {
+			t.Fatalf("telemetry encoding drifted from encoding/json:\nstdlib:    %stelemetry: %s", want, fast.Bytes())
+		}
+	})
+}

@@ -44,17 +44,6 @@ type plan struct {
 	onGovern   func(node string, ev governor.Event)
 }
 
-// nodes is the number of simulated nodes.
-func (pl *plan) nodes() int {
-	switch {
-	case pl.noIO:
-		return 1
-	case pl.graph != nil:
-		return len(pl.graph.Nodes)
-	}
-	return len(pl.stages)
-}
-
 // build assembles the plan's rig with its stop conditions armed.
 func (pl *plan) build() *rig {
 	switch {
@@ -294,11 +283,10 @@ func (r *rig) finish() {
 	}
 }
 
-// traces finishes every node's metering and returns its mode spans.
+// traces returns every node's mode spans.
 func (r *rig) traces() [][]node.ModeSpan {
 	var out [][]node.ModeSpan
 	for _, n := range r.nodes {
-		n.Power().Finish()
 		out = append(out, n.Power().Trace())
 	}
 	return out

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -165,6 +166,29 @@ func TestAllocsPerRun(t *testing.T) {
 		})
 		if got > allocBounds[id] {
 			t.Errorf("%s: %.0f allocs per run, bound %.0f", id, got, allocBounds[id])
+		}
+	}
+	// Logged runs: exp 2D's first hour of telemetry into a discarding
+	// writer, plain and checked against a catalog it breaks, so the
+	// assertion pass and the violation source run too. The record path
+	// allocates per hook bucket growth and per merge source, never per
+	// record; most of the checked run's count is the assertion
+	// monitors' violation details.
+	checked := p
+	checked.Assertions = loadSpec(t, "broken.json")
+	for _, c := range []struct {
+		name  string
+		p     Params
+		bound float64
+	}{
+		{"2D log", p, 515},
+		{"2D log+catalog", checked, 6794},
+	} {
+		got := testing.AllocsPerRun(3, func() {
+			simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: c.p, UntilS: 3600}, Sinks{Log: io.Discard, Telemetry: true})
+		})
+		if got > c.bound {
+			t.Errorf("%s: %.0f allocs per run, bound %.0f", c.name, got, c.bound)
 		}
 	}
 }

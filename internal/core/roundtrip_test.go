@@ -51,7 +51,7 @@ func TestTelemetryGoldenRoundTrip(t *testing.T) {
 				if r.T < prev.T {
 					t.Fatalf("%s line %d: time went backwards (%g after %g)", path, n, r.T, prev.T)
 				}
-				if r.T == prev.T && lessRecord(r, prev) {
+				if r.T == prev.T && lessRecord(&r, &prev) {
 					t.Fatalf("%s line %d: equal-timestamp records out of canonical order:\n%+v\nafter\n%+v",
 						path, n, r, prev)
 				}

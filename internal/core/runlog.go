@@ -1,17 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"io"
 	"sort"
-	"sync"
+	"strings"
 
 	"dvsim/internal/assert"
 	"dvsim/internal/fault"
 	"dvsim/internal/governor"
 	"dvsim/internal/host"
+	"dvsim/internal/metrics"
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
-	"dvsim/internal/sim"
 	telem "dvsim/internal/telemetry"
 )
 
@@ -112,122 +113,53 @@ func eventRank(event string) int {
 
 // lessRecord is the deterministic log order: time first, then event
 // kind, then the identifying labels. Same-instant records from
-// different collection passes (mode spans vs results vs samples) would
-// otherwise land in map- or callback-dependent order.
-func lessRecord(a, b LogRecord) bool {
+// different sources (mode spans vs results vs samples) would otherwise
+// land in map- or callback-dependent order.
+func lessRecord(a, b *LogRecord) bool {
 	if a.T != b.T {
 		return a.T < b.T
 	}
 	if ra, rb := eventRank(a.Event), eventRank(b.Event); ra != rb {
 		return ra < rb
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Metric != b.Metric {
-		return a.Metric < b.Metric
-	}
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.To != b.To {
-		return a.To < b.To
-	}
-	if a.Frame != b.Frame {
-		return a.Frame < b.Frame
-	}
-	if a.Attempt != b.Attempt {
-		return a.Attempt < b.Attempt
-	}
-	return a.Assert < b.Assert
+	return compareLabels(a, b) < 0
 }
 
-// recorder gathers a run's observable events as LogRecords, on every
-// engine: governHook rides in the engine configuration, attach wires
-// the remaining observers once the rig is built, and collect finalizes
-// the stream in deterministic order. It backs both Simulate's event log
-// and its assertion checking.
-//
-// Records land in per-source buckets, one per event kind: the kernel
-// fires events in time order, so each bucket is (near-)sorted under
-// lessRecord as it is built, and collect finalizes with an O(n·sources)
-// ordered merge instead of a global sort. The buckets and the merged
-// slab are recycled through a process-wide pool — a long-lived host
-// (the simulation server, sweeps, Monte Carlo runs) re-runs telemetry
-// with a warm record store and allocates nothing per record.
+// compareLabels orders two same-instant records of one event kind by
+// their identifying labels: the tail of lessRecord.
+func compareLabels(a, b *LogRecord) int {
+	return cmp.Or(
+		strings.Compare(a.Node, b.Node),
+		strings.Compare(a.Metric, b.Metric),
+		strings.Compare(a.From, b.From),
+		strings.Compare(a.To, b.To),
+		cmp.Compare(a.Frame, b.Frame),
+		cmp.Compare(a.Attempt, b.Attempt),
+		strings.Compare(a.Assert, b.Assert),
+	)
+}
+
+// recorder gathers a run's observable events on every engine: governHook
+// rides in the engine configuration and attach wires the remaining
+// observers once the rig is built. Each hook appends the event it
+// receives, as is, to its own typed bucket; a LogRecord exists only as
+// the head of a merge source (see merge). The recorder backs both
+// Simulate's event log and its assertion checking.
 type recorder struct {
 	telemetry bool
-	// Runtime buckets, appended by the hooks as the simulation runs.
-	govern  []LogRecord
-	fault   []LogRecord
-	retry   []LogRecord
-	link    []LogRecord
-	latency []LogRecord
-	result  []LogRecord
-	// scratch assembles the post-run streams (per-node mode spans and
-	// deaths, per-series samples); ranges delimits each stream within it.
-	scratch []LogRecord
-	ranges  []streamRange
-	// merged is the final ordered slab handed to the caller; streams and
-	// cursor are merge scratch state.
-	merged  []LogRecord
-	streams [][]LogRecord
-	cursor  []int
+	govern    []governEvent
+	fault     []fault.Event
+	retry     []serial.RetryEvent
+	link      []serial.TransferEvent
+	// result backs both the "result" and, with the full vocabulary, the
+	// "latency" stream.
+	result []host.Result
 }
 
-// streamRange delimits one merge stream inside recorder.scratch.
-type streamRange struct{ lo, hi int }
-
-// recorderPool recycles record stores across runs.
-var recorderPool sync.Pool
-
-// newRecorder returns a pooled (or fresh) recorder with the merged slab
-// pre-sized to capHint records.
-func newRecorder(telemetry bool, capHint int) *recorder {
-	rc, _ := recorderPool.Get().(*recorder)
-	if rc == nil {
-		rc = &recorder{}
-	}
-	rc.telemetry = telemetry
-	if cap(rc.merged) < capHint {
-		rc.merged = make([]LogRecord, 0, capHint)
-	}
-	return rc
-}
-
-// release clears the record store and returns it to the pool; a nil
-// recorder is a no-op. The caller must be done with every slice
-// obtained from collect — the backing arrays are recycled into the next
-// run's recorder.
-func (rc *recorder) release() {
-	if rc == nil {
-		return
-	}
-	for _, b := range [][]LogRecord{rc.govern, rc.fault, rc.retry, rc.link, rc.latency, rc.result, rc.scratch, rc.merged} {
-		clear(b) // drop string references
-	}
-	rc.govern, rc.fault, rc.retry = rc.govern[:0], rc.fault[:0], rc.retry[:0]
-	rc.link, rc.latency, rc.result = rc.link[:0], rc.latency[:0], rc.result[:0]
-	rc.scratch, rc.merged = rc.scratch[:0], rc.merged[:0]
-	rc.ranges = rc.ranges[:0]
-	clear(rc.streams)
-	rc.streams = rc.streams[:0]
-	rc.cursor = rc.cursor[:0]
-	recorderPool.Put(rc)
-}
-
-// estimateRecords sizes the merged slab from the experiment shape: per
-// frame each node contributes a handful of mode spans and link/result
-// events, and the samplers add one record per period per series.
-func estimateRecords(p Params, nodes int, until float64, telemetry bool) int {
-	frames := int(until/p.FrameDelayS) + 1
-	est := frames * (3*nodes + 2)
-	if telemetry {
-		est += frames * (2*nodes + 2)
-		period := DefaultSamplePeriodS
-		est += int(until/period+1) * (4*nodes + 1)
-	}
-	return est + 256
+// governEvent is one governor decision and the node that made it.
+type governEvent struct {
+	node string
+	ev   governor.Event
 }
 
 // governHook chains the recorder behind the caller's governor observer
@@ -237,179 +169,274 @@ func (rc *recorder) governHook(prev func(string, governor.Event)) func(string, g
 		if prev != nil {
 			prev(nodeName, ev)
 		}
-		rc.govern = append(rc.govern, LogRecord{
-			T: ev.Obs.NowS, Event: "govern", Node: nodeName,
-			Frame: ev.Frame, FromMHz: ev.From.FreqMHz, MHz: ev.To.FreqMHz,
-			Value: ev.Obs.SlackS, Queue: ev.Obs.QueueIn,
-			Ctl: ev.Terms,
-		})
+		rc.govern = append(rc.govern, governEvent{nodeName, ev})
 	}
 }
 
 // attach wires the post-build observers onto the rig: results always,
-// and for the full vocabulary every serial transaction, retransmission,
-// injected fault and frame latency. Nothing has fired yet, so no event
-// is missed.
+// and for the full vocabulary every serial transaction, retransmission
+// and injected fault. Nothing has fired yet, so no event is missed.
 func (rc *recorder) attach(r *rig) {
 	if rc.telemetry {
-		r.net.OnTransfer = func(ev serial.TransferEvent) {
-			rc.link = append(rc.link, LogRecord{
-				T: float64(ev.T), Event: "link",
-				From: ev.From, To: ev.To,
-				Kind: ev.Kind.String(), KB: ev.KB, DurS: ev.DurS,
-			})
-		}
-		r.net.OnRetry = func(ev serial.RetryEvent) {
-			rc.retry = append(rc.retry, LogRecord{
-				T: float64(ev.T), Event: "retry",
-				From: ev.From, To: ev.To,
-				Kind: ev.Kind.String(), Frame: ev.Frame,
-				Attempt: ev.Attempt, Value: ev.BackoffS,
-				Fault: ev.Cause.String(),
-			})
-		}
+		r.net.OnTransfer = func(ev serial.TransferEvent) { rc.link = append(rc.link, ev) }
+		r.net.OnRetry = func(ev serial.RetryEvent) { rc.retry = append(rc.retry, ev) }
 		if r.inj != nil {
-			r.inj.OnFault = func(ev fault.Event) {
-				rc.fault = append(rc.fault, LogRecord{
-					T: float64(ev.T), Event: "fault", Fault: ev.Kind,
-					Node: ev.Node, From: ev.From, To: ev.To,
-					Kind: ev.MsgKind, Frame: ev.Frame,
-				})
-			}
+			r.inj.OnFault = func(ev fault.Event) { rc.fault = append(rc.fault, ev) }
 		}
 	}
-	d := r.d
 	r.observe = func(res host.Result) {
-		rc.result = append(rc.result, LogRecord{
-			T: float64(res.At), Event: "result", Frame: res.Frame, From: res.From,
-		})
-		if rc.telemetry {
-			// End-to-end latency: arrival minus the instant the frame
-			// entered the system (frame·D).
-			rc.latency = append(rc.latency, LogRecord{
+		// No record shows a native run's payload; dropping it here keeps
+		// the decoded frames collectable.
+		res.Payload = nil
+		rc.result = append(rc.result, res)
+	}
+}
+
+// merge returns the cursor over the run's records. The sources are
+// listed in tie order — per node its mode spans, the deaths, per
+// sampled series its points (full vocabulary only), then the hook
+// buckets — and each reads its events in place: the nodes' mode traces
+// and death instants, the points of series (the outcome's metrics
+// snapshot) and the buckets. Call it once the nodes' metering is
+// finished.
+func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
+	var srcs []source
+	var dead []*node.Node
+	for _, n := range r.nodes {
+		srcs = append(srcs, modeSource(n.Name, n.Power().Trace()))
+		if n.DeadAt > 0 {
+			dead = append(dead, n)
+		}
+	}
+	srcs = append(srcs, bucket("death", dead, deathRecord))
+	if rc.telemetry {
+		for i := range series {
+			s := &series[i]
+			srcs = append(srcs, stream("sample", s.Samples, func(pt *metrics.SamplePoint, rec *LogRecord) {
+				*rec = LogRecord{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
+			}))
+		}
+	}
+	srcs = append(srcs,
+		bucket("govern", rc.govern, governRecord),
+		bucket("fault", rc.fault, faultRecord),
+		bucket("retry", rc.retry, retryRecord),
+		bucket("link", rc.link, linkRecord))
+	if rc.telemetry {
+		// End-to-end latency: arrival minus the instant the frame entered
+		// the system (frame·D).
+		d := r.d
+		srcs = append(srcs, bucket("latency", rc.result, func(res *host.Result, rec *LogRecord) {
+			*rec = LogRecord{
 				T: float64(res.At), Event: "latency", Frame: res.Frame,
 				From: res.From, Value: float64(res.At) - float64(res.Frame)*d,
-			})
-		}
-	}
-}
-
-// collect finalizes the record stream after the run: node mode traces
-// and deaths and the sampler series are gathered as further per-source
-// streams, every stream is verified (or restored) to lessRecord order,
-// and one ordered merge produces the canonical stream — O(n·sources)
-// instead of the global O(n log n) sort it replaces. The result aliases
-// the recorder's pooled slab; it is valid until release.
-func (rc *recorder) collect(r *rig) []LogRecord {
-	// Finishing the metering settles the last segment, which may kill
-	// a node: read DeadAt only afterwards.
-	for _, n := range r.nodes {
-		n.Power().Finish()
-		rc.modes(n.Name, n.Power().Trace(), n.DeadAt)
-	}
-	// Per-series stream: one sampler's points are strictly time-ordered.
-	if rc.telemetry {
-		for _, s := range r.reg.Snapshot().Series {
-			lo := len(rc.scratch)
-			for _, pt := range s.Samples {
-				rc.scratch = append(rc.scratch, LogRecord{
-					T: float64(pt.T), Event: "sample",
-					Node: s.Node, Metric: s.Name, Value: pt.V,
-				})
 			}
-			rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
+		}))
+	}
+	srcs = append(srcs, bucket("result", rc.result, resultRecord))
+	return &merger{srcs: srcs}
+}
+
+// modeSource reads one node's mode spans, chronological by
+// construction.
+func modeSource(name string, trace []node.ModeSpan) source {
+	return stream("mode", trace, func(sp *node.ModeSpan, rec *LogRecord) {
+		*rec = LogRecord{
+			T: float64(sp.Start), End: float64(sp.End), Event: "mode",
+			Node: name, Mode: sp.Mode.String(), MHz: sp.Op.FreqMHz,
 		}
-	}
-	return rc.finalize()
+	})
 }
 
-// modes adds one node's stream: its mode spans (chronological by
-// construction), then the death record, whose rank sorts it after a
-// span starting at the same instant.
-func (rc *recorder) modes(name string, trace []node.ModeSpan, deadAt sim.Time) {
-	lo := len(rc.scratch)
-	for _, span := range trace {
-		rc.scratch = append(rc.scratch, LogRecord{
-			T:     float64(span.Start),
-			End:   float64(span.End),
-			Event: "mode",
-			Node:  name,
-			Mode:  span.Mode.String(),
-			MHz:   span.Op.FreqMHz,
-		})
-	}
-	if deadAt > 0 {
-		rc.scratch = append(rc.scratch, LogRecord{
-			T: float64(deadAt), Event: "death", Node: name,
-		})
-	}
-	rc.ranges = append(rc.ranges, streamRange{lo, len(rc.scratch)})
+func deathRecord(n **node.Node, rec *LogRecord) {
+	*rec = LogRecord{T: float64((*n).DeadAt), Event: "death", Node: (*n).Name}
 }
 
-// finalize materializes the merge streams — the scratch ranges plus the
-// runtime buckets — restores any stream that lost lessRecord order, and
-// merges them into the canonical record stream. Streams materialize
-// only after scratch stops growing (append may move the backing array).
-// The result aliases the recorder's pooled slab; it is valid until
-// release.
-func (rc *recorder) finalize() []LogRecord {
-	rc.streams = rc.streams[:0]
-	for _, rg := range rc.ranges {
-		rc.streams = append(rc.streams, rc.scratch[rg.lo:rg.hi])
+func governRecord(g *governEvent, rec *LogRecord) {
+	ev := &g.ev
+	*rec = LogRecord{
+		T: ev.Obs.NowS, Event: "govern", Node: g.node,
+		Frame: ev.Frame, FromMHz: ev.From.FreqMHz, MHz: ev.To.FreqMHz,
+		Value: ev.Obs.SlackS, Queue: ev.Obs.QueueIn,
+		Ctl: ev.Terms,
 	}
-	rc.streams = append(rc.streams, rc.govern, rc.fault, rc.retry, rc.link, rc.latency, rc.result)
-	for _, s := range rc.streams {
-		ensureOrdered(s)
-	}
-	rc.merged = mergeRecords(rc.merged[:0], rc.streams, &rc.cursor)
-	return rc.merged
 }
 
-// ensureOrdered restores lessRecord order within one stream. Streams
-// are sorted by construction in all known cases (the check is one linear
-// pass); the stable sort is a correctness net for same-instant records
-// whose bucket-internal keys disagree with arrival order.
-func ensureOrdered(s []LogRecord) {
-	for i := 1; i < len(s); i++ {
-		if lessRecord(s[i], s[i-1]) {
-			sort.SliceStable(s, func(a, b int) bool { return lessRecord(s[a], s[b]) })
+func faultRecord(ev *fault.Event, rec *LogRecord) {
+	*rec = LogRecord{
+		T: float64(ev.T), Event: "fault", Fault: ev.Kind,
+		Node: ev.Node, From: ev.From, To: ev.To,
+		Kind: ev.MsgKind, Frame: ev.Frame,
+	}
+}
+
+func retryRecord(ev *serial.RetryEvent, rec *LogRecord) {
+	*rec = LogRecord{
+		T: float64(ev.T), Event: "retry",
+		From: ev.From, To: ev.To,
+		Kind: ev.Kind.String(), Frame: ev.Frame,
+		Attempt: ev.Attempt, Value: ev.BackoffS,
+		Fault: ev.Cause.String(),
+	}
+}
+
+func linkRecord(ev *serial.TransferEvent, rec *LogRecord) {
+	*rec = LogRecord{
+		T: float64(ev.T), Event: "link",
+		From: ev.From, To: ev.To,
+		Kind: ev.Kind.String(), KB: ev.KB, DurS: ev.DurS,
+	}
+}
+
+func resultRecord(res *host.Result, rec *LogRecord) {
+	*rec = LogRecord{T: float64(res.At), Event: "result", Frame: res.Frame, From: res.From}
+}
+
+// violationRecord renders a violation as a telemetry event.
+func violationRecord(v *assert.Violation, rec *LogRecord) {
+	*rec = LogRecord{
+		T: v.T, Event: "violation", Node: v.Node, Frame: v.Frame,
+		Kind: v.Type, Assert: v.Assertion, Value: v.Value,
+		Bound: v.Bound, Detail: v.Detail,
+	}
+}
+
+// source is one merge stream, read in place where the run left it: n
+// records of one event kind (rank is its eventRank), the i-th rendered
+// into a LogRecord by load only when it becomes the stream's head.
+type source struct {
+	rank int
+	n    int
+	load func(i int, rec *LogRecord)
+}
+
+// stream makes the source of events already in lessRecord order.
+func stream[E any](event string, evs []E, render func(*E, *LogRecord)) source {
+	return source{rank: eventRank(event), n: len(evs), load: func(i int, rec *LogRecord) { render(&evs[i], rec) }}
+}
+
+// bucket makes the source of a hook's typed bucket, first restoring
+// lessRecord order within it.
+func bucket[E any](event string, evs []E, render func(*E, *LogRecord)) source {
+	ensureOrdered(evs, render)
+	return stream(event, evs, render)
+}
+
+// ensureOrdered restores lessRecord order within one bucket. The kernel
+// fires events in time order, so buckets are sorted by construction in
+// all known cases and the check is one linear pass; the stable sort is a
+// correctness net for same-instant events whose labels disagree with
+// arrival order.
+func ensureOrdered[E any](evs []E, render func(*E, *LogRecord)) {
+	if len(evs) < 2 {
+		return
+	}
+	var pair [2]LogRecord
+	for i := range evs {
+		cur, prev := &pair[i&1], &pair[(i+1)&1]
+		render(&evs[i], cur)
+		if i > 0 && lessRecord(cur, prev) {
+			sort.SliceStable(evs, func(a, b int) bool {
+				render(&evs[a], &pair[0])
+				render(&evs[b], &pair[1])
+				return lessRecord(&pair[0], &pair[1])
+			})
 			return
 		}
 	}
 }
 
-// mergeRecords k-way-merges the sorted streams into dst. Ties pick the
-// earliest stream, making the merge stable in stream order; cursor is
-// reusable scratch for the per-stream positions.
-func mergeRecords(dst []LogRecord, streams [][]LogRecord, cursor *[]int) []LogRecord {
-	idx := (*cursor)[:0]
-	total := 0
-	for _, s := range streams {
-		idx = append(idx, 0)
-		total += len(s)
-	}
-	*cursor = idx
-	for len(dst) < total {
-		best := -1
-		for si, s := range streams {
-			if idx[si] >= len(s) {
-				continue
-			}
-			if best < 0 || lessRecord(s[idx[si]], streams[best][idx[best]]) {
-				best = si
-			}
+// merger is the k-way merge over the sources: a binary min-heap of the
+// sources that still have a head, ordered by lessRecord with ties going
+// to the earlier source, so the merge is stable in source order. Only
+// the heads are ever materialized.
+type merger struct {
+	srcs  []source
+	pos   []int       // index of each source's head
+	heads []LogRecord // each source's current head
+	heap  []int       // sources with a head; heap[0] holds the least
+	top   int         // source whose head next returned last, or -1
+}
+
+// rewind starts a pass over the merge from every source's first record.
+func (m *merger) rewind() {
+	n := len(m.srcs)
+	m.pos, m.heads, m.heap = make([]int, n), make([]LogRecord, n), make([]int, 0, n)
+	for i, s := range m.srcs {
+		if s.n > 0 {
+			s.load(0, &m.heads[i])
+			m.heap = append(m.heap, i)
 		}
-		dst = append(dst, streams[best][idx[best]])
-		idx[best]++
 	}
-	return dst
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	m.top = -1
+}
+
+// next returns the next record in canonical order, or nil once every
+// source is drained. The record is valid until the following call.
+func (m *merger) next() *LogRecord {
+	if i := m.top; i >= 0 {
+		m.pos[i]++
+		if m.pos[i] < m.srcs[i].n {
+			m.srcs[i].load(m.pos[i], &m.heads[i])
+		} else {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
+		}
+		m.down(0)
+	}
+	if len(m.heap) == 0 {
+		m.top = -1
+		return nil
+	}
+	m.top = m.heap[0]
+	return &m.heads[m.top]
+}
+
+// down sifts the source at heap position i down to its place.
+func (m *merger) down(i int) {
+	h := m.heap
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && m.before(h[l], h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && m.before(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// before orders sources a and b by their heads: lessRecord, with each
+// source's fixed rank standing in for eventRank, and ties to the earlier
+// source.
+func (m *merger) before(a, b int) bool {
+	x, y := &m.heads[a], &m.heads[b]
+	if x.T != y.T {
+		return x.T < y.T
+	}
+	if ra, rb := m.srcs[a].rank, m.srcs[b].rank; ra != rb {
+		return ra < rb
+	}
+	if c := compareLabels(x, y); c != 0 {
+		return c < 0
+	}
+	return a < b
 }
 
 // recordView converts a LogRecord to the assertion engine's mirrored
 // view; field order follows the struct. The engine's Ctl stays a slice;
 // a record without controller terms maps to nil, as before the array
 // representation.
-func recordView(r LogRecord) assert.Record {
+func recordView(r *LogRecord) assert.Record {
 	var ctl []float64
 	if r.Ctl != ([3]float64{}) {
 		ctl = r.Ctl[:]
@@ -426,58 +453,30 @@ func recordView(r LogRecord) assert.Record {
 	}
 }
 
-// evalAssertions streams the sorted records through the engine and
+// evalAssertions streams one pass of the merge through the engine and
 // closes it at the last record's timestamp — the same end-of-stream
 // rule Replay applies offline, which is what makes online and offline
 // verdicts identical.
-func evalAssertions(eng *assert.Engine, records []LogRecord) []assert.Violation {
-	for _, r := range records {
-		eng.Observe(recordView(r))
-	}
+func evalAssertions(eng *assert.Engine, m *merger) []assert.Violation {
 	var endT float64
-	if n := len(records); n > 0 {
-		endT = records[n-1].T
+	m.rewind()
+	for r := m.next(); r != nil; r = m.next() {
+		eng.Observe(recordView(r))
+		endT = r.T
 	}
 	eng.Finish(endT)
 	return eng.Violations()
 }
 
-// violationRecords renders violations as telemetry events.
-func violationRecords(vio []assert.Violation) []LogRecord {
-	out := make([]LogRecord, len(vio))
-	for i, v := range vio {
-		out[i] = LogRecord{
-			T: v.T, Event: "violation", Node: v.Node, Frame: v.Frame,
-			Kind: v.Type, Assert: v.Assertion, Value: v.Value,
-			Bound: v.Bound, Detail: v.Detail,
-		}
-	}
-	return out
-}
-
-// withViolations merges a checked run's verdicts into its record
-// stream as "violation" events.
-func withViolations(records []LogRecord, vio []assert.Violation) []LogRecord {
-	if len(vio) == 0 {
-		return records
-	}
-	vr := violationRecords(vio)
-	ensureOrdered(vr)
-	merged := make([]LogRecord, 0, len(records)+len(vr))
-	var cursor []int
-	return mergeRecords(merged, [][]LogRecord{records, vr}, &cursor)
-}
-
-// writeLog encodes the records to w as JSON lines. On a mid-stream
-// write failure the count is the number of records whose bytes fully
-// reached w, not zero — the caller knows how much of the log is intact.
-func writeLog(w io.Writer, records []LogRecord) (int, error) {
+// writeLog encodes one pass of the merge to w as JSON lines, each record
+// as it comes off the merge. On a mid-stream write failure the count is
+// the number of records whose bytes fully reached w, not zero — the
+// caller knows how much of the log is intact.
+func writeLog(w io.Writer, m *merger) (int, error) {
 	enc := telem.NewEncoder(w)
-	for i := range records {
-		encodeRecord(enc, &records[i])
-		if enc.Err() != nil {
-			break
-		}
+	m.rewind()
+	for r := m.next(); r != nil && enc.Err() == nil; r = m.next() {
+		encodeRecord(enc, r)
 	}
 	enc.Flush()
 	return enc.Flushed(), enc.Err()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"dvsim/internal/assert"
 	"dvsim/internal/cpu"
@@ -119,12 +120,7 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 	// the full vocabulary unless the log asked for the plain one.
 	var rc *recorder
 	if sk.Log != nil || eng != nil {
-		full := sk.Telemetry || sk.Log == nil
-		horizon := s.UntilS
-		if horizon <= 0 {
-			horizon = float64(s.Frames) * s.Params.FrameDelayS
-		}
-		rc = newRecorder(full, estimateRecords(s.Params, pl.nodes(), horizon, full))
+		rc = &recorder{telemetry: sk.Telemetry || sk.Log == nil}
 		pl.onGovern = rc.governHook(sk.OnGovern)
 	} else {
 		pl.onGovern = sk.OnGovern
@@ -146,29 +142,39 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 		r.k.Run()
 	}
 	if err := ctx.Err(); err != nil {
-		rc.release()
 		return Outcome{}, err
 	}
-	var records []LogRecord
-	if rc != nil {
-		records = rc.collect(r)
+	if pl.trace {
+		// Finishing the metering settles the last segment, which may
+		// kill a node: the traces and DeadAt are read only afterwards.
+		for _, n := range r.nodes {
+			n.Power().Finish()
+		}
 	}
 	if sk.Traces != nil {
 		*sk.Traces = r.traces()
 	}
 	out := r.outcome(&pl)
+	if rc == nil {
+		return out, nil
+	}
+	// One merge over the run's records serves both consumers: a pass
+	// feeds the assertion engine, and a pass, with the verdicts as one
+	// more source, encodes the log.
+	m := rc.merge(r, out.Metrics.Series)
 	if eng != nil {
-		out.Violations = evalAssertions(eng, records)
+		out.Violations = evalAssertions(eng, m)
 		out.AssertionsRun = eng.Evaluated()
 		out.ViolationTotal = eng.Total()
-		if sk.Log != nil {
-			records = withViolations(records, out.Violations)
+		if sk.Log != nil && len(out.Violations) > 0 {
+			// The log orders the verdicts by lessRecord; sort a copy so
+			// Outcome.Violations keeps the engine's canonical order.
+			m.srcs = append(m.srcs, bucket("violation", slices.Clone(out.Violations), violationRecord))
 		}
 	}
 	if sk.Log != nil {
-		out.Records, err = writeLog(sk.Log, records)
+		out.Records, err = writeLog(sk.Log, m)
 	}
-	rc.release()
 	return out, err
 }
 

@@ -41,7 +41,7 @@ func TestRunTelemetryEmitsAllEventKinds(t *testing.T) {
 	counts := map[string]int{}
 	prev := LogRecord{T: -1}
 	for _, r := range records {
-		if lessRecord(r, prev) {
+		if lessRecord(&r, &prev) {
 			t.Fatalf("records out of order: %+v after %+v", r, prev)
 		}
 		prev = r

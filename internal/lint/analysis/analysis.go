@@ -53,9 +53,9 @@ type Pass struct {
 	Info *types.Info
 
 	// Program is the whole-run view — every loaded package, the call
-	// graph over them, and the cross-function fact store. Analyzers
-	// that follow values or taint through helpers reach beyond the
-	// current package through it; per-file analyzers ignore it.
+	// graph over them, and a memo for whole-program results. Analyzers
+	// that follow taint through helpers reach beyond the current
+	// package through it; per-file analyzers ignore it.
 	Program *Program
 
 	// Report delivers one diagnostic to the driver.

@@ -4,17 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the interprocedural half of the framework: a whole-run
 // Program view over every package the driver loaded, a type-based call
-// graph, and a fact store analyzers use to publish properties of
-// functions ("returns slab-backed memory") that later passes over other
-// functions — in other packages — can consume. It mirrors the
-// go/analysis fact model in spirit: facts attach to objects and flow
-// across package boundaries, but here the whole program is in memory at
-// once, so no serialization is needed.
+// graph, and a memo through which per-package passes share one
+// whole-program computation (nondetflow's taint fixpoint). The whole
+// program is in memory at once, so nothing crosses package boundaries
+// by serialization.
 
 // ProgramPkg is one loaded package as the Program sees it.
 type ProgramPkg struct {
@@ -25,7 +22,7 @@ type ProgramPkg struct {
 }
 
 // Program is the whole-run view shared by every Pass: all loaded
-// packages, the call graph over them, a fact store, and the driver's
+// packages, the call graph over them, a memo, and the driver's
 // suppression predicate. Analyzers that need cross-function reasoning
 // reach it through Pass.Program.
 type Program struct {
@@ -41,18 +38,7 @@ type Program struct {
 	// that an explicitly allowed root does not taint its callers.
 	Suppressed func(analyzer string, pos token.Position) bool
 
-	facts map[factKey][]Fact
-	memo  map[string]any
-}
-
-// Fact is a property an analyzer attaches to a function, visible to
-// later passes over other functions and packages. Implementations are
-// plain structs; the marker method only brands the type.
-type Fact interface{ AFact() }
-
-type factKey struct {
-	analyzer string
-	fn       string // FuncID
+	memo map[string]any
 }
 
 // NewProgram builds the whole-run view: it indexes the packages and
@@ -62,23 +48,10 @@ func NewProgram(fset *token.FileSet, pkgs []*ProgramPkg) *Program {
 		Fset:       fset,
 		Pkgs:       pkgs,
 		Suppressed: func(string, token.Position) bool { return false },
-		facts:      map[factKey][]Fact{},
 		memo:       map[string]any{},
 	}
 	p.Graph = buildCallGraph(fset, pkgs)
 	return p
-}
-
-// ExportFact publishes a fact about the function identified by id
-// (see FuncID) on behalf of the analyzer.
-func (p *Program) ExportFact(analyzer, id string, f Fact) {
-	k := factKey{analyzer, id}
-	p.facts[k] = append(p.facts[k], f)
-}
-
-// FactsOf returns the facts the analyzer has exported for id.
-func (p *Program) FactsOf(analyzer, id string) []Fact {
-	return p.facts[factKey{analyzer, id}]
 }
 
 // Cached memoizes a program-wide computation under key: the first call
@@ -280,17 +253,4 @@ func implMethod(t types.Type, iface *types.Interface, name string) *types.Func {
 		}
 	}
 	return nil
-}
-
-// DocContains reports whether the function declaration's doc comment
-// contains the marker phrase, case-insensitively. Contract-by-comment
-// is how base facts are seeded: the prose that tells a human reader
-// "the result aliases the pooled slab; it is valid until release" is
-// the same marker the analyzer keys on, so the documentation and the
-// enforcement can never drift apart.
-func DocContains(decl *ast.FuncDecl, marker string) bool {
-	if decl == nil || decl.Doc == nil {
-		return false
-	}
-	return strings.Contains(strings.ToLower(decl.Doc.Text()), strings.ToLower(marker))
 }

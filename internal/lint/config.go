@@ -17,9 +17,6 @@ import "strings"
 //   - nondetflow reports *inside the same guarded packages* — it is the
 //     interprocedural half of the same invariant, flagging the call
 //     sites where taint enters from unguarded helpers.
-//   - poolsafe applies module-wide except the lint subsystem itself:
-//     slab-backed values escape core through public APIs, so any caller
-//     can retain one past its release.
 //   - maprange applies module-wide: any package may format output that
 //     lands in a golden file or a CI cmp smoke.
 //   - nakedgo and eventreuse apply everywhere except internal/sim,
@@ -32,9 +29,6 @@ func inScope(analyzer, pkgPath string) bool {
 		return strings.HasPrefix(pkgPath, "dvsim/internal/") &&
 			!strings.HasPrefix(pkgPath, "dvsim/internal/lint") &&
 			!strings.HasPrefix(pkgPath, "dvsim/internal/service")
-	case "poolsafe":
-		return (pkgPath == "dvsim" || strings.HasPrefix(pkgPath, "dvsim/")) &&
-			!strings.HasPrefix(pkgPath, "dvsim/internal/lint")
 	case "maprange":
 		return pkgPath == "dvsim" || strings.HasPrefix(pkgPath, "dvsim/")
 	case "nakedgo", "eventreuse":

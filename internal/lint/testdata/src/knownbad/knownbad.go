@@ -31,17 +31,3 @@ func rebind(k *sim.Kernel) {
 }
 
 func indirect() int64 { return wallClock() }
-
-type pool struct{ buf []byte }
-
-// grab returns the pooled bytes. The result aliases the pool's slab;
-// it is valid until release.
-func (p *pool) grab() []byte { return p.buf }
-
-func (p *pool) release() {}
-
-func stale(p *pool) byte {
-	b := p.grab()
-	p.release()
-	return b[0]
-}

@@ -11,6 +11,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -81,11 +82,14 @@ func (e *Encoder) End() {
 	}
 }
 
-// Flush hands buffered bytes to the writer.
+// Flush hands buffered bytes to the writer. A failed write still counts
+// the records whose lines it delivered whole: every record ends in the
+// one newline its encoding contains.
 func (e *Encoder) Flush() error {
 	if e.err == nil && len(e.buf) > 0 {
-		if _, werr := e.w.Write(e.buf); werr != nil {
+		if n, werr := e.w.Write(e.buf); werr != nil {
 			e.err = werr
+			e.flushed += bytes.Count(e.buf[:max(0, min(n, len(e.buf)))], []byte{'\n'})
 		} else {
 			e.flushed += e.pending
 		}

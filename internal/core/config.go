@@ -91,10 +91,7 @@ func (pc PlatformConfig) Params() (Params, error) {
 	if pc.Link.GoodputKBps <= 0 || pc.Link.StartupS < 0 {
 		return Params{}, fmt.Errorf("core: bad link %+v", pc.Link)
 	}
-	pm := &cpu.PowerModel{
-		Base:  make(map[cpu.Mode]float64, len(modeNames)),
-		Slope: make(map[cpu.Mode]float64, len(modeNames)),
-	}
+	pm := &cpu.PowerModel{}
 	for name, m := range modeNames {
 		curve, ok := pc.Power[name]
 		if !ok {

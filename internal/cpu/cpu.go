@@ -100,6 +100,9 @@ const (
 	Comm
 	// Compute: executing the ATR algorithm.
 	Compute
+	// NumModes is the number of modes; per-mode tables are arrays of
+	// this length indexed by Mode.
+	NumModes
 )
 
 func (m Mode) String() string {
@@ -131,20 +134,20 @@ var Modes = []Mode{Idle, Comm, Compute}
 type PowerModel struct {
 	// Base and Slope per mode: current = Base[m] + Slope[m]·f·V²,
 	// with f in MHz and V in volts.
-	Base  map[Mode]float64
-	Slope map[Mode]float64
+	Base  [NumModes]float64
+	Slope [NumModes]float64
 }
 
 // DefaultPowerModel is the model calibrated to the paper's reported
 // currents (see package comment).
 func DefaultPowerModel() *PowerModel {
 	return &PowerModel{
-		Base: map[Mode]float64{
+		Base: [NumModes]float64{
 			Idle:    25.0,
 			Comm:    30.0,
 			Compute: 38.0,
 		},
-		Slope: map[Mode]float64{
+		Slope: [NumModes]float64{
 			Idle:    0.050,
 			Comm:    0.200,
 			Compute: 0.230,

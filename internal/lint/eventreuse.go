@@ -20,9 +20,9 @@ import (
 //     zero Event + Bind + Reschedule.
 //  2. Re-arming a long-lived handle by assigning a fresh At/After
 //     result to it inside a loop abandons the previous handle (its
-//     stale heap entry lingers) and allocates per occurrence; the
-//     kernel provides Reschedule precisely so periodic callers reuse
-//     one handle for a whole series.
+//     occurrence stays queued unless canceled) and allocates per
+//     occurrence; the kernel provides Reschedule precisely so periodic
+//     callers reuse one handle for a whole series.
 //  3. Bind inside a loop on a handle declared outside it rebuilds the
 //     callback closure every iteration; Bind once at setup, then
 //     Reschedule occurrences.

@@ -39,8 +39,8 @@ type Power struct {
 
 	// Accounting per mode (seconds and mA·s at the battery), indexed by
 	// cpu.Mode (Idle, Comm, Compute).
-	modeTime   [3]float64
-	modeCharge [3]float64
+	modeTime   [cpu.NumModes]float64
+	modeCharge [cpu.NumModes]float64
 
 	// traceOn records every constant-power span, for timeline figures.
 	traceOn bool
@@ -151,17 +151,16 @@ func (pw *Power) settle() {
 	}
 }
 
-// arm schedules the death event for the present draw.
+// arm schedules the death event for the present draw: a finite
+// prediction moves the queued event in place, anything else cancels it.
 func (pw *Power) arm() {
+	if !pw.dead && !pw.suspended {
+		if tte := pw.bat.TimeToEmpty(pw.cpu.CurrentMA()); !math.IsInf(tte, 1) {
+			pw.k.Reschedule(&pw.death, pw.k.Now()+sim.Time(tte))
+			return
+		}
+	}
 	pw.k.Cancel(&pw.death)
-	if pw.dead || pw.suspended {
-		return
-	}
-	tte := pw.bat.TimeToEmpty(pw.cpu.CurrentMA())
-	if math.IsInf(tte, 1) {
-		return
-	}
-	pw.k.Reschedule(&pw.death, pw.k.Now()+sim.Time(tte))
 }
 
 func (pw *Power) die() {

@@ -92,10 +92,7 @@ func TestPowerNoDeathEventForSustainableDraw(t *testing.T) {
 	k := sim.NewKernel()
 	// A hypothetical zero-draw platform: infinite TimeToEmpty must not
 	// schedule a death event, or the kernel would never drain.
-	zero := &cpu.PowerModel{
-		Base:  map[cpu.Mode]float64{cpu.Idle: 0, cpu.Comm: 0, cpu.Compute: 0},
-		Slope: map[cpu.Mode]float64{cpu.Idle: 0, cpu.Comm: 0, cpu.Compute: 0},
-	}
+	zero := &cpu.PowerModel{}
 	c := cpu.New(zero, cpu.MinPoint)
 	pw := NewPower(k, c, battery.NewTwoWell(100, 10, 1000, 1))
 	_ = pw

@@ -140,10 +140,10 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := newProc(k, name)
 	k.procs[p] = struct{}{}
 	go p.run(fn)
-	// The start event's sequence number is the process id, preserving
-	// spawn-order determinism.
+	// The start event takes the kernel's next sequence number, which is
+	// the process id, preserving spawn-order determinism.
+	p.id = k.seq
 	p.t.Start(t)
-	p.id = p.t.timer.seq
 	k.trace(p, StateCreated, "spawn")
 	return p
 }

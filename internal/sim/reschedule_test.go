@@ -3,9 +3,9 @@ package sim
 import "testing"
 
 // These tests pin down the reusable-event API (Bind + Reschedule) and
-// the lazy-cancellation discipline: canceled entries linger in the heap
-// until drained at one explicit place, so the read-only accessors must
-// never observe (or mutate) stale state.
+// eager removal: Cancel takes an entry out of the queue at once, and
+// Reschedule of a queued handle moves its one entry, so the queue holds
+// only live events and the read-only accessors are exact pure reads.
 
 func TestRescheduleFiresOnceAtLatestTime(t *testing.T) {
 	k := NewKernel()
@@ -13,7 +13,7 @@ func TestRescheduleFiresOnceAtLatestTime(t *testing.T) {
 	var e Event
 	e.Bind(func() { fired = append(fired, k.Now()) })
 	k.Reschedule(&e, 5)
-	k.Reschedule(&e, 2) // moving an armed event supersedes the old slot
+	k.Reschedule(&e, 2) // moving a queued event moves its one entry
 	k.Run()
 	if len(fired) != 1 || fired[0] != 2 {
 		t.Fatalf("fired = %v, want [2]", fired)
@@ -80,8 +80,8 @@ func TestCancelRescheduleInterleaving(t *testing.T) {
 	k.Reschedule(&a, 1)
 	k.Reschedule(&b, 2)
 	k.Reschedule(&c, 3)
-	k.Cancel(&b)        // leaves a stale entry at t=2
-	k.Reschedule(&a, 4) // leaves a stale entry at t=1, live at t=4
+	k.Cancel(&b)        // removes the entry at t=2
+	k.Reschedule(&a, 4) // moves the entry from t=1 to t=4
 	k.Reschedule(&b, 1) // revived ahead of everything
 	k.Run()
 	want := []string{"b", "c", "a"}
@@ -100,8 +100,8 @@ func TestCancelOfTopKeepsAccessorsPure(t *testing.T) {
 	e1 := k.At(1, func() {})
 	k.At(2, func() {})
 	k.Cancel(e1)
-	// The canceled top is drained at the cancel itself — the one
-	// explicit place — so reads agree immediately and repeatably.
+	// The canceled top leaves the queue at the cancel itself, so reads
+	// agree immediately and repeatably.
 	for i := 0; i < 3; i++ {
 		if k.Idle() {
 			t.Fatal("Idle() = true with a live event queued")
@@ -110,7 +110,7 @@ func TestCancelOfTopKeepsAccessorsPure(t *testing.T) {
 			t.Fatalf("NextEventTime() = %v, want 2", got)
 		}
 		if got := k.QueueLen(); got != 1 {
-			t.Fatalf("QueueLen() = %d, want 1 (stale entries must not count)", got)
+			t.Fatalf("QueueLen() = %d, want 1 (canceled entries must not count)", got)
 		}
 	}
 	if k.Fired() != 0 {
@@ -170,7 +170,7 @@ func TestRescheduleSameInstantKeepsFIFO(t *testing.T) {
 func TestHeapSurvivesChurn(t *testing.T) {
 	// Heavy interleaved schedule/cancel/reschedule traffic must keep
 	// the live count and firing order coherent (exercises slot reuse
-	// and stale-entry draining under load).
+	// and removal from the middle of the heap under load).
 	k := NewKernel()
 	const n = 500
 	events := make([]Event, n)

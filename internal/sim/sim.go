@@ -21,16 +21,18 @@
 //
 // # Performance
 //
-// The event queue is an inlined 4-ary min-heap of value entries: pushing
-// an event copies a small struct into the heap's backing array and never
-// allocates per schedule (beyond amortized slice growth). Cancellation is
-// lazy — Cancel and Reschedule mark the handle and leave the stale heap
-// entry behind to be skipped when it surfaces — so neither is O(log n).
-// Internal wakeups (task resumes) are scheduled as handle-free entries
-// and allocate nothing: a Task's continuations are named pointer types
-// over the Task itself, so scheduling one stores an interface, never a
-// fresh closure. Periodic callers reuse one Event handle through
-// Reschedule instead of allocating per occurrence.
+// The event queue holds only live events. Timed events sit in an inlined
+// 4-ary min-heap of pointer-free value entries, and each queued entry's
+// heap position is kept in its slot: Cancel removes the entry in
+// O(log n), and Reschedule of a queued handle moves it in place. Pushing
+// an event never allocates per schedule (beyond amortized slice growth).
+// Internal wakeups (task resumes, interrupt one-shots) are handle-free
+// and always at the current instant, so they skip the heap: they join a
+// FIFO lane that step merges with the heap top by (time, sequence). They
+// allocate nothing: a Task's continuations are named pointer types over
+// the Task itself, so posting one stores an interface, never a fresh
+// closure. Periodic callers reuse one Event handle through Reschedule
+// instead of allocating per occurrence.
 package sim
 
 import (
@@ -53,8 +55,8 @@ const Infinity Time = Time(math.MaxFloat64)
 // an Event may reuse it for a whole series of occurrences via Reschedule.
 type Event struct {
 	t        Time
-	seq      uint64
 	h        handler
+	slot     int32 // the kernel slot of its heap entry, while queued
 	canceled bool
 	queued   bool
 }
@@ -86,24 +88,33 @@ func (e *Event) Bind(fn func()) {
 
 // entry is one slot of the event heap. Entries are pointer-free values:
 // sift operations copy plain scalars, so heap maintenance incurs no GC
-// write barriers and the (large, churning) queue array is never scanned.
-// The callback and cancellation handle live in the kernel's slot slab,
-// indexed by slot; an entry is a snapshot of one (re)scheduling of its
-// handle, and is stale — skipped on pop — once the handle was canceled
-// or rescheduled since.
+// write barriers and the queue array is never scanned. The handle and
+// callback live in the kernel's slot slab, indexed by slot.
 type entry struct {
 	t    Time
 	seq  uint64
 	slot int32
 }
 
-// eventSlot holds the pointerful half of a queued entry: the handler
-// and, for cancelable events, the handle. Slots are recycled through
-// Kernel.freeSlots as entries are popped.
+// eventSlot holds the pointerful half of a queued entry — its handle
+// and the callback it had when (re)scheduled — and the entry's heap
+// position, which every sift keeps current so Cancel and Reschedule
+// find the entry in O(1). Free slots are chained through pos.
 type eventSlot struct {
-	e *Event
-	h handler
+	e   *Event
+	h   handler
+	pos int32
 }
+
+// laneEntry is a handle-free post at the current instant.
+type laneEntry struct {
+	seq uint64
+	h   handler
+}
+
+// laneInline is the lane's capacity within the Kernel itself; a run
+// with more same-instant wakes pending at once grows it on the heap.
+const laneInline = 8
 
 // before is the queue order: time first, then scheduling sequence, so
 // same-instant events fire in the order they were scheduled.
@@ -115,15 +126,20 @@ func (a *entry) before(b *entry) bool {
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
-	now       Time
-	queue     []entry // 4-ary min-heap ordered by entry.before
-	slots     []eventSlot
-	freeSlots []int32
-	seq       uint64
-	live      int // queued entries that are not stale
-	stopped   bool
-	procs     map[*Proc]struct{}
-	tracer    Tracer
+	now   Time
+	queue []entry // 4-ary min-heap of the live timed events, by entry.before
+	slots []eventSlot
+	free  int32 // head of the free-slot chain, -1 when empty
+	// lane[laneHead:] is the FIFO of handle-free posts at now. Its
+	// entries are timed now and numbered in post order, so it stays
+	// sorted by (t, seq) and step merges it with the heap top.
+	lane     []laneEntry
+	laneHead int
+	laneBuf  [laneInline]laneEntry
+	seq      uint64
+	stopped  bool
+	procs    map[*Proc]struct{}
+	tracer   Tracer
 
 	// fired counts events executed, for diagnostics and run limits.
 	fired uint64
@@ -147,7 +163,9 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
 func NewKernel() *Kernel {
-	return &Kernel{procs: make(map[*Proc]struct{})}
+	k := &Kernel{procs: make(map[*Proc]struct{}), free: -1}
+	k.lane = k.laneBuf[:0]
+	return k
 }
 
 // Now returns the current simulated time.
@@ -162,7 +180,7 @@ func (k *Kernel) Scheduled() uint64 { return k.scheduled }
 
 // QueueLen returns the number of pending (scheduled, neither fired nor
 // canceled) events.
-func (k *Kernel) QueueLen() int { return k.live }
+func (k *Kernel) QueueLen() int { return len(k.queue) + len(k.lane) - k.laneHead }
 
 // MaxQueueLen returns the high-water mark of pending events.
 func (k *Kernel) MaxQueueLen() int { return k.maxQueue }
@@ -182,275 +200,220 @@ func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 // Tracer returns the installed tracer, or nil.
 func (k *Kernel) Tracer() Tracer { return k.tracer }
 
-// heapPush appends an entry and sifts it up with a hole (the moving
-// entry is written once, at its final position). The heap is 4-ary:
-// wider fan-out halves the tree depth, and pops — where most
+// fatal is the kernel's one cold path for misuse panics. Keeping the
+// formatting out of line keeps it out of the hot entry points.
+//
+//go:noinline
+func fatal(format string, args ...any) {
+	panic(fmt.Sprintf(format, args...))
+}
+
+// siftUp moves ent from hole i toward the root and stores it where it
+// belongs, keeping every moved entry's slot position current. The heap
+// is 4-ary: wider fan-out halves the tree depth, and pops — where most
 // comparisons happen — stay cache-friendly because the four children
 // are adjacent.
-func (k *Kernel) heapPush(ent entry) {
-	q := append(k.queue, ent)
-	i := len(q) - 1
+func (k *Kernel) siftUp(i int, ent entry) {
+	q := k.queue
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !ent.before(&q[parent]) {
 			break
 		}
 		q[i] = q[parent]
+		k.slots[q[i].slot].pos = int32(i)
 		i = parent
 	}
 	q[i] = ent
-	k.queue = q
+	k.slots[ent.slot].pos = int32(i)
 }
 
-// heapPop removes and returns the minimum entry, sifting the displaced
-// tail entry down with a hole.
-func (k *Kernel) heapPop() entry {
-	q := k.queue
-	top := q[0]
-	n := len(q) - 1
-	moved := q[n]
-	q = q[:n]
-	k.queue = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if q[c].before(&q[best]) {
-				best = c
-			}
-		}
-		if !q[best].before(&moved) {
-			break
-		}
-		q[i] = q[best]
-		i = best
-	}
-	q[i] = moved
-	return top
-}
-
-// takeTop pops the minimum entry, releases its slot and returns its
-// payload. ok distinguishes a live event from a stale (superseded) one.
-func (k *Kernel) takeTop() (ent entry, e *Event, h handler, ok bool) {
-	ent = k.heapPop()
-	s := &k.slots[ent.slot]
-	e, h = s.e, s.h
-	*s = eventSlot{} // release references
-	k.freeSlots = append(k.freeSlots, ent.slot)
-	ok = e == nil || (!e.canceled && e.seq == ent.seq)
-	return ent, e, h, ok
-}
-
-// topStale reports whether the heap's head entry was superseded.
-func (k *Kernel) topStale() bool {
-	ent := &k.queue[0]
-	e := k.slots[ent.slot].e
-	return e != nil && (e.canceled || e.seq != ent.seq)
-}
-
-// drainStale pops superseded entries off the top of the heap. Together
-// with compactQueue it is where stale entries leave the queue; every
-// mutation (Cancel, Reschedule, step) restores the invariant that the
-// heap's head is live whenever any live event exists, so Idle,
-// NextEventTime and RunUntil's peek are pure reads.
-func (k *Kernel) drainStale() {
-	for len(k.queue) > 0 && k.topStale() {
-		k.takeTop()
-	}
-}
-
-// compactQueue rebuilds the heap without its stale entries, releasing
-// their slots. Stale entries buried far from the top (a battery death
-// handle rescheduled on every mode transition leaves one per
-// transition, timed near end-of-life) would otherwise accumulate for
-// the whole run. Triggered when stale entries outnumber live ones 3:1,
-// so the cost is amortized O(1) per cancellation. Pop order is the
-// total order (t, seq), independent of heap shape, so compaction cannot
-// perturb event ordering.
-func (k *Kernel) compactQueue() {
-	kept := k.queue[:0]
-	for _, ent := range k.queue {
-		s := &k.slots[ent.slot]
-		e := s.e
-		if e == nil || (!e.canceled && e.seq == ent.seq) {
-			kept = append(kept, ent)
-			continue
-		}
-		*s = eventSlot{}
-		k.freeSlots = append(k.freeSlots, ent.slot)
-	}
-	k.queue = kept
-	// Sift every internal node down, deepest first (4-ary heapify).
-	for i := (len(kept) - 2) / 4; i >= 0; i-- {
-		k.siftDown(i)
-	}
-}
-
-// siftDown restores the heap property below position i.
-func (k *Kernel) siftDown(i int) {
+// siftDown moves ent from hole i toward the leaves and stores it where
+// it belongs.
+func (k *Kernel) siftDown(i int, ent entry) {
 	q := k.queue
 	n := len(q)
-	moved := q[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
 			if q[c].before(&q[best]) {
 				best = c
 			}
 		}
-		if !q[best].before(&moved) {
+		if !q[best].before(&ent) {
 			break
 		}
 		q[i] = q[best]
+		k.slots[q[i].slot].pos = int32(i)
 		i = best
 	}
-	q[i] = moved
+	q[i] = ent
+	k.slots[ent.slot].pos = int32(i)
 }
 
-// schedule queues h at time t under a fresh sequence number, tied to
-// handle e (nil for internal wakeups), and returns that sequence number.
-func (k *Kernel) schedule(t Time, e *Event, h handler) uint64 {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+// place stores ent at heap position i, sifting whichever way its key
+// requires.
+func (k *Kernel) place(i int, ent entry) {
+	if i > 0 && ent.before(&k.queue[(i-1)/4]) {
+		k.siftUp(i, ent)
+	} else {
+		k.siftDown(i, ent)
 	}
-	seq := k.seq
+}
+
+// remove takes the entry at heap position i out of the queue and frees
+// its slot.
+func (k *Kernel) remove(i int) {
+	slot := k.queue[i].slot
+	n := len(k.queue) - 1
+	last := k.queue[n]
+	k.queue = k.queue[:n]
+	if i < n {
+		k.place(i, last)
+	}
+	k.slots[slot] = eventSlot{pos: k.free}
+	k.free = slot
+}
+
+// noteLen updates the queue's high-water mark.
+func (k *Kernel) noteLen() {
+	if n := k.QueueLen(); n > k.maxQueue {
+		k.maxQueue = n
+	}
+}
+
+// schedule queues handle e at t under a fresh sequence number. A queued
+// handle's entry moves in place; any other takes a free slot and a new
+// heap leaf.
+func (k *Kernel) schedule(e *Event, t Time) {
+	if t < k.now {
+		fatal("sim: scheduling event at %v before now %v", t, k.now)
+	}
+	ent := entry{t: t, seq: k.seq, slot: e.slot}
 	k.seq++
 	k.scheduled++
-	k.live++
-	if k.live > k.maxQueue {
-		k.maxQueue = k.live
+	e.t = t
+	e.canceled = false
+	if e.queued {
+		s := &k.slots[e.slot]
+		s.h = e.h
+		k.place(int(s.pos), ent)
+		return
 	}
-	var slot int32
-	if n := len(k.freeSlots); n > 0 {
-		slot = k.freeSlots[n-1]
-		k.freeSlots = k.freeSlots[:n-1]
-		k.slots[slot] = eventSlot{e: e, h: h}
+	if ent.slot = k.free; ent.slot >= 0 {
+		s := &k.slots[ent.slot]
+		k.free = s.pos
+		s.e, s.h = e, e.h
 	} else {
-		slot = int32(len(k.slots))
-		k.slots = append(k.slots, eventSlot{e: e, h: h})
+		ent.slot = int32(len(k.slots))
+		k.slots = append(k.slots, eventSlot{e: e, h: e.h})
 	}
-	k.heapPush(entry{t: t, seq: seq, slot: slot})
-	return seq
+	e.slot = ent.slot
+	e.queued = true
+	k.queue = append(k.queue, ent)
+	k.siftUp(len(k.queue)-1, ent)
+	k.noteLen()
 }
 
-// maybeCompact rebuilds the heap when stale entries outnumber live ones
-// 3:1. Callers must only invoke it when every handle's seq matches its
-// live heap entry — i.e. never from inside schedule(), whose Reschedule
-// caller assigns e.seq only after it returns.
-func (k *Kernel) maybeCompact() {
-	if ln := len(k.queue); ln >= 128 && ln > 4*k.live {
-		k.compactQueue()
-	}
-}
-
-// post schedules h at the current instant with no cancellation handle.
-// It is the kernel's zero-allocation path for internal wakeups.
+// post queues h at the current instant with no cancellation handle, on
+// the same-instant lane. It is the kernel's zero-allocation path for
+// internal wakeups: no slot, no heap sift.
 func (k *Kernel) post(h handler) {
-	k.schedule(k.now, nil, h)
+	if len(k.lane) == cap(k.lane) && k.laneHead > 0 {
+		n := copy(k.lane, k.lane[k.laneHead:])
+		clear(k.lane[n:])
+		k.lane, k.laneHead = k.lane[:n], 0
+	}
+	k.lane = append(k.lane, laneEntry{seq: k.seq, h: h})
+	k.seq++
+	k.scheduled++
+	k.noteLen()
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: allowing it would silently reorder causality.
+//
+// At stays out of line: its handle escapes wherever it is inlined, so
+// one call site keeps one allocation site.
+//
+//go:noinline
 func (k *Kernel) At(t Time, fn func()) *Event {
-	e := &Event{t: t, h: funcHandler(fn)}
-	e.seq = k.schedule(t, e, e.h)
-	e.queued = true
+	e := &Event{h: funcHandler(fn)}
+	k.schedule(e, t)
 	return e
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
 func (k *Kernel) After(d Duration, fn func()) *Event {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
+		fatal("sim: negative delay %v", d)
 	}
 	return k.At(k.now+d, fn)
 }
 
 // Cancel removes the event from the queue if it has not fired.
 // Canceling an already-fired or already-canceled event is a no-op.
-// The heap entry is left behind and skipped when it surfaces.
 func (k *Kernel) Cancel(e *Event) {
 	if e == nil {
 		return
 	}
-	if e.canceled || !e.queued {
-		e.canceled = true
-		return
-	}
 	e.canceled = true
-	e.queued = false
-	k.live--
-	k.drainStale()
-	k.maybeCompact()
+	if e.queued {
+		e.queued = false
+		k.remove(int(k.slots[e.slot].pos))
+	}
 }
 
 // Reschedule moves e to fire at absolute time t, reusing the handle and
 // its bound callback: periodic callers allocate one Event for a whole
 // series of occurrences instead of one per tick. The handle may be
-// pending (its old occurrence is superseded), fired, canceled, or a zero
-// Event bound with Bind. Scheduling in the past panics, as with At.
+// pending (its entry moves in place), fired, canceled, or a zero Event
+// bound with Bind. Either way it takes a fresh sequence number, so at
+// an equal time it fires after everything already queued there.
+// Scheduling in the past panics, as with At.
 func (k *Kernel) Reschedule(e *Event, t Time) {
 	if e.h == nil {
-		panic("sim: Reschedule of an unbound Event (missing Bind)")
+		fatal("sim: Reschedule of an unbound Event (missing Bind)")
 	}
-	if e.queued {
-		e.queued = false
-		k.live--
-	}
-	e.canceled = false
-	e.t = t
-	e.seq = k.schedule(t, e, e.h)
-	e.queued = true
-	k.drainStale()
-	k.maybeCompact()
+	k.schedule(e, t)
 }
 
-// step fires the next event. It reports false when the queue is empty.
+// step fires the next event in (t, seq) order: the lane's head when it
+// precedes the heap's top, else the top. It reports false when nothing
+// is queued.
 func (k *Kernel) step() bool {
-	for len(k.queue) > 0 {
-		ent, e, h, ok := k.takeTop()
-		if !ok {
-			continue
+	var h handler
+	if k.laneHead < len(k.lane) && (len(k.queue) == 0 || k.now < k.queue[0].t || k.lane[k.laneHead].seq < k.queue[0].seq) {
+		l := &k.lane[k.laneHead]
+		h = l.h
+		l.h = nil
+		if k.laneHead++; k.laneHead == len(k.lane) {
+			k.lane, k.laneHead = k.lane[:0], 0
 		}
-		if e != nil {
-			e.queued = false
-		}
-		k.live--
-		if ent.t < k.now {
-			panic("sim: event queue time went backwards")
-		}
-		k.now = ent.t
-		k.fired++
-		if k.limit > 0 && k.fired > k.limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", k.limit, k.now))
-		}
-		if k.cancelFn != nil && k.fired%k.cancelEvery == 0 && k.cancelFn() {
-			k.stopped = true
-		}
-		k.drainStale()
-		h.fire()
-		return true
+	} else if len(k.queue) > 0 {
+		top := &k.queue[0]
+		s := &k.slots[top.slot]
+		h = s.h
+		s.e.queued = false
+		k.now = top.t
+		k.remove(0)
+	} else {
+		return false
 	}
-	return false
+	k.fired++
+	if k.limit > 0 && k.fired > k.limit {
+		fatal("sim: event limit %d exceeded at t=%v", k.limit, k.now)
+	}
+	if k.cancelFn != nil && k.fired%k.cancelEvery == 0 && k.cancelFn() {
+		k.stopped = true
+	}
+	h.fire()
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -468,8 +431,7 @@ func (k *Kernel) Run() {
 // queue without time running backwards.
 func (k *Kernel) RunUntil(t Time) {
 	k.stopped = false
-	for !k.stopped && k.live > 0 && k.queue[0].t <= t {
-		k.step()
+	for !k.stopped && k.NextEventTime() <= t && k.step() {
 	}
 	if !k.stopped && k.now < t {
 		k.now = t
@@ -498,12 +460,15 @@ func (k *Kernel) SetCancelCheck(every int, fn func() bool) {
 }
 
 // Idle reports whether no events remain queued. It is a pure read.
-func (k *Kernel) Idle() bool { return k.live == 0 }
+func (k *Kernel) Idle() bool { return k.QueueLen() == 0 }
 
 // NextEventTime returns the time of the earliest pending event,
 // or Infinity when the queue is empty. It is a pure read.
 func (k *Kernel) NextEventTime() Time {
-	if k.live > 0 {
+	if k.laneHead < len(k.lane) {
+		return k.now
+	}
+	if len(k.queue) > 0 {
 		return k.queue[0].t
 	}
 	return Infinity

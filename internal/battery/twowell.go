@@ -80,7 +80,7 @@ func (b *TwoWell) wellRate(currentMA float64) float64 {
 	if currentMA >= b.FlowMA {
 		return -(currentMA - b.FlowMA)
 	}
-	return math.Min(b.RecoverMA, b.FlowMA-currentMA)
+	return min(b.RecoverMA, b.FlowMA-currentMA)
 }
 
 // Drain implements Model.
@@ -106,11 +106,11 @@ func (b *TwoWell) Drain(currentMA, dt float64) float64 {
 	// Advance.
 	b.y -= currentMA * t
 	if r >= 0 {
-		b.a = math.Min(b.a+r*t, b.AvailMAh*mAhToMAs)
+		b.a = min(b.a+r*t, b.AvailMAh*mAhToMAs)
 	} else {
 		b.a += r * t
 	}
-	b.a = math.Min(b.a, b.y) // the well never holds more than remains in total
+	b.a = min(b.a, b.y) // the well never holds more than remains in total
 	b.deliveredMAs += currentMA * t
 	if t < dt || b.y <= 1e-9 || b.a <= 1e-9 {
 		b.empty = true
@@ -134,7 +134,7 @@ func (b *TwoWell) TimeToEmpty(currentMA float64) float64 {
 		t = b.y / currentMA
 	}
 	if r := b.wellRate(currentMA); r < 0 {
-		t = math.Min(t, b.a/-r)
+		t = min(t, b.a/-r)
 	}
 	return t
 }

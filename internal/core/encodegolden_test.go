@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,7 +99,9 @@ func TestEncodeRecordCtlMatchesStdlib(t *testing.T) {
 // FuzzEncodeRecord checks encodeRecord differentially against
 // encoding/json for arbitrary field values, seeded from every committed
 // telemetry golden line: the bytes agree, or both encoders reject the
-// record (a NaN or infinite float); neither panics.
+// record (a NaN or infinite float); neither panics. One encoder takes
+// the record twice, a differently-valued record, then the record again,
+// so every line after the first goes through a warm number memo.
 func FuzzEncodeRecord(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "telemetry_*.jsonl"))
 	if err != nil || len(goldens) == 0 {
@@ -139,8 +142,33 @@ func FuzzEncodeRecord(f *testing.F) {
 			}
 			return
 		}
-		if want := append(std, '\n'); !bytes.Equal(fast.Bytes(), want) {
-			t.Fatalf("telemetry encoding drifted from encoding/json:\nstdlib:    %stelemetry: %s", want, fast.Bytes())
+		// alt moves every float one step toward zero and flips its sign:
+		// finite stays finite, 0 becomes -0, and each value's neighbour
+		// bit pattern goes through the memo beside the original.
+		shift := func(v float64) float64 { return -math.Nextafter(v, 0) }
+		alt := r
+		alt.T, alt.MHz, alt.End, alt.Value = shift(r.T), shift(r.MHz), shift(r.End), shift(r.Value)
+		alt.KB, alt.DurS, alt.FromMHz, alt.Bound = shift(r.KB), shift(r.DurS), shift(r.FromMHz), shift(r.Bound)
+		alt.Ctl = [3]float64{shift(c0), shift(c1), shift(c2)}
+		stdAlt, err := json.Marshal(alt)
+		if err != nil {
+			t.Fatalf("encoding/json rejected the shifted record %+v: %v", alt, err)
+		}
+		for _, rec := range []*LogRecord{&r, &alt, &r} {
+			encodeRecord(enc, rec)
+		}
+		if enc.Flush(); enc.Err() != nil {
+			t.Fatalf("telemetry rejected a record encoding/json accepts: %v", enc.Err())
+		}
+		lines := bytes.Split(bytes.TrimSuffix(fast.Bytes(), []byte("\n")), []byte("\n"))
+		wants := [][]byte{std, std, stdAlt, std}
+		if len(lines) != len(wants) {
+			t.Fatalf("telemetry wrote %d lines for %d records:\n%s", len(lines), len(wants), fast.Bytes())
+		}
+		for i, want := range wants {
+			if !bytes.Equal(lines[i], want) {
+				t.Fatalf("line %d drifted from encoding/json:\nstdlib:    %s\ntelemetry: %s", i+1, want, lines[i])
+			}
 		}
 	})
 }

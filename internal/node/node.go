@@ -199,7 +199,7 @@ type Node struct {
 	// Hoisted serial callbacks: method values allocate a closure per
 	// evaluation, so the frame loop's Recv/Send options reference these
 	// fields, bound once in New, instead of building them per frame.
-	acceptKindFn func(serial.Message) bool
+	acceptKindFn func(*serial.Message) bool
 	commStartFn  func()
 	idleFn       func()
 	sendStartFn  func()
@@ -522,13 +522,13 @@ func (n *Node) recvDeadline() sim.Time {
 }
 
 // isAck matches acknowledgment transactions (the sender's ack wait).
-func isAck(m serial.Message) bool { return m.Kind == serial.KindAck }
+func isAck(m *serial.Message) bool { return m.Kind == serial.KindAck }
 
 // acceptKind filters the node's inbound port traffic to the data messages
 // its role expects — host frames for role 1 of the ring, internode data
 // otherwise; acks are consumed explicitly by the sender's ack wait.
-func (n *Node) acceptKind(m serial.Message) bool {
-	if n.ring != nil && n.Role().Index == 1 {
+func (n *Node) acceptKind(m *serial.Message) bool {
+	if n.ring != nil && n.roles[n.roleIdx].Index == 1 {
 		return m.Kind == serial.KindFrame
 	}
 	return m.Kind == serial.KindInter

@@ -197,9 +197,9 @@ func (pt *Port) push(of *offer) {
 }
 
 // take removes and returns the first matching pending offer.
-func (pt *Port) take(match func(Message) bool) *offer {
+func (pt *Port) take(match func(*Message) bool) *offer {
 	for i := pt.head; i < len(pt.pending); i++ {
-		if of := pt.pending[i]; match == nil || match(of.msg) {
+		if of := pt.pending[i]; match == nil || match(&of.msg) {
 			pt.remove(i)
 			return of
 		}
@@ -262,8 +262,9 @@ type RxOpts struct {
 	// Deadline bounds the whole receive; zero means wait forever.
 	Deadline sim.Time
 	// Match selects which pending messages to accept; nil accepts any.
-	// Non-matching messages stay queued, in order.
-	Match func(Message) bool
+	// Non-matching messages stay queued, in order. It reads each queued
+	// message in place and must neither modify nor keep it.
+	Match func(*Message) bool
 	// OnStart is invoked at the instant the transfer begins.
 	OnStart func()
 	// OnAbort is invoked when an accepted transfer turns out dropped or

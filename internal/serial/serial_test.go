@@ -501,7 +501,7 @@ func TestPendingFIFOUnderMatchAndWithdraw(t *testing.T) {
 	var got []Message
 	var pendingAfterAck int
 	k.SpawnAt(1, "r", func(p *sim.Proc) {
-		m, err := c.RecvOpts(p, RxOpts{Match: func(m Message) bool { return m.Kind == KindAck }})
+		m, err := c.RecvOpts(p, RxOpts{Match: func(m *Message) bool { return m.Kind == KindAck }})
 		if err != nil {
 			t.Errorf("ack: %v", err)
 		}

@@ -189,14 +189,112 @@ func TestEncoderMatchesStdlibEncoder(t *testing.T) {
 	}
 }
 
+// TestEncoderNaNSetsErr: NaN and ±Inf set ErrUnsupportedValue through
+// every float entry point and never enter the number memo.
 func TestEncoderNaNSetsErr(t *testing.T) {
-	enc := NewEncoder(io.Discard)
-	enc.Begin()
-	enc.Float("t", math.NaN())
-	enc.End()
-	if !errors.Is(enc.Err(), ErrUnsupportedValue) {
-		t.Errorf("Err() = %v, want ErrUnsupportedValue", enc.Err())
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		enc := NewEncoder(io.Discard)
+		enc.Begin()
+		enc.Float("t", v)
+		enc.FloatOmit("value", v)
+		enc.Floats("ctl", []float64{1, v, v})
+		enc.End()
+		if !errors.Is(enc.Err(), ErrUnsupportedValue) {
+			t.Errorf("%v: Err() = %v, want ErrUnsupportedValue", v, enc.Err())
+		}
+		for i, s := range enc.memo {
+			if f := math.Float64frombits(s.bits); s.n != 0 && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				t.Errorf("%v: slot %d caches non-finite bits %#x as %q", v, i, s.bits, s.text[:s.n])
+			}
+		}
 	}
+}
+
+// memoCollision returns two finite values that share a memo slot but
+// format differently, found by a deterministic scan.
+func memoCollision(t *testing.T) (float64, float64) {
+	t.Helper()
+	a := 59.8
+	for i := 1; i < 1<<16; i++ {
+		b := a + float64(i)*0.1
+		if memoIndex(math.Float64bits(b)) == memoIndex(math.Float64bits(a)) {
+			return a, b
+		}
+	}
+	t.Fatal("no memo collision in the scan")
+	return 0, 0
+}
+
+// TestEncoderMemoMatchesAppendFloat drives one long-lived encoder
+// through the memo's edge cases — slot collisions, 0 and -0, repeats,
+// text too long for a slot — and checks every value against
+// AppendFloat and encoding/json, before and after Reset.
+func TestEncoderMemoMatchesAppendFloat(t *testing.T) {
+	a, b := memoCollision(t)
+	negZero := math.Copysign(0, -1)
+	long := -1.2345678901234567e-100
+	if n := len(mustAppendFloat(t, long)); n <= len(memoSlot{}.text) {
+		t.Fatalf("%v formats to %d bytes, which fits a slot; pick a longer value", long, n)
+	}
+	cases := []struct {
+		name string
+		vs   []float64
+	}{
+		{"colliding pair alternated", []float64{a, b, a, b, b, a}},
+		{"zero and negative zero", []float64{0, negZero, 0, negZero, negZero, 0}},
+		{"repeated value", []float64{1099.5, 1099.5, 1099.5}},
+		{"longer than a slot", []float64{long, long, -long}},
+		{"corpus", floatCorpus},
+	}
+	enc := NewEncoder(io.Discard)
+	for _, pass := range []string{"cold", "after Reset"} {
+		for _, c := range cases {
+			for _, v := range c.vs {
+				want, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref := mustAppendFloat(t, v); !bytes.Equal(ref, want) {
+					t.Fatalf("AppendFloat(%v) = %s, stdlib %s", v, ref, want)
+				}
+				enc.buf = enc.buf[:0]
+				enc.float(v)
+				if !bytes.Equal(enc.buf, want) {
+					t.Errorf("%s, %s: %v (bits %#x) encoded %s, want %s",
+						pass, c.name, v, math.Float64bits(v), enc.buf, want)
+				}
+			}
+			want, err := json.Marshal(c.vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc.buf = enc.buf[:0]
+			enc.first = true
+			enc.Floats("k", c.vs)
+			if got := enc.buf[len(`"k":`):]; !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: Floats encoded %s, want %s", pass, c.name, got, want)
+			}
+		}
+		if enc.Err() != nil {
+			t.Fatalf("%s: Err() = %v on finite values", pass, enc.Err())
+		}
+		if s := enc.memo[memoIndex(math.Float64bits(1099.5))]; s.n == 0 || s.bits != math.Float64bits(1099.5) {
+			t.Errorf("%s: repeated value 1099.5 not held in its slot", pass)
+		}
+		if s := enc.memo[memoIndex(math.Float64bits(long))]; s.n != 0 && s.bits == math.Float64bits(long) {
+			t.Errorf("%s: %v, longer than a slot, was stored", pass, long)
+		}
+		enc.Reset(io.Discard)
+	}
+}
+
+func mustAppendFloat(t *testing.T, v float64) []byte {
+	t.Helper()
+	b, ok := AppendFloat(nil, v)
+	if !ok {
+		t.Fatalf("AppendFloat refused %v", v)
+	}
+	return b
 }
 
 // failAfter accepts the first n writes, then fails.

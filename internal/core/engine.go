@@ -287,7 +287,7 @@ func (r *rig) finish() {
 func (r *rig) traces() [][]node.ModeSpan {
 	var out [][]node.ModeSpan
 	for _, n := range r.nodes {
-		out = append(out, n.Power().Trace())
+		out = append(out, n.Power().Trace().Slice())
 	}
 	return out
 }

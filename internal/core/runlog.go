@@ -1,18 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"io"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
 	"dvsim/internal/assert"
+	"dvsim/internal/chunk"
 	"dvsim/internal/fault"
 	"dvsim/internal/governor"
 	"dvsim/internal/host"
 	"dvsim/internal/metrics"
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
+	"dvsim/internal/sweep"
 	telem "dvsim/internal/telemetry"
 )
 
@@ -143,17 +148,18 @@ func compareLabels(a, b *LogRecord) int {
 // rides in the engine configuration and attach wires the remaining
 // observers once the rig is built. Each hook appends the event it
 // receives, as is, to its own typed bucket; a LogRecord exists only as
-// the head of a merge source (see merge). The recorder backs both
-// Simulate's event log and its assertion checking.
+// the head of a merge source (see merge). The buckets are chunk lists,
+// so a long run's appends never copy earlier events. The recorder backs
+// both Simulate's event log and its assertion checking.
 type recorder struct {
 	telemetry bool
-	govern    []governEvent
-	fault     []fault.Event
-	retry     []serial.RetryEvent
-	link      []serial.TransferEvent
+	govern    chunk.List[governEvent]
+	fault     chunk.List[fault.Event]
+	retry     chunk.List[serial.RetryEvent]
+	link      chunk.List[serial.TransferEvent]
 	// result backs both the "result" and, with the full vocabulary, the
 	// "latency" stream.
-	result []host.Result
+	result chunk.List[host.Result]
 }
 
 // governEvent is one governor decision and the node that made it.
@@ -169,7 +175,7 @@ func (rc *recorder) governHook(prev func(string, governor.Event)) func(string, g
 		if prev != nil {
 			prev(nodeName, ev)
 		}
-		rc.govern = append(rc.govern, governEvent{nodeName, ev})
+		rc.govern.Append(governEvent{nodeName, ev})
 	}
 }
 
@@ -178,17 +184,17 @@ func (rc *recorder) governHook(prev func(string, governor.Event)) func(string, g
 // and injected fault. Nothing has fired yet, so no event is missed.
 func (rc *recorder) attach(r *rig) {
 	if rc.telemetry {
-		r.net.OnTransfer = func(ev serial.TransferEvent) { rc.link = append(rc.link, ev) }
-		r.net.OnRetry = func(ev serial.RetryEvent) { rc.retry = append(rc.retry, ev) }
+		r.net.OnTransfer = func(ev serial.TransferEvent) { rc.link.Append(ev) }
+		r.net.OnRetry = func(ev serial.RetryEvent) { rc.retry.Append(ev) }
 		if r.inj != nil {
-			r.inj.OnFault = func(ev fault.Event) { rc.fault = append(rc.fault, ev) }
+			r.inj.OnFault = func(ev fault.Event) { rc.fault.Append(ev) }
 		}
 	}
 	r.observe = func(res host.Result) {
 		// No record shows a native run's payload; dropping it here keeps
 		// the decoded frames collectable.
 		res.Payload = nil
-		rc.result = append(rc.result, res)
+		rc.result.Append(res)
 	}
 }
 
@@ -201,45 +207,46 @@ func (rc *recorder) attach(r *rig) {
 // finished.
 func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 	var srcs []source
-	var dead []*node.Node
+	var dead chunk.List[*node.Node]
 	for _, n := range r.nodes {
 		srcs = append(srcs, modeSource(n.Name, n.Power().Trace()))
 		if n.DeadAt > 0 {
-			dead = append(dead, n)
+			dead.Append(n)
 		}
 	}
-	srcs = append(srcs, bucket("death", dead, deathRecord))
+	srcs = append(srcs, bucket("death", &dead, deathRecord))
 	if rc.telemetry {
 		for i := range series {
 			s := &series[i]
-			srcs = append(srcs, stream("sample", s.Samples, func(pt *metrics.SamplePoint, rec *LogRecord) {
+			srcs = append(srcs, source{rank: eventRank("sample"), n: len(s.Samples), load: func(i int, rec *LogRecord) {
+				pt := &s.Samples[i]
 				*rec = LogRecord{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
-			}))
+			}})
 		}
 	}
 	srcs = append(srcs,
-		bucket("govern", rc.govern, governRecord),
-		bucket("fault", rc.fault, faultRecord),
-		bucket("retry", rc.retry, retryRecord),
-		bucket("link", rc.link, linkRecord))
+		bucket("govern", &rc.govern, governRecord),
+		bucket("fault", &rc.fault, faultRecord),
+		bucket("retry", &rc.retry, retryRecord),
+		bucket("link", &rc.link, linkRecord))
 	if rc.telemetry {
 		// End-to-end latency: arrival minus the instant the frame entered
 		// the system (frame·D).
 		d := r.d
-		srcs = append(srcs, bucket("latency", rc.result, func(res *host.Result, rec *LogRecord) {
+		srcs = append(srcs, bucket("latency", &rc.result, func(res *host.Result, rec *LogRecord) {
 			*rec = LogRecord{
 				T: float64(res.At), Event: "latency", Frame: res.Frame,
 				From: res.From, Value: float64(res.At) - float64(res.Frame)*d,
 			}
 		}))
 	}
-	srcs = append(srcs, bucket("result", rc.result, resultRecord))
+	srcs = append(srcs, bucket("result", &rc.result, resultRecord))
 	return &merger{srcs: srcs}
 }
 
 // modeSource reads one node's mode spans, chronological by
 // construction.
-func modeSource(name string, trace []node.ModeSpan) source {
+func modeSource(name string, trace *chunk.List[node.ModeSpan]) source {
 	return stream("mode", trace, func(sp *node.ModeSpan, rec *LogRecord) {
 		*rec = LogRecord{
 			T: float64(sp.Start), End: float64(sp.End), Event: "mode",
@@ -304,43 +311,57 @@ func violationRecord(v *assert.Violation, rec *LogRecord) {
 // source is one merge stream, read in place where the run left it: n
 // records of one event kind (rank is its eventRank), the i-th rendered
 // into a LogRecord by load only when it becomes the stream's head.
+// Every source is in lessRecord order, so in particular by time.
 type source struct {
 	rank int
 	n    int
 	load func(i int, rec *LogRecord)
 }
 
-// stream makes the source of events already in lessRecord order.
-func stream[E any](event string, evs []E, render func(*E, *LogRecord)) source {
-	return source{rank: eventRank(event), n: len(evs), load: func(i int, rec *LogRecord) { render(&evs[i], rec) }}
+// search returns the position of the source's first record at or after
+// instant t.
+func (s *source) search(t float64) int {
+	var rec LogRecord
+	return sort.Search(s.n, func(i int) bool {
+		s.load(i, &rec)
+		return rec.T >= t
+	})
+}
+
+// stream makes the source of a chunk list's events, already in
+// lessRecord order.
+func stream[E any](event string, evs *chunk.List[E], render func(*E, *LogRecord)) source {
+	return source{rank: eventRank(event), n: evs.Len(), load: func(i int, rec *LogRecord) { render(evs.At(i), rec) }}
 }
 
 // bucket makes the source of a hook's typed bucket, first restoring
 // lessRecord order within it.
-func bucket[E any](event string, evs []E, render func(*E, *LogRecord)) source {
+func bucket[E any](event string, evs *chunk.List[E], render func(*E, *LogRecord)) source {
 	ensureOrdered(evs, render)
 	return stream(event, evs, render)
 }
 
 // ensureOrdered restores lessRecord order within one bucket. The kernel
 // fires events in time order, so buckets are sorted by construction in
-// all known cases and the check is one linear pass; the stable sort is a
-// correctness net for same-instant events whose labels disagree with
-// arrival order.
-func ensureOrdered[E any](evs []E, render func(*E, *LogRecord)) {
-	if len(evs) < 2 {
-		return
-	}
+// all known cases and the check is one linear pass; rebuilding the
+// bucket from a stably sorted flat copy is a correctness net for
+// same-instant events whose labels disagree with arrival order.
+func ensureOrdered[E any](evs *chunk.List[E], render func(*E, *LogRecord)) {
 	var pair [2]LogRecord
-	for i := range evs {
+	for i := range evs.Len() {
 		cur, prev := &pair[i&1], &pair[(i+1)&1]
-		render(&evs[i], cur)
+		render(evs.At(i), cur)
 		if i > 0 && lessRecord(cur, prev) {
-			sort.SliceStable(evs, func(a, b int) bool {
-				render(&evs[a], &pair[0])
-				render(&evs[b], &pair[1])
+			flat := evs.Slice()
+			sort.SliceStable(flat, func(a, b int) bool {
+				render(&flat[a], &pair[0])
+				render(&flat[b], &pair[1])
 				return lessRecord(&pair[0], &pair[1])
 			})
+			*evs = chunk.List[E]{}
+			for _, e := range flat {
+				evs.Append(e)
+			}
 			return
 		}
 	}
@@ -349,22 +370,36 @@ func ensureOrdered[E any](evs []E, render func(*E, *LogRecord)) {
 // merger is the k-way merge over the sources: a binary min-heap of the
 // sources that still have a head, ordered by lessRecord with ties going
 // to the earlier source, so the merge is stable in source order. Only
-// the heads are ever materialized.
+// the heads are ever materialized. A pass covers every record or, for a
+// time shard, one position range per source.
 type merger struct {
 	srcs  []source
 	pos   []int       // index of each source's head
+	end   []int       // one past each source's last record in the pass
 	heads []LogRecord // each source's current head
 	heap  []int       // sources with a head; heap[0] holds the least
 	top   int         // source whose head next returned last, or -1
 }
 
 // rewind starts a pass over the merge from every source's first record.
-func (m *merger) rewind() {
+func (m *merger) rewind() { m.start(nil, nil) }
+
+// start begins a pass over positions lo[i] ≤ j < hi[i] of each source
+// i, or over every record when lo and hi are nil. It reuses the
+// cursor's arrays when they are large enough.
+func (m *merger) start(lo, hi []int) {
 	n := len(m.srcs)
-	m.pos, m.heads, m.heap = make([]int, n), make([]LogRecord, n), make([]int, 0, n)
+	if cap(m.pos) < n {
+		m.pos, m.end, m.heads, m.heap = make([]int, n), make([]int, n), make([]LogRecord, n), make([]int, 0, n)
+	}
+	m.pos, m.end, m.heads, m.heap = m.pos[:n], m.end[:n], m.heads[:n], m.heap[:0]
 	for i, s := range m.srcs {
-		if s.n > 0 {
-			s.load(0, &m.heads[i])
+		m.pos[i], m.end[i] = 0, s.n
+		if lo != nil {
+			m.pos[i], m.end[i] = lo[i], hi[i]
+		}
+		if m.pos[i] < m.end[i] {
+			s.load(m.pos[i], &m.heads[i])
 			m.heap = append(m.heap, i)
 		}
 	}
@@ -379,7 +414,7 @@ func (m *merger) rewind() {
 func (m *merger) next() *LogRecord {
 	if i := m.top; i >= 0 {
 		m.pos[i]++
-		if m.pos[i] < m.srcs[i].n {
+		if m.pos[i] < m.end[i] {
 			m.srcs[i].load(m.pos[i], &m.heads[i])
 		} else {
 			last := len(m.heap) - 1
@@ -432,6 +467,65 @@ func (m *merger) before(a, b int) bool {
 	return a < b
 }
 
+// Time shards. The merge emits records in time order, and at a shard's
+// first instant t every source's head sits at its first record at or
+// after t; so merging each source's range [search(t_k), search(t_k+1))
+// one shard after another yields the full pass exactly, ties included.
+const (
+	// shardRecords is a shard's target size in records.
+	shardRecords = 4096
+	// minShards is the fewest shards a log is split into; a smaller log
+	// is written as one, since the boundary searches and the hand-off
+	// to workers are paid whatever the log's size.
+	minShards = 8
+	// shardSample is the spacing, in records per source, of the instants
+	// sampled to place the shard boundaries.
+	shardSample = 64
+)
+
+// shards splits the pass into time shards of about shardRecords
+// records. It returns the boundaries, each one position per source, from
+// every source's start to every source's end: shard k covers
+// [bounds[k][i], bounds[k+1][i]) of source i. It returns nil for a log
+// under minShards shards' worth of records.
+func (m *merger) shards() [][]int {
+	total := 0
+	for _, s := range m.srcs {
+		total += s.n
+	}
+	if total < minShards*shardRecords {
+		return nil
+	}
+	// Every sampled instant stands for shardSample records; a boundary
+	// falls on each shardRecords' worth of sorted samples.
+	var ts []float64
+	var rec LogRecord
+	for _, s := range m.srcs {
+		for i := shardSample / 2; i < s.n; i += shardSample {
+			s.load(i, &rec)
+			ts = append(ts, rec.T)
+		}
+	}
+	slices.Sort(ts)
+	bounds := [][]int{make([]int, len(m.srcs))}
+	prev := 0
+	for j := shardRecords / shardSample; j < len(ts); j += shardRecords / shardSample {
+		b, sum := make([]int, len(m.srcs)), 0
+		for i := range m.srcs {
+			b[i] = m.srcs[i].search(ts[j])
+			sum += b[i]
+		}
+		if sum > prev {
+			bounds, prev = append(bounds, b), sum
+		}
+	}
+	end := make([]int, len(m.srcs))
+	for i, s := range m.srcs {
+		end[i] = s.n
+	}
+	return append(bounds, end)
+}
+
 // recordView converts a LogRecord to the assertion engine's mirrored
 // view; field order follows the struct. The engine's Ctl stays a slice;
 // a record without controller terms maps to nil, as before the array
@@ -468,11 +562,27 @@ func evalAssertions(eng *assert.Engine, m *merger) []assert.Violation {
 	return eng.Violations()
 }
 
-// writeLog encodes one pass of the merge to w as JSON lines, each record
-// as it comes off the merge. On a mid-stream write failure the count is
-// the number of records whose bytes fully reached w, not zero — the
-// caller knows how much of the log is intact.
-func writeLog(w io.Writer, m *merger) (int, error) {
+// writeLog encodes one pass of the merge to w as JSON lines. When the
+// run is alone in the process and has more than one processor, a log of
+// minShards shards' worth of records or more is split into time shards
+// encoded in parallel (see writeShards); otherwise the log streams
+// record by record off the merge on the caller's goroutine. Either way
+// the bytes are the same, and so is the count: on a write failure or an
+// unsupported value it is the number of records whose bytes fully
+// reached w, not zero, so the caller knows how much of the log is
+// intact.
+func writeLog(w io.Writer, m *merger, alone bool) (int, error) {
+	if workers := runtime.GOMAXPROCS(0); alone && workers > 1 {
+		if bounds := m.shards(); bounds != nil {
+			return writeShards(w, m, bounds, workers)
+		}
+	}
+	return writeOne(w, m)
+}
+
+// writeOne encodes the merge as one shard, each record as it comes off
+// the merge.
+func writeOne(w io.Writer, m *merger) (int, error) {
 	enc := telem.NewEncoder(w)
 	m.rewind()
 	for r := m.next(); r != nil && enc.Err() == nil; r = m.next() {
@@ -480,6 +590,64 @@ func writeLog(w io.Writer, m *merger) (int, error) {
 	}
 	enc.Flush()
 	return enc.Flushed(), enc.Err()
+}
+
+// shardWork is one shard's merge cursor, encoder and encoded bytes.
+// Shards recycle them in order, the encoder keeping its number memo.
+type shardWork struct {
+	m   merger
+	enc *telem.Encoder
+	buf bytes.Buffer
+}
+
+// writeShards encodes the shards between bounds on up to workers
+// goroutines, each shard into its own buffer, and writes the buffers to
+// w in shard order from the caller's goroutine. At most two shards per
+// worker are in flight, so as many buffers live at once; a write error
+// or an unsupported value stops the encoding and returns once every
+// worker has stopped.
+func writeShards(w io.Writer, m *merger, bounds [][]int, workers int) (int, error) {
+	window := 2 * workers
+	// free holds the idle shardWork values: at most window exist, one
+	// per shard in flight, so returning one never blocks.
+	free := make(chan *shardWork, window)
+	records := 0
+	var err error
+	sweep.Ordered(len(bounds)-1, workers, window, func(k int) *shardWork {
+		var sw *shardWork
+		select {
+		case sw = <-free:
+			sw.buf.Reset()
+			sw.enc.Reset(&sw.buf)
+		default:
+			sw = &shardWork{m: merger{srcs: m.srcs}}
+			sw.enc = telem.NewEncoder(&sw.buf)
+		}
+		sw.m.start(bounds[k], bounds[k+1])
+		for r := sw.m.next(); r != nil && sw.enc.Err() == nil; r = sw.m.next() {
+			encodeRecord(sw.enc, r)
+		}
+		sw.enc.Flush()
+		return sw
+	}, func(sw *shardWork) bool {
+		// A shard that met an unsupported value still holds the whole
+		// records before it; they go out first, as they would from
+		// writeOne.
+		if b := sw.buf.Bytes(); len(b) > 0 {
+			if n, werr := w.Write(b); werr != nil {
+				records += bytes.Count(b[:max(0, min(n, len(b)))], []byte{'\n'})
+				err = werr
+				return false
+			}
+		}
+		records += sw.enc.Flushed()
+		if err = sw.enc.Err(); err != nil {
+			return false
+		}
+		free <- sw
+		return true
+	})
+	return records, err
 }
 
 // encodeRecord appends one record in LogRecord's field order with the

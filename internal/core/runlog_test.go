@@ -8,9 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"dvsim/internal/chunk"
 	"dvsim/internal/cpu"
 	"dvsim/internal/host"
 	"dvsim/internal/node"
@@ -115,6 +117,15 @@ func TestRunTelemetryContextCancellation(t *testing.T) {
 	}
 }
 
+// listOf returns a chunk list holding evs.
+func listOf[E any](evs ...E) *chunk.List[E] {
+	var l chunk.List[E]
+	for _, e := range evs {
+		l.Append(e)
+	}
+	return &l
+}
+
 // drain copies one full pass of the merge.
 func drain(m *merger) []LogRecord {
 	var out []LogRecord
@@ -141,12 +152,12 @@ func TestMergeOrdersSources(t *testing.T) {
 	// Two link completions at one instant arrive with their From labels
 	// reversed; the bucket's order net must restore node1 before node2.
 	rc := &recorder{telemetry: true}
-	rc.link = []serial.TransferEvent{
-		{T: 3, From: "node1", To: "node2", Kind: serial.KindInter, KB: 1, DurS: 0.1},
-		{T: 5, From: "node2", To: "host", Kind: serial.KindResult, KB: 1, DurS: 0.1},
-		{T: 5, From: "node1", To: "node2", Kind: serial.KindInter, KB: 1, DurS: 0.1},
-	}
-	rc.result = []host.Result{{Frame: 1, At: 5, From: "node2"}}
+	rc.link = *listOf(
+		serial.TransferEvent{T: 3, From: "node1", To: "node2", Kind: serial.KindInter, KB: 1, DurS: 0.1},
+		serial.TransferEvent{T: 5, From: "node2", To: "host", Kind: serial.KindResult, KB: 1, DurS: 0.1},
+		serial.TransferEvent{T: 5, From: "node1", To: "node2", Kind: serial.KindInter, KB: 1, DurS: 0.1},
+	)
+	rc.result = *listOf(host.Result{Frame: 1, At: 5, From: "node2"})
 	got := drain(rc.merge(&rig{d: 2.3}, nil))
 	want := []LogRecord{
 		{T: 3, Event: "link", From: "node1", To: "node2", Kind: "inter", KB: 1, DurS: 0.1},
@@ -165,9 +176,9 @@ func TestMergeOrdersSources(t *testing.T) {
 		return node.ModeSpan{Mode: mode, Op: cpu.MaxPoint, Start: sim.Time(start), End: sim.Time(end)}
 	}
 	m := &merger{srcs: []source{
-		modeSource("node1", []node.ModeSpan{span(cpu.Compute, 0, 5), span(cpu.Idle, 5, 5.5)}),
-		modeSource("node2", []node.ModeSpan{span(cpu.Comm, 4, 5), span(cpu.Compute, 5, 6)}),
-		bucket("death", []*node.Node{{Name: "node1", DeadAt: 5}}, deathRecord),
+		modeSource("node1", listOf(span(cpu.Compute, 0, 5), span(cpu.Idle, 5, 5.5))),
+		modeSource("node2", listOf(span(cpu.Comm, 4, 5), span(cpu.Compute, 5, 6))),
+		bucket("death", listOf(&node.Node{Name: "node1", DeadAt: 5}), deathRecord),
 	}}
 	got = drain(m)
 	var order []string
@@ -242,8 +253,12 @@ func (w *cutWriter) Write(p []byte) (int, error) {
 // TestSimulateCountsDeliveredRecordsOnWriteError pins Simulate's
 // partial-write contract: the writer's error comes back, Outcome.Records
 // is the number of whole lines that reached the writer, and those lines
-// are the head of the log an unbroken writer receives.
+// are the head of the log an unbroken writer receives. The full-window
+// 2D log is written in time shards (at least two processors): its cuts
+// fall in the first, a middle and the last shard, and no encoding
+// worker outlives the failed run.
 func TestSimulateCountsDeliveredRecordsOnWriteError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	checked := DefaultParams()
 	checked.Assertions = loadSpec(t, "broken.json")
 	for _, c := range []struct {
@@ -254,6 +269,7 @@ func TestSimulateCountsDeliveredRecordsOnWriteError(t *testing.T) {
 		{"plain", Spec{ID: Exp2, Params: DefaultParams(), UntilS: 1800}, Sinks{}},
 		{"telemetry", Spec{ID: Exp2, Params: DefaultParams(), UntilS: 1800}, Sinks{Telemetry: true}},
 		{"catalog", Spec{ID: Exp2D, Params: checked, UntilS: 1800}, Sinks{Telemetry: true}},
+		{"sharded", Spec{ID: Exp2D, Params: DefaultParams(), UntilS: fullWindowS}, Sinks{Telemetry: true}},
 	} {
 		var full bytes.Buffer
 		sk := c.sk
@@ -262,6 +278,7 @@ func TestSimulateCountsDeliveredRecordsOnWriteError(t *testing.T) {
 		for _, cut := range []int{0, 1, full.Len() / 3, full.Len() - 1} {
 			w := &cutWriter{n: cut}
 			sk.Log = w
+			before := settledGoroutines()
 			out, err := Simulate(context.Background(), c.spec, sk)
 			if !errors.Is(err, errCut) {
 				t.Fatalf("%s cut at %d: err = %v, want the writer's error", c.name, cut, err)
@@ -271,6 +288,9 @@ func TestSimulateCountsDeliveredRecordsOnWriteError(t *testing.T) {
 			}
 			if !bytes.HasPrefix(full.Bytes(), w.got.Bytes()) {
 				t.Errorf("%s cut at %d: delivered bytes are not the head of the full log", c.name, cut)
+			}
+			if after := goroutinesBackTo(before); after > before {
+				t.Errorf("%s cut at %d: %d goroutines after the run, %d before", c.name, cut, after, before)
 			}
 		}
 	}

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"sync/atomic"
 
 	"dvsim/internal/assert"
+	"dvsim/internal/chunk"
 	"dvsim/internal/cpu"
 	"dvsim/internal/governor"
 	"dvsim/internal/node"
@@ -105,16 +106,34 @@ const cancelPollEvents = 4096
 // ErrBadSpec. A failed log write returns the outcome with the error,
 // Outcome.Records counting the records that fully reached the writer.
 func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
+	running.Add(1)
+	defer running.Add(-1)
+	out, m, err := simulate(ctx, s, sk)
+	if err == nil && sk.Log != nil {
+		out.Records, err = writeLog(sk.Log, m, running.Load() == 1)
+	}
+	return out, err
+}
+
+// running counts the Simulate calls in flight in the process. A log is
+// encoded on more than one core only while its run is the only one, so
+// callers that already run simulations side by side (Monte Carlo forks,
+// the service's worker pool, a parallel suite) keep their cores.
+var running atomic.Int32
+
+// simulate is Simulate up to the log: it returns the outcome and, when
+// sk.Log is set, the merge the log is written from.
+func simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, *merger, error) {
 	pl, err := s.plan()
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	eng, err := assert.New(s.Params.Assertions)
 	if err != nil {
-		return Outcome{}, specErr("%v", err)
+		return Outcome{}, nil, specErr("%v", err)
 	}
 	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	// A log or a catalog needs the event stream. A catalog always sees
 	// the full vocabulary unless the log asked for the plain one.
@@ -142,7 +161,7 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 		r.k.Run()
 	}
 	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	if pl.trace {
 		// Finishing the metering settles the last segment, which may
@@ -156,7 +175,7 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 	}
 	out := r.outcome(&pl)
 	if rc == nil {
-		return out, nil
+		return out, nil, nil
 	}
 	// One merge over the run's records serves both consumers: a pass
 	// feeds the assertion engine, and a pass, with the verdicts as one
@@ -167,15 +186,16 @@ func Simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, error) {
 		out.AssertionsRun = eng.Evaluated()
 		out.ViolationTotal = eng.Total()
 		if sk.Log != nil && len(out.Violations) > 0 {
-			// The log orders the verdicts by lessRecord; sort a copy so
+			// The log orders the verdicts by lessRecord; sort a copy, so
 			// Outcome.Violations keeps the engine's canonical order.
-			m.srcs = append(m.srcs, bucket("violation", slices.Clone(out.Violations), violationRecord))
+			var vs chunk.List[assert.Violation]
+			for _, v := range out.Violations {
+				vs.Append(v)
+			}
+			m.srcs = append(m.srcs, bucket("violation", &vs, violationRecord))
 		}
 	}
-	if sk.Log != nil {
-		out.Records, err = writeLog(sk.Log, m)
-	}
-	return out, err
+	return out, m, nil
 }
 
 // simulateAll runs the specs on up to workers goroutines (≤ 0 selects

@@ -15,10 +15,11 @@ import (
 // one-event-at-a-time discipline that makes runs bit-for-bit
 // reproducible. All simulated concurrency must be kernel events and
 // sim.Task state machines.
-// Infrastructure that parallelizes across *independent* simulations
-// (e.g. internal/sweep's worker pool) annotates its go statement with a
-// //lint:allow nakedgo directive explaining why it is outside the
-// kernel's jurisdiction.
+// Infrastructure that parallelizes across *independent* work items
+// outside any running kernel — whole simulations, or the time shards of
+// a finished run's log — goes through internal/sweep, whose one go
+// statement carries a //lint:allow nakedgo directive explaining why it
+// is outside the kernel's jurisdiction.
 var NakedGo = &analysis.Analyzer{
 	Name: "nakedgo",
 	Doc:  "forbids raw go statements outside internal/sim: simulated concurrency must be kernel events and sim.Task state machines",

@@ -332,6 +332,9 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if v[0] < 1 {
 			return nil, "", nil, fmt.Errorf("serial needs nodes ≥ 1, got %d", v[0])
 		}
+		if err := fleetSize(kind, v[0]); err != nil {
+			return nil, "", nil, err
+		}
 		return topology.Serial(v[0], topology.Config{}), kind, shape(v, "nodes"), nil
 	case "wide":
 		v, err := need("stages", "width")
@@ -340,6 +343,9 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		}
 		if v[0] < 1 || v[1] < 1 {
 			return nil, "", nil, fmt.Errorf("wide needs stages ≥ 1 and width ≥ 1, got %d×%d", v[0], v[1])
+		}
+		if err := fleetSize(kind, max(v[0], v[1]), v[0]*v[1]); err != nil {
+			return nil, "", nil, err
 		}
 		return topology.Wide(v[0], v[1], topology.Config{}), kind, shape(v, "stages", "width"), nil
 	case "tree":
@@ -350,6 +356,15 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if v[0] < 2 || v[1] < 1 {
 			return nil, "", nil, fmt.Errorf("tree needs bf ≥ 2 and depth ≥ 1, got bf=%d depth=%d", v[0], v[1])
 		}
+		// Count the levels until the total passes the cap; bf and each
+		// level width stay under it, so nothing overflows.
+		total := 0
+		for l, w := 0, 1; l <= v[1] && total <= maxFleetNodes; l, w = l+1, w*min(v[0], maxFleetNodes+1) {
+			total += w
+		}
+		if err := fleetSize(kind, total); err != nil {
+			return nil, "", nil, err
+		}
 		return topology.Tree(v[0], v[1], topology.Config{}), kind, shape(v, "bf", "depth"), nil
 	case "mesh":
 		v, err := need("sensors", "aggregators")
@@ -359,10 +374,30 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if v[1] < 1 || v[1] > v[0] {
 			return nil, "", nil, fmt.Errorf("mesh needs 1 ≤ aggregators ≤ sensors, got %d sensors, %d aggregators", v[0], v[1])
 		}
+		if err := fleetSize(kind, v[0], v[0]+v[1]); err != nil {
+			return nil, "", nil, err
+		}
 		return topology.Mesh(v[0], v[1], topology.Config{}), kind, shape(v, "sensors", "aggregators"), nil
 	default:
 		return nil, "", nil, fmt.Errorf("unknown topology %q (want serial, wide, tree or mesh)", kind)
 	}
+}
+
+// maxFleetNodes bounds the fleet one topology line describes: far above
+// any study here, and low enough that a mistyped shape is an error
+// rather than an exhausted heap or an overflowed size.
+const maxFleetNodes = 1 << 10
+
+// fleetSize rejects a fleet of more than maxFleetNodes nodes. Each count
+// is checked in turn, so a caller can guard a product by its factors
+// before the product can overflow.
+func fleetSize(kind string, counts ...int) error {
+	for _, n := range counts {
+		if n > maxFleetNodes {
+			return fmt.Errorf("%s topology above the limit of %d nodes", kind, maxFleetNodes)
+		}
+	}
+	return nil
 }
 
 // defaultLabel names a line that did not choose one.

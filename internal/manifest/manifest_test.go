@@ -92,6 +92,18 @@ func TestExpandRejects(t *testing.T) {
 			"experiment, d\n\"1\", -2\n", "d must be positive"},
 		{"bad governor",
 			"experiment, governor\n\"1\", \"warp\"\n", "warp"},
+		// Fleet shapes past the node limit, including sizes whose node
+		// count overflows an int.
+		{"huge serial",
+			"topology, nodes\n\"serial\", 1000000000000\n", "limit of 1024 nodes"},
+		{"huge wide",
+			"topology, stages, width\n\"wide\", 4294967296, 4294967296\n", "limit of 1024 nodes"},
+		{"deep tree",
+			"topology, bf, depth\n\"tree\", 2, 100\n", "limit of 1024 nodes"},
+		{"wide tree",
+			"topology, bf, depth\n\"tree\", 9223372036854775807, 2\n", "limit of 1024 nodes"},
+		{"huge mesh",
+			"topology, sensors, aggregators\n\"mesh\", 9223372036854775807, 9223372036854775807\n", "limit of 1024 nodes"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

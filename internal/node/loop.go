@@ -95,7 +95,7 @@ func (l *loop) Resume(err error) {
 			return
 		}
 		if l.n.cfg.NoIO {
-			l.compute(l.n.Role(), l.n.Role().Compute, nil, cNoIO)
+			l.compute(*l.n.role(), l.n.role().Compute, nil, cNoIO)
 			return
 		}
 		l.iterate()
@@ -104,7 +104,7 @@ func (l *loop) Resume(err error) {
 			l.stop()
 			return
 		}
-		l.n.nextFrame = l.frame + l.n.Role().stride()
+		l.n.nextFrame = l.frame + l.n.role().stride()
 		l.process()
 	case lsRecv:
 		if done, msg, err := l.rx.Step(err); done {
@@ -173,7 +173,7 @@ func (l *loop) iterate() {
 		return
 	}
 	l.need = 1
-	if n.Role().FanInAll {
+	if n.role().FanInAll {
 		l.need = n.parents
 	}
 	l.frame, l.payload = 0, nil
@@ -189,7 +189,7 @@ func (l *loop) receive() {
 	n.idle() // blocked waiting is idle time
 	done, msg, err := l.rx.Recv(&l.task, n.port, serial.RxOpts{
 		Deadline: n.recvDeadline(),
-		Match:    n.acceptKindFn,
+		Accept:   n.acceptKinds(),
 		OnStart:  n.commStartFn,
 		OnAbort:  n.idleFn, // faulted transfer discarded; back to waiting
 	})
@@ -270,7 +270,7 @@ func (l *loop) gather(msg serial.Message) {
 
 // process computes the frame's own span.
 func (l *loop) process() {
-	l.compute(l.n.Role(), l.n.computePoint(), l.payload, cFrame)
+	l.compute(*l.n.role(), l.n.computePoint(), l.payload, cFrame)
 }
 
 // compute runs role's computation at operating point at on input in,
@@ -298,7 +298,7 @@ func (l *loop) computed() {
 	case cNoIO:
 		n.FramesProcessed++
 		n.met.frames.Inc()
-		l.compute(n.Role(), n.Role().Compute, nil, cNoIO)
+		l.compute(*n.role(), n.role().Compute, nil, cNoIO)
 	case cFrame:
 		l.processed()
 	case cMigrated:
@@ -319,7 +319,7 @@ func (l *loop) processed() {
 	// same pipeline slot, which is what lets the carried data replace the
 	// eliminated SEND/RECV pair.
 	l.rotated = n.cfg.RotationPeriod > 1 && len(n.roles) > 1 &&
-		(l.frame+n.Role().Index)%n.cfg.RotationPeriod == 0
+		(l.frame+n.role().Index)%n.cfg.RotationPeriod == 0
 	l.last = n.toHost()
 	if l.rotated && !l.last {
 		// §5.5: keep the result, become the next role, continue
@@ -342,7 +342,7 @@ func (l *loop) processed() {
 func (l *loop) send() {
 	n := l.n
 	dst := n.sink
-	msg := serial.Message{Kind: serial.KindResult, Frame: l.frame, KB: n.outKB(n.Role()), Payload: l.out}
+	msg := serial.Message{Kind: serial.KindResult, Frame: l.frame, KB: n.outKB(n.role()), Payload: l.out}
 	opts := serial.TxOpts{OnStart: n.sendStart(), OnBackoff: n.idleFn}
 	l.awaitAck = false
 	if !n.toHost() {
@@ -379,7 +379,7 @@ func (l *loop) sent(err error) {
 	}
 	done, _, err := l.rx.Recv(&l.task, n.port, serial.RxOpts{
 		Deadline: n.k.Now() + sim.Time(n.cfg.AckTimeoutS),
-		Match:    isAck,
+		Accept:   ackKinds,
 		OnStart:  n.commStartFn,
 		OnAbort:  n.idleFn,
 	})
@@ -416,7 +416,7 @@ func (l *loop) ackOutcome(err error) {
 			l.sendDone(false, false)
 			return
 		}
-		l.compute(absorbed, n.Role().Compute, l.out, cMigrated)
+		l.compute(absorbed, n.role().Compute, l.out, cMigrated)
 	default:
 		l.sendDone(false, false)
 	}

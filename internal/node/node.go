@@ -58,7 +58,7 @@ type Role struct {
 }
 
 // IdlePoint returns the role's idle operating point (Comm when unset).
-func (r Role) IdlePoint() cpu.OperatingPoint {
+func (r *Role) IdlePoint() cpu.OperatingPoint {
 	if r.Idle == (cpu.OperatingPoint{}) {
 		return r.Comm
 	}
@@ -66,7 +66,7 @@ func (r Role) IdlePoint() cpu.OperatingPoint {
 }
 
 // stride is the role's source stride (1 when unset).
-func (r Role) stride() int {
+func (r *Role) stride() int {
 	if r.Stride > 0 {
 		return r.Stride
 	}
@@ -84,7 +84,7 @@ func (n *Node) refSeconds(r Role) float64 {
 
 // outKB is the role's downstream transfer size: the explicit override
 // when set, the profiled span otherwise.
-func (n *Node) outKB(r Role) float64 {
+func (n *Node) outKB(r *Role) float64 {
 	if r.OutKB > 0 {
 		return r.OutKB
 	}
@@ -199,10 +199,9 @@ type Node struct {
 	// Hoisted serial callbacks: method values allocate a closure per
 	// evaluation, so the frame loop's Recv/Send options reference these
 	// fields, bound once in New, instead of building them per frame.
-	acceptKindFn func(*serial.Message) bool
-	commStartFn  func()
-	idleFn       func()
-	sendStartFn  func()
+	commStartFn func()
+	idleFn      func()
+	sendStartFn func()
 	// sendQueued anchors sendStartFn's down-wait measurement for the
 	// frame's outbound transfer.
 	sendQueued sim.Time
@@ -288,7 +287,6 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, name string,
 		phys:      phys,
 		nextFrame: own[phys].Phase,
 	}
-	n.acceptKindFn = n.acceptKind
 	n.commStartFn = n.commStart
 	n.idleFn = n.idle
 	n.sendStartFn = n.onSendStart
@@ -324,7 +322,12 @@ func (n *Node) Port() *serial.Port { return n.port }
 func (n *Node) Power() *Power { return n.power }
 
 // Role returns the node's current role.
-func (n *Node) Role() Role { return n.roles[n.roleIdx] }
+func (n *Node) Role() Role { return *n.role() }
+
+// role is the node's current role in place: the frame loop reads its
+// fields on every mode transition, and a Role is too large to copy
+// there.
+func (n *Node) role() *Role { return &n.roles[n.roleIdx] }
 
 // Dead reports whether the node's battery is exhausted.
 func (n *Node) Dead() bool { return n.power.Dead() }
@@ -340,7 +343,7 @@ func (n *Node) Available() bool { return !n.Dead() && !n.crashed }
 // Pacing reports whether the node is a self-paced source with frames
 // still to emit; a run is not finished while any source is pacing.
 func (n *Node) Pacing() bool {
-	r := n.Role().Rounds
+	r := n.role().Rounds
 	return n.parents == 0 && (r <= 0 || n.nextFrame < r)
 }
 
@@ -378,7 +381,7 @@ func (n *Node) Restart() bool {
 	n.governReset()
 	if n.parents == 0 {
 		for float64(n.nextFrame)*n.cfg.D < float64(n.k.Now()) {
-			n.nextFrame += n.Role().stride()
+			n.nextFrame += n.role().stride()
 		}
 	}
 	n.start()
@@ -416,7 +419,7 @@ func (n *Node) computePoint() cpu.OperatingPoint {
 	if n.govPoint != (cpu.OperatingPoint{}) {
 		return n.govPoint
 	}
-	return n.Role().Compute
+	return n.role().Compute
 }
 
 // deadlineMissEps absorbs float drift when comparing busy time against
@@ -434,7 +437,7 @@ func (n *Node) govern(frame int, proc0, comm0 float64) {
 	procS := n.power.ModeSeconds(cpu.Compute) - proc0
 	commS := n.power.ModeSeconds(cpu.Comm) - comm0
 	cur := n.computePoint()
-	budget := n.Role().BudgetS
+	budget := n.role().BudgetS
 	if budget <= 0 {
 		budget = n.cfg.D
 	}
@@ -450,7 +453,7 @@ func (n *Node) govern(frame int, proc0, comm0 float64) {
 		DownWaitS:   n.sendWaitS,
 		SoC:         n.power.Battery().StateOfCharge(),
 		Point:       cur,
-		RoleCompute: n.Role().Compute,
+		RoleCompute: n.role().Compute,
 	}
 	if obs.SlackS < -deadlineMissEps {
 		n.DeadlineMisses++
@@ -513,7 +516,7 @@ func (n *Node) onSendStart() {
 // recvDeadline is the failure-detection deadline for inbound data: only
 // recovery-enabled interior stages time out.
 func (n *Node) recvDeadline() sim.Time {
-	if n.cfg.Ack && n.Role().Index > 1 {
+	if n.cfg.Ack && n.role().Index > 1 {
 		// Upstream should deliver within about one frame period; allow
 		// generous slack for pipeline jitter.
 		return n.k.Now() + sim.Time(2*n.cfg.D+n.cfg.AckTimeoutS)
@@ -521,23 +524,29 @@ func (n *Node) recvDeadline() sim.Time {
 	return sim.Infinity
 }
 
-// isAck matches acknowledgment transactions (the sender's ack wait).
-func isAck(m *serial.Message) bool { return m.Kind == serial.KindAck }
+// Accepted message kinds: acknowledgments (the sender's ack wait), host
+// frames and internode data.
+var (
+	ackKinds   = serial.KindsOf(serial.KindAck)
+	frameKinds = serial.KindsOf(serial.KindFrame)
+	interKinds = serial.KindsOf(serial.KindInter)
+)
 
-// acceptKind filters the node's inbound port traffic to the data messages
-// its role expects — host frames for role 1 of the ring, internode data
-// otherwise; acks are consumed explicitly by the sender's ack wait.
-func (n *Node) acceptKind(m *serial.Message) bool {
-	if n.ring != nil && n.roles[n.roleIdx].Index == 1 {
-		return m.Kind == serial.KindFrame
+// acceptKinds filters the node's inbound port traffic to the data
+// messages its role expects — host frames for role 1 of the ring,
+// internode data otherwise; acks are consumed explicitly by the sender's
+// ack wait.
+func (n *Node) acceptKinds() serial.Kinds {
+	if n.ring != nil && n.role().Index == 1 {
+		return frameKinds
 	}
-	return m.Kind == serial.KindInter
+	return interKinds
 }
 
 // toHost reports whether the node's output is a final result for the
 // host: it holds the ring's last role, or it is a graph sink.
 func (n *Node) toHost() bool {
-	return n.sink != nil && n.Role().Index == len(n.roles)
+	return n.sink != nil && n.role().Index == len(n.roles)
 }
 
 // abandon writes off the in-flight frame and always reports true, so
@@ -561,8 +570,8 @@ func (n *Node) migrateFrom(deadPhys int) (absorbed Role, ok bool) {
 	}
 	dead := n.ring[deadPhys]
 	n.peerDead[deadPhys] = true
-	myRole := n.Role()
-	deadRole := dead.Role()
+	myRole := *n.role()
+	deadRole := *dead.role()
 	var merged atr.Span
 	switch {
 	case deadRole.Span.Last+1 == myRole.Span.First:
@@ -606,10 +615,10 @@ func (n *Node) migrateFrom(deadPhys int) (absorbed Role, ok bool) {
 // commStart switches to communication mode at the role's comm point; the
 // serial layer invokes it at the instant a transfer actually begins.
 func (n *Node) commStart() {
-	n.power.Transition(cpu.Comm, n.Role().Comm)
+	n.power.Transition(cpu.Comm, n.role().Comm)
 }
 
 // idle switches to idle mode at the role's idle point.
 func (n *Node) idle() {
-	n.power.Transition(cpu.Idle, n.Role().IdlePoint())
+	n.power.Transition(cpu.Idle, n.role().IdlePoint())
 }

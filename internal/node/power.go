@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"dvsim/internal/battery"
+	"dvsim/internal/chunk"
 	"dvsim/internal/cpu"
 	"dvsim/internal/metrics"
 	"dvsim/internal/sim"
@@ -44,7 +45,7 @@ type Power struct {
 
 	// traceOn records every constant-power span, for timeline figures.
 	traceOn bool
-	trace   []ModeSpan
+	trace   chunk.List[ModeSpan]
 
 	// Labeled telemetry counters; nil (no-op) unless SetMetrics is
 	// called.
@@ -112,8 +113,8 @@ func (pw *Power) ModeMAh(m cpu.Mode) float64 { return pw.modeCharge[m] / 3600 }
 // EnableTrace starts recording mode spans (see Trace).
 func (pw *Power) EnableTrace() { pw.traceOn = true }
 
-// Trace returns the recorded spans.
-func (pw *Power) Trace() []ModeSpan { return pw.trace }
+// Trace returns the recorded spans, in place.
+func (pw *Power) Trace() *chunk.List[ModeSpan] { return &pw.trace }
 
 // settle drains the battery for the segment since the last transition.
 func (pw *Power) settle() {
@@ -137,7 +138,7 @@ func (pw *Power) settle() {
 	pw.chargeMAs.Add(i * ran)
 	if pw.traceOn {
 		start := now - sim.Time(dt)
-		pw.trace = append(pw.trace, ModeSpan{
+		pw.trace.Append(ModeSpan{
 			Mode:  pw.cpu.Mode(),
 			Op:    pw.cpu.Point(),
 			Start: start,

@@ -46,7 +46,25 @@ const (
 	KindAck
 	// KindCtrl is a control message (failure reports, reconfiguration).
 	KindCtrl
+
+	numKinds = iota
 )
+
+// Kinds is a set of message kinds, for a receive to select what it
+// accepts. The zero set accepts every kind.
+type Kinds uint8
+
+// KindsOf returns the set of the given kinds.
+func KindsOf(ks ...Kind) Kinds {
+	var s Kinds
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// has reports whether the set accepts kind k.
+func (s Kinds) has(k Kind) bool { return s == 0 || s&(1<<k) != 0 }
 
 func (k Kind) String() string {
 	switch k {
@@ -85,8 +103,10 @@ type Message struct {
 // It is embedded in the sender's Tx, so a send allocates nothing.
 type offer struct {
 	msg Message
-	// queued marks an offer in its destination's pending FIFO.
-	queued bool
+	// queued marks an offer in its destination's pending FIFO; arrival
+	// numbers it among the port's arrivals.
+	queued  bool
+	arrival uint64
 	// sender and seq are the sender's accept wait; waiting is set while
 	// it is registered (the rendezvous' accept signal has one waiter).
 	sender  *sim.Task
@@ -126,11 +146,14 @@ type PortStats struct {
 type Port struct {
 	net  *Network
 	name string
-	// pending is the FIFO of live offers, head-indexed: pops advance
-	// head, so a backlog drains in O(1) per offer. Withdrawn offers
-	// leave at once, so Pending is the live length.
-	pending []*offer
-	head    int
+	// pending holds the live offers in one FIFO per kind. A receive
+	// takes the earliest-numbered head among the kinds it accepts, which
+	// is the first acceptable offer of the port's arrival order, without
+	// passing the offers it does not accept. Withdrawn offers leave at
+	// once, so npending is the live count.
+	pending  [numKinds]fifo
+	arrivals uint64
+	npending int
 	// waiter and waitSeq are the receive blocked for an arrival; waiting
 	// is set while it is registered.
 	waiter  *sim.Task
@@ -181,57 +204,89 @@ func (pt *Port) met() *portInstruments {
 }
 
 // Pending returns the number of senders waiting at this port.
-func (pt *Port) Pending() int { return len(pt.pending) - pt.head }
+func (pt *Port) Pending() int { return pt.npending }
 
-// push queues an offer, first compacting the FIFO when its consumed
-// prefix outgrows the live part (amortized O(1) per offer).
+// push queues an offer at the back of its kind's FIFO.
 func (pt *Port) push(of *offer) {
-	if pt.head > 0 && pt.head >= len(pt.pending)/2 {
-		n := copy(pt.pending, pt.pending[pt.head:])
-		clear(pt.pending[n:])
-		pt.pending = pt.pending[:n]
-		pt.head = 0
+	k := of.msg.Kind
+	if k < 0 || k >= numKinds {
+		panic(fmt.Sprintf("serial: send of unknown message kind %v to port %s", k, pt.name))
 	}
-	pt.pending = append(pt.pending, of)
-	of.queued = true
+	pt.arrivals++
+	of.arrival, of.queued = pt.arrivals, true
+	pt.pending[k].push(of)
+	pt.npending++
 }
 
-// take removes and returns the first matching pending offer.
-func (pt *Port) take(match func(*Message) bool) *offer {
-	for i := pt.head; i < len(pt.pending); i++ {
-		if of := pt.pending[i]; match == nil || match(&of.msg) {
-			pt.remove(i)
-			return of
+// take removes and returns the earliest pending offer of an accepted
+// kind, or nil.
+func (pt *Port) take(accept Kinds) *offer {
+	var first *fifo
+	for k := range pt.pending {
+		f := &pt.pending[k]
+		if f.len() > 0 && accept.has(Kind(k)) && (first == nil || f.front().arrival < first.front().arrival) {
+			first = f
 		}
 	}
-	return nil
+	if first == nil {
+		return nil
+	}
+	of := first.front()
+	first.remove(first.head)
+	of.queued = false
+	pt.npending--
+	return of
 }
 
-// unqueue removes a withdrawn offer from the FIFO.
+// unqueue removes a withdrawn offer from its kind's FIFO.
 func (pt *Port) unqueue(of *offer) {
-	for i := pt.head; i < len(pt.pending); i++ {
-		if pt.pending[i] == of {
-			pt.remove(i)
+	f := &pt.pending[of.msg.Kind]
+	for i := f.head; i < len(f.q); i++ {
+		if f.q[i] == of {
+			f.remove(i)
+			of.queued = false
+			pt.npending--
 			return
 		}
 	}
 }
 
-// remove drops pending[i], keeping FIFO order.
-func (pt *Port) remove(i int) {
-	pt.pending[i].queued = false
-	if i == pt.head {
-		pt.pending[i] = nil
-		pt.head++
-	} else {
-		last := len(pt.pending) - 1
-		copy(pt.pending[i:], pt.pending[i+1:])
-		pt.pending[last] = nil
-		pt.pending = pt.pending[:last]
+// fifo is one kind's queue of offers, head-indexed: pops advance head,
+// so a backlog drains in O(1) per offer.
+type fifo struct {
+	q    []*offer
+	head int
+}
+
+func (f *fifo) len() int      { return len(f.q) - f.head }
+func (f *fifo) front() *offer { return f.q[f.head] }
+
+// push appends an offer, first compacting the queue when its consumed
+// prefix outgrows the live part (amortized O(1) per offer).
+func (f *fifo) push(of *offer) {
+	if f.head > 0 && f.head >= len(f.q)/2 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q = f.q[:n]
+		f.head = 0
 	}
-	if pt.head == len(pt.pending) {
-		pt.pending = pt.pending[:0]
-		pt.head = 0
+	f.q = append(f.q, of)
+}
+
+// remove drops q[i], keeping FIFO order.
+func (f *fifo) remove(i int) {
+	if i == f.head {
+		f.q[i] = nil
+		f.head++
+	} else {
+		last := len(f.q) - 1
+		copy(f.q[i:], f.q[i+1:])
+		f.q[last] = nil
+		f.q = f.q[:last]
+	}
+	if f.head == len(f.q) {
+		f.q = f.q[:0]
+		f.head = 0
 	}
 }
 
@@ -261,10 +316,9 @@ type TxOpts struct {
 type RxOpts struct {
 	// Deadline bounds the whole receive; zero means wait forever.
 	Deadline sim.Time
-	// Match selects which pending messages to accept; nil accepts any.
-	// Non-matching messages stay queued, in order. It reads each queued
-	// message in place and must neither modify nor keep it.
-	Match func(*Message) bool
+	// Accept selects the kinds of pending messages to accept; the zero
+	// set accepts any. Messages of other kinds stay queued, in order.
+	Accept Kinds
 	// OnStart is invoked at the instant the transfer begins.
 	OnStart func()
 	// OnAbort is invoked when an accepted transfer turns out dropped or

@@ -2,7 +2,9 @@ package serial
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -501,7 +503,7 @@ func TestPendingFIFOUnderMatchAndWithdraw(t *testing.T) {
 	var got []Message
 	var pendingAfterAck int
 	k.SpawnAt(1, "r", func(p *sim.Proc) {
-		m, err := c.RecvOpts(p, RxOpts{Match: func(m *Message) bool { return m.Kind == KindAck }})
+		m, err := c.RecvOpts(p, RxOpts{Accept: KindsOf(KindAck)})
 		if err != nil {
 			t.Errorf("ack: %v", err)
 		}
@@ -524,5 +526,59 @@ func TestPendingFIFOUnderMatchAndWithdraw(t *testing.T) {
 	}
 	if c.Pending() != 0 || c.Stats().MaxPending != 4 {
 		t.Fatalf("pending %d, max %d; want 0 and 4", c.Pending(), c.Stats().MaxPending)
+	}
+}
+
+// TestRecvPassesUnacceptedBacklog: a receive blocked behind a backlog
+// of offers it does not accept takes the acceptable ones as they
+// arrive, in arrival order, and leaves the backlog queued in its own
+// order for a receive that accepts it.
+func TestRecvPassesUnacceptedBacklog(t *testing.T) {
+	k := sim.NewKernel()
+	net := NewNetwork(k, DefaultLink())
+	c := net.Port("c")
+	const backlog = 50
+	for i := 0; i < backlog; i++ {
+		from := fmt.Sprintf("f%02d", i)
+		k.Spawn(from, func(p *sim.Proc) { net.Port(from).Send(p, c, Message{Kind: KindFrame, Frame: i, KB: 0.1}) })
+	}
+	for i, at := range []sim.Time{1, 1, 2} {
+		from := fmt.Sprintf("i%d", i)
+		k.SpawnAt(at, from, func(p *sim.Proc) { net.Port(from).Send(p, c, Message{Kind: KindInter, Frame: i, KB: 0.1}) })
+	}
+	var inter, frames []int
+	var pendingAfterInter int
+	k.Spawn("r", func(p *sim.Proc) {
+		for range 3 {
+			m, err := c.RecvOpts(p, RxOpts{Accept: KindsOf(KindInter, KindCtrl)})
+			if err != nil {
+				t.Errorf("inter: %v", err)
+			}
+			inter = append(inter, m.Frame)
+		}
+		pendingAfterInter = c.Pending()
+		for range backlog {
+			m, err := c.RecvOpts(p, RxOpts{Accept: KindsOf(KindFrame)})
+			if err != nil {
+				t.Errorf("frame: %v", err)
+			}
+			frames = append(frames, m.Frame)
+		}
+	})
+	k.Run()
+	if !slices.Equal(inter, []int{0, 1, 2}) {
+		t.Fatalf("internode frames received as %v, want 0, 1, 2", inter)
+	}
+	if pendingAfterInter != backlog {
+		t.Fatalf("pending after the internode receives = %d, want the %d-frame backlog", pendingAfterInter, backlog)
+	}
+	for i, f := range frames {
+		if f != i {
+			t.Fatalf("backlog received as %v, want arrival order", frames)
+		}
+	}
+	// Both offers of t=1 queue before the receive wakes.
+	if c.Pending() != 0 || c.Stats().MaxPending != backlog+2 {
+		t.Fatalf("pending %d, max %d; want 0 and %d", c.Pending(), c.Stats().MaxPending, backlog+2)
 	}
 }

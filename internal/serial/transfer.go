@@ -284,7 +284,7 @@ func (rx *Rx) Step(err error) (done bool, msg Message, res error) {
 func (rx *Rx) scan() (bool, Message, error) {
 	pt, task := rx.pt, rx.task
 	now := pt.net.k.Now()
-	of := pt.take(rx.opts.Match)
+	of := pt.take(rx.opts.Accept)
 	if of == nil {
 		// Nothing acceptable in the whole queue: wait for the next
 		// arrival and rescan. An arrival carries no state of its own —

@@ -16,8 +16,9 @@
 // Proc layers sequential, blocking control flow over the same protocol:
 // its body runs on a goroutine of its own under a strict one-runnable-
 // at-a-time handoff, and Chan and Resource block Procs. They remain for
-// tests and micro-benchmarks written as sequential processes; the
-// simulator itself starts no goroutines.
+// tests and micro-benchmarks written as sequential processes; a
+// simulation itself starts no goroutines. (internal/core encodes a large
+// run log on several cores, but only after the kernel has returned.)
 //
 // # Performance
 //

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,5 +244,113 @@ func TestPropertyGridComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestOrderedEmitsInOrderWithinWindow(t *testing.T) {
+	const n, window = 200, 6
+	var inFlight, peak atomic.Int64
+	var got []int
+	Ordered(n, 3, window, func(i int) int {
+		p := inFlight.Add(1)
+		for {
+			old := peak.Load()
+			if p <= old || peak.CompareAndSwap(old, p) {
+				break
+			}
+		}
+		if i%7 == 0 {
+			time.Sleep(100 * time.Microsecond) // finish out of order
+		}
+		return i * i
+	}, func(v int) bool {
+		got = append(got, v)
+		inFlight.Add(-1)
+		return true
+	})
+	if len(got) != n {
+		t.Fatalf("emitted %d outputs, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("output %d = %d, want %d", i, v, i*i)
+		}
+	}
+	if p := peak.Load(); p > window {
+		t.Fatalf("%d indices in flight at once, window %d", p, window)
+	}
+}
+
+func TestOrderedStopsWhenEmitDeclines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var started atomic.Int64
+	var emitted []int
+	Ordered(1000, 4, 8, func(i int) int {
+		started.Add(1)
+		return i
+	}, func(i int) bool {
+		emitted = append(emitted, i)
+		return i < 10
+	})
+	if len(emitted) != 11 || emitted[10] != 10 {
+		t.Fatalf("emitted %v, want 0…10", emitted)
+	}
+	// Nothing starts past the window once emit declines.
+	if s := started.Load(); s > 11+8 {
+		t.Fatalf("%d inputs started, want at most %d", s, 11+8)
+	}
+	waitGoroutines(t, before)
+}
+
+func TestOrderedPanicStopsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var emitted []int
+	defer func() {
+		p, ok := recover().(*Panic)
+		if !ok || p.Input != 5 || p.Value != "boom" {
+			t.Fatalf("recovered %v, want input 5's panic", p)
+		}
+		if len(emitted) != 5 {
+			t.Fatalf("emitted %v before the panic, want inputs 0…4", emitted)
+		}
+		waitGoroutines(t, before)
+	}()
+	Ordered(100, 3, 6, func(i int) int {
+		if i == 5 || i == 7 {
+			panic("boom")
+		}
+		return i
+	}, func(i int) bool {
+		emitted = append(emitted, i)
+		return true
+	})
+	t.Fatal("Ordered returned over a panicking input")
+}
+
+func TestOrderedOneWorkerRunsOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var got []int
+	Ordered(5, 1, 4, func(i int) int {
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("%d goroutines while running input %d, %d before", n, i, before)
+		}
+		return i
+	}, func(i int) bool {
+		got = append(got, i)
+		return true
+	})
+	if len(got) != 5 || got[4] != 4 {
+		t.Fatalf("emitted %v", got)
+	}
+}
+
+// waitGoroutines fails unless the goroutine count returns to want.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 1000 && runtime.NumGoroutine() != want; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != want {
+		t.Fatalf("%d goroutines, want %d", n, want)
 	}
 }

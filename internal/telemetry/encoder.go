@@ -88,8 +88,10 @@ type Encoder struct {
 	// mid-stream write error.
 	done    int
 	flushed int
-	// pending is how many completed records sit in buf.
+	// pending is how many completed records sit in buf; start is where
+	// the open record begins in it.
 	pending int
+	start   int
 	memo    [memoSlots]memoSlot
 }
 
@@ -114,6 +116,7 @@ func (e *Encoder) Flushed() int { return e.flushed }
 
 // Begin opens a record.
 func (e *Encoder) Begin() {
+	e.start = len(e.buf)
 	e.buf = append(e.buf, '{')
 	e.first = true
 }
@@ -225,14 +228,26 @@ func (e *Encoder) float(v float64) {
 	start := len(e.buf)
 	var ok bool
 	if e.buf, ok = AppendFloat(e.buf, v); !ok {
-		if e.err == nil {
-			e.err = ErrUnsupportedValue
-		}
+		e.refuse()
 		return
 	}
 	if n := len(e.buf) - start; n <= len(s.text) {
 		s.bits, s.n = bits, uint8(n)
 		copy(s.text[:], e.buf[start:])
+	}
+}
+
+// refuse sets ErrUnsupportedValue, unless an error came first, after
+// handing the writer the whole records before the open one: what
+// reaches the writer is then every record before the refused one,
+// however the stream was split into flushes.
+func (e *Encoder) refuse() {
+	if e.err != nil {
+		return
+	}
+	e.buf = e.buf[:min(e.start, len(e.buf))]
+	if e.Flush() == nil {
+		e.err = ErrUnsupportedValue
 	}
 }
 

@@ -347,6 +347,48 @@ func TestFlushedCountsOnlyDeliveredRecords(t *testing.T) {
 	}
 }
 
+// TestRefusedValueDeliversEarlierRecords: a record with an unsupported
+// value is dropped whole, and every record before it reaches the writer
+// and is counted, whether or not a flush had already taken it.
+func TestRefusedValueDeliversEarlierRecords(t *testing.T) {
+	var got bytes.Buffer
+	enc := NewEncoder(&got)
+	for i := 0; i < 3; i++ {
+		enc.Begin()
+		enc.Int("i", i+1)
+		enc.End()
+	}
+	enc.Begin()
+	enc.Int("i", 4)
+	enc.Float("v", math.NaN())
+	enc.Float("w", 1)
+	enc.End()
+	enc.Flush()
+	if !errors.Is(enc.Err(), ErrUnsupportedValue) {
+		t.Fatalf("Err() = %v, want ErrUnsupportedValue", enc.Err())
+	}
+	if want := "{\"i\":1}\n{\"i\":2}\n{\"i\":3}\n"; got.String() != want {
+		t.Errorf("writer got %q, want %q", got.String(), want)
+	}
+	if enc.Flushed() != 3 {
+		t.Errorf("Flushed() = %d, want 3", enc.Flushed())
+	}
+
+	// A write error that comes first stays the reported error.
+	enc = NewEncoder(&failAfter{})
+	enc.Begin()
+	enc.Int("i", 1)
+	enc.End()
+	enc.Begin()
+	enc.Float("v", math.Inf(1))
+	if err := enc.Err(); err == nil || errors.Is(err, ErrUnsupportedValue) {
+		t.Errorf("Err() = %v, want the writer's error", err)
+	}
+	if enc.Flushed() != 0 {
+		t.Errorf("Flushed() = %d after a failed flush, want 0", enc.Flushed())
+	}
+}
+
 // BenchmarkEncodeJSONL measures the per-record encode cost of a
 // representative telemetry record; steady state must not allocate.
 func BenchmarkEncodeJSONL(b *testing.B) {

@@ -5,6 +5,8 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 
 	"dvsim/internal/governor"
@@ -73,10 +75,12 @@ func simulateOK(t testing.TB, ctx context.Context, s Spec, sk Sinks) {
 }
 
 // TestRunStartsNoGoroutines: the engine runs every simulated activity
-// as kernel callbacks on the caller's goroutine. The goroutine count
-// is the same before a run, in the middle of it (sampled from the
-// result observer) and after it — for every paper experiment, a tree
-// fleet, and a run abandoned through its context.
+// as kernel callbacks on the caller's goroutine. The goroutines running
+// dvsim code are the same before a run, in the middle of it (sampled
+// from the result observer) and after it — for every paper experiment,
+// a tree fleet, and a run abandoned through its context. Only
+// goroutines with a dvsim frame are compared, so one the runtime starts
+// or ends on its own during a run does not read as a change.
 func TestRunStartsNoGoroutines(t *testing.T) {
 	p := DefaultParams()
 	pf := p
@@ -96,29 +100,76 @@ func TestRunStartsNoGoroutines(t *testing.T) {
 	)
 	for _, r := range runs {
 		ctx, cancel := context.WithCancel(context.Background())
-		before := settledGoroutines()
-		during, results := -1, 0
+		before := settledDvsimGoroutines()
+		if len(before) == 0 {
+			t.Fatal("no goroutine with a dvsim frame, not even the test's own")
+		}
+		var during []string
+		results := 0
 		sk := Sinks{OnResult: func(int, any) {
 			if results++; results == 1 {
-				during = runtime.NumGoroutine()
+				during = dvsimGoroutines()
 			}
 			if results == r.cancel {
 				cancel()
 			}
 		}}
 		simulateOK(t, ctx, r.spec, sk)
-		after := settledGoroutines()
+		after := settledDvsimGoroutines()
 		cancel()
-		if results > 0 && during != before {
-			t.Errorf("%s: %d goroutines mid-run, %d before", r.name, during, before)
+		if results > 0 && !slices.Equal(during, before) {
+			t.Errorf("%s: dvsim goroutines %v mid-run, %v before", r.name, during, before)
 		}
-		if after != before {
-			t.Errorf("%s: %d goroutines after the run, %d before", r.name, after, before)
+		if !slices.Equal(after, before) {
+			t.Errorf("%s: dvsim goroutines %v after the run, %v before", r.name, after, before)
 		}
 		if r.cancel > 0 && ctx.Err() == nil {
 			t.Errorf("%s: the run ended before it was cancelled", r.name)
 		}
 	}
+}
+
+// dvsimGoroutines returns the sorted IDs of the goroutines whose stacks hold a dvsim function frame or were created
+// by one.
+func dvsimGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var ids []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		id, _, _ := strings.Cut(strings.TrimPrefix(header, "goroutine "), " ")
+		for _, line := range strings.Split(frames, "\n") {
+			if strings.HasPrefix(strings.TrimPrefix(line, "created by "), "dvsim/") {
+				ids = append(ids, id)
+				break
+			}
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// settledDvsimGoroutines is dvsimGoroutines once the set holds still,
+// so dvsim goroutines an earlier test left exiting do not read as a
+// change.
+func settledDvsimGoroutines() []string {
+	ids := dvsimGoroutines()
+	for stable, i := 0, 0; stable < 10 && i < 1000; i++ {
+		runtime.Gosched()
+		if now := dvsimGoroutines(); !slices.Equal(now, ids) {
+			ids, stable = now, 0
+		} else {
+			stable++
+		}
+	}
+	return ids
 }
 
 // settledGoroutines counts goroutines once the count holds still, so

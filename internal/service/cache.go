@@ -37,25 +37,37 @@ type CacheStats struct {
 	// Entries and Bytes measure the store's current contents.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
+	// MemBytes is the part of Bytes held in memory: every entry of a
+	// memory-only store, only the entries read since open of a
+	// disk-backed one.
+	MemBytes int64 `json:"mem_bytes"`
 }
 
 // Cache is the content-addressed run store: artifact bytes addressed
-// by the hex SHA-256 of their run's canonical KeySpec. Entries are
-// kept in memory and, when a directory is configured, mirrored to
-// disk, so a restarted server starts warm. Safe for concurrent use.
+// by the hex SHA-256 of their run's canonical KeySpec. Safe for
+// concurrent use.
+//
+// With a directory configured, disk is the store of record: Put writes
+// the entry's file and keeps no bytes, and the memory layer admits an
+// entry on the first Get that reads its file, so an artifact that is
+// stored and never asked for again costs no memory, while hot entries
+// are answered from memory. A restarted server starts warm. Without a
+// directory the memory layer is the whole store, one exact-size copy
+// per entry.
 type Cache struct {
 	dir string // "" = memory only
 
-	mu    sync.Mutex
-	mem   map[string][]byte
-	stats CacheStats
+	mu     sync.Mutex
+	mem    map[string][]byte   // memory layer
+	stored map[string]struct{} // every complete entry's key
+	stats  CacheStats
 }
 
 // NewCache opens a store. dir == "" keeps entries in memory only;
 // otherwise dir is created if needed and existing entries are indexed
 // (their bytes load lazily on first hit).
 func NewCache(dir string) (*Cache, error) {
-	c := &Cache{dir: dir, mem: make(map[string][]byte)}
+	c := &Cache{dir: dir, mem: make(map[string][]byte), stored: make(map[string]struct{})}
 	if dir == "" {
 		return c, nil
 	}
@@ -75,6 +87,7 @@ func NewCache(dir string) (*Cache, error) {
 		if err != nil {
 			continue
 		}
+		c.stored[key] = struct{}{}
 		c.stats.Entries++
 		c.stats.Bytes += info.Size()
 	}
@@ -102,61 +115,124 @@ func (c *Cache) path(key string) string {
 
 // Get returns the stored bytes for key, counting a hit or a miss. The
 // returned slice is the caller's to read, never to mutate.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *Cache) Get(key string) ([]byte, bool) { return c.load(key, true) }
+
+// replay returns the stored bytes for key like Get, but counts neither
+// a hit nor a miss: it serves a job whose request was already counted.
+func (c *Cache) replay(key string) ([]byte, bool) { return c.load(key, false) }
+
+// load finds key in the memory layer or, failing that, reads its file
+// with the lock released, so one cold read never holds up the hits
+// behind it. When two first reads of a key race, the first to finish
+// is admitted and both callers get its slice.
+func (c *Cache) load(key string, count bool) ([]byte, bool) {
+	c.mu.Lock()
+	b, ok := c.mem[key]
+	_, stored := c.stored[key]
+	if ok || !stored {
+		c.tally(count, ok)
+		c.mu.Unlock()
+		return b, ok
+	}
+	c.mu.Unlock()
+	b, err := os.ReadFile(c.path(key))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b, ok := c.mem[key]; ok {
-		c.stats.Hits++
-		return b, true
+	if err != nil {
+		c.tally(count, false)
+		return nil, false
 	}
-	if c.dir != "" {
-		if b, err := os.ReadFile(c.path(key)); err == nil {
-			c.mem[key] = b
-			c.stats.Hits++
-			return b, true
-		}
+	if prev, ok := c.mem[key]; ok {
+		b = prev
+	} else {
+		c.mem[key] = b
+		c.stats.MemBytes += int64(len(b))
 	}
-	c.stats.Misses++
-	return nil, false
+	c.tally(count, true)
+	return b, true
 }
 
-// Put stores bytes under key. A disk-backed store writes atomically
-// (temp file + rename), so a crashed server never leaves a truncated
-// entry behind. Re-putting an existing key is a no-op: the store is
+// tally counts a counted lookup as a hit or a miss; c.mu held.
+func (c *Cache) tally(count, hit bool) {
+	switch {
+	case !count:
+	case hit:
+		c.stats.Hits++
+	default:
+		c.stats.Misses++
+	}
+}
+
+// Put stores b under key. A disk-backed store writes atomically (temp
+// file + rename), so a crashed server never leaves a truncated entry
+// behind. Re-putting an existing key is a no-op: the store is
 // content-addressed, equal keys mean equal bytes.
 func (c *Cache) Put(key string, b []byte) error {
+	return c.put(key, [][]byte{b})
+}
+
+// put stores the concatenation of parts: on disk only, when the store
+// has a directory, or as one exact-size copy in memory. The file is
+// written with the lock released; if two puts of one key race, both
+// write the same bytes and one is counted.
+func (c *Cache) put(key string, parts [][]byte) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.mem[key]; ok {
+	_, done := c.stored[key]
+	c.mu.Unlock()
+	if done {
 		return nil
 	}
-	if c.dir != "" {
-		if _, err := os.Stat(c.path(key)); err == nil {
-			c.mem[key] = b
-			return nil
-		}
-		tmp, err := os.CreateTemp(c.dir, "put-*")
-		if err != nil {
-			return fmt.Errorf("service: cache put: %w", err)
-		}
-		if _, err := tmp.Write(b); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: cache put: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: cache put: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("service: cache put: %w", err)
-		}
+	var n int64
+	for _, p := range parts {
+		n += int64(len(p))
 	}
-	c.mem[key] = b
+	var b []byte
+	if c.dir == "" {
+		b = make([]byte, 0, n)
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+	} else if err := c.write(key, parts); err != nil {
+		return fmt.Errorf("service: cache put: %w", err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, done := c.stored[key]; done {
+		return nil
+	}
+	c.stored[key] = struct{}{}
 	c.stats.Puts++
 	c.stats.Entries++
-	c.stats.Bytes += int64(len(b))
+	c.stats.Bytes += n
+	if c.dir == "" {
+		c.mem[key] = b
+		c.stats.MemBytes += n
+	}
+	return nil
+}
+
+// write puts parts in key's file: a temp file written in order, then
+// renamed into place.
+func (c *Cache) write(key string, parts [][]byte) error {
+	tmp, err := os.CreateTemp(c.dir, "put-*")
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return err
+		}
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func TestCacheMemory(t *testing.T) {
 		t.Fatalf("Get = %q, %v", b, ok)
 	}
 	st := c.Stats()
-	want := CacheStats{Hits: 1, Misses: 1, Puts: 1, Entries: 1, Bytes: 8}
+	want := CacheStats{Hits: 1, Misses: 1, Puts: 1, Entries: 1, Bytes: 8, MemBytes: 8}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
@@ -54,6 +55,17 @@ func TestCacheDiskPersists(t *testing.T) {
 	if err := c.Put(k, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
+	// Disk is the store of record: a put keeps no bytes in memory, and
+	// the first read admits them.
+	if st := c.Stats(); st.MemBytes != 0 || st.Entries != 1 || st.Bytes != 7 {
+		t.Fatalf("stats after put %+v, want 1 entry of 7 bytes, none in memory", st)
+	}
+	if b, ok := c.Get(k); !ok || string(b) != "payload" {
+		t.Fatalf("Get = %q, %v", b, ok)
+	}
+	if st := c.Stats(); st.MemBytes != 7 || st.Hits != 1 {
+		t.Fatalf("stats after first read %+v, want 7 bytes in memory and 1 hit", st)
+	}
 	// A fresh store over the same directory serves the entry and counts
 	// it in its opening inventory.
 	c2, err := NewCache(dir)
@@ -66,6 +78,44 @@ func TestCacheDiskPersists(t *testing.T) {
 	b, ok := c2.Get(k)
 	if !ok || string(b) != "payload" {
 		t.Fatalf("reopened Get = %q, %v", b, ok)
+	}
+}
+
+// TestCacheFirstReadsShareOneCopy: Gets that race on an entry not yet
+// in memory all read it, the memory layer keeps one copy, every caller
+// gets that copy, and each Get counts exactly one hit.
+func TestCacheFirstReadsShareOneCopy(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("shared")
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096)
+	if err := c.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = c.Get(k)
+		}()
+	}
+	wg.Wait()
+	for i, b := range got {
+		if !bytes.Equal(b, payload) {
+			t.Fatalf("reader %d got %d bytes, want the %d stored", i, len(b), len(payload))
+		}
+		if &b[0] != &got[0][0] {
+			t.Fatalf("readers 0 and %d got different copies", i)
+		}
+	}
+	want := CacheStats{Hits: readers, Puts: 1, Entries: 1, Bytes: int64(len(payload)), MemBytes: int64(len(payload))}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }
 

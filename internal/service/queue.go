@@ -135,17 +135,19 @@ type job struct {
 	desc     string // human label for listings
 	priority Priority
 
-	run func(ctx context.Context, j *job) ([]byte, error)
+	// run produces the artifact into stream; the worker calls it once.
+	run func(ctx context.Context, j *job) error
 
 	cancel context.CancelFunc
 	ctx    context.Context
-	// stream broadcasts the artifact's bytes as the run produces them.
-	stream *stream
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// stream broadcasts the artifact's bytes as the run produces them.
+	// A done job drops it (its artifact is in the cache); a failed or
+	// cancelled one keeps what the run wrote.
+	stream    *stream
 	state     string
 	err       error
-	result    []byte
 	cacheHits int // sweep lines served from cache
 	lines     int // sweep lines total
 	done      chan struct{}
@@ -157,14 +159,23 @@ func (j *job) setState(s string) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal state exactly once and releases waiters.
-func (j *job) finish(result []byte, err error) {
+// live returns the job's stream, or nil once the job is done.
+func (j *job) live() *stream {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.stream
+}
+
+// finish records the terminal state exactly once and releases waiters.
+// A done job keeps its status and cache key, and no bytes.
+func (j *job) finish(err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.run = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
-		j.result = result
+		j.stream = nil
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = err

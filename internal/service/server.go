@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -117,11 +118,11 @@ func (s *Server) worker() {
 
 func (s *Server) execute(j *job) {
 	j.setState(StateRunning)
-	result, err := j.run(j.ctx, j)
+	err := j.run(j.ctx, j)
 	if err == nil {
 		// Store before clearing in-flight, so every later lookup finds
 		// either the running job or the cached bytes, never a gap.
-		err = s.cache.Put(j.key, result)
+		err = s.cache.put(j.key, j.stream.parts())
 	}
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
@@ -136,7 +137,7 @@ func (s *Server) execute(j *job) {
 	default:
 		s.runsFailed.Add(1)
 	}
-	j.finish(result, err)
+	j.finish(err)
 	j.cancel()
 }
 
@@ -158,23 +159,29 @@ func (s *Server) lookup(res *resolved) (cached []byte, j *job, coalesced bool, e
 		return nil, running, true, nil
 	}
 	j = s.newJobLocked(res)
+	j.stream = newStream()
+	j.run = func(ctx context.Context, j *job) error {
+		if res.kind == "sweep" {
+			return s.runSweep(ctx, j, res)
+		}
+		return s.runTelemetry(ctx, j, res)
+	}
 	s.inflight[res.key] = j
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	if err := s.q.push(j); err != nil {
 		s.mu.Lock()
 		delete(s.inflight, res.key)
 		s.mu.Unlock()
 		j.stream.close()
-		j.finish(nil, err)
+		j.finish(err)
 		j.cancel()
 		return nil, nil, false, err
 	}
 	return nil, j, false, nil
 }
 
-// newJobLocked binds a resolved submission to a job; s.mu held.
+// newJobLocked registers a job for a resolved submission; s.mu held.
+// The caller gives a job it queues a stream and a run.
 func (s *Server) newJobLocked(res *resolved) *job {
 	s.nextID++
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,45 +195,40 @@ func (s *Server) newJobLocked(res *resolved) *job {
 		cancel:   cancel,
 		state:    StateQueued,
 		done:     make(chan struct{}),
-		stream:   newStream(),
 	}
-	if res.kind == "run" {
-		j.run = func(ctx context.Context, j *job) ([]byte, error) {
-			return s.runTelemetry(ctx, j, res)
-		}
-	} else {
+	if res.kind == "sweep" {
 		j.lines = len(res.exps)
-		j.run = func(ctx context.Context, j *job) ([]byte, error) {
-			return s.runSweep(ctx, j, res)
-		}
 	}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	return j
 }
 
-// runTelemetry produces a single run's JSONL artifact, writing to the
-// job's stream as the simulation advances so followers see telemetry
-// live.
-func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) ([]byte, error) {
+// runTelemetry produces a single run's JSONL artifact into the job's
+// stream as the simulation advances, so followers see telemetry live.
+func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) error {
 	defer j.stream.close()
-	var buf bytes.Buffer
-	w := streamTee{&buf, j.stream}
-	if _, err := core.Simulate(ctx, res.spec, core.Sinks{Log: w, Telemetry: true}); err != nil {
-		return nil, err
+	_, err := core.Simulate(ctx, res.spec, core.Sinks{Log: j.stream, Telemetry: true})
+	return err
+}
+
+// errNotStored reports a finished job whose artifact the cache no
+// longer finds (its file was removed from under the server).
+var errNotStored = errors.New("artifact is no longer stored")
+
+// send writes job j's artifact to w: live from the job's stream while
+// it holds one, else — the job is done — replayed from the cache. It
+// returns the number of bytes written.
+func (s *Server) send(w io.Writer, j *job) (int64, error) {
+	if st := j.live(); st != nil {
+		return st.follow(w)
 	}
-	return buf.Bytes(), nil
-}
-
-// streamTee writes to the artifact buffer and the follower stream.
-// (io.MultiWriter would do, but the explicit type documents that the
-// buffer, not the stream, is the artifact of record.)
-type streamTee struct {
-	buf *bytes.Buffer
-	st  *stream
-}
-
-func (t streamTee) Write(p []byte) (int, error) {
-	t.buf.Write(p)
-	return t.st.Write(p)
+	b, ok := s.cache.replay(j.key)
+	if !ok {
+		return 0, errNotStored
+	}
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // runSweep produces a manifest sweep's aggregated CSV. Each expanded
@@ -234,7 +236,7 @@ func (t streamTee) Write(p []byte) (int, error) {
 // missing lines simulate on an inner all-core pool and are stored
 // individually — a sweep sharing lines with past submissions only pays
 // for the new ones.
-func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) ([]byte, error) {
+func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) error {
 	defer j.stream.close()
 	rows := make([]manifest.Row, len(res.exps))
 	keys := make([]string, len(res.exps))
@@ -243,7 +245,7 @@ func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) ([]byte, e
 	for i, e := range res.exps {
 		k, err := e.KeySpec(manifest.OutputOutcome, 0).Key()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		keys[i] = k
 		b, ok := s.cache.Get(k)
@@ -264,7 +266,7 @@ func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) ([]byte, e
 	j.cacheHits = hits
 	j.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	type lineOut struct {
 		out     core.Outcome
@@ -280,24 +282,23 @@ func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) ([]byte, e
 		return lineOut{out: res.exps[i].Run()}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for n, i := range missIdx {
 		if outs[n].skipped {
-			return nil, context.Canceled
+			return context.Canceled
 		}
 		b, err := json.Marshal(outs[n].out)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := s.cache.Put(keys[i], b); err != nil {
-			return nil, err
+			return err
 		}
 		rows[i] = manifest.RowOf(manifest.Result{Experiment: res.exps[i], Outcome: outs[n].out})
 	}
-	csv := manifest.RowsCSV(rows)
-	j.stream.Write([]byte(csv))
-	return []byte(csv), nil
+	j.stream.Write([]byte(manifest.RowsCSV(rows)))
+	return nil
 }
 
 // hashBytes is the store's address function for non-KeySpec material
@@ -420,7 +421,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Dvsim-Cache", verdict)
 	w.Header().Set("Trailer", "X-Dvsim-Status")
-	n, _ := j.stream.follow(w)
+	n, err := s.send(w, j)
 	s.streamedBytes.Add(uint64(n))
 	<-j.done
 	st := j.snapshot()
@@ -428,6 +429,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The run failed before producing a byte: the response is still
 		// unwritten, so report a proper status instead of an empty 200.
 		httpError(w, http.StatusInternalServerError, fmt.Errorf("run %s: %s", st.State, st.Error))
+		return
+	}
+	if errors.Is(err, errNotStored) {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("run %s: %w", st.ID, err))
 		return
 	}
 	// Past first byte the status code is spent; the declared trailer
@@ -460,15 +465,12 @@ func (s *Server) handleRunsSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if cached != nil {
 		// Register a pre-completed job so the usual status/result
-		// endpoints work without special-casing hits client-side.
+		// endpoints work without special-casing hits client-side; it
+		// holds no bytes and replays from the cache.
 		s.mu.Lock()
 		j = s.newJobLocked(res)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 		s.mu.Unlock()
-		j.stream.Write(cached)
-		j.stream.close()
-		j.finish(cached, nil)
+		j.finish(nil)
 		j.cancel()
 		w.Header().Set("X-Dvsim-Cache", "hit")
 		writeJSON(w, http.StatusOK, j.snapshot())
@@ -517,8 +519,11 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Dvsim-Key", j.key)
 	w.Header().Set("Content-Type", contentType(j.kind))
-	n, _ := j.stream.follow(w)
+	n, err := s.send(w, j)
 	s.streamedBytes.Add(uint64(n))
+	if errors.Is(err, errNotStored) {
+		httpError(w, http.StatusGone, fmt.Errorf("run %s: %w", j.id, err))
+	}
 }
 
 func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
@@ -529,9 +534,11 @@ func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	st := j.snapshot()
 	switch st.State {
 	case StateDone:
-		j.mu.Lock()
-		b := j.result
-		j.mu.Unlock()
+		b, ok := s.cache.replay(j.key)
+		if !ok {
+			httpError(w, http.StatusGone, fmt.Errorf("run %s: %w", st.ID, errNotStored))
+			return
+		}
 		w.Header().Set("X-Dvsim-Key", j.key)
 		w.Header().Set("Content-Type", contentType(j.kind))
 		w.Write(b)
@@ -618,6 +625,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Gauges: []metrics.GaugeValue{
 			{Name: "service_cache_bytes", Value: float64(st.Cache.Bytes)},
 			{Name: "service_cache_entries", Value: float64(st.Cache.Entries)},
+			{Name: "service_cache_mem_bytes", Value: float64(st.Cache.MemBytes)},
 			{Name: "service_jobs", Value: float64(st.Jobs)},
 			{Name: "service_queue_bulk", Value: float64(st.QueueBulk)},
 			{Name: "service_queue_interactive", Value: float64(st.QueueInteractive)},

@@ -10,15 +10,10 @@
 //	dvsimd -addr :8080 -cache-dir /var/cache/dvsim -scenarios ./scenarios
 //	dvsim -remote http://localhost:8080 -run 1 -telemetry - -until 120
 //	curl -s --data-binary @scenarios/manifests/paper.toml -H 'Content-Type: application/toml' localhost:8080/api/v1/submit
-//
-// With -loadtest the binary turns client: it hammers an already
-// running server with concurrent identical submissions, verifies every
-// response byte-identical, and reports sustained requests/sec.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,21 +32,12 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 64, "submission backlog bound; a full queue answers 503")
 	cacheDir := flag.String("cache-dir", "", "persist the run cache in DIR (empty = in-memory only)")
-	scenarios := flag.String("scenarios", "", "root DIR for by-name fault-scenario and assertion-spec references in submissions (empty = inline documents only)")
+	scenarios := flag.String("scenarios", "", "root DIR for file references in submissions: by-name fault scenarios and assertion specs, and a runfile's platform, faults and assert paths (empty = inline documents only)")
 	version := flag.Bool("version", false, "print the engine/build version and exit")
-	loadtest := flag.String("loadtest", "", "run as a load-test client against the server at URL and exit")
-	clients := flag.Int("clients", 8, "with -loadtest: concurrent clients")
-	duration := flag.Duration("duration", 10*time.Second, "with -loadtest: how long to hammer")
-	exp := flag.String("exp", "1", "with -loadtest: experiment to submit")
-	until := flag.Float64("until", 120, "with -loadtest: telemetry window in simulated seconds")
 	flag.Parse()
 
 	if *version {
 		fmt.Println(buildinfo.Version())
-		return
-	}
-	if *loadtest != "" {
-		runLoadTest(*loadtest, *clients, *duration, *exp, *until)
 		return
 	}
 
@@ -90,25 +76,4 @@ func main() {
 	st := srv.Cache().Stats()
 	fmt.Fprintf(os.Stderr, "dvsimd: stopped; cache served %d hit(s), %d miss(es), %d entries (%d bytes)\n",
 		st.Hits, st.Misses, st.Entries, st.Bytes)
-}
-
-func runLoadTest(base string, clients int, duration time.Duration, exp string, until float64) {
-	rep, err := service.LoadTest(context.Background(), service.LoadTestConfig{
-		Base:     base,
-		Clients:  clients,
-		Duration: duration,
-		Submission: service.Submission{
-			Experiment: exp,
-			UntilS:     until,
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-	fmt.Fprintf(os.Stderr, "loadtest: %.0f req/s sustained over %s with %d client(s); %d/%d hits, all responses byte-identical (sha256 %.12s)\n",
-		rep.RequestsPerS, duration, clients, rep.Hits, rep.Requests, rep.SHA256)
 }

@@ -8,7 +8,6 @@
 //
 //	paperbench            # everything
 //	paperbench -fig 8     # one figure: 6, 7, 8, 10, timeline, compare
-//	paperbench -bench     # benchmark the suite, write BENCH_kernel.json
 package main
 
 import (
@@ -27,11 +26,6 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 10, timeline, discharge, energy, compare, md, all")
-	benchFlag := flag.Bool("bench", false, "benchmark the experiment suite end to end and write a JSON report instead of figures")
-	benchOut := flag.String("bench-out", "BENCH_kernel.json", "with -bench: report output path")
-	baseline := flag.String("baseline", "", "with -bench: compare against this committed report and fail on regression")
-	timeTol := flag.Float64("tolerance", 4.0, "with -baseline: allowed ns/event ratio vs baseline (generous: the gate catches order-of-magnitude regressions, not cross-machine noise)")
-	allocTol := flag.Float64("alloc-tolerance", 1.10, "with -baseline: allowed allocs/op (and bytes/op) ratio vs baseline; tight because steady-state runs recycle their working set through process-wide pools")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to FILE")
 	memprofile := flag.String("memprofile", "", "write a heap profile to FILE at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to FILE")
@@ -45,14 +39,6 @@ func main() {
 	defer stopProf()
 
 	p := core.DefaultParams()
-	if *benchFlag {
-		if err := runBench(p, *benchOut, *baseline, *timeTol, *allocTol); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			stopProf()
-			os.Exit(1)
-		}
-		return
-	}
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 
 	if want("6") {
@@ -134,30 +120,4 @@ func exitOn(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// runBench benchmarks every experiment end to end, writes the JSON
-// report, and — when a baseline is given — gates on it.
-func runBench(p core.Params, out, baseline string, timeTol, allocTol float64) error {
-	rep := bench.RunExperiments(core.AllExperiments, p)
-	fmt.Print(rep.Format())
-	if err := rep.Write(out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if baseline == "" {
-		return nil
-	}
-	base, err := bench.Load(baseline)
-	if err != nil {
-		return err
-	}
-	if msgs := bench.Compare(rep, base, timeTol, allocTol); len(msgs) > 0 {
-		for _, m := range msgs {
-			fmt.Fprintln(os.Stderr, "bench regression:", m)
-		}
-		return fmt.Errorf("paperbench: %d benchmark regression(s) vs %s", len(msgs), baseline)
-	}
-	fmt.Printf("within tolerance of %s (time ×%.2g, allocs ×%.2g)\n", baseline, timeTol, allocTol)
-	return nil
 }

@@ -1,3 +1,8 @@
+// Package bench arms the standard Go profilers behind the -cpuprofile,
+// -memprofile and -trace flags of dvsim and paperbench. Timing
+// measurements live in perfbench; the machine-independent checks
+// (event counts, allocations, heap bytes, goroutines) are tests in
+// internal/core.
 package bench
 
 import (

@@ -1,7 +1,7 @@
 // Package hotalloc is the static zero-allocation gate for the
-// simulator's hot paths. The dynamic gate (testing.AllocsPerRun in the
-// kernel benchmarks, BENCH_kernel.json in CI) catches a reintroduced
-// allocation only on the exact code path a benchmark drives; this gate
+// simulator's hot paths. The dynamic gate (TestAllocsPerRun and the
+// other testing.AllocsPerRun tests) catches a reintroduced allocation
+// only on the exact code path a test drives; this gate
 // asks the compiler instead. It builds the hot packages with
 // -gcflags=-m, collects the escape-analysis diagnostics ("escapes to
 // heap", "moved to heap") for the gated files, and compares them

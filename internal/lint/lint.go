@@ -1,10 +1,10 @@
 // Package lint is dvsim's static-analysis suite: custom analyzers that
 // enforce, at compile time, the invariants the simulator's determinism
 // claims rest on. Every number this repository reports — the Fig 8 and
-// Table 1 reproductions, the fault and governor experiments, the
-// BENCH_kernel.json gate — assumes byte-identical reruns; the golden
-// files catch violations dynamically and late, these analyzers catch
-// the known bug classes statically, at the offending line.
+// Table 1 reproductions, the fault and governor experiments, the exact
+// event-count and allocation tests — assumes byte-identical reruns; the
+// golden files catch violations dynamically and late, these analyzers
+// catch the known bug classes statically, at the offending line.
 //
 // The analyzers are written against internal/lint/analysis, a minimal
 // mirror of the golang.org/x/tools/go/analysis API, and are run by

@@ -3,7 +3,6 @@ package manifest
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -118,7 +117,11 @@ func (m *Manifest) platform() (core.Params, core.PlatformConfig, error) {
 	case "", "default":
 		return core.DefaultParams(), core.DefaultPlatformConfig(), nil
 	default:
-		f, err := os.Open(filepath.Join(m.Dir, p))
+		path, err := m.Resolve(p)
+		if err != nil {
+			return core.Params{}, core.PlatformConfig{}, fmt.Errorf("platform: %w", err)
+		}
+		f, err := os.Open(path)
 		if err != nil {
 			return core.Params{}, core.PlatformConfig{}, fmt.Errorf("platform: %w", err)
 		}
@@ -193,7 +196,11 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 		e.Params.Faults = sc
 	}
 	if text := m.value(row, "assert"); text != "" {
-		spec, err := assert.LoadFile(filepath.Join(m.Dir, text))
+		path, err := m.Resolve(text)
+		if err != nil {
+			return nil, err
+		}
+		spec, err := assert.LoadFile(path)
 		if err != nil {
 			return nil, err
 		}
@@ -270,12 +277,16 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 }
 
 // loadScenario resolves the faults cell: the built-in default scenario
-// by name, or a scenario JSON relative to the manifest.
+// by name, or a scenario JSON that Resolve finds.
 func (m *Manifest) loadScenario(text string) (*fault.Scenario, error) {
 	if text == "default" {
 		return core.DefaultFaultScenario(), nil
 	}
-	return fault.LoadFile(filepath.Join(m.Dir, text))
+	path, err := m.Resolve(text)
+	if err != nil {
+		return nil, err
+	}
+	return fault.LoadFile(path)
 }
 
 // shapeKeys parameterize topology lines only.

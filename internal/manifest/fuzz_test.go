@@ -37,7 +37,7 @@ func FuzzManifestLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m.Dir = filepath.Join(scenariosDir, "manifests")
+		m.Resolve = inDir(filepath.Join(scenariosDir, "manifests"))
 		if !hermetic(m, m.global("platform")) {
 			t.Skip("platform path outside the scenario tree")
 		}
@@ -67,7 +67,7 @@ func hermetic(m *Manifest, path string) bool {
 	if path == "" || path == "default" {
 		return true
 	}
-	full := filepath.Join(m.Dir, path)
+	full, _ := m.Resolve(path)
 	rel, err := filepath.Rel(scenariosDir, full)
 	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
 		return false

@@ -74,7 +74,7 @@ func TestKeyDefaultVsExplicitZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := load(t, "platform = \"itsy.json\"\nexperiment, frames\n\"2C\", 10\n")
-	m.Dir = dir
+	m.Resolve = inDir(dir)
 	if got := keyOf(t, m); got != implicit {
 		t.Errorf("explicit default platform file keyed %s, implicit default %s", got, implicit)
 	}
@@ -114,7 +114,7 @@ func TestKeyScenarioPathIrrelevant(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := load(t, "experiment, frames, faults\n\"2\", 10, \""+filepath.ToSlash(name)+"\"\n")
-		m.Dir = dir
+		m.Resolve = inDir(dir)
 		keys[i] = keyOf(t, m)
 	}
 	if keys[0] != keys[1] {

@@ -74,16 +74,18 @@ type line struct {
 
 // Manifest is a parsed runfile, not yet expanded into experiments.
 type Manifest struct {
-	// Dir resolves relative fault-scenario and assertion-spec paths;
-	// LoadFile sets it to the manifest's directory.
-	Dir     string
+	// Resolve maps a platform, fault-scenario or assertion-spec
+	// reference to its file, or refuses it. LoadFile resolves relative
+	// to the manifest's directory and Load relative to the current
+	// one; dvsimd confines a submitted runfile to its scenario root.
+	Resolve func(ref string) (string, error)
 	globals map[string]cell
 	columns []string
 	lines   []line
 }
 
-// LoadFile parses the runfile at path. Relative scenario and assertion
-// paths inside the manifest resolve against the manifest's directory.
+// LoadFile parses the runfile at path. Relative platform, scenario and
+// assertion paths inside the manifest resolve against its directory.
 func LoadFile(path string) (*Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -94,14 +96,19 @@ func LoadFile(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	m.Dir = filepath.Dir(path)
+	m.Resolve = inDir(filepath.Dir(path))
 	return m, nil
 }
 
+// inDir resolves references relative to dir.
+func inDir(dir string) func(string) (string, error) {
+	return func(ref string) (string, error) { return filepath.Join(dir, ref), nil }
+}
+
 // Load parses a runfile. Relative paths inside it resolve against the
-// current directory unless Dir is set afterwards.
+// current directory unless Resolve is set afterwards.
 func Load(r io.Reader) (*Manifest, error) {
-	m := &Manifest{Dir: ".", globals: make(map[string]cell)}
+	m := &Manifest{Resolve: inDir("."), globals: make(map[string]cell)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	n := 0

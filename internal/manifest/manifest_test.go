@@ -2,8 +2,10 @@ package manifest
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +114,36 @@ func TestExpandRejects(t *testing.T) {
 				t.Fatalf("error %v, want substring %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestResolveRoutesEveryPath: Resolve sees each platform, faults and
+// assert reference, and its refusal fails the expansion; the "default"
+// keywords never reach it.
+func TestResolveRoutesEveryPath(t *testing.T) {
+	var refs []string
+	refuse := func(ref string) (string, error) {
+		refs = append(refs, ref)
+		return "", fmt.Errorf("refused %q", ref)
+	}
+	for _, text := range []string{
+		"platform = \"p.json\"\nexperiment\n\"1\"\n",
+		"experiment, faults\n\"2\", \"f.json\"\n",
+		"experiment, assert\n\"1\", \"a.json\"\n",
+	} {
+		m := load(t, text)
+		m.Resolve = refuse
+		if _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "refused") {
+			t.Errorf("Expand error %v, want the resolver's refusal:\n%s", err, text)
+		}
+	}
+	if want := []string{"p.json", "f.json", "a.json"}; !slices.Equal(refs, want) {
+		t.Errorf("resolver saw %q, want %q", refs, want)
+	}
+	m := load(t, "platform = \"default\"\nexperiment, faults\n\"2\", \"default\"\n")
+	m.Resolve = refuse
+	if _, err := m.Expand(); err != nil {
+		t.Errorf("keywords went through the resolver: %v", err)
 	}
 }
 

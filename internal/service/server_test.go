@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,6 +75,52 @@ func TestSubmitMissThenHitMatchesGolden(t *testing.T) {
 	st := s.Cache().Stats()
 	if st.Hits < 1 || st.Misses < 1 || st.Puts != 1 {
 		t.Fatalf("cache stats %+v", st)
+	}
+}
+
+// TestLoadTestHarness: concurrent identical submissions against a warm
+// cache each replay the stored bytes, byte-identical to the committed
+// golden, and count exactly one hit apiece.
+func TestLoadTestHarness(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "telemetry_1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newTestServer(t, Config{Workers: 2})
+	sub := Submission{Experiment: "1", UntilS: 120}
+	cold, _ := submit(t, c, sub)
+	if cold.Cache != "miss" {
+		t.Fatalf("first submission served from %q, want miss", cold.Cache)
+	}
+	st := s.Cache().Stats()
+
+	const clients = 8
+	var wg sync.WaitGroup
+	infos := make([]SubmitInfo, clients)
+	bodies := make([]bytes.Buffer, clients)
+	errs := make([]error, clients)
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			infos[i], errs[i] = c.Submit(context.Background(), sub, &bodies[i])
+		}()
+	}
+	wg.Wait()
+	for i := range clients {
+		if errs[i] != nil {
+			t.Fatalf("concurrent submission %d: %v", i, errs[i])
+		}
+		if infos[i].Cache != "hit" || infos[i].Key != cold.Key {
+			t.Fatalf("concurrent submission %d: cache=%s key=%s, want hit %s", i, infos[i].Cache, infos[i].Key, cold.Key)
+		}
+		if !bytes.Equal(bodies[i].Bytes(), golden) {
+			t.Fatalf("concurrent submission %d diverged from golden: %d bytes vs %d", i, bodies[i].Len(), len(golden))
+		}
+	}
+	after := s.Cache().Stats()
+	if after.Hits != st.Hits+clients || after.Misses != st.Misses || after.Puts != st.Puts {
+		t.Fatalf("cache stats after %d concurrent hits: %+v, before %+v", clients, after, st)
 	}
 }
 
@@ -236,6 +283,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRunfilePathsConfined: a submitted runfile's platform, faults and
+// assert references obey the envelope's scenario-root rule, so none of
+// them reaches a file outside the root, and with no root none resolves
+// at all. A reference inside the root still loads.
+func TestRunfilePathsConfined(t *testing.T) {
+	runfiles := map[string]string{
+		"platform": "platform = \"../go.mod\"\nexperiment, frames\n\"1\", 5\n",
+		"faults":   "experiment, frames, faults\n\"2\", 5, \"../go.mod\"\n",
+		"assert":   "experiment, frames, assert\n\"1\", 5, \"../go.mod\"\n",
+	}
+	for _, root := range []string{"", filepath.Join("..", "..", "scenarios")} {
+		_, c := newTestServer(t, Config{Workers: 1, ScenarioDir: root})
+		for key, runfile := range runfiles {
+			code, body := postSubmit(t, c, Submission{Manifest: runfile})
+			if code != http.StatusBadRequest || !strings.Contains(string(body), "scenario root") {
+				t.Errorf("root %q, %s \"../go.mod\": HTTP %d %s, want 400 naming the scenario root", root, key, code, bytes.TrimSpace(body))
+			}
+		}
+		if root == "" {
+			continue
+		}
+		inside := "experiment, frames, faults, assert\n\"2\", 5, \"linkdrop.json\", \"assertions/catalog.json\"\n"
+		if code, body := postSubmit(t, c, Submission{Manifest: inside}); code != http.StatusOK {
+			t.Errorf("references inside the root: HTTP %d %s", code, body)
+		}
+	}
+}
+
 // TestRawRunfileSubmission: a non-JSON body is runfile text, so a
 // runfile can be piped over HTTP without an envelope.
 func TestRawRunfileSubmission(t *testing.T) {
@@ -311,33 +386,6 @@ func TestGracefulDrain(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := c.Submit(context.Background(), Submission{Experiment: "2C", UntilS: 60}, &buf); err == nil {
 		t.Fatal("submission accepted after Close")
-	}
-}
-
-// TestLoadTestHarness: the committed load-test harness works against a
-// live server and proves warm-cache replays are byte-identical.
-func TestLoadTestHarness(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2})
-	rep, err := LoadTest(context.Background(), LoadTestConfig{
-		Base:     c.Base,
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		Submission: Submission{
-			Experiment: "1",
-			UntilS:     60,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 || rep.Errors != 0 {
-		t.Fatalf("report %+v", rep)
-	}
-	if rep.Hits != rep.Requests {
-		t.Fatalf("warm-cache load test missed: %+v", rep)
-	}
-	if rep.SHA256 == "" || rep.Key == "" {
-		t.Fatalf("report lacks artifact identity: %+v", rep)
 	}
 }
 

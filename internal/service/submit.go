@@ -96,7 +96,7 @@ func (s *Server) resolve(sub Submission) (*resolved, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Dir = s.cfg.ScenarioDir
+		m.Resolve = s.scenarioPath
 		exps, err := m.Expand()
 		if err != nil {
 			return nil, err
@@ -251,8 +251,9 @@ func (s *Server) resolveAssert(raw json.RawMessage) (*assert.Spec, error) {
 	return assert.Load(bytes.NewReader(raw))
 }
 
-// scenarioPath confines by-name references to the server's scenario
-// root: no absolute paths, no escaping "..".
+// scenarioPath confines by-name references, the envelope's and a
+// submitted runfile's alike, to the server's scenario root: no absolute
+// paths, no escaping "..".
 func (s *Server) scenarioPath(name string) (string, error) {
 	if s.cfg.ScenarioDir == "" {
 		return "", fmt.Errorf("server has no scenario root; submit the document inline")

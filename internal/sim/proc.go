@@ -67,8 +67,8 @@ func (s ProcState) String() string {
 // A Proc is a Task whose owner is a goroutine: its blocking operations
 // open an episode on the task, park the goroutine, and continue where
 // the task's resume hands control back. Process bodies receive the Proc
-// and use its blocking operations (Wait, WaitUntil, and the channel and
-// resource operations in this package). Blocking operations return an
+// and use its blocking operations (Wait, WaitUntil, and the channel
+// operations in this package). Blocking operations return an
 // error when the process is interrupted or the kernel shuts down; bodies
 // should propagate such errors and return.
 type Proc struct {

@@ -15,7 +15,7 @@
 //
 // Proc layers sequential, blocking control flow over the same protocol:
 // its body runs on a goroutine of its own under a strict one-runnable-
-// at-a-time handoff, and Chan and Resource block Procs. They remain for
+// at-a-time handoff, and Chan blocks Procs. They remain for
 // tests and micro-benchmarks written as sequential processes; a
 // simulation itself starts no goroutines. (internal/core encodes a large
 // run log on several cores, but only after the kernel has returned.)
@@ -185,10 +185,6 @@ func (k *Kernel) QueueLen() int { return len(k.queue) + len(k.lane) - k.laneHead
 
 // MaxQueueLen returns the high-water mark of pending events.
 func (k *Kernel) MaxQueueLen() int { return k.maxQueue }
-
-// LiveProcs returns the number of spawned Procs that have not
-// finished. Tasks are not counted: they hold no goroutine.
-func (k *Kernel) LiveProcs() int { return len(k.procs) }
 
 // SetEventLimit aborts Run with a panic after n events have fired.
 // It is a guard against runaway simulations in tests; n = 0 disables it.

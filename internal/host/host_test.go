@@ -7,17 +7,76 @@ import (
 	"dvsim/internal/sim"
 )
 
-// acceptor drains a port, acknowledging frames like a trivially fast node.
-func acceptor(k *sim.Kernel, pt *serial.Port, got *[]serial.Message) {
-	k.Spawn("acceptor-"+pt.Name(), func(p *sim.Proc) {
-		for {
-			m, err := pt.Recv(p)
-			if err != nil {
-				return
-			}
-			*got = append(*got, m)
+// receiver stands in for a pipeline node on a sim.Task: it takes every
+// message offered at its port, resting hold seconds after each.
+type receiver struct {
+	k         *sim.Kernel
+	task      sim.Task
+	rx        serial.Rx
+	pt        *serial.Port
+	hold      sim.Duration
+	got       []serial.Message
+	receiving bool
+}
+
+func (r *receiver) Resume(err error) {
+	if r.receiving {
+		done, msg, err := r.rx.Step(err)
+		if !done {
+			return
 		}
-	})
+		if err != nil {
+			r.task.Exit()
+			return
+		}
+		r.got = append(r.got, msg)
+		if r.hold > 0 {
+			r.receiving = false
+			r.task.WaitUntil(r.k.Now() + r.hold)
+			return
+		}
+	}
+	// The start, a finished receive or the end of a rest: take the next
+	// message. A receive with no deadline always blocks first.
+	r.receiving = true
+	r.rx.Recv(&r.task, r.pt, serial.RxOpts{})
+}
+
+// sender stands in for a node sending results on a sim.Task: it offers
+// msgs from pt to dst in turn, and stops at the first error.
+type sender struct {
+	task    sim.Task
+	tx      serial.Tx
+	pt, dst *serial.Port
+	msgs    []serial.Message
+	sending bool
+}
+
+func (s *sender) Resume(err error) {
+	if s.sending {
+		done, err := s.tx.Step(err)
+		if !done {
+			return
+		}
+		if err != nil {
+			s.task.Exit()
+			return
+		}
+	}
+	if len(s.msgs) == 0 {
+		s.task.Exit()
+		return
+	}
+	// A send with no deadline always blocks first.
+	s.sending = true
+	s.tx.Send(&s.task, s.pt, s.dst, s.msgs[0], serial.TxOpts{})
+	s.msgs = s.msgs[1:]
+}
+
+// start starts owner on its task at time 0.
+func start(k *sim.Kernel, task *sim.Task, owner sim.Resumer) {
+	task.Init(k, owner)
+	task.Start(0)
 }
 
 func TestSourcePacesFrames(t *testing.T) {
@@ -29,17 +88,17 @@ func TestSourcePacesFrames(t *testing.T) {
 	nodePort := net.Port("node1")
 	h.Targets = []*serial.Port{nodePort}
 
-	var got []serial.Message
-	acceptor(k, nodePort, &got)
+	n := &receiver{k: k, pt: nodePort}
+	start(k, &n.task, n)
 	h.Start()
 	k.At(23, func() { h.Stop() })
 	k.RunUntil(40)
 	// Frames at t = 0, 2.3, …, 20.7: 10 frames; each takes 1.1 s to
 	// transfer, well within the period.
-	if len(got) != 10 {
-		t.Fatalf("accepted %d frames, want 10", len(got))
+	if len(n.got) != 10 {
+		t.Fatalf("accepted %d frames, want 10", len(n.got))
 	}
-	for i, m := range got {
+	for i, m := range n.got {
 		if m.Frame != i || m.Kind != serial.KindFrame {
 			t.Fatalf("frame %d: %+v", i, m)
 		}
@@ -60,29 +119,18 @@ func TestSourceBuffersForSlowNode(t *testing.T) {
 
 	// A node that takes 4 s per frame: the queue must grow, nothing
 	// dropped.
-	var got []serial.Message
-	k.Spawn("slow-node", func(p *sim.Proc) {
-		for {
-			m, err := nodePort.Recv(p)
-			if err != nil {
-				return
-			}
-			got = append(got, m)
-			if p.Wait(4) != nil {
-				return
-			}
-		}
-	})
+	n := &receiver{k: k, pt: nodePort, hold: 4}
+	start(k, &n.task, n)
 	h.Start()
 	k.At(23, func() { h.Stop() })
 	k.RunUntil(200)
 	if h.FramesDropped != 0 {
 		t.Fatalf("dropped %d frames; the host buffers", h.FramesDropped)
 	}
-	if len(got) != 10 {
-		t.Fatalf("slow node eventually received %d frames, want all 10", len(got))
+	if len(n.got) != 10 {
+		t.Fatalf("slow node eventually received %d frames, want all 10", len(n.got))
 	}
-	for i, m := range got {
+	for i, m := range n.got {
 		if m.Frame != i {
 			t.Fatalf("frames reordered: position %d has frame %d", i, m.Frame)
 		}
@@ -100,14 +148,12 @@ func TestSinkCollectsResults(t *testing.T) {
 	var seen []Result
 	h.OnResult = func(r Result) { seen = append(seen, r) }
 	h.Start()
-	nodePort := net.Port("node1")
-	k.Spawn("node", func(p *sim.Proc) {
-		for f := 0; f < 3; f++ {
-			if nodePort.Send(p, h.SinkPort(), serial.Message{Kind: serial.KindResult, Frame: f, KB: 0.1}) != nil {
-				return
-			}
-		}
-	})
+	var results []serial.Message
+	for f := 0; f < 3; f++ {
+		results = append(results, serial.Message{Kind: serial.KindResult, Frame: f, KB: 0.1})
+	}
+	s := &sender{pt: net.Port("node1"), dst: h.SinkPort(), msgs: results}
+	start(k, &s.task, s)
 	k.RunUntil(10)
 	if len(seen) != 3 {
 		t.Fatalf("observed %d results, want 3", len(seen))
@@ -129,10 +175,9 @@ func TestStoppedHostOnlyCollects(t *testing.T) {
 	var seen []Result
 	h.OnResult = func(r Result) { seen = append(seen, r) }
 	h.Start()
-	nodePort := net.Port("node1")
-	k.Spawn("node", func(p *sim.Proc) {
-		nodePort.Send(p, h.SinkPort(), serial.Message{Kind: serial.KindResult, Frame: 4, KB: 0.1})
-	})
+	result := serial.Message{Kind: serial.KindResult, Frame: 4, KB: 0.1}
+	s := &sender{pt: net.Port("node1"), dst: h.SinkPort(), msgs: []serial.Message{result}}
+	start(k, &s.task, s)
 	k.RunUntil(10)
 	if len(seen) != 1 || seen[0].Frame != 4 {
 		t.Fatalf("observed %+v, want frame 4", seen)

@@ -47,7 +47,7 @@ func runNondeterminism(pass *analysis.Pass) error {
 		}
 		switch kind, name := nondetRoot(fn); kind {
 		case rootClock:
-			pass.Reportf(id.Pos(), "wall-clock time.%s in simulator code: simulated time must come from the kernel clock (sim.Kernel.Now / Proc.Now)", name)
+			pass.Reportf(id.Pos(), "wall-clock time.%s in simulator code: simulated time must come from the kernel clock (sim.Kernel.Now)", name)
 		case rootRand:
 			pass.Reportf(id.Pos(), "global %s.%s draws from the process-wide random stream: use an explicitly seeded generator (rand.New(rand.NewSource(seed)) or a splitmix64 stream as in internal/fault/rng.go)", fn.Pkg().Name(), name)
 		case rootEnv:

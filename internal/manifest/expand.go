@@ -79,12 +79,15 @@ func (m *Manifest) Expand() ([]Experiment, error) {
 	var out []Experiment
 	seen := make(map[string]int)
 	for i, row := range m.lines {
+		if len(out) == maxExperiments {
+			return nil, fmt.Errorf("line %d: the runfile expands past %d experiments", row.n, maxExperiments)
+		}
 		sig := m.signature(row)
 		if prev, dup := seen[sig]; dup {
 			return nil, fmt.Errorf("line %d: duplicate experiment line (identical to line %d)", row.n, prev)
 		}
 		seen[sig] = i
-		exps, err := m.expandLine(row, base, basePC, baseSeed)
+		exps, err := m.expandLine(row, base, basePC, baseSeed, maxExperiments-len(out))
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", row.n, err)
 		}
@@ -151,7 +154,7 @@ func (m *Manifest) baseSeed() (uint64, error) {
 }
 
 // expandLine resolves one manifest row into its experiments.
-func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformConfig, baseSeed uint64) ([]Experiment, error) {
+func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformConfig, baseSeed uint64, room int) ([]Experiment, error) {
 	e := Experiment{Line: row.n, Params: base, Platform: basePC}
 
 	expText := m.value(row, "experiment")
@@ -247,7 +250,7 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 	}
 
 	// Seed unrolling.
-	seeds, err := parseSeeds(m.value(row, "seeds"))
+	seeds, err := parseSeeds(m.value(row, "seeds"), room)
 	if err != nil {
 		return nil, err
 	}
@@ -448,10 +451,17 @@ func (m *Manifest) floatValue(row line, key string, dflt float64) (float64, erro
 	return v, nil
 }
 
+// maxExperiments bounds the sweep one runfile expands to: far above the
+// committed manifests (125 at most), and low enough that a mistyped
+// seeds cell is an error rather than minutes of work and gigabytes of
+// experiments.
+const maxExperiments = 1 << 12
+
 // parseSeeds parses the seeds cell: "" (nil — one unseeded run),
 // "A..B" (inclusive range) or "a,b,c" (explicit list; the cell must be
-// quoted for the commas to survive splitting).
-func parseSeeds(text string) ([]uint64, error) {
+// quoted for the commas to survive splitting). A cell of more than room
+// seeds is rejected before any is allocated.
+func parseSeeds(text string, room int) ([]uint64, error) {
 	text = strings.TrimSpace(text)
 	if text == "" {
 		return nil, nil
@@ -462,8 +472,8 @@ func parseSeeds(text string) ([]uint64, error) {
 		if err1 != nil || err2 != nil || b < a {
 			return nil, fmt.Errorf("seeds %q: want \"A..B\" with A ≤ B", text)
 		}
-		if b-a >= 1<<20 {
-			return nil, fmt.Errorf("seeds %q: range of %d is past any sensible sweep", text, b-a+1)
+		if b-a >= uint64(room) {
+			return nil, tooManySeeds(text)
 		}
 		out := make([]uint64, 0, b-a+1)
 		for s := a; ; s++ {
@@ -472,6 +482,9 @@ func parseSeeds(text string) ([]uint64, error) {
 				return out, nil
 			}
 		}
+	}
+	if strings.Count(text, ",") >= room {
+		return nil, tooManySeeds(text)
 	}
 	parts := strings.Split(text, ",")
 	out := make([]uint64, len(parts))
@@ -483,6 +496,12 @@ func parseSeeds(text string) ([]uint64, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// tooManySeeds rejects a seeds cell that would take the runfile past
+// maxExperiments.
+func tooManySeeds(text string) error {
+	return fmt.Errorf("seeds %q: the runfile expands past %d experiments", text, maxExperiments)
 }
 
 // deriveSeed decorrelates the scenario seed planted in each expanded

@@ -42,7 +42,7 @@ func FuzzManifestLoad(f *testing.F) {
 			t.Skip("platform path outside the scenario tree")
 		}
 		for _, row := range m.lines {
-			if seeds, err := parseSeeds(m.value(row, "seeds")); err == nil && len(seeds) > 64 {
+			if seeds, err := parseSeeds(m.value(row, "seeds"), maxExperiments); err == nil && len(seeds) > 64 {
 				t.Skip("wide seed sweep")
 			}
 			for _, key := range []string{"faults", "assert"} {

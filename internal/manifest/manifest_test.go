@@ -86,6 +86,18 @@ func TestExpandRejects(t *testing.T) {
 			"topology, nodes, seeds\n\"serial\", 2, \"1..3\"\n", "seeds need a fault scenario"},
 		{"bad seed range",
 			"topology, nodes, faults, seeds\n\"serial\", 2, \"default\", \"5..3\"\n", "A ≤ B"},
+		// Runfiles past the expansion limit, by one range, by one list
+		// and by lines that are each within it.
+		{"huge seed range",
+			"experiment, seeds\n\"2D\", \"0..999999\"\n", "expands past 4096 experiments"},
+		{"widest seed range",
+			"experiment, seeds\n\"2D\", \"0..18446744073709551615\"\n", "expands past 4096 experiments"},
+		{"huge seed list",
+			"experiment, seeds\n\"2D\", \"" + strings.Repeat("7,", 4096) + "7\"\n", "expands past 4096 experiments"},
+		{"seeds across lines",
+			"experiment, seeds, frames\n\"2D\", \"0..4000\", 5\n\"2D\", \"0..95\", 6\n", "line 3: seeds \"0..95\": the runfile expands past"},
+		{"seedless line past a full sweep",
+			"experiment, seeds, frames\n\"2D\", \"0..4095\", 5\n\"1\", , 6\n", "line 3: the runfile expands past"},
 		{"duplicate lines",
 			"experiment, frames\n\"1\", 10\n\"1\", 10\n", "duplicate experiment line"},
 		{"duplicate via global default",

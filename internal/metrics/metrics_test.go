@@ -96,18 +96,10 @@ func TestSamplerCadence(t *testing.T) {
 	r := New(k)
 	level := 0.0
 	s := r.Sample("soc", "node1", 2, func() float64 { return level })
-	k.Spawn("load", func(p *sim.Proc) {
-		// Increment at t = 0.5, 1.5, …, 4.5, between sampler ticks.
-		if p.Wait(0.5) != nil {
-			return
-		}
-		for i := 0; i < 5; i++ {
-			level += 1
-			if p.Wait(1) != nil {
-				return
-			}
-		}
-	})
+	// Increment at t = 0.5, 1.5, …, 4.5, between sampler ticks.
+	for i := 0; i < 5; i++ {
+		k.At(sim.Time(i)+0.5, func() { level++ })
+	}
 	k.After(5, func() { r.StopSamplers() })
 	k.RunUntil(5)
 

@@ -7,19 +7,20 @@ import (
 	"dvsim/internal/atr"
 	"dvsim/internal/battery"
 	"dvsim/internal/cpu"
+	"dvsim/internal/host"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
 )
 
-// rig assembles a small pipeline for behavioral tests: a host-like frame
-// source, N nodes, and a sink. Batteries are generous unless capMAh says
-// otherwise.
+// rig assembles a small pipeline for behavioral tests: N nodes between
+// a host that paces frames into the pipeline and collects its results.
+// Batteries are generous unless capMAh says otherwise.
 type rig struct {
 	k     *sim.Kernel
 	net   *serial.Network
 	nodes []*Node
-	sink  *serial.Port
-	got   []serial.Message
+	host  *host.Host
+	got   []host.Result
 	// lastResultAt is the sink-side arrival time of the latest result.
 	lastResultAt sim.Time
 }
@@ -45,7 +46,7 @@ func newRigRaw(cfg Config, roles []Role, capMAh ...float64) *rig {
 	k := sim.NewKernel()
 	k.SetEventLimit(5_000_000)
 	net := serial.NewNetwork(k, serial.DefaultLink())
-	r := &rig{k: k, net: net, sink: net.Port("host-sink")}
+	r := &rig{k: k, net: net, host: host.New(k, net)}
 	for i := range roles {
 		cap := 1e6 // effectively infinite
 		if i < len(capMAh) {
@@ -56,47 +57,26 @@ func newRigRaw(cfg Config, roles []Role, capMAh ...float64) *rig {
 		r.nodes = append(r.nodes, New(k, net, pw, cfg, fmt.Sprintf("node%d", i+1), roles, i))
 	}
 	for _, n := range r.nodes {
-		n.Wire(r.nodes, r.sink)
+		n.Wire(r.nodes, r.host.SinkPort())
 	}
 	return r
 }
 
-// start launches nodes, a paced source, and a sink that collects results.
+// start launches the nodes and a host that sends the given number of
+// frames, one every d seconds, to the node holding role 1 under the
+// rotation period, and records every result.
 func (r *rig) start(frames int, d float64, rotation int) {
 	for _, n := range r.nodes {
 		n.Start()
+		r.host.Targets = append(r.host.Targets, n.Port())
 	}
-	src := r.net.Port("host-src")
-	r.k.Spawn("src", func(p *sim.Proc) {
-		for f := 0; f < frames; f++ {
-			if p.WaitUntil(sim.Time(float64(f)*d)) != nil {
-				return
-			}
-			phys := 0
-			if rotation > 1 {
-				n := len(r.nodes)
-				phys = (((-(f / rotation)) % n) + n) % n
-			}
-			target := r.nodes[phys].Port()
-			f := f
-			r.k.Spawn("src-frame", func(p *sim.Proc) {
-				src.Send(p, target, serial.Message{Kind: serial.KindFrame, Frame: f, KB: 10.1})
-			})
-		}
-	})
-	r.k.Spawn("sink", func(p *sim.Proc) {
-		for {
-			m, err := r.sink.Recv(p)
-			if err != nil {
-				return
-			}
-			r.got = append(r.got, m)
-			r.lastResultAt = p.Now()
-			if len(r.got) == frames {
-				return
-			}
-		}
-	})
+	h := r.host
+	h.D, h.FrameKB, h.RotationPeriod, h.MaxFrames = d, 10.1, rotation, frames
+	h.OnResult = func(res host.Result) {
+		r.got = append(r.got, res)
+		r.lastResultAt = res.At
+	}
+	h.Start()
 }
 
 func TestSingleNodeProcessesFramesAtPace(t *testing.T) {
@@ -344,7 +324,8 @@ func TestNodeAccessors(t *testing.T) {
 func TestGraphFanInGathersEveryParent(t *testing.T) {
 	k := sim.NewKernel()
 	net := serial.NewNetwork(k, serial.DefaultLink())
-	sink := net.Port("host-sink")
+	h := host.New(k, net)
+	sink := h.SinkPort()
 	const rounds = 5
 	role := Role{Index: 1, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint, RefS: 0.2, OutKB: 1,
 		Rounds: rounds, FanInAll: true}
@@ -360,22 +341,22 @@ func TestGraphFanInGathersEveryParent(t *testing.T) {
 	for _, n := range nodes {
 		n.Start()
 	}
-	var got []serial.Message
-	k.Spawn("sink", func(p *sim.Proc) {
-		for {
-			m, err := sink.Recv(p)
-			if err != nil {
-				return
-			}
-			got = append(got, m)
+	// A host stopped before it starts only collects.
+	var got []host.Result
+	h.OnResult = func(res host.Result) { got = append(got, res) }
+	h.Stop()
+	h.Start()
+	net.OnTransfer = func(ev serial.TransferEvent) {
+		if ev.To == sink.Name() && ev.Kind != serial.KindResult {
+			t.Errorf("a %v message reached the host sink", ev.Kind)
 		}
-	})
+	}
 	k.RunUntil(60)
 	if len(got) != rounds {
 		t.Fatalf("host got %d results, want %d", len(got), rounds)
 	}
 	for i, m := range got {
-		if m.Frame != i || m.Kind != serial.KindResult || m.From != "agg" {
+		if m.Frame != i || m.From != "agg" {
 			t.Fatalf("result %d: %+v", i, m)
 		}
 	}

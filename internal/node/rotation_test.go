@@ -5,8 +5,6 @@ import (
 
 	"dvsim/internal/atr"
 	"dvsim/internal/cpu"
-	"dvsim/internal/serial"
-	"dvsim/internal/sim"
 )
 
 // threeRoles splits the algorithm over three nodes with comfortable
@@ -92,39 +90,16 @@ func TestNativeExecThroughNodes(t *testing.T) {
 	for i := range made {
 		made[i], _ = scene.Frame(1)
 	}
-	// Custom source injecting real frames.
-	src := r.net.Port("host-src")
-	for _, n := range r.nodes {
-		n.Start()
-	}
-	r.k.Spawn("src", func(p *sim.Proc) {
-		for f := 0; f < frames; f++ {
-			if p.WaitUntil(sim.Time(float64(f)*2.3)) != nil {
-				return
-			}
-			phys := ((-(f / 3) % 2) + 2) % 2
-			target := r.nodes[phys].Port()
-			f := f
-			r.k.Spawn("src-frame", func(p *sim.Proc) {
-				src.Send(p, target, serial.Message{
-					Kind: serial.KindFrame, Frame: f, KB: 10.1, Payload: made[f],
-				})
-			})
-		}
-	})
-	results := make([]*atr.Result, frames)
-	r.k.Spawn("sink", func(p *sim.Proc) {
-		for n := 0; n < frames; n++ {
-			m, err := r.sink.Recv(p)
-			if err != nil {
-				return
-			}
-			if res, ok := m.Payload.(*atr.Result); ok {
-				results[m.Frame] = res
-			}
-		}
-	})
+	// The host injects real frames.
+	r.host.MakeFrame = func(f int) any { return made[f] }
+	r.start(frames, 2.3, 3)
 	r.k.Run()
+	results := make([]*atr.Result, frames)
+	for _, m := range r.got {
+		if res, ok := m.Payload.(*atr.Result); ok {
+			results[m.Frame] = res
+		}
+	}
 
 	ref := atr.NewPipeline()
 	for i, frame := range made {

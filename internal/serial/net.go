@@ -28,8 +28,9 @@ import (
 // walks offer → accept → wire time → done (or withdraw, timeout, fault
 // and retry backoff), an Rx walks arrival → accept → done. The owner
 // starts one, then feeds each of its task's resumes to Step until Step
-// reports done. The *sim.Proc methods (Send, Recv, …) are blocking
-// adapters over the same machines.
+// reports done. Port.Send and Port.Recv (adapter.go) are blocking
+// adapters over the same machines for the benchmark probe's goroutine
+// processes; nothing else uses them.
 
 // Kind classifies messages for the node runtime's protocol logic.
 type Kind int

@@ -50,19 +50,17 @@ func TestSendReliableRecoversFromDrop(t *testing.T) {
 
 	var sendErr error
 	var sendDone sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
-		sendErr = a.SendReliable(p, b, Message{Kind: KindInter, KB: 1, Frame: 3}, TxOpts{}, rp)
-		sendDone = p.Now()
-	})
+	run(k, 0, sendReliable(a, b, Message{Kind: KindInter, KB: 1, Frame: 3}, TxOpts{}, rp, func(err error) {
+		sendErr, sendDone = err, k.Now()
+	}))
 	var got Message
 	var aborts int
-	k.Spawn("r", func(p *sim.Proc) {
-		m, err := b.RecvOpts(p, RxOpts{OnAbort: func() { aborts++ }})
+	run(k, 0, recv(b, RxOpts{OnAbort: func() { aborts++ }}, func(m Message, err error) {
 		if err != nil {
 			t.Errorf("recv: %v", err)
 		}
 		got = m
-	})
+	}))
 	k.Run()
 
 	if sendErr != nil {
@@ -94,16 +92,16 @@ func TestSendReliableGarbleDiscardedByReceiver(t *testing.T) {
 	net := NewNetwork(k, DefaultLink())
 	net.Fault = &scriptedFaults{verdicts: []FaultVerdict{FaultGarble}}
 	a, b := net.Port("a"), net.Port("b")
-	k.Spawn("s", func(p *sim.Proc) {
-		if err := a.SendReliable(p, b, Message{KB: 0.5}, TxOpts{}, DefaultRetryPolicy()); err != nil {
+	run(k, 0, sendReliable(a, b, Message{KB: 0.5}, TxOpts{}, DefaultRetryPolicy(), func(err error) {
+		if err != nil {
 			t.Errorf("send: %v", err)
 		}
-	})
-	k.Spawn("r", func(p *sim.Proc) {
-		if _, err := b.Recv(p); err != nil {
+	}))
+	run(k, 0, recv(b, RxOpts{}, func(_ Message, err error) {
+		if err != nil {
 			t.Errorf("recv: %v", err)
 		}
-	})
+	}))
 	k.Run()
 	if as := a.Stats(); as.TxGarbled != 1 || as.TxRetries != 1 {
 		t.Fatalf("sender stats %+v", as)
@@ -124,15 +122,10 @@ func TestSendReliableExhaustsBudget(t *testing.T) {
 
 	var sendErr error
 	var backoffs int
-	k.Spawn("s", func(p *sim.Proc) {
-		sendErr = a.SendReliable(p, b, Message{Kind: KindResult, KB: 0.1, Frame: 9},
-			TxOpts{OnBackoff: func() { backoffs++ }}, rp)
-	})
-	k.Spawn("r", func(p *sim.Proc) {
-		// The receiver sees three aborted deliveries and keeps waiting;
-		// a later clean send proves the port is still usable.
-		b.RecvDeadline(p, 10)
-	})
+	run(k, 0, sendReliable(a, b, Message{Kind: KindResult, KB: 0.1, Frame: 9},
+		TxOpts{OnBackoff: func() { backoffs++ }}, rp, func(err error) { sendErr = err }))
+	// The receiver sees three aborted deliveries and keeps waiting.
+	run(k, 0, recv(b, RxOpts{Deadline: 10}, nil))
 	k.Run()
 
 	if !errors.Is(sendErr, ErrRetriesExhausted) {
@@ -162,11 +155,10 @@ func TestSendReliableNonFaultErrorPropagates(t *testing.T) {
 	net.Fault = &scriptedFaults{verdicts: []FaultVerdict{FaultDrop, FaultDrop}}
 	a, b := net.Port("a"), net.Port("b")
 	var err error
-	k.Spawn("s", func(p *sim.Proc) {
-		// No receiver: the rendezvous times out. Timeouts are not wire
-		// faults; SendReliable must not burn budget on them.
-		err = a.SendReliable(p, b, Message{KB: 1}, TxOpts{Deadline: 2}, RetryPolicy{MaxAttempts: 4, BackoffS: 0.1})
-	})
+	// No receiver: the rendezvous times out. Timeouts are not wire
+	// faults; SendReliable must not burn budget on them.
+	run(k, 0, sendReliable(a, b, Message{KB: 1}, TxOpts{Deadline: 2}, RetryPolicy{MaxAttempts: 4, BackoffS: 0.1},
+		func(e error) { err = e }))
 	k.Run()
 	if !errors.Is(err, sim.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
@@ -182,10 +174,8 @@ func TestSendReliableZeroPolicyFailsFast(t *testing.T) {
 	net.Fault = &scriptedFaults{verdicts: []FaultVerdict{FaultDrop}}
 	a, b := net.Port("a"), net.Port("b")
 	var err error
-	k.Spawn("s", func(p *sim.Proc) {
-		err = a.SendReliable(p, b, Message{KB: 1}, TxOpts{}, RetryPolicy{})
-	})
-	k.Spawn("r", func(p *sim.Proc) { b.RecvDeadline(p, 5) })
+	run(k, 0, sendReliable(a, b, Message{KB: 1}, TxOpts{}, RetryPolicy{}, func(e error) { err = e }))
+	run(k, 0, recv(b, RxOpts{Deadline: 5}, nil))
 	k.Run()
 	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrDropped) {
 		t.Fatalf("err = %v", err)

@@ -63,21 +63,21 @@ func TestSendRecvRendezvousTiming(t *testing.T) {
 	a, b := net.Port("a"), net.Port("b")
 	var sendDone, recvDone sim.Time
 	var got Message
-	k.Spawn("sender", func(p *sim.Proc) {
-		p.Wait(1) // sender arrives at t=1
-		if err := a.Send(p, b, Message{Kind: KindInter, KB: 0.6, Frame: 7}); err != nil {
+	// The sender arrives at t=1; the receiver is ready from t=0 and
+	// waits for it.
+	run(k, 0, wait(1), send(a, b, Message{Kind: KindInter, KB: 0.6, Frame: 7}, TxOpts{}, func(err error) {
+		if err != nil {
 			t.Errorf("send: %v", err)
 		}
-		sendDone = p.Now()
-	})
-	k.Spawn("receiver", func(p *sim.Proc) {
-		m, err := b.Recv(p) // ready from t=0; waits for the sender
+		sendDone = k.Now()
+	}))
+	run(k, 0, recv(b, RxOpts{}, func(m Message, err error) {
 		if err != nil {
 			t.Errorf("recv: %v", err)
 		}
 		got = m
-		recvDone = p.Now()
-	})
+		recvDone = k.Now()
+	}))
 	k.Run()
 	want := sim.Time(1 + DefaultLink().TxTime(0.6))
 	if math.Abs(float64(sendDone-want)) > 1e-9 || math.Abs(float64(recvDone-want)) > 1e-9 {
@@ -92,19 +92,18 @@ func TestRecvWaitsForLateSender(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
 	a, b := net.Port("a"), net.Port("b")
-	k.Spawn("receiver", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := b.Recv(p); err != nil {
+	var at sim.Time
+	run(k, 0, recv(b, RxOpts{}, func(_ Message, err error) {
+		if err != nil {
 			t.Errorf("recv: %v", err)
 		}
-		if p.Now() <= start {
-			t.Error("recv returned instantly with no sender")
-		}
-	})
-	k.SpawnAt(5, "sender", func(p *sim.Proc) {
-		a.Send(p, b, Message{KB: 0.1})
-	})
+		at = k.Now()
+	}))
+	run(k, 5, send(a, b, Message{KB: 0.1}, TxOpts{}, nil))
 	k.Run()
+	if want := sim.Time(5 + DefaultLink().TxTime(0.1)); math.Abs(float64(at-want)) > 1e-9 {
+		t.Fatalf("recv returned at %v, want %v (the late sender's completion)", at, want)
+	}
 }
 
 func TestAckUsesStartupCostOnly(t *testing.T) {
@@ -112,13 +111,13 @@ func TestAckUsesStartupCostOnly(t *testing.T) {
 	net := NewNetwork(k, DefaultLink())
 	a, b := net.Port("a"), net.Port("b")
 	var done sim.Time
-	k.Spawn("sender", func(p *sim.Proc) {
-		if err := a.Send(p, b, Message{Kind: KindAck, KB: 0}); err != nil {
+	run(k, 0, send(a, b, Message{Kind: KindAck, KB: 0}, TxOpts{}, func(err error) {
+		if err != nil {
 			t.Errorf("send: %v", err)
 		}
-		done = p.Now()
-	})
-	k.Spawn("receiver", func(p *sim.Proc) { b.Recv(p) })
+		done = k.Now()
+	}))
+	run(k, 0, recv(b, RxOpts{}, nil))
 	k.Run()
 	if math.Abs(float64(done)-DefaultLink().AckTime()) > 1e-9 {
 		t.Fatalf("ack completed at %v, want %v", done, DefaultLink().AckTime())
@@ -131,10 +130,9 @@ func TestSendDeadlineExpiresWithoutReceiver(t *testing.T) {
 	a, b := net.Port("a"), net.Port("b")
 	var err error
 	var at sim.Time
-	k.Spawn("sender", func(p *sim.Proc) {
-		err = a.SendDeadline(p, b, Message{KB: 1}, 2)
-		at = p.Now()
-	})
+	run(k, 0, send(a, b, Message{KB: 1}, TxOpts{Deadline: 2}, func(e error) {
+		err, at = e, k.Now()
+	}))
 	k.Run()
 	if !errors.Is(err, sim.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
@@ -149,12 +147,11 @@ func TestRecvDeadlineExpiresWithoutSender(t *testing.T) {
 	net := NewNetwork(k, DefaultLink())
 	b := net.Port("b")
 	var err error
-	k.Spawn("receiver", func(p *sim.Proc) {
-		_, err = b.RecvDeadline(p, 3)
-	})
+	var at sim.Time
+	run(k, 0, recv(b, RxOpts{Deadline: 3}, func(_ Message, e error) { err, at = e, k.Now() }))
 	k.Run()
-	if !errors.Is(err, sim.ErrTimeout) {
-		t.Fatalf("err = %v, want timeout", err)
+	if !errors.Is(err, sim.ErrTimeout) || at != 3 {
+		t.Fatalf("err = %v at %v, want timeout at 3", err, at)
 	}
 }
 
@@ -164,24 +161,23 @@ func TestWithdrawnOfferIsSkipped(t *testing.T) {
 	a, b, c := net.Port("a"), net.Port("b"), net.Port("c")
 	// a offers to c but gives up at t=1; b offers at t=2; the receiver
 	// must get b's message.
-	k.Spawn("a", func(p *sim.Proc) {
-		if err := a.SendDeadline(p, c, Message{KB: 1, Frame: 1}, 1); !errors.Is(err, sim.ErrTimeout) {
+	run(k, 0, send(a, c, Message{KB: 1, Frame: 1}, TxOpts{Deadline: 1}, func(err error) {
+		if !errors.Is(err, sim.ErrTimeout) {
 			t.Errorf("a: err = %v", err)
 		}
-	})
-	k.SpawnAt(2, "b", func(p *sim.Proc) {
-		if err := b.Send(p, c, Message{KB: 1, Frame: 2}); err != nil {
+	}))
+	run(k, 2, send(b, c, Message{KB: 1, Frame: 2}, TxOpts{}, func(err error) {
+		if err != nil {
 			t.Errorf("b: %v", err)
 		}
-	})
+	}))
 	var got Message
-	k.SpawnAt(3, "receiver", func(p *sim.Proc) {
-		m, err := c.Recv(p)
+	run(k, 3, recv(c, RxOpts{}, func(m Message, err error) {
 		if err != nil {
 			t.Errorf("recv: %v", err)
 		}
 		got = m
-	})
+	}))
 	k.Run()
 	if got.Frame != 2 || got.From != "b" {
 		t.Fatalf("got %+v, want frame 2 from b", got)
@@ -192,17 +188,15 @@ func TestDeadSenderMidTransferTimesOutReceiver(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
 	a, b := net.Port("a"), net.Port("b")
-	sender := k.Spawn("sender", func(p *sim.Proc) {
-		// 10 KB transfer takes ~1.09 s; the sender is killed at 0.5.
-		if err := a.Send(p, b, Message{KB: 10}); err == nil {
+	// A 10 KB transfer takes ~1.09 s; the sender dies at 0.5.
+	sender := run(k, 0, send(a, b, Message{KB: 10}, TxOpts{}, func(err error) {
+		if err == nil {
 			t.Error("dead sender completed send")
 		}
-	})
-	k.At(0.5, func() { sender.Interrupt("battery died") })
+	}))
+	k.At(0.5, sender.task.Interrupt)
 	var err error
-	k.Spawn("receiver", func(p *sim.Proc) {
-		_, err = b.RecvDeadline(p, 5)
-	})
+	run(k, 0, recv(b, RxOpts{Deadline: 5}, func(_ Message, e error) { err = e }))
 	k.Run()
 	if !errors.Is(err, sim.ErrTimeout) {
 		t.Fatalf("receiver err = %v, want timeout", err)
@@ -217,26 +211,25 @@ func TestDeadSenderDoesNotKillOpenReceiver(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
 	a, b, c := net.Port("a"), net.Port("b"), net.Port("c")
-	sender := k.Spawn("doomed", func(p *sim.Proc) {
-		if err := a.Send(p, c, Message{KB: 10, Frame: 1}); err == nil {
+	doomed := run(k, 0, send(a, c, Message{KB: 10, Frame: 1}, TxOpts{}, func(err error) {
+		if err == nil {
 			t.Error("dead sender completed send")
 		}
-	})
-	k.At(0.5, func() { sender.Interrupt("crash") })
-	k.SpawnAt(3, "healthy", func(p *sim.Proc) {
-		if err := b.Send(p, c, Message{KB: 1, Frame: 2}); err != nil {
+	}))
+	k.At(0.5, doomed.task.Interrupt)
+	run(k, 3, send(b, c, Message{KB: 1, Frame: 2}, TxOpts{}, func(err error) {
+		if err != nil {
 			t.Errorf("healthy send: %v", err)
 		}
-	})
+	}))
 	var got Message
 	var aborts int
-	k.Spawn("receiver", func(p *sim.Proc) {
-		m, err := c.RecvOpts(p, RxOpts{OnAbort: func() { aborts++ }})
+	run(k, 0, recv(c, RxOpts{OnAbort: func() { aborts++ }}, func(m Message, err error) {
 		if err != nil {
 			t.Errorf("recv: %v", err)
 		}
 		got = m
-	})
+	}))
 	k.Run()
 	if got.Frame != 2 {
 		t.Fatalf("received %+v, want frame 2 from the healthy sender", got)
@@ -250,14 +243,8 @@ func TestNetworkStats(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
 	a, b := net.Port("a"), net.Port("b")
-	k.Spawn("s", func(p *sim.Proc) {
-		a.Send(p, b, Message{KB: 2})
-		a.Send(p, b, Message{KB: 3})
-	})
-	k.Spawn("r", func(p *sim.Proc) {
-		b.Recv(p)
-		b.Recv(p)
-	})
+	run(k, 0, send(a, b, Message{KB: 2}, TxOpts{}, nil), send(a, b, Message{KB: 3}, TxOpts{}, nil))
+	run(k, 0, recv(b, RxOpts{}, nil), recv(b, RxOpts{}, nil))
 	k.Run()
 	if net.Transfers() != 2 {
 		t.Fatalf("transfers = %d", net.Transfers())
@@ -274,12 +261,12 @@ func TestPortReuseAndPending(t *testing.T) {
 		t.Fatal("Port not memoized")
 	}
 	a, b := net.Port("a"), net.Port("b")
-	k.Spawn("s", func(p *sim.Proc) { a.Send(p, b, Message{KB: 1}) })
+	run(k, 0, send(a, b, Message{KB: 1}, TxOpts{}, nil))
 	k.RunUntil(0.01)
 	if b.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", b.Pending())
 	}
-	k.Spawn("r", func(p *sim.Proc) { b.Recv(p) })
+	run(k, k.Now(), recv(b, RxOpts{}, nil))
 	k.Run()
 	if b.Pending() != 0 {
 		t.Fatalf("pending after delivery = %d", b.Pending())
@@ -308,27 +295,21 @@ func TestPropertyInOrderExactlyOnce(t *testing.T) {
 		k := sim.NewKernel()
 		net := NewNetwork(k, DefaultLink())
 		a, b := net.Port("a"), net.Port("b")
-		n := len(sizes)
-		k.Spawn("s", func(p *sim.Proc) {
-			for i, s := range sizes {
-				p.Wait(sim.Duration(s%3) / 10)
-				if a.Send(p, b, Message{Frame: i, KB: float64(s%50) / 10}) != nil {
-					return
-				}
-			}
-		})
+		var sends, recvs []step
 		var got []int
-		k.Spawn("r", func(p *sim.Proc) {
-			for i := 0; i < n; i++ {
-				m, err := b.Recv(p)
-				if err != nil {
-					return
+		for i, s := range sizes {
+			sends = append(sends, wait(sim.Duration(s%3)/10),
+				send(a, b, Message{Frame: i, KB: float64(s%50) / 10}, TxOpts{}, nil))
+			recvs = append(recvs, recv(b, RxOpts{}, func(m Message, err error) {
+				if err == nil {
+					got = append(got, m.Frame)
 				}
-				got = append(got, m.Frame)
-			}
-		})
+			}))
+		}
+		run(k, 0, sends...)
+		run(k, 0, recvs...)
 		k.Run()
-		if len(got) != n {
+		if len(got) != len(sizes) {
 			return false
 		}
 		for i := range got {
@@ -351,11 +332,8 @@ func TestPropertyTransferDuration(t *testing.T) {
 		net := NewNetwork(k, DefaultLink())
 		a, b := net.Port("a"), net.Port("b")
 		var done sim.Time
-		k.Spawn("s", func(p *sim.Proc) {
-			a.Send(p, b, Message{KB: kb})
-			done = p.Now()
-		})
-		k.Spawn("r", func(p *sim.Proc) { b.Recv(p) })
+		run(k, 0, send(a, b, Message{KB: kb}, TxOpts{}, func(error) { done = k.Now() }))
+		run(k, 0, recv(b, RxOpts{}, nil))
 		k.Run()
 		return math.Abs(float64(done)-net.Params.TxTime(kb)) < 1e-9
 	}
@@ -384,14 +362,8 @@ func TestPortStatsAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
 	a, b := net.Port("a"), net.Port("b")
-	k.Spawn("s", func(p *sim.Proc) {
-		a.Send(p, b, Message{Kind: KindFrame, KB: 10.1})
-		a.Send(p, b, Message{Kind: KindAck})
-	})
-	k.Spawn("r", func(p *sim.Proc) {
-		b.Recv(p)
-		b.Recv(p)
-	})
+	run(k, 0, send(a, b, Message{Kind: KindFrame, KB: 10.1}, TxOpts{}, nil), send(a, b, Message{Kind: KindAck}, TxOpts{}, nil))
+	run(k, 0, recv(b, RxOpts{}, nil), recv(b, RxOpts{}, nil))
 	k.Run()
 
 	as, bs := a.Stats(), b.Stats()
@@ -419,17 +391,17 @@ func TestPortStatsTimeoutsAndPending(t *testing.T) {
 	net := NewNetwork(k, DefaultLink())
 	a, b, c := net.Port("a"), net.Port("b"), net.Port("c")
 	// Receiver that never shows up: the send times out.
-	k.Spawn("s1", func(p *sim.Proc) {
-		if err := a.SendDeadline(p, b, Message{KB: 1}, 2); !errors.Is(err, sim.ErrTimeout) {
+	run(k, 0, send(a, b, Message{KB: 1}, TxOpts{Deadline: 2}, func(err error) {
+		if !errors.Is(err, sim.ErrTimeout) {
 			t.Errorf("send err = %v, want timeout", err)
 		}
-	})
+	}))
 	// Sender that never shows up: the recv times out.
-	k.Spawn("r1", func(p *sim.Proc) {
-		if _, err := c.RecvDeadline(p, 3); !errors.Is(err, sim.ErrTimeout) {
+	run(k, 0, recv(c, RxOpts{Deadline: 3}, func(_ Message, err error) {
+		if !errors.Is(err, sim.ErrTimeout) {
 			t.Errorf("recv err = %v, want timeout", err)
 		}
-	})
+	}))
 	k.Run()
 	if got := a.Stats().TxTimeouts; got != 1 {
 		t.Fatalf("TxTimeouts = %d, want 1", got)
@@ -450,8 +422,8 @@ func TestNetworkMetricsAndOnTransfer(t *testing.T) {
 	var events []TransferEvent
 	net.OnTransfer = func(ev TransferEvent) { events = append(events, ev) }
 	a, b := net.Port("a"), net.Port("b")
-	k.Spawn("s", func(p *sim.Proc) { a.Send(p, b, Message{Kind: KindInter, KB: 0.6}) })
-	k.Spawn("r", func(p *sim.Proc) { b.Recv(p) })
+	run(k, 0, send(a, b, Message{Kind: KindInter, KB: 0.6}, TxOpts{}, nil))
+	run(k, 0, recv(b, RxOpts{}, nil))
 	k.Run()
 
 	if len(events) != 1 {
@@ -489,34 +461,32 @@ func TestPendingFIFOUnderMatchAndWithdraw(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
 	c := net.Port("c")
-	send := func(from string, msg Message, deadline sim.Time) {
-		k.Spawn(from, func(p *sim.Proc) { net.Port(from).SendDeadline(p, c, msg, deadline) })
+	offer := func(from string, msg Message, deadline sim.Time) {
+		run(k, 0, send(net.Port(from), c, msg, TxOpts{Deadline: deadline}, nil))
 	}
-	send("a", Message{Kind: KindFrame, Frame: 1, KB: 1}, 0)
-	send("w", Message{Kind: KindFrame, Frame: 9, KB: 1}, 0.5) // withdraws
-	send("b", Message{Kind: KindAck, Frame: 1}, 0)
-	send("d", Message{Kind: KindFrame, Frame: 2, KB: 1}, 0)
+	offer("a", Message{Kind: KindFrame, Frame: 1, KB: 1}, 0)
+	offer("w", Message{Kind: KindFrame, Frame: 9, KB: 1}, 0.5) // withdraws
+	offer("b", Message{Kind: KindAck, Frame: 1}, 0)
+	offer("d", Message{Kind: KindFrame, Frame: 2, KB: 1}, 0)
 	k.RunUntil(0.1)
 	if c.Pending() != 4 {
 		t.Fatalf("pending = %d, want 4", c.Pending())
 	}
 	var got []Message
 	var pendingAfterAck int
-	k.SpawnAt(1, "r", func(p *sim.Proc) {
-		m, err := c.RecvOpts(p, RxOpts{Accept: KindsOf(KindAck)})
+	keep := func(m Message, err error) {
 		if err != nil {
-			t.Errorf("ack: %v", err)
+			t.Errorf("recv: %v", err)
 		}
 		got = append(got, m)
-		pendingAfterAck = c.Pending()
-		for i := 0; i < 2; i++ {
-			m, err := c.Recv(p)
-			if err != nil {
-				t.Errorf("recv: %v", err)
-			}
-			got = append(got, m)
-		}
-	})
+	}
+	run(k, 1,
+		recv(c, RxOpts{Accept: KindsOf(KindAck)}, func(m Message, err error) {
+			keep(m, err)
+			pendingAfterAck = c.Pending()
+		}),
+		recv(c, RxOpts{}, keep),
+		recv(c, RxOpts{}, keep))
 	k.Run()
 	if pendingAfterAck != 2 {
 		t.Errorf("pending after the ack = %d, want 2 (withdrawn offer gone)", pendingAfterAck)
@@ -539,32 +509,36 @@ func TestRecvPassesUnacceptedBacklog(t *testing.T) {
 	c := net.Port("c")
 	const backlog = 50
 	for i := 0; i < backlog; i++ {
-		from := fmt.Sprintf("f%02d", i)
-		k.Spawn(from, func(p *sim.Proc) { net.Port(from).Send(p, c, Message{Kind: KindFrame, Frame: i, KB: 0.1}) })
+		from := net.Port(fmt.Sprintf("f%02d", i))
+		run(k, 0, send(from, c, Message{Kind: KindFrame, Frame: i, KB: 0.1}, TxOpts{}, nil))
 	}
 	for i, at := range []sim.Time{1, 1, 2} {
-		from := fmt.Sprintf("i%d", i)
-		k.SpawnAt(at, from, func(p *sim.Proc) { net.Port(from).Send(p, c, Message{Kind: KindInter, Frame: i, KB: 0.1}) })
+		from := net.Port(fmt.Sprintf("i%d", i))
+		run(k, at, send(from, c, Message{Kind: KindInter, Frame: i, KB: 0.1}, TxOpts{}, nil))
 	}
 	var inter, frames []int
 	var pendingAfterInter int
-	k.Spawn("r", func(p *sim.Proc) {
-		for range 3 {
-			m, err := c.RecvOpts(p, RxOpts{Accept: KindsOf(KindInter, KindCtrl)})
+	var script []step
+	for i := range 3 {
+		script = append(script, recv(c, RxOpts{Accept: KindsOf(KindInter, KindCtrl)}, func(m Message, err error) {
 			if err != nil {
 				t.Errorf("inter: %v", err)
 			}
 			inter = append(inter, m.Frame)
-		}
-		pendingAfterInter = c.Pending()
-		for range backlog {
-			m, err := c.RecvOpts(p, RxOpts{Accept: KindsOf(KindFrame)})
+			if i == 2 {
+				pendingAfterInter = c.Pending()
+			}
+		}))
+	}
+	for range backlog {
+		script = append(script, recv(c, RxOpts{Accept: KindsOf(KindFrame)}, func(m Message, err error) {
 			if err != nil {
 				t.Errorf("frame: %v", err)
 			}
 			frames = append(frames, m.Frame)
-		}
-	})
+		}))
+	}
+	run(k, 0, script...)
 	k.Run()
 	if !slices.Equal(inter, []int{0, 1, 2}) {
 		t.Fatalf("internode frames received as %v, want 0, 1, 2", inter)

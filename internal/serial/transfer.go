@@ -13,6 +13,10 @@ import (
 // the transfer has ended; until then the owner must not open another
 // episode on the task.
 
+// errWithdrawn wakes a receive whose just-accepted offer the sender
+// withdrew in the same instant.
+var errWithdrawn = errors.New("serial: offer withdrawn")
+
 // txState is where a Tx is blocked.
 type txState uint8
 
@@ -119,7 +123,7 @@ func (tx *Tx) withdraw(err error) (bool, error) {
 		tx.dst.unqueue(of)
 	}
 	if r := of.rx; r != nil && r.of == of {
-		r.wake(sim.ErrClosed)
+		r.wake(errWithdrawn)
 	}
 	if errors.Is(err, sim.ErrTimeout) {
 		tx.pt.stats.TxTimeouts++
@@ -257,7 +261,7 @@ func (rx *Rx) Step(err error) (done bool, msg Message, res error) {
 		rx.of = nil
 		rx.waiting = false
 		switch {
-		case err == sim.ErrClosed:
+		case err == errWithdrawn:
 			// The sender withdrew in the same instant we accepted;
 			// pretend we never saw the offer.
 			return rx.scan()
@@ -403,61 +407,4 @@ func (pt *Port) accountRx(msg Message) {
 	m.rxTransfers.Inc()
 	m.rxKB.Add(msg.KB)
 	m.pendingDepth.Set(float64(pt.Pending()))
-}
-
-// Blocking adapters: each runs one state machine on the process's task,
-// parking the process between steps.
-
-// Send performs one transaction delivering msg to dst: it blocks until
-// the receiver accepts, then for the transaction time. The returned
-// error is non-nil if the process was interrupted (e.g. battery death)
-// before completion.
-func (pt *Port) Send(p *sim.Proc, dst *Port, msg Message) error {
-	return pt.SendDeadline(p, dst, msg, 0)
-}
-
-// SendDeadline is Send that gives up with sim.ErrTimeout if the receiver
-// has not accepted by the absolute deadline (zero waits forever).
-func (pt *Port) SendDeadline(p *sim.Proc, dst *Port, msg Message, deadline sim.Time) error {
-	tx := new(Tx)
-	done, err := tx.Send(p.Task(), pt, dst, msg, TxOpts{Deadline: deadline})
-	return tx.await(p, done, err)
-}
-
-// SendReliable is Send with bounded retransmission (see Tx.SendReliable).
-func (pt *Port) SendReliable(p *sim.Proc, dst *Port, msg Message, opts TxOpts, rp RetryPolicy) error {
-	tx := new(Tx)
-	done, err := tx.SendReliable(p.Task(), pt, dst, msg, opts, rp)
-	return tx.await(p, done, err)
-}
-
-// await parks p until the transfer is done.
-func (tx *Tx) await(p *sim.Proc, done bool, err error) error {
-	for !done {
-		done, err = tx.Step(p.Await("Send", tx.dst.name))
-	}
-	return err
-}
-
-// Recv accepts the next transaction at this port and blocks until the
-// sender completes it.
-func (pt *Port) Recv(p *sim.Proc) (Message, error) {
-	return pt.RecvOpts(p, RxOpts{})
-}
-
-// RecvDeadline is Recv that gives up with sim.ErrTimeout by the absolute
-// deadline. Failure detection in the paper's recovery scheme (§5.4) is
-// built on this timeout.
-func (pt *Port) RecvDeadline(p *sim.Proc, deadline sim.Time) (Message, error) {
-	return pt.RecvOpts(p, RxOpts{Deadline: deadline})
-}
-
-// RecvOpts is Recv with options.
-func (pt *Port) RecvOpts(p *sim.Proc, opts RxOpts) (Message, error) {
-	rx := new(Rx)
-	done, msg, err := rx.Recv(p.Task(), pt, opts)
-	for !done {
-		done, msg, err = rx.Step(p.Await("Recv", pt.name))
-	}
-	return msg, err
 }

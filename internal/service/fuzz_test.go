@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"testing"
 )
 
@@ -17,9 +15,8 @@ import (
 // handlers answer with HTTP 400 — never a panic, and an accepted one
 // must resolve to the same cache key twice. By-name references, the
 // envelope's and the runfile's, resolve under the committed scenario
-// tree and are confined to it. A seed range wider than 64 is skipped:
-// each seed is one more expanded line, and a range of a million would
-// take gigabytes to resolve.
+// tree and are confined to it. No input is skipped: Expand refuses a
+// runfile past its experiment limit before allocating the excess.
 func FuzzSubmission(f *testing.F) {
 	envelopes := []string{
 		`{"experiment": "9Z"}`,
@@ -64,9 +61,6 @@ func FuzzSubmission(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if wideSeedRange(sub.Manifest) {
-			t.Skip("wide seed sweep")
-		}
 		res, err := s.resolve(sub)
 		if err != nil {
 			return
@@ -82,20 +76,4 @@ func FuzzSubmission(f *testing.F) {
 			t.Fatalf("resolving again gave key %s, first %s", again.key, res.key)
 		}
 	})
-}
-
-// seedRange matches an "A..B" seed range as parseSeeds reads one.
-var seedRange = regexp.MustCompile(`(\d+)\s*\.\.\s*(\d+)`)
-
-// wideSeedRange reports whether a runfile holds a seed range of more
-// than 64 seeds.
-func wideSeedRange(runfile string) bool {
-	for _, m := range seedRange.FindAllStringSubmatch(runfile, -1) {
-		lo, err1 := strconv.ParseUint(m[1], 10, 64)
-		hi, err2 := strconv.ParseUint(m[2], 10, 64)
-		if err1 != nil || err2 != nil || (hi > lo && hi-lo > 64) {
-			return true
-		}
-	}
-	return false
 }

@@ -270,6 +270,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment": "1", "priority": "urgent"}`,
 		`{"experiment": "1", "faults": "../../etc/passwd"}`,
 		`{"manifest": "experiment\n\"1\", oops\n"}`,
+		// Past the runfile's expansion limit: refused before any seed
+		// is allocated.
+		`{"manifest": "experiment, seeds\n\"2D\", \"0..999999\"\n"}`,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(c.Base+"/api/v1/submit", "application/json", strings.NewReader(body))

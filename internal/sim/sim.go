@@ -15,10 +15,12 @@
 //
 // Proc layers sequential, blocking control flow over the same protocol:
 // its body runs on a goroutine of its own under a strict one-runnable-
-// at-a-time handoff, and Chan blocks Procs. They remain for
-// tests and micro-benchmarks written as sequential processes; a
-// simulation itself starts no goroutines. (internal/core encodes a large
-// run log on several cores, but only after the kernel has returned.)
+// at-a-time handoff, and Chan blocks Procs. They remain for the
+// benchmark probe, which times the goroutine handoff; the simulator
+// does not use them, and outside this package only the tests of
+// internal/serial's two blocking adapters do. A simulation starts no
+// goroutines. (internal/core encodes a large run log on
+// several cores, but only after the kernel has returned.)
 //
 // # Performance
 //
@@ -39,7 +41,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is a point in simulated time, in seconds.
@@ -139,8 +140,8 @@ type Kernel struct {
 	laneBuf  [laneInline]laneEntry
 	seq      uint64
 	stopped  bool
-	procs    map[*Proc]struct{}
-	tracer   Tracer
+	// procs holds the live processes, made by the first Spawn.
+	procs map[*Proc]struct{}
 
 	// fired counts events executed, for diagnostics and run limits.
 	fired uint64
@@ -164,7 +165,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
 func NewKernel() *Kernel {
-	k := &Kernel{procs: make(map[*Proc]struct{}), free: -1}
+	k := &Kernel{free: -1}
 	k.lane = k.laneBuf[:0]
 	return k
 }
@@ -189,13 +190,6 @@ func (k *Kernel) MaxQueueLen() int { return k.maxQueue }
 // SetEventLimit aborts Run with a panic after n events have fired.
 // It is a guard against runaway simulations in tests; n = 0 disables it.
 func (k *Kernel) SetEventLimit(n uint64) { k.limit = n }
-
-// SetTracer installs a tracer that observes process state transitions.
-// A nil tracer disables tracing.
-func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
-
-// Tracer returns the installed tracer, or nil.
-func (k *Kernel) Tracer() Tracer { return k.tracer }
 
 // fatal is the kernel's one cold path for misuse panics. Keeping the
 // formatting out of line keeps it out of the hot entry points.
@@ -471,9 +465,8 @@ func (k *Kernel) NextEventTime() Time {
 	return Infinity
 }
 
-// shutdownProcs terminates all parked processes so their goroutines exit.
-// Called when Run drains the queue; processes receive ErrShutdown from
-// their blocking call and are expected to return promptly.
+// shutdownProcs unwinds every parked process so its goroutine exits.
+// Called when Run drains the queue.
 func (k *Kernel) shutdownProcs() {
 	for len(k.procs) > 0 {
 		var p *Proc
@@ -483,28 +476,6 @@ func (k *Kernel) shutdownProcs() {
 				p = q
 			}
 		}
-		p.kill(ErrShutdown)
+		p.kill()
 	}
-}
-
-// Diagnose lists the live (not finished) processes and the blocking call
-// each is parked in — the first thing to look at when a simulation drains
-// its queue while work seems unfinished (a deadlocked rendezvous, a
-// receive nobody will satisfy). Results are sorted by process id for
-// determinism.
-func (k *Kernel) Diagnose() []string {
-	procs := make([]*Proc, 0, len(k.procs))
-	for p := range k.procs {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
-	out := make([]string, 0, len(procs))
-	for _, p := range procs {
-		where := p.blockedWhy()
-		if where == "" {
-			where = "runnable"
-		}
-		out = append(out, fmt.Sprintf("%s: %s", p.name, where))
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -303,29 +302,6 @@ func TestPropertyDeterminism(t *testing.T) {
 				t.Fatalf("seed %d: firing %d differs: %v vs %v", seed, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-func TestDiagnoseNamesBlockedProcs(t *testing.T) {
-	k := NewKernel()
-	c := NewChan[int](k, "stuck-mailbox")
-	k.Spawn("consumer", func(p *Proc) { c.Recv(p) })
-	k.Spawn("sleeper", func(p *Proc) { p.Wait(100) })
-	k.RunUntil(1)
-	diags := k.Diagnose()
-	if len(diags) != 2 {
-		t.Fatalf("diagnose: %v", diags)
-	}
-	joined := diags[0] + " | " + diags[1]
-	if !strings.Contains(joined, "consumer: Recv stuck-mailbox") {
-		t.Errorf("missing consumer diagnosis: %v", diags)
-	}
-	if !strings.Contains(joined, "sleeper: Wait") {
-		t.Errorf("missing sleeper diagnosis: %v", diags)
-	}
-	k.Run() // drain; shutdown unblocks everyone
-	if len(k.Diagnose()) != 0 {
-		t.Errorf("diagnose after shutdown: %v", k.Diagnose())
 	}
 }
 

@@ -1,5 +1,17 @@
 package sim
 
+import "errors"
+
+// Errors that end a blocking episode.
+var (
+	// ErrInterrupted ends an episode cut short by Interrupt.
+	ErrInterrupted = errors.New("sim: interrupted")
+	// ErrShutdown unwinds a process parked when the kernel drains.
+	ErrShutdown = errors.New("sim: shutdown")
+	// ErrTimeout ends an episode whose deadline passed.
+	ErrTimeout = errors.New("sim: timeout")
+)
+
 // Resumer is a Task's owner: the state machine the task continues when
 // it starts and whenever one of its blocking episodes ends.
 type Resumer interface {

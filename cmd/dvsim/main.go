@@ -31,7 +31,6 @@ import (
 	"dvsim/internal/buildinfo"
 	"dvsim/internal/core"
 	"dvsim/internal/fault"
-	"dvsim/internal/governor"
 	"dvsim/internal/manifest"
 	"dvsim/internal/report"
 	"dvsim/internal/service"
@@ -176,9 +175,9 @@ type remoteRun struct {
 	aggCSV     string
 	rotation   int
 	governor   string
-	faultsFile string
+	faults     *fault.Scenario
 	assertSpec *assert.Spec
-	paramsFile string
+	platform   *core.PlatformConfig
 	telemetryW io.Writer
 	close      func()
 }
@@ -219,13 +218,8 @@ func runRemote(r remoteRun) {
 		fmt.Fprintln(os.Stderr, "dvsim: -remote needs -exp/-run or -manifest to know what to submit")
 		os.Exit(2)
 	}
-	if r.faultsFile != "" {
-		sc, err := fault.LoadFile(r.faultsFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		b, err := json.Marshal(sc)
+	if r.faults != nil {
+		b, err := json.Marshal(r.faults)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -240,20 +234,7 @@ func runRemote(r remoteRun) {
 		}
 		sub.Assert = b
 	}
-	if r.paramsFile != "" {
-		f, err := os.Open(r.paramsFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		pc, err := core.LoadPlatformConfig(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sub.Platform = &pc
-	}
+	sub.Platform = r.platform
 
 	client := &service.Client{Base: r.base}
 	info, err := client.Submit(context.Background(), sub, out)
@@ -366,6 +347,29 @@ func main() {
 		}
 		spec = s
 	}
+	var platform *core.PlatformConfig
+	if *paramsFile != "" {
+		f, err := os.Open(*paramsFile)
+		if err == nil {
+			var pc core.PlatformConfig
+			pc, err = core.LoadPlatformConfig(f)
+			f.Close()
+			platform = &pc
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dvsim: -params: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	var faults *fault.Scenario
+	if *faultsFile != "" {
+		sc, err := fault.LoadFile(*faultsFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dvsim: -faults: %v\n", err)
+			os.Exit(2)
+		}
+		faults = sc
+	}
 
 	stopProf, err := bench.StartProfiles(*cpuprofile, *memprofile, *traceFile)
 	if err != nil {
@@ -391,9 +395,9 @@ func main() {
 			aggCSV:     *aggCSV,
 			rotation:   *rotation,
 			governor:   *governorFlag,
-			faultsFile: *faultsFile,
+			faults:     faults,
 			assertSpec: spec,
-			paramsFile: *paramsFile,
+			platform:   platform,
 			telemetryW: telemetryW,
 			close:      telemetryClose,
 		})
@@ -471,39 +475,16 @@ func main() {
 	}
 
 	p := core.DefaultParams()
-	if *paramsFile != "" {
-		f, err := os.Open(*paramsFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		p, err = core.LoadPlatform(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if platform != nil {
+		p, err = platform.Params()
 	}
-	if *rotation > 0 {
-		p.RotationPeriod = *rotation
+	if err == nil {
+		p, err = manifest.Settings{Rotation: *rotation, Governor: *governorFlag, Faults: faults, Assert: spec}.Apply(p)
 	}
-	if *faultsFile != "" {
-		sc, err := fault.LoadFile(*faultsFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		p.Faults = sc
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dvsim: %v\n", err)
+		os.Exit(2)
 	}
-	if *governorFlag != "" {
-		gspec, err := governor.ParseSpec(*governorFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		p.Governor = gspec
-	}
-	p.Assertions = spec
 	switch *batFlag {
 	case "twowell":
 		// Default.
@@ -578,7 +559,7 @@ func main() {
 		}
 		window := *until
 		if window <= 0 {
-			window = 30 * 3600
+			window = core.DefaultTelemetryWindowS
 		}
 		spec := core.Spec{ID: id, Params: p, UntilS: window}
 		out, err := core.Simulate(context.Background(), spec, core.Sinks{Log: telemetryW, Telemetry: true})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,11 +53,26 @@ func TestTelemetryNoIOExperiment(t *testing.T) {
 }
 
 // TestBadSpecExitsTwo: a spec the simulator rejects is one line on
-// stderr and exit code 2, not a panic.
+// stderr and exit code 2, not a panic: bad flags, bad spec files and
+// runfiles whose lines cannot run.
 func TestBadSpecExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	for _, args := range [][]string{
 		{"-exp", "9Z"},
 		{"-exp", "3A", "-telemetry", "-", "-until", "60"},
+		{"-exp", "2", "-governor", "interval:alpha=2"},
+		{"-exp", "2", "-governor", "buffer:hi=1e300"},
+		{"-exp", "2", "-faults", file("faults.json", `{"links": [`)},
+		{"-exp", "1", "-params", file("params.json", `{"frame_delay_s": "slow"}`)},
+		{"-manifest", file("governor.toml", "experiment, governor\n\"2\", \"interval:alpha=2\"\n")},
+		{"-manifest", file("infeasible.toml", "experiment, d, frames\n\"2\", 0.5, 5\n")},
 	} {
 		_, stderr, code := dvsim(t, args...)
 		if code != 2 {

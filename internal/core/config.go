@@ -122,9 +122,7 @@ func (pc PlatformConfig) Params() (Params, error) {
 	if err := pc.Retry.Validate(); err != nil {
 		return Params{}, err
 	}
-	// Construct, not just Validate: tuning range errors (alpha outside
-	// (0, 1], negative imax, …) surface at load time, not mid-run.
-	if _, err := pc.Governor.New(); err != nil {
+	if err := pc.Governor.Validate(); err != nil {
 		return Params{}, err
 	}
 	return Params{

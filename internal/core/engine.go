@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dvsim/internal/assert"
 	"dvsim/internal/atr"
 	"dvsim/internal/battery"
 	"dvsim/internal/cpu"
@@ -35,6 +36,8 @@ type plan struct {
 	native    *Native
 	faults    *fault.Scenario
 	maxFrames int
+	// assertions is the engine the run's catalog compiles to, if any.
+	assertions *assert.Engine
 
 	// Observation, filled by Simulate from the Sinks: trace records
 	// mode spans, instrument attaches a metrics registry, onGovern

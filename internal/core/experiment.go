@@ -211,6 +211,11 @@ func DefaultFaultScenario() *fault.Scenario {
 // hot path.
 const DefaultSamplePeriodS = 60.0
 
+// DefaultTelemetryWindowS is a telemetry run's window when the caller
+// gives none (dvsim -until 0, a dvsimd envelope without until_s): 30
+// simulated hours, past every battery death.
+const DefaultTelemetryWindowS = 30 * 3600
+
 // stagesFor derives the per-node configuration of a pipeline
 // experiment: its stages, and whether the recovery protocol and node
 // rotation are on.

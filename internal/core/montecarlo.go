@@ -38,7 +38,7 @@ func MonteCarlo(s Spec, warmS float64, seeds []uint64, workers int) (float64, []
 	if warmS <= 0 {
 		return 0, nil, specErr("non-positive warm point %v", warmS)
 	}
-	if _, err := s.plan(); err != nil {
+	if err := s.Check(); err != nil {
 		return 0, nil, err
 	}
 	d := s.Params.FrameDelayS

@@ -128,10 +128,7 @@ func simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, *merger, error) {
 	if err != nil {
 		return Outcome{}, nil, err
 	}
-	eng, err := assert.New(s.Params.Assertions)
-	if err != nil {
-		return Outcome{}, nil, specErr("%v", err)
-	}
+	eng := pl.assertions
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, nil, err
 	}
@@ -221,12 +218,28 @@ func simulateAll(specs []Spec, workers int) ([]Outcome, error) {
 	return outs, nil
 }
 
+// Check returns the error Simulate would return for the spec before it
+// runs anything, or nil: an unknown experiment, 3A without a governor,
+// a platform with no feasible partition for the experiment, a bad
+// governor or assertion catalog. Every such error wraps ErrBadSpec.
+func (s Spec) Check() error {
+	_, err := s.plan()
+	return err
+}
+
 // plan resolves the spec onto an engine, rejecting what cannot run.
 func (s *Spec) plan() (plan, error) {
 	p := s.Params
 	pl := plan{p: p, maxFrames: s.Frames, ack: s.Ack, native: s.Native, faults: p.Faults}
 	if s.Frames < 0 || s.UntilS < 0 {
 		return pl, specErr("negative bound (frames %d, until %v s)", s.Frames, s.UntilS)
+	}
+	if err := p.Governor.Validate(); err != nil {
+		return pl, specErr("%v", err)
+	}
+	var err error
+	if pl.assertions, err = assert.New(p.Assertions); err != nil {
+		return pl, specErr("%v", err)
 	}
 	systems := 0
 	for _, set := range []bool{s.ID != "", len(s.Stages) > 0, s.Graph != nil} {
@@ -257,7 +270,6 @@ func (s *Spec) plan() (plan, error) {
 		case Exp3A:
 			pl.label = "Governor study: " + p.Governor.String()
 		}
-		var err error
 		pl.stages, pl.ack, pl.rotation, err = stagesFor(s.ID, p)
 		return pl, err
 	}

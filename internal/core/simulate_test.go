@@ -44,7 +44,8 @@ func staticParams() Params {
 }
 
 // TestSimulateRejectsBadSpecs: every spec the simulator cannot run is
-// an error wrapping ErrBadSpec, never a panic.
+// an error wrapping ErrBadSpec, never a panic, and Check names the same
+// error without running anything.
 func TestSimulateRejectsBadSpecs(t *testing.T) {
 	p := staticParams()
 	one := []StageConfig{{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint}}
@@ -54,6 +55,10 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 	broken := &assert.Spec{Name: "bad", Assertions: []assert.Assertion{{Name: "x", Type: "no-such-operator"}}}
 	withCatalog := p
 	withCatalog.Assertions = broken
+	badGovernor := p
+	badGovernor.Governor = governor.Spec{Name: "interval", Tuning: map[string]float64{"alpha": 2}}
+	tight := p
+	tight.FrameDelayS = 0.5
 	for _, c := range []struct {
 		name string
 		spec Spec
@@ -71,10 +76,15 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 		{"negative frames", Spec{ID: Exp1, Params: p, Frames: -1}},
 		{"negative window", Spec{ID: Exp1, Params: p, UntilS: -1}},
 		{"bad catalog", Spec{ID: Exp1, Params: withCatalog}},
+		{"governor tuning out of range", Spec{ID: Exp2, Params: badGovernor}},
+		{"no feasible partition", Spec{ID: Exp2, Params: tight}},
 	} {
 		_, err := Simulate(context.Background(), c.spec, Sinks{})
 		if !errors.Is(err, ErrBadSpec) {
 			t.Errorf("%s: err = %v, want ErrBadSpec", c.name, err)
+		}
+		if cerr := c.spec.Check(); cerr == nil || err == nil || cerr.Error() != err.Error() {
+			t.Errorf("%s: Check() = %v, Simulate %v", c.name, cerr, err)
 		}
 	}
 }

@@ -242,6 +242,13 @@ func TestSpecRejects(t *testing.T) {
 		"static:alpha=0.5", // static has no knobs
 		"pid:kp",           // malformed tuning
 		"pid:kp=fast",      // non-numeric value
+		// Values New would refuse: ParseSpec refuses them first.
+		"interval:alpha=2",
+		"pid:imax=-1",
+		"buffer:hi=0",
+		"buffer:hi=1e300", // past the int range
+		"pid:kp=NaN",
+		"interval:margin_s=Inf",
 	} {
 		if _, err := ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", text)

@@ -2,6 +2,8 @@ package governor
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +44,8 @@ func Knobs(name string) []string {
 	return out
 }
 
-// Validate checks the policy name and every tuning key.
+// Validate checks the policy name, every tuning key and every tuning
+// value: New succeeds on every spec it accepts.
 func (s Spec) Validate() error {
 	if !s.Enabled() {
 		if len(s.Tuning) > 0 {
@@ -56,14 +59,7 @@ func (s Spec) Validate() error {
 	}
 	var bad []string
 	for k := range s.Tuning {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(allowed, k) {
 			bad = append(bad, k)
 		}
 	}
@@ -71,6 +67,22 @@ func (s Spec) Validate() error {
 		sort.Strings(bad)
 		return fmt.Errorf("governor: policy %q has no knob %s (have %s)",
 			s.Name, strings.Join(bad, ", "), strings.Join(Knobs(s.Name), ", "))
+	}
+	// Each value must lie where its policy is defined; the defaults do,
+	// so a spec that validates always constructs.
+	for _, k := range allowed {
+		v, ok := s.Tuning[k]
+		switch {
+		case !ok:
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("governor: %s %s %v is not finite", s.Name, k, v)
+		case k == "alpha" && (v <= 0 || v > 1):
+			return fmt.Errorf("governor: %s alpha %v outside (0, 1]", s.Name, v)
+		case k == "imax" && v < 0:
+			return fmt.Errorf("governor: %s imax %v negative", s.Name, v)
+		case k == "hi" && (v < 1 || v >= math.MaxInt):
+			return fmt.Errorf("governor: %s hi %v outside [1, %d]", s.Name, v, math.MaxInt)
+		}
 	}
 	return nil
 }
@@ -84,7 +96,7 @@ func (s Spec) knob(key string, def float64) float64 {
 }
 
 // New constructs the governor the spec selects, tuning applied. It
-// errors on an unknown policy or knob; an empty spec yields nil (no
+// errors on a spec Validate rejects; an empty spec yields nil (no
 // governor) with no error.
 func (s Spec) New() (Governor, error) {
 	if err := s.Validate(); err != nil {
@@ -99,9 +111,6 @@ func (s Spec) New() (Governor, error) {
 		g := NewInterval()
 		g.Alpha = s.knob("alpha", g.Alpha)
 		g.MarginS = s.knob("margin_s", g.MarginS)
-		if g.Alpha <= 0 || g.Alpha > 1 {
-			return nil, fmt.Errorf("governor: interval alpha %v outside (0, 1]", g.Alpha)
-		}
 		return g, nil
 	case "pid":
 		g := NewPID()
@@ -112,12 +121,6 @@ func (s Spec) New() (Governor, error) {
 		g.IMax = s.knob("imax", g.IMax)
 		g.Alpha = s.knob("alpha", g.Alpha)
 		g.MarginS = s.knob("margin_s", g.MarginS)
-		if g.Alpha <= 0 || g.Alpha > 1 {
-			return nil, fmt.Errorf("governor: pid alpha %v outside (0, 1]", g.Alpha)
-		}
-		if g.IMax < 0 {
-			return nil, fmt.Errorf("governor: pid imax %v negative", g.IMax)
-		}
 		return g, nil
 	case "buffer":
 		g := NewBuffer()
@@ -125,9 +128,6 @@ func (s Spec) New() (Governor, error) {
 		g.WaitHiS = s.knob("wait_hi_s", g.WaitHiS)
 		g.LoSlackS = s.knob("lo_slack_s", g.LoSlackS)
 		g.MarginS = s.knob("margin_s", g.MarginS)
-		if g.Hi < 1 {
-			return nil, fmt.Errorf("governor: buffer hi %d below 1", g.Hi)
-		}
 		return g, nil
 	default:
 		// Validate covered this; kept for defense.

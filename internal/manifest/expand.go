@@ -9,7 +9,6 @@ import (
 	"dvsim/internal/assert"
 	"dvsim/internal/core"
 	"dvsim/internal/fault"
-	"dvsim/internal/governor"
 	"dvsim/internal/topology"
 )
 
@@ -52,8 +51,8 @@ type Experiment struct {
 	Platform core.PlatformConfig
 }
 
-// ExperimentNodes maps each paper experiment to its node count.
-func ExperimentNodes(id core.ID) int {
+// experimentNodes maps each paper experiment to its node count.
+func experimentNodes(id core.ID) int {
 	switch id {
 	case core.Exp2, core.Exp2A, core.Exp2B, core.Exp2C, core.Exp2D, core.Exp3A:
 		return 2
@@ -166,48 +165,31 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 		return nil, fmt.Errorf("a line needs either an experiment or a topology")
 	}
 
-	// Numeric knobs shared by both line kinds.
+	// The cells this line sets, parsed.
 	var err error
 	if e.Frames, err = m.intValue(row, "frames", 0); err != nil {
 		return nil, err
 	}
-	rotation, err := m.intValue(row, "rotation", 0)
-	if err != nil {
+	set := Settings{Governor: m.value(row, "governor")}
+	if set.Rotation, err = m.intValue(row, "rotation", 0); err != nil {
 		return nil, err
 	}
-	if d, err := m.floatValue(row, "d", 0); err != nil {
+	if set.D, err = m.floatValue(row, "d", 0); err != nil {
 		return nil, err
-	} else if d < 0 {
-		return nil, fmt.Errorf("d must be positive, got %g", d)
-	} else if d > 0 {
-		e.Params.FrameDelayS = d
-	}
-
-	// Governor, fault scenario, assertion catalog.
-	if text := m.value(row, "governor"); text != "" {
-		spec, err := governor.ParseSpec(text)
-		if err != nil {
-			return nil, err
-		}
-		e.Params.Governor = spec
 	}
 	if text := m.value(row, "faults"); text != "" {
-		sc, err := m.loadScenario(text)
-		if err != nil {
+		if set.Faults, err = m.loadScenario(text); err != nil {
 			return nil, err
 		}
-		e.Params.Faults = sc
 	}
 	if text := m.value(row, "assert"); text != "" {
 		path, err := m.Resolve(text)
 		if err != nil {
 			return nil, err
 		}
-		spec, err := assert.LoadFile(path)
-		if err != nil {
+		if set.Assert, err = assert.LoadFile(path); err != nil {
 			return nil, err
 		}
-		e.Params.Assertions = spec
 	}
 
 	// Line identity: a paper experiment or a built topology.
@@ -215,33 +197,21 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 		if err := m.rejectShapeKeys(row, "experiment lines"); err != nil {
 			return nil, err
 		}
-		id := core.ID(expText)
-		if !validExperiment(id) {
-			return nil, fmt.Errorf("unknown experiment %q (want one of %v or 3A)", expText, core.AllExperiments)
-		}
-		if id == core.Exp3A && !e.Params.Governor.Enabled() {
-			return nil, fmt.Errorf("experiment 3A needs a governor (set the governor column or a global default)")
-		}
-		if rotation > 0 {
-			e.Params.RotationPeriod = rotation
-		}
-		e.ID = id
-		e.Nodes = ExperimentNodes(id)
+		e.ID = core.ID(expText)
 	} else {
 		g, kind, shape, err := m.buildTopology(row, topoText)
 		if err != nil {
 			return nil, err
 		}
-		if rotation > 1 && kind != "serial" {
+		if set.Rotation > 1 && kind != "serial" {
 			return nil, fmt.Errorf("rotation needs a serial topology, not %q", kind)
 		}
 		e.Kind = kind
 		e.Graph = g
 		e.Shape = shape
-		e.Nodes = len(g.Nodes)
-		// A topology line rotates only when it asks to: the platform's
-		// default period belongs to experiment 2C.
-		e.Params.RotationPeriod = rotation
+	}
+	if err := e.Resolve(set); err != nil {
+		return nil, err
 	}
 
 	e.Label = m.value(row, "label")
@@ -522,17 +492,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// validExperiment reports whether id names a runnable experiment line.
-func validExperiment(id core.ID) bool {
-	if id == core.Exp3A {
-		return true
-	}
-	for _, known := range core.AllExperiments {
-		if id == known {
-			return true
-		}
-	}
-	return false
 }

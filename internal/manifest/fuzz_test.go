@@ -32,6 +32,10 @@ func FuzzManifestLoad(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// Lines that parse but cannot run: a governor tuning value out of
+	// range, and a frame budget no two-node partition fits.
+	f.Add([]byte("experiment, governor\n\"2\", \"interval:alpha=2\"\n"))
+	f.Add([]byte("experiment, d, frames\n\"2\", 0.5, 5\n"))
 	f.Fuzz(func(t *testing.T, text []byte) {
 		m, err := Load(bytes.NewReader(text))
 		if err != nil {

@@ -106,6 +106,14 @@ func TestExpandRejects(t *testing.T) {
 			"experiment, d\n\"1\", -2\n", "d must be positive"},
 		{"bad governor",
 			"experiment, governor\n\"1\", \"warp\"\n", "warp"},
+		// Lines that parse but that core cannot run fail here, not in
+		// a worker.
+		{"governor tuning out of range",
+			"experiment, governor\n\"2\", \"interval:alpha=2\"\n", "outside (0, 1]"},
+		{"infeasible d",
+			"experiment, d, frames\n\"2\", 0.5, 5\n", "no feasible two-node partition"},
+		{"negative rotation",
+			"topology, nodes, rotation\n\"serial\", 2, -5\n", "rotation must be positive"},
 		// Fleet shapes past the node limit, including sizes whose node
 		// count overflows an int.
 		{"huge serial",

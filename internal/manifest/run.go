@@ -21,13 +21,11 @@ type Result struct {
 
 // Run executes one sweep point through core.Simulate: a paper
 // experiment or a topology graph under the line's resolved Params and
-// frame bound. The run is deterministic for a fixed manifest. Expand
-// validated the line's shape; the one spec error left, a platform on
-// which a two-node experiment has no feasible partition, panics as
-// core.RunExperiment does.
+// frame bound. The run is deterministic for a fixed manifest. Resolve
+// checked its spec, so only an Experiment assembled by hand can fail
+// here; that panics, as core.RunExperiment does.
 func (e Experiment) Run() core.Outcome {
-	spec := core.Spec{ID: e.ID, Graph: e.Graph, Label: e.Label, Params: e.Params, Frames: e.Frames}
-	out, err := core.Simulate(context.Background(), spec, core.Sinks{})
+	out, err := core.Simulate(context.Background(), e.Spec(), core.Sinks{})
 	if err != nil {
 		panic(fmt.Sprintf("manifest: line %d: %v", e.Line, err))
 	}

@@ -44,6 +44,11 @@ func FuzzSubmission(f *testing.F) {
 		}
 		envelopes = append(envelopes, string(b))
 	}
+	for _, runfile := range unrunnableRunfiles {
+		envelopes = append(envelopes, `{"manifest": `+jsonString(runfile)+`}`)
+		f.Add([]byte(runfile), true)
+	}
+	envelopes = append(envelopes, `{"experiment": "2", "d": 0.5}`)
 	for _, e := range envelopes {
 		f.Add([]byte(e), false)
 	}

@@ -102,7 +102,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Cache exposes the store (the load-test harness reads its stats).
+// Cache exposes the store; cmd/dvsimd reads its stats.
 func (s *Server) Cache() *Cache { return s.cache }
 
 func (s *Server) worker() {
@@ -208,7 +208,9 @@ func (s *Server) newJobLocked(res *resolved) *job {
 // stream as the simulation advances, so followers see telemetry live.
 func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) error {
 	defer j.stream.close()
-	_, err := core.Simulate(ctx, res.spec, core.Sinks{Log: j.stream, Telemetry: true})
+	spec := res.run.Spec()
+	spec.UntilS = res.untilS
+	_, err := core.Simulate(ctx, spec, core.Sinks{Log: j.stream, Telemetry: true})
 	return err
 }
 

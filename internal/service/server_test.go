@@ -257,9 +257,28 @@ func TestAsyncCancel(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: malformed submissions are client errors.
+// Runfiles whose lines parse but cannot run: a governor tuning value
+// out of range, and a frame budget no two-node partition fits.
+var unrunnableRunfiles = []string{
+	"experiment, governor\n\"2\", \"interval:alpha=2\"\n",
+	"experiment, d, frames\n\"2\", 0.5, 5\n",
+}
+
+// TestSubmitValidation: malformed submissions, and submissions that
+// parse but cannot run, are client errors, and none stops the server.
 func TestSubmitValidation(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
+	post := func(body, contentType string) {
+		t.Helper()
+		resp, err := http.Post(c.Base+"/api/v1/submit", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submission %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
 	cases := []string{
 		`{"experiment": "9Z"}`,
 		`{"experiment": "1", "manifest": "x"}`,
@@ -273,16 +292,18 @@ func TestSubmitValidation(t *testing.T) {
 		// Past the runfile's expansion limit: refused before any seed
 		// is allocated.
 		`{"manifest": "experiment, seeds\n\"2D\", \"0..999999\"\n"}`,
+		`{"experiment": "2", "d": 0.5}`,
+		`{"experiment": "2", "governor": "interval:alpha=2"}`,
+	}
+	for _, runfile := range unrunnableRunfiles {
+		cases = append(cases, `{"manifest": `+jsonString(runfile)+`}`)
+		post(runfile, "application/toml")
 	}
 	for _, body := range cases {
-		resp, err := http.Post(c.Base+"/api/v1/submit", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submission %s: status %d, want 400", body, resp.StatusCode)
-		}
+		post(body, "application/json")
+	}
+	if code, body := postSubmit(t, c, Submission{Experiment: "1", UntilS: 60}); code != http.StatusOK {
+		t.Fatalf("after the rejected submissions: HTTP %d %s", code, body)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"dvsim/internal/assert"
 	"dvsim/internal/core"
 	"dvsim/internal/fault"
-	"dvsim/internal/governor"
 	"dvsim/internal/manifest"
 )
 
@@ -50,10 +49,6 @@ type Submission struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// defaultTelemetryWindowS mirrors dvsim -until 0: 30 simulated hours,
-// past every battery death.
-const defaultTelemetryWindowS = 30 * 3600
-
 // resolved is a submission after server-side resolution: the cache key
 // plus everything a worker needs to produce the artifact.
 type resolved struct {
@@ -62,8 +57,9 @@ type resolved struct {
 	desc     string
 	priority Priority
 
-	// Single run:
-	spec core.Spec
+	// Single run, logged over its first untilS simulated seconds:
+	run    manifest.Experiment
+	untilS float64
 
 	// Sweep:
 	exps []manifest.Experiment
@@ -114,10 +110,9 @@ func (s *Server) resolve(sub Submission) (*resolved, error) {
 		}, nil
 	}
 
-	id := core.ID(sub.Experiment)
-	if !validExperiment(id) {
-		return nil, fmt.Errorf("unknown experiment %q", sub.Experiment)
-	}
+	// A single run resolves like a one-line runfile: this selects the
+	// platform and decodes the documents, and the manifest resolver
+	// applies and checks everything else.
 	pc := core.DefaultPlatformConfig()
 	if sub.Platform != nil {
 		pc = *sub.Platform
@@ -126,58 +121,27 @@ func (s *Server) resolve(sub Submission) (*resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sub.D < 0 {
-		return nil, fmt.Errorf("d must be positive, got %g", sub.D)
-	}
-	if sub.D > 0 {
-		p.FrameDelayS = sub.D
-	}
-	if sub.Rotation < 0 {
-		return nil, fmt.Errorf("rotation must be positive, got %d", sub.Rotation)
-	}
-	if sub.Rotation > 0 {
-		p.RotationPeriod = sub.Rotation
-	}
-	if sub.Governor != "" {
-		spec, err := governor.ParseSpec(sub.Governor)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := spec.New(); err != nil {
-			return nil, err
-		}
-		p.Governor = spec
-	}
+	set := manifest.Settings{D: sub.D, Rotation: sub.Rotation, Governor: sub.Governor}
 	if sub.Faults != nil {
-		sc, err := s.resolveFaults(sub.Faults)
-		if err != nil {
+		if set.Faults, err = s.resolveFaults(sub.Faults); err != nil {
 			return nil, err
 		}
-		p.Faults = sc
 	}
 	if sub.Assert != nil {
-		spec, err := s.resolveAssert(sub.Assert)
-		if err != nil {
+		if set.Assert, err = s.resolveAssert(sub.Assert); err != nil {
 			return nil, err
 		}
-		p.Assertions = spec
 	}
-	if id == core.Exp3A && !p.Governor.Enabled() {
-		return nil, fmt.Errorf("experiment 3A needs a governor")
+	e := manifest.Experiment{ID: core.ID(sub.Experiment), Params: p, Platform: pc}
+	if err := e.Resolve(set); err != nil {
+		return nil, err
 	}
 	until := sub.UntilS
 	if until < 0 {
 		return nil, fmt.Errorf("until_s must be positive, got %g", until)
 	}
 	if until == 0 {
-		until = defaultTelemetryWindowS
-	}
-
-	e := manifest.Experiment{
-		ID:       id,
-		Nodes:    manifest.ExperimentNodes(id),
-		Params:   p,
-		Platform: pc,
+		until = core.DefaultTelemetryWindowS
 	}
 	key, err := e.KeySpec(manifest.OutputTelemetry, until).Key()
 	if err != nil {
@@ -186,9 +150,10 @@ func (s *Server) resolve(sub Submission) (*resolved, error) {
 	return &resolved{
 		key:      key,
 		kind:     "run",
-		desc:     fmt.Sprintf("exp %s, %.0f s telemetry", id, until),
+		desc:     fmt.Sprintf("exp %s, %.0f s telemetry", e.ID, until),
 		priority: prio,
-		spec:     core.Spec{ID: id, Params: p, UntilS: until},
+		run:      e,
+		untilS:   until,
 	}, nil
 }
 
@@ -272,16 +237,4 @@ func asString(raw json.RawMessage) (string, bool) {
 		return "", false
 	}
 	return v, true
-}
-
-func validExperiment(id core.ID) bool {
-	if id == core.Exp3A {
-		return true
-	}
-	for _, known := range core.AllExperiments {
-		if id == known {
-			return true
-		}
-	}
-	return false
 }

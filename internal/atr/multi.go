@@ -88,7 +88,7 @@ func (m *MultiPayload) Results() []Result {
 // targets: detection scans the frame once; every other block runs per
 // target. It is the timing model behind the multi-target workload variant
 // (see examples/bufferdvs).
-func (p Profile) MultiRefSeconds(s Span, n int) float64 {
+func (p *Profile) MultiRefSeconds(s Span, n int) float64 {
 	if n < 0 {
 		panic("atr: negative target count")
 	}

@@ -118,7 +118,7 @@ func (s Span) String() string {
 // RefSeconds is the execution time of the span at the reference clock.
 // The full span uses the amortized whole-program time; partial spans sum
 // their isolated block times (see WholeRefS).
-func (p Profile) RefSeconds(s Span) float64 {
+func (p *Profile) RefSeconds(s Span) float64 {
 	if s == FullSpan {
 		return p.WholeRefS
 	}
@@ -131,7 +131,7 @@ func (p Profile) RefSeconds(s Span) float64 {
 
 // InKB is the payload the span receives: the raw frame for a span starting
 // at the first block, otherwise the predecessor block's output.
-func (p Profile) InKB(s Span) float64 {
+func (p *Profile) InKB(s Span) float64 {
 	if s.First == BlockDetect {
 		return p.InputKB
 	}
@@ -140,7 +140,7 @@ func (p Profile) InKB(s Span) float64 {
 
 // OutKB is the payload the span sends onward (the final result size for a
 // span ending at the last block).
-func (p Profile) OutKB(s Span) float64 { return p.InterKB[s.Last] }
+func (p *Profile) OutKB(s Span) float64 { return p.InterKB[s.Last] }
 
 // SplitAfter partitions the full algorithm into two spans, cutting after
 // block b. The paper's three two-node schemes (Fig 8) are SplitAfter(0),

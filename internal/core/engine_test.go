@@ -241,6 +241,31 @@ func TestAllocsPerRun(t *testing.T) {
 			t.Errorf("%s: %d allocs, %d bytes per run; bounds %d, %d", id, allocs, bytes, b.allocs, b.bytes)
 		}
 	}
+	// Engine paths no paper experiment takes: a tree fleet (graph
+	// wiring, fan-in gathering) and a pid-governed 3A run (the
+	// governor's frame-boundary loop). Measured on linux/amd64 with Go
+	// 1.24 while PROC still copied its Role: tree 145 allocs and 26,656
+	// bytes, 3A 100 and 39,944; the bytes bounds allow 1.10× of those.
+	// Keeping only the span took 128 bytes off each frame loop (25,781
+	// and 39,688 bytes) and no allocation.
+	specs := map[string]Spec{}
+	for _, c := range engineSpecs() {
+		specs[c.name] = c.spec
+	}
+	for _, c := range []struct {
+		name          string
+		allocs, bytes uint64
+	}{
+		{"tree", 145, 29300},
+		{"3A", 100, 43900},
+	} {
+		allocs, bytes := perRun(3, func() {
+			simulateOK(t, context.Background(), specs[c.name], Sinks{})
+		})
+		if allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("%s: %d allocs, %d bytes per run; bounds %d, %d", c.name, allocs, bytes, c.allocs, c.bytes)
+		}
+	}
 	// Logged runs: exp 2D's first hour of telemetry into a discarding
 	// writer, plain and checked against a catalog it breaks, so the
 	// assertion pass and the violation source run too. The record path

@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 
+	"dvsim/internal/atr"
 	"dvsim/internal/cpu"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
@@ -64,9 +65,10 @@ type loop struct {
 	t0    sim.Time
 	grace bool
 	msg   serial.Message
-	// PROC: its start, span, input and continuation.
+	// PROC: its start, the span the stage function runs on, its input
+	// and continuation.
 	pt0     sim.Time
-	role    Role
+	span    atr.Span
 	in      any
 	next    computeNext
 	rotated bool // the frame triggers a rotation
@@ -95,7 +97,7 @@ func (l *loop) Resume(err error) {
 			return
 		}
 		if l.n.cfg.NoIO {
-			l.compute(*l.n.role(), l.n.role().Compute, nil, cNoIO)
+			l.compute(l.n.role(), l.n.role().Compute, nil, cNoIO)
 			return
 		}
 		l.iterate()
@@ -270,15 +272,16 @@ func (l *loop) gather(msg serial.Message) {
 
 // process computes the frame's own span.
 func (l *loop) process() {
-	l.compute(*l.n.role(), l.n.computePoint(), l.payload, cFrame)
+	l.compute(l.n.role(), l.n.computePoint(), l.payload, cFrame)
 }
 
 // compute runs role's computation at operating point at on input in,
-// continuing at next.
-func (l *loop) compute(role Role, at cpu.OperatingPoint, in any, next computeNext) {
+// continuing at next. The role is read in place and only its span is
+// kept: a Role is too large to copy on every PROC.
+func (l *loop) compute(role *Role, at cpu.OperatingPoint, in any, next computeNext) {
 	n := l.n
 	l.pt0 = n.k.Now()
-	l.role, l.in, l.next, l.out = role, in, next, nil
+	l.span, l.in, l.next, l.out = role.Span, in, next, nil
 	n.power.Transition(cpu.Compute, at)
 	work := cpu.ScaledTime(n.refSeconds(role), at)
 	l.task.WaitUntil(n.k.Now() + sim.Duration(work))
@@ -291,14 +294,14 @@ func (l *loop) computed() {
 	n := l.n
 	n.met.procS.Observe(float64(n.k.Now() - l.pt0))
 	if n.cfg.Exec != nil {
-		l.out = n.cfg.Exec(l.role.Span, l.in)
+		l.out = n.cfg.Exec(l.span, l.in)
 	}
 	n.idle()
 	switch l.next {
 	case cNoIO:
 		n.FramesProcessed++
 		n.met.frames.Inc()
-		l.compute(*n.role(), n.role().Compute, nil, cNoIO)
+		l.compute(n.role(), n.role().Compute, nil, cNoIO)
 	case cFrame:
 		l.processed()
 	case cMigrated:
@@ -416,7 +419,7 @@ func (l *loop) ackOutcome(err error) {
 			l.sendDone(false, false)
 			return
 		}
-		l.compute(absorbed, n.role().Compute, l.out, cMigrated)
+		l.compute(&absorbed, n.role().Compute, l.out, cMigrated)
 	default:
 		l.sendDone(false, false)
 	}

@@ -75,7 +75,7 @@ func (r *Role) stride() int {
 
 // refSeconds is the role's per-frame reference compute time: the
 // explicit override when set, the profiled span otherwise.
-func (n *Node) refSeconds(r Role) float64 {
+func (n *Node) refSeconds(r *Role) float64 {
 	if r.RefS > 0 {
 		return r.RefS
 	}
@@ -585,7 +585,7 @@ func (n *Node) migrateFrom(deadPhys int) (absorbed Role, ok bool) {
 	// times; the zero values keep profile-driven pipelines byte-stable.
 	var mergedRefS float64
 	if myRole.RefS > 0 || deadRole.RefS > 0 {
-		mergedRefS = n.refSeconds(myRole) + n.refSeconds(deadRole)
+		mergedRefS = n.refSeconds(&myRole) + n.refSeconds(&deadRole)
 	}
 	lastRole := myRole
 	if deadRole.Index > myRole.Index {

@@ -177,7 +177,18 @@ func (pw *Power) die() {
 
 // Transition switches the CPU to mode m at operating point op, settling
 // the battery for the segment just ended and re-arming the death event.
+//
+// A transition to the present mode and point at the instant of the last
+// settle is a no-op on a live meter whose death event is armed: there is
+// no segment to drain, no counter moves, and the battery and the draw
+// the death instant was predicted from are unchanged. It returns at
+// once instead of re-predicting the same instant.
 func (pw *Power) Transition(m cpu.Mode, op cpu.OperatingPoint) {
+	//lint:allow floateq identity of stored values: lastT is a copy of the clock taken at the last settle, never recomputed
+	if pw.k.Now() == pw.lastT && m == pw.cpu.Mode() && op == pw.cpu.Point() &&
+		!pw.dead && !pw.suspended && !pw.death.Canceled() {
+		return
+	}
 	pw.settle()
 	if m != pw.cpu.Mode() {
 		pw.modeTransitions.Inc()

@@ -6,6 +6,7 @@ import (
 
 	"dvsim/internal/battery"
 	"dvsim/internal/cpu"
+	"dvsim/internal/metrics"
 	"dvsim/internal/sim"
 )
 
@@ -110,5 +111,83 @@ func TestPowerFinishSettlesTail(t *testing.T) {
 	want := i * 7 / 3600
 	if got := pw.Battery().DeliveredMAh(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("delivered %v mAh, want %v", got, want)
+	}
+}
+
+// meterState is everything a transition may change, floats as bits so
+// "unchanged" means bit-identical.
+type meterState struct {
+	death, scheduled       uint64
+	canceled               bool
+	modeS, modeMAh         [cpu.NumModes]uint64
+	spans                  int
+	modeTrans, dvs, cpuDVS uint64
+}
+
+func readMeter(k *sim.Kernel, pw *Power, r *metrics.Registry) meterState {
+	st := meterState{
+		death:     math.Float64bits(float64(pw.death.Time())),
+		scheduled: k.Scheduled(),
+		canceled:  pw.death.Canceled(),
+		spans:     pw.Trace().Len(),
+		modeTrans: math.Float64bits(r.Counter("node_mode_transitions", "n").Value()),
+		dvs:       math.Float64bits(r.Counter("node_dvs_switches", "n").Value()),
+		cpuDVS:    uint64(pw.CPU().Switches()),
+	}
+	for m := cpu.Mode(0); m < cpu.NumModes; m++ {
+		st.modeS[m] = math.Float64bits(pw.ModeSeconds(m))
+		st.modeMAh[m] = math.Float64bits(pw.ModeMAh(m))
+	}
+	return st
+}
+
+// TestPowerSameInstantTransition: a transition to the present mode and
+// point at the instant of the last one changes nothing — not the death
+// instant, the per-mode accounting, the trace or the counters — and
+// does not touch the event queue. A same-instant change of mode or of
+// point still settles and re-arms, and so does a repeat after Finish
+// cancelled the death event.
+func TestPowerSameInstantTransition(t *testing.T) {
+	k := sim.NewKernel()
+	r := metrics.New(k)
+	c := cpu.New(nil, cpu.MaxPoint)
+	pw := NewPower(k, c, battery.NewTwoWell(100, 10, 1000, 1))
+	pw.SetMetrics(r, "n")
+	pw.EnableTrace()
+	pw.Transition(cpu.Compute, cpu.MaxPoint)
+	k.RunUntil(5) // the clock stands at 5 from here on
+	pw.Transition(cpu.Comm, cpu.MinPoint)
+	before := readMeter(k, pw, r)
+	pw.Transition(cpu.Comm, cpu.MinPoint)
+	if after := readMeter(k, pw, r); after != before {
+		t.Fatalf("same-instant no-op transition changed the meter:\n before %+v\n after  %+v", before, after)
+	}
+
+	for _, tc := range []struct {
+		name string
+		m    cpu.Mode
+		op   cpu.OperatingPoint
+	}{
+		{"mode", cpu.Idle, cpu.MinPoint},
+		{"point", cpu.Idle, cpu.MaxPoint},
+	} {
+		before := readMeter(k, pw, r)
+		pw.Transition(tc.m, tc.op)
+		after := readMeter(k, pw, r)
+		if after.scheduled != before.scheduled+1 || after.death == before.death {
+			t.Errorf("same-instant %s change did not re-arm death: before %+v, after %+v", tc.name, before, after)
+		}
+		if after.modeTrans == before.modeTrans && after.dvs == before.dvs {
+			t.Errorf("same-instant %s change moved no counter", tc.name)
+		}
+	}
+
+	pw.Finish()
+	if !pw.death.Canceled() {
+		t.Fatal("Finish left the death event armed")
+	}
+	pw.Transition(cpu.Idle, cpu.MaxPoint)
+	if pw.death.Canceled() {
+		t.Error("a same-instant repeat after Finish did not re-arm death")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -554,5 +555,21 @@ func TestRecvPassesUnacceptedBacklog(t *testing.T) {
 	// Both offers of t=1 queue before the receive wakes.
 	if c.Pending() != 0 || c.Stats().MaxPending != backlog+2 {
 		t.Fatalf("pending %d, max %d; want 0 and %d", c.Pending(), c.Stats().MaxPending, backlog+2)
+	}
+}
+
+// TestInPlaceResetsCoverEveryField: Send and SendReliable (through
+// begin and attempt) and Recv reset a reused Tx, its offer and an Rx
+// field by field instead of assigning a fresh literal. A field added
+// to one of them must be reset there too; these counts fail until the
+// reset and the count are updated together.
+func TestInPlaceResetsCoverEveryField(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want int
+	}{{Tx{}, 12}, {offer{}, 7}, {Rx{}, 10}} {
+		if got := reflect.TypeOf(c.v).NumField(); got != c.want {
+			t.Errorf("%T has %d fields, its in-place reset covers %d", c.v, got, c.want)
+		}
 	}
 }

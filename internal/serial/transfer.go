@@ -51,8 +51,9 @@ type Tx struct {
 // transaction time. The error is non-nil if the send timed out, was
 // interrupted (e.g. by battery death) or faulted on the wire.
 func (tx *Tx) Send(task *sim.Task, pt, dst *Port, msg Message, opts TxOpts) (done bool, err error) {
-	*tx = Tx{task: task, pt: pt, dst: dst, opts: opts, tries: 1}
-	return tx.attempt(msg)
+	tx.begin(task, pt, dst, &msg, opts)
+	tx.rp, tx.reliable = RetryPolicy{}, false
+	return tx.attempt()
 }
 
 // SendReliable is Send with bounded retransmission: a transfer that
@@ -62,8 +63,18 @@ func (tx *Tx) Send(task *sim.Task, pt, dst *Port, msg Message, opts TxOpts) (don
 // budget ends it with an error wrapping ErrRetriesExhausted. Each
 // attempt pays full wire time and honours opts.Deadline independently.
 func (tx *Tx) SendReliable(task *sim.Task, pt, dst *Port, msg Message, opts TxOpts, rp RetryPolicy) (done bool, err error) {
-	*tx = Tx{task: task, pt: pt, dst: dst, opts: opts, rp: rp, reliable: true, tries: 1}
-	return tx.attempt(msg)
+	tx.begin(task, pt, dst, &msg, opts)
+	tx.rp, tx.reliable = rp, true
+	return tx.attempt()
+}
+
+// begin resets the transfer in place for a new send of msg. Assigning a
+// whole Tx literal would build it in a temporary and copy all of it on
+// every transfer; attempt resets the rest of the offer.
+func (tx *Tx) begin(task *sim.Task, pt, dst *Port, msg *Message, opts TxOpts) {
+	tx.task, tx.pt, tx.dst, tx.opts = task, pt, dst, opts
+	tx.tries, tx.state, tx.verdict, tx.dur, tx.startup = 1, txIdle, FaultNone, 0, 0
+	tx.of.msg = *msg
 }
 
 // Step continues the transfer after its task resumed with err.
@@ -86,19 +97,20 @@ func (tx *Tx) Step(err error) (done bool, res error) {
 			return tx.end(err)
 		}
 		tx.tries++
-		return tx.attempt(tx.of.msg)
+		return tx.attempt()
 	}
 	panic("serial: Step on an idle transfer")
 }
 
-// attempt offers msg at the destination and waits for the accept.
-func (tx *Tx) attempt(msg Message) (bool, error) {
+// attempt offers the offer's message at the destination and waits for
+// the accept. The offer is reset in place, its message kept.
+func (tx *Tx) attempt() (bool, error) {
 	deadline := tx.opts.Deadline
 	if deadline == 0 {
 		deadline = sim.Infinity
 	}
 	of, dst := &tx.of, tx.dst
-	*of = offer{msg: msg}
+	of.queued, of.arrival, of.sender, of.seq, of.waiting, of.rx = false, 0, nil, 0, false, nil
 	of.msg.From = tx.pt.name
 	dst.push(of)
 	if q := dst.Pending(); q > dst.stats.MaxPending {
@@ -234,7 +246,10 @@ type Rx struct {
 // mid-wire, is discarded and the receive keeps waiting under the
 // original deadline.
 func (rx *Rx) Recv(task *sim.Task, pt *Port, opts RxOpts) (done bool, msg Message, err error) {
-	*rx = Rx{task: task, pt: pt, opts: opts, deadline: opts.Deadline}
+	// Reset in place, field by field: a whole Rx literal would be built
+	// in a temporary and copied on every receive.
+	rx.task, rx.pt, rx.opts, rx.deadline, rx.state = task, pt, opts, opts.Deadline, rxIdle
+	rx.of, rx.msg, rx.fault, rx.seq, rx.waiting = nil, Message{}, FaultNone, 0, false
 	if rx.deadline == 0 {
 		rx.deadline = sim.Infinity
 	}

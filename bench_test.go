@@ -23,7 +23,6 @@ import (
 	"dvsim/internal/cpu"
 	"dvsim/internal/governor"
 	"dvsim/internal/report"
-	"dvsim/internal/sched"
 	"dvsim/internal/serial"
 )
 
@@ -281,35 +280,11 @@ func BenchmarkAblationFrameBuffering(b *testing.B) {
 		b.Run(fmt.Sprintf("buffer%d", buffer), func(b *testing.B) {
 			var s float64
 			for i := 0; i < b.N; i++ {
-				s = sched.BufferedMinSpeed(works, slot, buffer)
+				s = governor.BufferedMinSpeed(works, slot, buffer)
 			}
 			b.ReportMetric(s*cpu.MaxPoint.FreqMHz, "required_MHz")
 		})
 	}
-}
-
-// BenchmarkYDS measures the optimal offline DVS scheduler on a frame-like
-// job set (the related-work baseline, Yao et al.).
-func BenchmarkYDS(b *testing.B) {
-	jobs := make([]sched.Job, 0, 24)
-	for i := 0; i < 24; i++ {
-		a := float64(i) * 2.3
-		jobs = append(jobs, sched.Job{
-			Name:     fmt.Sprintf("frame%d", i),
-			Arrival:  a + 1.19,
-			Deadline: a + 2.3 - 0.1,
-			Work:     1.04,
-		})
-	}
-	var segs []sched.Segment
-	for i := 0; i < b.N; i++ {
-		var err error
-		segs, err = sched.YDS(jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(sched.PeakSpeed(segs)*cpu.MaxPoint.FreqMHz, "peak_MHz")
 }
 
 // BenchmarkGovernorDecide measures each policy's per-frame decision — the

@@ -16,7 +16,7 @@
 // per-line seeds and byte-deterministic aggregation.
 //
 // The library lives under internal/ (sim, cpu, battery, serial, atr,
-// node, host, core, topology, manifest, fault, metrics, sched, report);
+// node, governor, host, core, topology, manifest, fault, metrics, report);
 // executables under cmd/ (dvsim, paperbench, calibrate, atr); runnable
 // examples under examples/. Every run, whatever its kind, goes through
 // one entry point, core.Simulate(ctx, Spec, Sinks): a Spec names a paper

@@ -13,7 +13,7 @@ import (
 	"dvsim/internal/atr"
 	"dvsim/internal/core"
 	"dvsim/internal/cpu"
-	"dvsim/internal/sched"
+	"dvsim/internal/governor"
 )
 
 func main() {
@@ -50,25 +50,18 @@ func main() {
 	fmt.Printf("frame delay %.1f s, I/O %.2f s, compute slot %.2f s per frame\n\n",
 		frameDelay, commS, procBudget)
 
-	levels := make([]float64, len(cpu.Table))
-	for i, op := range cpu.Table {
-		levels[i] = op.FreqMHz / cpu.MaxPoint.FreqMHz
-	}
-
 	fmt.Printf("%8s %12s %14s %12s %14s\n", "buffer", "min speed", "clock (MHz)", "peak queue", "rel. power")
 	var basePower float64
 	for _, buffer := range []int{0, 1, 2, 4, 8} {
-		s := sched.BufferedMinSpeed(works, procBudget, buffer)
-		q, err := sched.Quantize([]sched.Segment{{Start: 0, End: 1, Speed: s}}, levels)
+		s := governor.BufferedMinSpeed(works, procBudget, buffer)
 		clock := "infeasible"
 		var power float64
-		if err == nil {
-			op, _ := cpu.NextAbove(q[0].Speed * cpu.MaxPoint.FreqMHz)
+		if op, ok := cpu.NextAbove(s * cpu.MaxPoint.FreqMHz); ok {
 			clock = fmt.Sprintf("%.1f", op.FreqMHz)
 			// Dynamic power ∝ f·V² at the chosen point, scaled by load.
 			power = op.FreqMHz * op.VoltageV * op.VoltageV
 		}
-		ok, peak := sched.SimulateBufferedFIFO(works, procBudget, buffer, s*(1+1e-9))
+		ok, peak := governor.SimulateBufferedFIFO(works, procBudget, buffer, s*(1+1e-9))
 		if !ok {
 			panic("infeasible speed from BufferedMinSpeed")
 		}

@@ -28,10 +28,7 @@ import (
 	"dvsim/internal/lint/load"
 )
 
-// Analyzers returns the full AST-analyzer catalog in stable order. The
-// seventh member of the suite, the hotalloc escape gate, drives the
-// compiler rather than the AST and lives in internal/lint/hotalloc; the
-// cmd/dvsimlint driver runs it alongside these.
+// Analyzers returns the full analyzer catalog in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Nondeterminism,

@@ -83,3 +83,32 @@ func TestBadSpecExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsGolden pins the metrics snapshots dvsim prints: the whole
+// suite, a pid-governed experiment 2 and 2D under a crash and restart.
+// The goldens live beside the library's metrics goldens.
+func TestMetricsGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"metrics", []string{"-metrics"}},
+		{"metrics_2_pid", []string{"-metrics", "-exp", "2", "-governor", "pid"}},
+		{"metrics_2D_crashrestart", []string{"-metrics", "-exp", "2D", "-faults", "../../scenarios/crashrestart.json"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			stdout, stderr, code := dvsim(t, c.args...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			path := filepath.Join("..", "..", "internal", "report", "testdata", c.golden+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout != string(want) {
+				t.Errorf("dvsim %s drifted from %s", strings.Join(c.args, " "), path)
+			}
+		})
+	}
+}

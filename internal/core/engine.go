@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dvsim/internal/assert"
 	"dvsim/internal/atr"
@@ -306,7 +308,7 @@ func (r *rig) outcome(pl *plan) Outcome {
 		Events:       r.k.Fired(),
 		FaultStats:   r.inj.Stats(),
 		PortStats:    portStatsOf(r.net),
-		Metrics:      r.reg.Snapshot(),
+		Metrics:      r.snapshot(),
 		Nodes:        len(r.nodes),
 	}
 	if g := pl.p.Governor; g.Enabled() && !pl.noIO {
@@ -356,6 +358,37 @@ func (r *rig) sample() {
 	reg.Sample("sim_events_fired", "", period, func() float64 {
 		return float64(k.Fired())
 	})
+}
+
+// snapshot exports an instrumented rig's metrics: the registry's
+// instruments, and as counters the engine's own accounting — every
+// node's, the pipeline host's and every port that carried traffic —
+// sorted by (name, node). An uninstrumented rig snapshots to nothing.
+func (r *rig) snapshot() metrics.Snapshot {
+	if r.reg == nil {
+		return metrics.Snapshot{}
+	}
+	s := r.reg.Snapshot()
+	node := ""
+	emit := func(name string, v float64) {
+		s.Counters = append(s.Counters, metrics.CounterValue{Name: name, Node: node, Value: v})
+	}
+	for _, n := range r.nodes {
+		node = n.Name
+		n.Counters(emit)
+	}
+	for _, pt := range r.net.Ports() {
+		node = pt.Name()
+		pt.Counters(emit)
+	}
+	if r.host != nil && r.host.Metrics != nil {
+		node = ""
+		r.host.Counters(emit)
+	}
+	slices.SortFunc(s.Counters, func(a, b metrics.CounterValue) int {
+		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Node, b.Node))
+	})
+	return s
 }
 
 // portStatsOf exports the network's per-port accounting.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvsim/internal/fault"
 	"dvsim/internal/governor"
 	"dvsim/internal/topology"
 )
@@ -191,14 +192,14 @@ func settledGoroutines() int {
 // with the collector off on linux/amd64 with Go 1.24, identical from
 // run to run: a change that adds one allocation to a run fails here,
 // and one that removes an allocation should lower its bound. Each bytes
-// bound is 1.10× the bytes measured there (0A and 0B 4,325, 1 and 1A
-// 10,138, 2 and 2A 242,736, 2B 14,760, 2C 242,352, 2D 1,907,912),
-// rounded down, so a change that makes a run's allocations larger
+// bound is 1.10× the bytes measured there (0A and 0B 4,213, 1 and 1A
+// 9,690, 2 and 2A 242,096, 2B 14,120, 2C 241,712, 2D 1,907,272),
+// rounded down to tens, so a change that makes a run's allocations larger
 // fails too.
 var allocBounds = map[ID]struct{ allocs, bytes uint64 }{
-	Exp0A: {30, 4750}, Exp0B: {30, 4750}, Exp1: {54, 11150}, Exp1A: {54, 11150},
-	Exp2: {106, 267000}, Exp2A: {106, 267000}, Exp2B: {87, 16230},
-	Exp2C: {115, 266580}, Exp2D: {127, 2098700},
+	Exp0A: {30, 4630}, Exp0B: {30, 4630}, Exp1: {51, 10650}, Exp1A: {51, 10650},
+	Exp2: {102, 266300}, Exp2A: {102, 266300}, Exp2B: {83, 15530},
+	Exp2C: {111, 265880}, Exp2D: {123, 2097990},
 }
 
 // perRun is testing.AllocsPerRun reporting heap bytes too: one warm-up
@@ -242,24 +243,35 @@ func TestAllocsPerRun(t *testing.T) {
 		})
 	}
 	// Engine paths no paper experiment takes: a tree fleet (graph
-	// wiring, fan-in gathering) and a pid-governed 3A run (the
-	// governor's frame-boundary loop). Measured: tree 25,744 bytes, 3A
-	// 39,688.
+	// wiring, fan-in gathering), a pid-governed 3A run (the governor's
+	// frame-boundary loop) and 2D under a crash and restart of each
+	// node (the outage, the restart and the source's fast-forward past
+	// the frames it missed). Measured: tree 24,256 bytes, 3A 39,048,
+	// crash/restart 70,880.
 	specs := map[string]Spec{}
 	for _, c := range engineSpecs() {
 		specs[c.name] = c.spec
 	}
-	bound("tree", 145, 28310, func() {
+	bound("tree", 137, 26680, func() {
 		simulateOK(t, context.Background(), specs["tree"], Sinks{})
 	})
-	bound("3A", 100, 43650, func() {
+	bound("3A", 96, 42950, func() {
 		simulateOK(t, context.Background(), specs["3A"], Sinks{})
+	})
+	crash, err := fault.LoadFile("../../scenarios/crashrestart.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := p
+	pc.Faults = crash
+	bound("2D crash/restart", 114, 77960, func() {
+		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: pc}, Sinks{})
 	})
 	// Exp 2 under a cancellable context, as every service job runs: it
 	// arms the kernel's cancel check and the context poll. The context
 	// is made inside the measured function, so its own allocations
-	// count too. Measured: 242,968 bytes.
-	bound("2 cancellable", 110, 267260, func() {
+	// count too. Measured: 242,328 bytes.
+	bound("2 cancellable", 106, 266560, func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		simulateOK(t, ctx, Spec{ID: Exp2, Params: p}, Sinks{})
@@ -269,14 +281,14 @@ func TestAllocsPerRun(t *testing.T) {
 	// assertion pass and the violation source run too. The record path
 	// allocates per chunk of a store and per merge source, never per
 	// record; most of the checked run's count is the assertion
-	// monitors' violation details. Measured bytes: 1,673,133 plain and
-	// 1,945,645 checked.
+	// monitors' violation details. Measured bytes: 1,658,133 plain and
+	// 1,930,629 checked.
 	checked := p
 	checked.Assertions = loadSpec(t, "broken.json")
-	bound("2D log", 456, 1840440, func() {
+	bound("2D log", 366, 1823940, func() {
 		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: p, UntilS: 3600}, Sinks{Log: io.Discard, Telemetry: true})
 	})
-	bound("2D log+catalog", 6738, 2140200, func() {
+	bound("2D log+catalog", 6648, 2123690, func() {
 		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: checked, UntilS: 3600}, Sinks{Log: io.Discard, Telemetry: true})
 	})
 }

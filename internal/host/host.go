@@ -42,8 +42,8 @@ type Host struct {
 	// internal/fault); the zero value disables retransmission.
 	Retry serial.RetryPolicy
 	// Metrics, when non-nil, receives host-side telemetry: end-to-end
-	// frame latency, frames sent/dropped and the source-side backlog.
-	// Set it before Start.
+	// frame latency and the source-side backlog. Set it before Start.
+	// The frame counts are plain fields, read through Counters.
 	Metrics *metrics.Registry
 
 	// Targets lists the pipeline nodes' ports in physical ring order;
@@ -55,8 +55,6 @@ type Host struct {
 	sinkPort *serial.Port
 
 	latencyS   *metrics.Histogram
-	sentCtr    *metrics.Counter
-	droppedCtr *metrics.Counter
 	queueDepth *metrics.Gauge
 
 	// FramesSent counts frames the source actually delivered.
@@ -110,14 +108,19 @@ var latencyBuckets = []float64{2.5, 5, 7.5, 10, 15, 20, 30, 60, 120}
 // opens its source port.
 func (h *Host) Start() {
 	h.latencyS = h.Metrics.Histogram("host_frame_latency_s", "", latencyBuckets)
-	h.sentCtr = h.Metrics.Counter("host_frames_sent", "")
-	h.droppedCtr = h.Metrics.Counter("host_frames_dropped", "")
 	h.queueDepth = h.Metrics.Gauge("host_queue_depth", "")
 	if !h.stopped {
 		h.srcPort = h.net.Port("host-src")
 		h.src.task.Start(h.k.Now())
 	}
 	h.sink.task.Start(h.k.Now())
+}
+
+// Counters reports the host's frame counts under the metric names of a
+// run's snapshot.
+func (h *Host) Counters(emit func(name string, v float64)) {
+	emit("host_frames_dropped", float64(h.FramesDropped))
+	emit("host_frames_sent", float64(h.FramesSent))
 }
 
 // Stop makes the source cease sending new frames (the sink keeps
@@ -169,7 +172,6 @@ func (s *source) Resume(err error) {
 	}
 	if target := h.pickTarget(s.frame); target == nil {
 		h.FramesDropped++
-		h.droppedCtr.Inc()
 	} else {
 		q := target.Pending() + 1
 		if q > h.MaxQueue {
@@ -247,11 +249,9 @@ func (j *frameJob) Resume(err error) {
 	switch {
 	case err == nil:
 		h.FramesSent++
-		h.sentCtr.Inc()
 	case serial.IsFault(err):
 		// The wire ate the frame past the retransmit budget.
 		h.FramesDropped++
-		h.droppedCtr.Inc()
 	}
 	j.task.Exit()
 	j.target = nil

@@ -96,11 +96,11 @@ func outputCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	if orderSensitiveWriters[name] {
 		return "writer call " + name
 	}
-	// Metrics accumulate float64 sums; feeding them in map order
-	// perturbs the low bits run to run.
+	// Histograms accumulate float64 sums and gauges keep the last
+	// level; feeding either in map order changes them run to run.
 	if fn.Pkg().Path() == "dvsim/internal/metrics" {
 		switch name {
-		case "Add", "Inc", "Observe", "Set":
+		case "Observe", "Set":
 			return "metrics " + name
 		}
 	}

@@ -23,7 +23,7 @@ type Result struct {
 // experiment or a topology graph under the line's resolved Params and
 // frame bound. The run is deterministic for a fixed manifest. Resolve
 // checked its spec, so only an Experiment assembled by hand can fail
-// here; that panics, as core.RunExperiment does.
+// here, and that is a programming error: Run panics.
 func (e Experiment) Run() core.Outcome {
 	out, err := core.Simulate(context.Background(), e.Spec(), core.Sinks{})
 	if err != nil {

@@ -1,7 +1,12 @@
 // Package metrics is a simulation-clock-aware instrumentation subsystem:
-// counters, gauges and fixed-bucket histograms keyed by (name, node)
-// labels, plus periodic samplers driven as simulation events, so every
-// recorded point carries the *simulated* time it was observed at.
+// gauges and fixed-bucket histograms keyed by (name, node) labels, plus
+// periodic samplers driven as simulation events, so every recorded point
+// carries the *simulated* time it was observed at.
+//
+// The registry holds only what the engine does not already count. Event
+// counts (frames, transfers, switches, delivered charge) live in plain
+// fields of the engine's own types, which the run reads once at its end
+// into Snapshot.Counters; nothing counts them a second time here.
 //
 // Observability is opt-in and must cost nothing when off: a nil *Registry
 // is the disabled state, and every instrument handle obtained from a nil
@@ -41,7 +46,6 @@ func (k Key) String() string {
 // lookups return nil instruments whose methods are no-ops.
 type Registry struct {
 	k        *sim.Kernel
-	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
 	hists    map[Key]*Histogram
 	samplers []*Sampler
@@ -50,29 +54,10 @@ type Registry struct {
 // New returns an enabled registry recording against kernel k's clock.
 func New(k *sim.Kernel) *Registry {
 	return &Registry{
-		k:        k,
-		counters: make(map[Key]*Counter),
-		gauges:   make(map[Key]*Gauge),
-		hists:    make(map[Key]*Histogram),
+		k:      k,
+		gauges: make(map[Key]*Gauge),
+		hists:  make(map[Key]*Histogram),
 	}
-}
-
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
-// Counter returns (creating on first use) the counter for (name, node).
-// On a nil registry it returns a nil, no-op counter.
-func (r *Registry) Counter(name, node string) *Counter {
-	if r == nil {
-		return nil
-	}
-	key := Key{name, node}
-	if c, ok := r.counters[key]; ok {
-		return c
-	}
-	c := &Counter{key: key}
-	r.counters[key] = c
-	return c
 }
 
 // Gauge returns (creating on first use) the gauge for (name, node).
@@ -84,7 +69,7 @@ func (r *Registry) Gauge(name, node string) *Gauge {
 	if g, ok := r.gauges[key]; ok {
 		return g
 	}
-	g := &Gauge{key: key}
+	g := &Gauge{}
 	r.gauges[key] = g
 	return g
 }
@@ -108,44 +93,14 @@ func (r *Registry) Histogram(name, node string, bounds []float64) *Histogram {
 	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	h := &Histogram{key: key, bounds: b, counts: make([]uint64, len(b)+1)}
+	h := &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
 	r.hists[key] = h
 	return h
-}
-
-// Counter is a monotonically non-decreasing value (events, bytes,
-// seconds of overhead). Methods on a nil counter are no-ops.
-type Counter struct {
-	key Key
-	v   float64
-}
-
-// Add increases the counter by dv ≥ 0.
-func (c *Counter) Add(dv float64) {
-	if c == nil {
-		return
-	}
-	if dv < 0 {
-		panic(fmt.Sprintf("metrics: counter %v decreased by %v", c.key, dv))
-	}
-	c.v += dv
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current total; 0 on a nil counter.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
 }
 
 // Gauge is an instantaneous level (queue depth, state of charge).
 // Methods on a nil gauge are no-ops.
 type Gauge struct {
-	key Key
 	v   float64
 	set bool
 }
@@ -158,26 +113,9 @@ func (g *Gauge) Set(v float64) {
 	g.v, g.set = v, true
 }
 
-// Add shifts the current level by dv (negative allowed).
-func (g *Gauge) Add(dv float64) {
-	if g == nil {
-		return
-	}
-	g.v, g.set = g.v+dv, true
-}
-
-// Value returns the last recorded level; 0 on a nil gauge.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram accumulates observations into fixed buckets. Methods on a
 // nil histogram are no-ops.
 type Histogram struct {
-	key    Key
 	bounds []float64 // bucket upper bounds, ascending
 	counts []uint64  // len(bounds)+1; last is the +Inf bucket
 	count  uint64
@@ -201,49 +139,4 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-}
-
-// Count returns the number of observations; 0 on a nil histogram.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observations; 0 on a nil histogram.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Mean returns the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) from
-// the bucket counts: the upper bound of the bucket the quantile falls
-// in (+Inf bucket reports the observed max).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		cum += float64(c)
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }

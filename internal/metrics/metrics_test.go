@@ -6,38 +6,20 @@ import (
 	"dvsim/internal/sim"
 )
 
-func TestCounterSemantics(t *testing.T) {
-	r := New(sim.NewKernel())
-	c := r.Counter("events", "node1")
-	c.Inc()
-	c.Add(2.5)
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("counter = %v, want 3.5", got)
-	}
-	if r.Counter("events", "node1") != c {
-		t.Fatal("same key returned a different counter")
-	}
-	if r.Counter("events", "node2") == c {
-		t.Fatal("different node shared a counter")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
 func TestGaugeSemantics(t *testing.T) {
 	r := New(sim.NewKernel())
 	g := r.Gauge("depth", "")
 	g.Set(4)
-	g.Add(-1)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %v, want 3", got)
-	}
+	g.Set(3)
 	if r.Gauge("depth", "") != g {
 		t.Fatal("same key returned a different gauge")
+	}
+	if r.Gauge("depth", "node1") == g {
+		t.Fatal("different node shared a gauge")
+	}
+	gs := r.Snapshot().Gauges
+	if len(gs) != 1 || gs[0].Value != 3 {
+		t.Fatalf("gauges %+v, want depth = 3, the last level set", gs)
 	}
 }
 
@@ -47,20 +29,14 @@ func TestHistogramSemantics(t *testing.T) {
 	for _, v := range []float64{0.5, 1.0, 1.5, 3, 10} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 16 {
-		t.Fatalf("sum = %v, want 16", h.Sum())
-	}
-	if h.Mean() != 3.2 {
-		t.Fatalf("mean = %v, want 3.2", h.Mean())
-	}
 	snap := r.Snapshot()
 	if len(snap.Histograms) != 1 {
 		t.Fatalf("%d histograms in snapshot", len(snap.Histograms))
 	}
 	hv := snap.Histograms[0]
+	if hv.Count != 5 || hv.Sum != 16 {
+		t.Fatalf("count, sum = %d, %v; want 5, 16", hv.Count, hv.Sum)
+	}
 	// Buckets: ≤1, ≤2, ≤5, +Inf. Observations 0.5 and 1.0 land in ≤1.
 	want := []uint64{2, 1, 1, 1}
 	for i, c := range hv.Counts {
@@ -70,12 +46,6 @@ func TestHistogramSemantics(t *testing.T) {
 	}
 	if hv.Min != 0.5 || hv.Max != 10 {
 		t.Fatalf("min/max = %v/%v, want 0.5/10", hv.Min, hv.Max)
-	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("p50 = %v, want bucket bound 2", q)
-	}
-	if q := h.Quantile(1); q != 10 {
-		t.Fatalf("p100 = %v, want observed max 10", q)
 	}
 }
 
@@ -95,7 +65,7 @@ func TestSamplerCadence(t *testing.T) {
 	k := sim.NewKernel()
 	r := New(k)
 	level := 0.0
-	s := r.Sample("soc", "node1", 2, func() float64 { return level })
+	r.Sample("soc", "node1", 2, func() float64 { return level })
 	// Increment at t = 0.5, 1.5, …, 4.5, between sampler ticks.
 	for i := 0; i < 5; i++ {
 		k.At(sim.Time(i)+0.5, func() { level++ })
@@ -103,7 +73,7 @@ func TestSamplerCadence(t *testing.T) {
 	k.After(5, func() { r.StopSamplers() })
 	k.RunUntil(5)
 
-	got := s.Series()
+	got := r.Snapshot().Series[0].Samples
 	want := []SamplePoint{{0, 0}, {2, 2}, {4, 4}, {5, 5}}
 	if len(got) != len(want) {
 		t.Fatalf("series = %v, want %v", got, want)
@@ -135,7 +105,7 @@ func TestSamplerKeepsQueueAliveUntilStopped(t *testing.T) {
 	if !k.Idle() {
 		t.Fatal("Stop left events queued")
 	}
-	if n := len(s.Series()); n != 11 {
+	if n := len(r.Snapshot().Series[0].Samples); n != 11 {
 		t.Fatalf("%d samples over 10 s at period 1, want 11", n)
 	}
 }
@@ -145,27 +115,17 @@ func TestSamplerKeepsQueueAliveUntilStopped(t *testing.T) {
 // is a no-op and allocates nothing.
 func TestDisabledRegistryIsFree(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry claims enabled")
-	}
-	c := r.Counter("a", "b")
 	g := r.Gauge("a", "b")
 	h := r.Histogram("a", "b", []float64{1})
 	s := r.Sample("a", "b", 1, func() float64 { return 0 })
-	if c != nil || g != nil || h != nil || s != nil {
+	if g != nil || h != nil || s != nil {
 		t.Fatal("nil registry handed out live instruments")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
 		g.Set(1)
-		g.Add(1)
 		h.Observe(3)
 		s.Stop()
 		r.StopSamplers()
-		_ = c.Value()
-		_ = g.Value()
-		_ = h.Count()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instruments allocate %v per op bundle", allocs)
@@ -177,18 +137,18 @@ func TestDisabledRegistryIsFree(t *testing.T) {
 
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	r := New(sim.NewKernel())
-	r.Counter("b", "node2").Inc()
-	r.Counter("a", "node1").Inc()
-	r.Counter("a", "node0").Inc()
-	r.Gauge("z", "").Set(1)
-	r.Gauge("y", "").Set(2)
+	r.Gauge("b", "node2").Set(1)
+	r.Gauge("a", "node1").Set(1)
+	r.Gauge("a", "node0").Set(1)
+	r.Histogram("z", "", nil).Observe(1)
+	r.Histogram("y", "", nil).Observe(2)
 	snap := r.Snapshot()
-	if snap.Counters[0].Name != "a" || snap.Counters[0].Node != "node0" ||
-		snap.Counters[1].Node != "node1" || snap.Counters[2].Name != "b" {
-		t.Fatalf("counters unsorted: %+v", snap.Counters)
-	}
-	if snap.Gauges[0].Name != "y" {
+	if snap.Gauges[0].Name != "a" || snap.Gauges[0].Node != "node0" ||
+		snap.Gauges[1].Node != "node1" || snap.Gauges[2].Name != "b" {
 		t.Fatalf("gauges unsorted: %+v", snap.Gauges)
+	}
+	if snap.Histograms[0].Name != "y" {
+		t.Fatalf("histograms unsorted: %+v", snap.Histograms)
 	}
 }
 
@@ -200,15 +160,16 @@ func TestGaugeUnsetExcludedFromSnapshot(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledCounter measures the disabled-path cost: it must stay
-// at a nil check so tier-1 benchmarks are unaffected by instrumentation.
-func BenchmarkDisabledCounter(b *testing.B) {
+// BenchmarkDisabledInstruments measures the disabled-path cost: it must
+// stay at a nil check so tier-1 benchmarks are unaffected by
+// instrumentation.
+func BenchmarkDisabledInstruments(b *testing.B) {
 	var r *Registry
-	c := r.Counter("x", "")
+	g := r.Gauge("x", "")
 	h := r.Histogram("y", "", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		g.Set(1)
 		h.Observe(1)
 	}
 }

@@ -74,14 +74,6 @@ func (s *Sampler) Stop() {
 	s.stopped = true
 }
 
-// Series returns the samples taken so far; nil on a nil sampler.
-func (s *Sampler) Series() []SamplePoint {
-	if s == nil {
-		return nil
-	}
-	return s.series
-}
-
 // StopSamplers stops every registered sampler. Call it from the run's
 // stop condition so the samplers do not keep the event queue alive.
 func (r *Registry) StopSamplers() {

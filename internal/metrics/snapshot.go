@@ -2,9 +2,11 @@ package metrics
 
 import "sort"
 
-// Snapshot is a deterministic, export-ready copy of a registry's state:
-// every slice is sorted by (Name, Node), so identical runs snapshot to
-// identical bytes downstream (CSV, JSONL, golden files).
+// Snapshot is a deterministic, export-ready copy of a run's
+// instruments: every slice is sorted by (Name, Node), so identical runs
+// snapshot to identical bytes downstream (CSV, golden files). A
+// registry fills Gauges, Histograms and Series; Counters are the
+// engine's own event counts, which the run adds when it ends.
 type Snapshot struct {
 	Counters   []CounterValue
 	Gauges     []GaugeValue
@@ -12,7 +14,8 @@ type Snapshot struct {
 	Series     []SeriesValue
 }
 
-// CounterValue is one counter's exported state.
+// CounterValue is one event count, read from the engine at the end of
+// a run.
 type CounterValue struct {
 	Name  string
 	Node  string
@@ -52,15 +55,12 @@ func (s Snapshot) Empty() bool {
 		len(s.Histograms) == 0 && len(s.Series) == 0
 }
 
-// Snapshot exports the registry's current state. A nil registry
-// snapshots to the zero Snapshot.
+// Snapshot exports the registry's current state, Counters left empty.
+// A nil registry snapshots to the zero Snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
-	}
-	for key, c := range r.counters {
-		s.Counters = append(s.Counters, CounterValue{Name: key.Name, Node: key.Node, Value: c.v})
 	}
 	for key, g := range r.gauges {
 		if !g.set {
@@ -87,9 +87,6 @@ func (r *Registry) Snapshot() Snapshot {
 			PeriodS: float64(sp.period), Samples: samples,
 		})
 	}
-	sort.Slice(s.Counters, func(i, j int) bool {
-		return lessNN(s.Counters[i].Name, s.Counters[i].Node, s.Counters[j].Name, s.Counters[j].Node)
-	})
 	sort.Slice(s.Gauges, func(i, j int) bool {
 		return lessNN(s.Gauges[i].Name, s.Gauges[i].Node, s.Gauges[j].Name, s.Gauges[j].Node)
 	})

@@ -300,7 +300,6 @@ func (l *loop) computed() {
 	switch l.next {
 	case cNoIO:
 		n.FramesProcessed++
-		n.met.frames.Inc()
 		l.compute(n.role(), n.role().Compute, nil, cNoIO)
 	case cFrame:
 		l.processed()
@@ -315,7 +314,6 @@ func (l *loop) computed() {
 func (l *loop) processed() {
 	n := l.n
 	n.FramesProcessed++
-	n.met.frames.Inc()
 	// Rotation trigger (§5.5): the node holding role r rotates after
 	// processing frame f with (f + r) ≡ 0 (mod R). Since role r works on
 	// frame I − (r−1) when role 1 works on I, every role triggers in the
@@ -435,7 +433,6 @@ func (l *loop) sendDone(ok, handled bool) {
 		l.migrated = false
 		if ok {
 			n.ResultsSent++
-			n.met.results.Inc()
 		}
 		handled = true
 	}
@@ -446,7 +443,6 @@ func (l *loop) sendDone(ok, handled bool) {
 	n.met.sendS.Observe(float64(n.k.Now() - l.ts))
 	if n.toHost() && !handled {
 		n.ResultsSent++
-		n.met.results.Inc()
 	}
 	if l.rotated && l.last {
 		// The last node becomes the first (§5.5): next iteration it

@@ -123,9 +123,9 @@ type Config struct {
 	// injected by internal/fault). The zero value disables
 	// retransmission; see serial.DefaultRetryPolicy.
 	Retry serial.RetryPolicy
-	// Metrics, when non-nil, receives per-node telemetry: RECV/PROC/SEND
-	// phase latency histograms, DVS switch and rotation/migration
-	// counters. Nil disables recording at near-zero cost.
+	// Metrics, when non-nil, receives the node's RECV/PROC/SEND phase
+	// latency histograms. Nil disables recording at near-zero cost. The
+	// node's event counts are plain fields, read through Counters.
 	Metrics *metrics.Registry
 	// Governor selects the online DVS policy that re-decides each node's
 	// compute operating point at every frame boundary (see
@@ -144,13 +144,10 @@ type Config struct {
 // in seconds, spanning sub-transaction times up to several frame delays.
 var phaseBuckets = []float64{0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 10}
 
-// instruments are a node's labeled telemetry handles; with metrics
+// instruments are a node's phase latency histograms; with metrics
 // disabled every field is a nil no-op.
 type instruments struct {
-	recvS, procS, sendS                    *metrics.Histogram
-	frames, results, rotations, migrations *metrics.Counter
-	crashes, restarts, abandoned           *metrics.Counter
-	govDecisions, govSwitches, misses      *metrics.Counter
+	recvS, procS, sendS *metrics.Histogram
 }
 
 // Node is one Itsy computer: a pipeline stage on the paper's ring, or a
@@ -254,21 +251,10 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, name string,
 	}
 	own := make([]Role, len(roles))
 	copy(own, roles)
-	pw.SetMetrics(cfg.Metrics, name)
 	met := instruments{
-		recvS:     cfg.Metrics.Histogram("node_recv_s", name, phaseBuckets),
-		procS:     cfg.Metrics.Histogram("node_proc_s", name, phaseBuckets),
-		sendS:     cfg.Metrics.Histogram("node_send_s", name, phaseBuckets),
-		frames:    cfg.Metrics.Counter("node_frames_processed", name),
-		results:   cfg.Metrics.Counter("node_results_sent", name),
-		crashes:   cfg.Metrics.Counter("node_crashes", name),
-		restarts:  cfg.Metrics.Counter("node_restarts", name),
-		abandoned: cfg.Metrics.Counter("node_frames_abandoned", name),
-	}
-	if cfg.Governor.Enabled() {
-		met.govDecisions = cfg.Metrics.Counter("node_governor_decisions", name)
-		met.govSwitches = cfg.Metrics.Counter("node_governor_switches", name)
-		met.misses = cfg.Metrics.Counter("node_deadline_misses", name)
+		recvS: cfg.Metrics.Histogram("node_recv_s", name, phaseBuckets),
+		procS: cfg.Metrics.Histogram("node_proc_s", name, phaseBuckets),
+		sendS: cfg.Metrics.Histogram("node_send_s", name, phaseBuckets),
 	}
 	// A bad spec reaching here is a programming error: core validates
 	// governor configuration at load/flag-parse time.
@@ -300,8 +286,6 @@ func New(k *sim.Kernel, net *serial.Network, pw *Power, cfg Config, name string,
 func (n *Node) Wire(ring []*Node, hostSink *serial.Port) {
 	n.ring = ring
 	n.peerDead = make([]bool, len(ring))
-	n.met.rotations = n.cfg.Metrics.Counter("node_rotations", n.Name)
-	n.met.migrations = n.cfg.Metrics.Counter("node_migrations", n.Name)
 	n.WireGraph(1, []*serial.Port{ring[n.downstreamPhys()].Port()}, hostSink)
 }
 
@@ -320,6 +304,30 @@ func (n *Node) Port() *serial.Port { return n.port }
 
 // Power returns the node's power meter.
 func (n *Node) Power() *Power { return n.power }
+
+// Counters reports the node's event counts and its meter's under the
+// metric names of a run's snapshot. Governor counts appear only on a
+// governed node, rotation and migration counts only on a ring node.
+func (n *Node) Counters(emit func(name string, v float64)) {
+	pw := n.power
+	emit("battery_delivered_mas", pw.DeliveredMAs())
+	emit("node_crashes", float64(n.Crashes))
+	emit("node_dvs_switches", float64(pw.CPU().Switches()))
+	emit("node_frames_abandoned", float64(n.FramesAbandoned))
+	emit("node_frames_processed", float64(n.FramesProcessed))
+	emit("node_mode_transitions", float64(pw.Transitions()))
+	emit("node_restarts", float64(n.Restarts))
+	emit("node_results_sent", float64(n.ResultsSent))
+	if n.gov != nil {
+		emit("node_deadline_misses", float64(n.DeadlineMisses))
+		emit("node_governor_decisions", float64(n.GovernorDecisions))
+		emit("node_governor_switches", float64(n.GovernorSwitches))
+	}
+	if n.ring != nil {
+		emit("node_migrations", float64(n.Migrations))
+		emit("node_rotations", float64(n.Rotations))
+	}
+}
 
 // Role returns the node's current role.
 func (n *Node) Role() Role { return *n.role() }
@@ -357,7 +365,6 @@ func (n *Node) Crash() bool {
 	}
 	n.crashed = true
 	n.Crashes++
-	n.met.crashes.Inc()
 	n.power.Suspend()
 	n.Interrupt()
 	return true
@@ -375,7 +382,6 @@ func (n *Node) Restart() bool {
 	}
 	n.crashed = false
 	n.Restarts++
-	n.met.restarts.Inc()
 	n.power.Resume()
 	n.carry, n.carrying = carriedFrame{}, false
 	n.governReset()
@@ -457,15 +463,12 @@ func (n *Node) govern(frame int, proc0, comm0 float64) {
 	}
 	if obs.SlackS < -deadlineMissEps {
 		n.DeadlineMisses++
-		n.met.misses.Inc()
 	}
 	next := n.gov.Decide(obs)
 	n.GovernorDecisions++
 	n.GovernorFreqSumMHz += next.FreqMHz
-	n.met.govDecisions.Inc()
 	if next != cur {
 		n.GovernorSwitches++
-		n.met.govSwitches.Inc()
 	}
 	n.govPoint = next
 	if n.cfg.OnGovern != nil {
@@ -479,7 +482,6 @@ func (n *Node) govern(frame int, proc0, comm0 float64) {
 func (n *Node) rotate() {
 	n.roleIdx = (n.roleIdx + 1) % len(n.roles)
 	n.Rotations++
-	n.met.rotations.Inc()
 	n.governReset()
 }
 
@@ -553,7 +555,6 @@ func (n *Node) toHost() bool {
 // callers can fold it into their handled result.
 func (n *Node) abandon() bool {
 	n.FramesAbandoned++
-	n.met.abandoned.Inc()
 	return true
 }
 
@@ -607,7 +608,6 @@ func (n *Node) migrateFrom(deadPhys int) (absorbed Role, ok bool) {
 	}}
 	n.roleIdx = 0
 	n.Migrations++
-	n.met.migrations.Inc()
 	n.governReset()
 	return deadRole, true
 }

@@ -292,7 +292,11 @@ func TestAckProtocolAddsTransactions(t *testing.T) {
 		r := newRig(t, cfg, defaultRoles(2))
 		r.start(6, 2.3, 0)
 		r.k.Run()
-		return r.net.Transfers()
+		n := 0
+		for _, pt := range r.net.Ports() {
+			n += pt.Stats().TxTransfers
+		}
+		return n
 	}
 	p, a := count(plain), count(acked)
 	// One extra ack per internode transfer: 6 more transactions.

@@ -13,7 +13,6 @@ import (
 	"dvsim/internal/battery"
 	"dvsim/internal/chunk"
 	"dvsim/internal/cpu"
-	"dvsim/internal/metrics"
 	"dvsim/internal/sim"
 )
 
@@ -42,16 +41,14 @@ type Power struct {
 	// cpu.Mode (Idle, Comm, Compute).
 	modeTime   [cpu.NumModes]float64
 	modeCharge [cpu.NumModes]float64
+	// transitions counts CPU mode changes; delivered is the charge
+	// drawn in mA·s, summed in draw order.
+	transitions int
+	delivered   float64
 
 	// traceOn records every constant-power span, for timeline figures.
 	traceOn bool
 	trace   chunk.List[ModeSpan]
-
-	// Labeled telemetry counters; nil (no-op) unless SetMetrics is
-	// called.
-	dvsSwitches     *metrics.Counter
-	modeTransitions *metrics.Counter
-	chargeMAs       *metrics.Counter
 }
 
 // ModeSpan is one constant-mode, constant-point span of a node's
@@ -83,15 +80,6 @@ func (pw *Power) deathFire() {
 	pw.die()
 }
 
-// SetMetrics installs labeled telemetry counters for the node that owns
-// this meter: DVS operating-point switches, CPU mode transitions and
-// delivered charge. A nil registry leaves the no-op counters in place.
-func (pw *Power) SetMetrics(r *metrics.Registry, nodeName string) {
-	pw.dvsSwitches = r.Counter("node_dvs_switches", nodeName)
-	pw.modeTransitions = r.Counter("node_mode_transitions", nodeName)
-	pw.chargeMAs = r.Counter("battery_delivered_mas", nodeName)
-}
-
 // Battery exposes the metered battery.
 func (pw *Power) Battery() battery.Model { return pw.bat }
 
@@ -109,6 +97,12 @@ func (pw *Power) ModeSeconds(m cpu.Mode) float64 { return pw.modeTime[m] }
 
 // ModeMAh returns the charge drawn in mode m, in mAh.
 func (pw *Power) ModeMAh(m cpu.Mode) float64 { return pw.modeCharge[m] / 3600 }
+
+// Transitions returns how many CPU mode changes the meter has applied.
+func (pw *Power) Transitions() int { return pw.transitions }
+
+// DeliveredMAs returns the charge drawn across all modes, in mA·s.
+func (pw *Power) DeliveredMAs() float64 { return pw.delivered }
 
 // EnableTrace starts recording mode spans (see Trace).
 func (pw *Power) EnableTrace() { pw.traceOn = true }
@@ -135,7 +129,7 @@ func (pw *Power) settle() {
 	ran := pw.bat.Drain(i, dt)
 	pw.modeTime[pw.cpu.Mode()] += ran
 	pw.modeCharge[pw.cpu.Mode()] += i * ran
-	pw.chargeMAs.Add(i * ran)
+	pw.delivered += i * ran
 	if pw.traceOn {
 		start := now - sim.Time(dt)
 		pw.trace.Append(ModeSpan{
@@ -191,10 +185,7 @@ func (pw *Power) Transition(m cpu.Mode, op cpu.OperatingPoint) {
 	}
 	pw.settle()
 	if m != pw.cpu.Mode() {
-		pw.modeTransitions.Inc()
-	}
-	if op != pw.cpu.Point() {
-		pw.dvsSwitches.Inc()
+		pw.transitions++
 	}
 	pw.cpu.SetMode(m)
 	pw.cpu.SetPoint(op)

@@ -6,7 +6,6 @@ import (
 
 	"dvsim/internal/battery"
 	"dvsim/internal/cpu"
-	"dvsim/internal/metrics"
 	"dvsim/internal/sim"
 )
 
@@ -75,6 +74,18 @@ func TestPowerModeAccounting(t *testing.T) {
 	if got := pw.ModeMAh(cpu.Comm); math.Abs(got-wantMAh) > 1e-9 {
 		t.Errorf("comm charge %v mAh, want %v", got, wantMAh)
 	}
+	// Idle → compute → comm → idle is three mode changes and one point
+	// change, and the delivered charge is the per-mode charges' sum.
+	if pw.Transitions() != 3 || pw.CPU().Switches() != 1 {
+		t.Errorf("%d mode transitions and %d DVS switches, want 3 and 1", pw.Transitions(), pw.CPU().Switches())
+	}
+	var sumMAs float64
+	for m := cpu.Mode(0); m < cpu.NumModes; m++ {
+		sumMAs += pw.ModeMAh(m) * 3600
+	}
+	if got := pw.DeliveredMAs(); math.Abs(got-sumMAs) > 1e-9 {
+		t.Errorf("delivered %v mA·s, per-mode sum %v", got, sumMAs)
+	}
 }
 
 func TestPowerOnDeathFiresOnce(t *testing.T) {
@@ -117,22 +128,22 @@ func TestPowerFinishSettlesTail(t *testing.T) {
 // meterState is everything a transition may change, floats as bits so
 // "unchanged" means bit-identical.
 type meterState struct {
-	death, scheduled       uint64
-	canceled               bool
-	modeS, modeMAh         [cpu.NumModes]uint64
-	spans                  int
-	modeTrans, dvs, cpuDVS uint64
+	death, scheduled      uint64
+	canceled              bool
+	modeS, modeMAh        [cpu.NumModes]uint64
+	spans, modeTrans, dvs int
+	delivered             uint64
 }
 
-func readMeter(k *sim.Kernel, pw *Power, r *metrics.Registry) meterState {
+func readMeter(k *sim.Kernel, pw *Power) meterState {
 	st := meterState{
 		death:     math.Float64bits(float64(pw.death.Time())),
 		scheduled: k.Scheduled(),
 		canceled:  pw.death.Canceled(),
 		spans:     pw.Trace().Len(),
-		modeTrans: math.Float64bits(r.Counter("node_mode_transitions", "n").Value()),
-		dvs:       math.Float64bits(r.Counter("node_dvs_switches", "n").Value()),
-		cpuDVS:    uint64(pw.CPU().Switches()),
+		modeTrans: pw.Transitions(),
+		dvs:       pw.CPU().Switches(),
+		delivered: math.Float64bits(pw.DeliveredMAs()),
 	}
 	for m := cpu.Mode(0); m < cpu.NumModes; m++ {
 		st.modeS[m] = math.Float64bits(pw.ModeSeconds(m))
@@ -149,17 +160,15 @@ func readMeter(k *sim.Kernel, pw *Power, r *metrics.Registry) meterState {
 // cancelled the death event.
 func TestPowerSameInstantTransition(t *testing.T) {
 	k := sim.NewKernel()
-	r := metrics.New(k)
 	c := cpu.New(nil, cpu.MaxPoint)
 	pw := NewPower(k, c, battery.NewTwoWell(100, 10, 1000, 1))
-	pw.SetMetrics(r, "n")
 	pw.EnableTrace()
 	pw.Transition(cpu.Compute, cpu.MaxPoint)
 	k.RunUntil(5) // the clock stands at 5 from here on
 	pw.Transition(cpu.Comm, cpu.MinPoint)
-	before := readMeter(k, pw, r)
+	before := readMeter(k, pw)
 	pw.Transition(cpu.Comm, cpu.MinPoint)
-	if after := readMeter(k, pw, r); after != before {
+	if after := readMeter(k, pw); after != before {
 		t.Fatalf("same-instant no-op transition changed the meter:\n before %+v\n after  %+v", before, after)
 	}
 
@@ -171,9 +180,9 @@ func TestPowerSameInstantTransition(t *testing.T) {
 		{"mode", cpu.Idle, cpu.MinPoint},
 		{"point", cpu.Idle, cpu.MaxPoint},
 	} {
-		before := readMeter(k, pw, r)
+		before := readMeter(k, pw)
 		pw.Transition(tc.m, tc.op)
-		after := readMeter(k, pw, r)
+		after := readMeter(k, pw)
 		if after.scheduled != before.scheduled+1 || after.death == before.death {
 			t.Errorf("same-instant %s change did not re-arm death: before %+v, after %+v", tc.name, before, after)
 		}

@@ -2,9 +2,7 @@ package report
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"dvsim/internal/core"
@@ -56,7 +54,8 @@ func PortsCSV(outs []core.Outcome) string {
 // MetricsCSV renders an instrumentation snapshot as CSV, one row per
 // instrument. Counters and gauges report their value; histograms add
 // count/sum/min/max and the p50/p90/p99 bucket bounds; series report
-// their final sample (full series belong in JSONL, see MetricsJSONL).
+// their final sample and sample count (a -telemetry log carries every
+// sample as a "sample" record).
 // Snapshot slices are (name, node)-sorted, so output is deterministic.
 func MetricsCSV(s metrics.Snapshot) string {
 	var b strings.Builder
@@ -92,80 +91,9 @@ func MetricsCSV(s metrics.Snapshot) string {
 	return b.String()
 }
 
-// MetricsJSONL writes an instrumentation snapshot as JSON lines, one
-// object per instrument, full sampler series included. It returns the
-// number of lines written.
-func MetricsJSONL(w io.Writer, s metrics.Snapshot) (int, error) {
-	enc := json.NewEncoder(w)
-	n := 0
-	emit := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		n++
-		return nil
-	}
-	type point struct {
-		T float64 `json:"t"`
-		V float64 `json:"v"`
-	}
-	for _, c := range s.Counters {
-		if err := emit(struct {
-			Type  string  `json:"type"`
-			Name  string  `json:"name"`
-			Node  string  `json:"node,omitempty"`
-			Value float64 `json:"value"`
-		}{"counter", c.Name, c.Node, c.Value}); err != nil {
-			return n, err
-		}
-	}
-	for _, g := range s.Gauges {
-		if err := emit(struct {
-			Type  string  `json:"type"`
-			Name  string  `json:"name"`
-			Node  string  `json:"node,omitempty"`
-			Value float64 `json:"value"`
-		}{"gauge", g.Name, g.Node, g.Value}); err != nil {
-			return n, err
-		}
-	}
-	for _, h := range s.Histograms {
-		if err := emit(struct {
-			Type   string    `json:"type"`
-			Name   string    `json:"name"`
-			Node   string    `json:"node,omitempty"`
-			Bounds []float64 `json:"bounds"`
-			Counts []uint64  `json:"counts"`
-			Count  uint64    `json:"count"`
-			Sum    float64   `json:"sum"`
-			Min    float64   `json:"min"`
-			Max    float64   `json:"max"`
-		}{"histogram", h.Name, h.Node, h.Bounds, h.Counts, h.Count, h.Sum, h.Min, h.Max}); err != nil {
-			return n, err
-		}
-	}
-	for _, sr := range s.Series {
-		pts := make([]point, len(sr.Samples))
-		for i, p := range sr.Samples {
-			pts[i] = point{T: float64(p.T), V: p.V}
-		}
-		if err := emit(struct {
-			Type    string  `json:"type"`
-			Name    string  `json:"name"`
-			Node    string  `json:"node,omitempty"`
-			PeriodS float64 `json:"period_s"`
-			Samples []point `json:"samples"`
-		}{"series", sr.Name, sr.Node, sr.PeriodS, pts}); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
 // histQuantile estimates quantile q from the exported bucket counts: the
 // upper bound of the bucket where the q-th observation lands (Max for
-// the +Inf bucket). Mirrors metrics.Histogram.Quantile on the exported
-// form.
+// the +Inf bucket).
 func histQuantile(h metrics.HistogramValue, q float64) float64 {
 	if h.Count == 0 {
 		return 0

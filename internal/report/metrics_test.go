@@ -1,10 +1,7 @@
 package report
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -67,37 +64,6 @@ func TestMetricsCSV(t *testing.T) {
 	series := rows[5]
 	if series[0] != "series" || series[3] != "0.98" || series[4] != "2" {
 		t.Fatalf("series row %v", series)
-	}
-}
-
-func TestMetricsJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := MetricsJSONL(&buf, sampleSnapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("wrote %d lines, want 5", n)
-	}
-	types := map[string]int{}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var obj map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
-		}
-		types[obj["type"].(string)]++
-		if obj["type"] == "series" {
-			if pts := obj["samples"].([]any); len(pts) != 2 {
-				t.Fatalf("series carries %d samples, want 2", len(pts))
-			}
-		}
-	}
-	want := map[string]int{"counter": 2, "gauge": 1, "histogram": 1, "series": 1}
-	for k, v := range want {
-		if types[k] != v {
-			t.Fatalf("types %v, want %v", types, want)
-		}
 	}
 }
 

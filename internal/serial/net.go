@@ -161,7 +161,9 @@ type Port struct {
 	waitSeq uint64
 	waiting bool
 	stats   PortStats
-	inst    *portInstruments
+	// depth is the pending-depth gauge, registered on first use; nil
+	// until then and on an uninstrumented network.
+	depth *metrics.Gauge
 }
 
 // Name returns the port name.
@@ -170,38 +172,39 @@ func (pt *Port) Name() string { return pt.name }
 // Stats returns a copy of the port's transfer accounting.
 func (pt *Port) Stats() PortStats { return pt.stats }
 
-// portInstruments caches the port's labeled metrics handles. With
-// metrics disabled every field is a nil, no-op instrument.
-type portInstruments struct {
-	txTransfers, txKB, txStartupS, txTimeouts  *metrics.Counter
-	txDropped, txGarbled, txRetries, txGiveUps *metrics.Counter
-	rxTransfers, rxKB, rxTimeouts              *metrics.Counter
-	rxDropped, rxGarbled                       *metrics.Counter
-	pendingDepth                               *metrics.Gauge
+// Counters reports the port's transfer accounting under the metric
+// names of a run's snapshot. A port that never sent, received or had a
+// sender queued reports nothing.
+func (pt *Port) Counters(emit func(name string, v float64)) {
+	st := &pt.stats
+	if *st == (PortStats{}) {
+		return
+	}
+	emit("serial_tx_transfers", float64(st.TxTransfers))
+	emit("serial_tx_kb", st.TxKB)
+	emit("serial_tx_startup_s", st.TxStartupS)
+	emit("serial_tx_timeouts", float64(st.TxTimeouts))
+	emit("serial_tx_dropped", float64(st.TxDropped))
+	emit("serial_tx_garbled", float64(st.TxGarbled))
+	emit("serial_tx_retries", float64(st.TxRetries))
+	emit("serial_tx_giveups", float64(st.TxGiveUps))
+	emit("serial_rx_transfers", float64(st.RxTransfers))
+	emit("serial_rx_kb", st.RxKB)
+	emit("serial_rx_timeouts", float64(st.RxTimeouts))
+	emit("serial_rx_dropped", float64(st.RxDropped))
+	emit("serial_rx_garbled", float64(st.RxGarbled))
 }
 
-// met returns (building on first use) the port's metric handles.
-func (pt *Port) met() *portInstruments {
-	if pt.inst == nil {
-		r := pt.net.reg
-		pt.inst = &portInstruments{
-			txTransfers:  r.Counter("serial_tx_transfers", pt.name),
-			txKB:         r.Counter("serial_tx_kb", pt.name),
-			txStartupS:   r.Counter("serial_tx_startup_s", pt.name),
-			txTimeouts:   r.Counter("serial_tx_timeouts", pt.name),
-			txDropped:    r.Counter("serial_tx_dropped", pt.name),
-			txGarbled:    r.Counter("serial_tx_garbled", pt.name),
-			txRetries:    r.Counter("serial_tx_retries", pt.name),
-			txGiveUps:    r.Counter("serial_tx_giveups", pt.name),
-			rxTransfers:  r.Counter("serial_rx_transfers", pt.name),
-			rxKB:         r.Counter("serial_rx_kb", pt.name),
-			rxTimeouts:   r.Counter("serial_rx_timeouts", pt.name),
-			rxDropped:    r.Counter("serial_rx_dropped", pt.name),
-			rxGarbled:    r.Counter("serial_rx_garbled", pt.name),
-			pendingDepth: r.Gauge("serial_pending_depth", pt.name),
-		}
+// setDepth records the port's pending depth on its gauge, registering
+// the gauge on first use.
+func (pt *Port) setDepth() {
+	if pt.net.reg == nil {
+		return
 	}
-	return pt.inst
+	if pt.depth == nil {
+		pt.depth = pt.net.reg.Gauge("serial_pending_depth", pt.name)
+	}
+	pt.depth.Set(float64(pt.npending))
 }
 
 // Pending returns the number of senders waiting at this port.
@@ -355,10 +358,6 @@ type Network struct {
 	// OnRetry, when set, observes every retransmission scheduled by
 	// SendReliable.
 	OnRetry func(RetryEvent)
-	// Stats.
-	transfers int
-	kbMoved   float64
-	faulted   int
 }
 
 // NewNetwork returns a network on kernel k with the given link timing.
@@ -366,10 +365,11 @@ func NewNetwork(k *sim.Kernel, params LinkParams) *Network {
 	return &Network{k: k, Params: params, ports: make(map[string]*Port)}
 }
 
-// SetMetrics installs the registry the network's ports record into.
-// Call it before traffic flows; a nil registry (the default) disables
-// recording. Per-port PortStats are always kept — they are plain
-// integer fields with negligible cost.
+// SetMetrics installs the registry the network's ports record their
+// pending depth into. Call it before traffic flows; a nil registry (the
+// default) disables recording. Per-port PortStats are always kept —
+// they are plain fields with negligible cost — and a run reads them
+// into its snapshot through Port.Counters.
 func (n *Network) SetMetrics(r *metrics.Registry) { n.reg = r }
 
 // Port returns (creating on first use) the named port.
@@ -381,15 +381,6 @@ func (n *Network) Port(name string) *Port {
 	n.ports[name] = p
 	return p
 }
-
-// Transfers returns the number of completed transactions.
-func (n *Network) Transfers() int { return n.transfers }
-
-// Faulted returns the number of transactions lost to injected faults.
-func (n *Network) Faulted() int { return n.faulted }
-
-// KBMoved returns the total payload carried, in KB.
-func (n *Network) KBMoved() float64 { return n.kbMoved }
 
 // Ports returns every port created so far, sorted by name for
 // deterministic export.

@@ -148,7 +148,6 @@ func (tx *Tx) result(err error) (bool, error) {
 	pt, msg := tx.pt, &tx.of.msg
 	if tx.tries >= attempts {
 		pt.stats.TxGiveUps++
-		pt.met().txGiveUps.Inc()
 		return tx.end(fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempts, err))
 	}
 	verdict := FaultDrop
@@ -158,7 +157,6 @@ func (tx *Tx) result(err error) (bool, error) {
 	now := tx.pt.net.k.Now()
 	back := tx.rp.Backoff(tx.tries)
 	pt.stats.TxRetries++
-	pt.met().txRetries.Inc()
 	if f := pt.net.OnRetry; f != nil {
 		f(RetryEvent{
 			T: now, From: pt.name, To: tx.dst.name,

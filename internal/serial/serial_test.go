@@ -247,11 +247,12 @@ func TestNetworkStats(t *testing.T) {
 	run(k, 0, send(a, b, Message{KB: 2}, TxOpts{}, nil), send(a, b, Message{KB: 3}, TxOpts{}, nil))
 	run(k, 0, recv(b, RxOpts{}, nil), recv(b, RxOpts{}, nil))
 	k.Run()
-	if net.Transfers() != 2 {
-		t.Fatalf("transfers = %d", net.Transfers())
+	as, bs := a.Stats(), b.Stats()
+	if as.TxTransfers != 2 || bs.RxTransfers != 2 {
+		t.Fatalf("transfers: %d sent, %d received; want 2 each", as.TxTransfers, bs.RxTransfers)
 	}
-	if math.Abs(net.KBMoved()-5) > 1e-12 {
-		t.Fatalf("KB moved = %v", net.KBMoved())
+	if math.Abs(as.TxKB-5) > 1e-12 || math.Abs(bs.RxKB-5) > 1e-12 {
+		t.Fatalf("KB moved: %v sent, %v received; want 5 each", as.TxKB, bs.RxKB)
 	}
 }
 
@@ -415,6 +416,10 @@ func TestPortStatsTimeoutsAndPending(t *testing.T) {
 	}
 }
 
+// TestNetworkMetricsAndOnTransfer: a transfer reaches the OnTransfer
+// observer, its ports' accounting reads back through Port.Counters, an
+// idle port reports nothing, and the receiver's pending depth lands on
+// the registry's gauge.
 func TestNetworkMetricsAndOnTransfer(t *testing.T) {
 	k := sim.NewKernel()
 	net := NewNetwork(k, DefaultLink())
@@ -422,7 +427,7 @@ func TestNetworkMetricsAndOnTransfer(t *testing.T) {
 	net.SetMetrics(reg)
 	var events []TransferEvent
 	net.OnTransfer = func(ev TransferEvent) { events = append(events, ev) }
-	a, b := net.Port("a"), net.Port("b")
+	a, b, idle := net.Port("a"), net.Port("b"), net.Port("idle")
 	run(k, 0, send(a, b, Message{Kind: KindInter, KB: 0.6}, TxOpts{}, nil))
 	run(k, 0, recv(b, RxOpts{}, nil))
 	k.Run()
@@ -437,21 +442,30 @@ func TestNetworkMetricsAndOnTransfer(t *testing.T) {
 	if math.Abs(ev.DurS-net.Params.TxTime(0.6)) > 1e-9 {
 		t.Fatalf("DurS = %v, want %v", ev.DurS, net.Params.TxTime(0.6))
 	}
-	snap := reg.Snapshot()
-	find := func(name, node string) float64 {
-		for _, cv := range snap.Counters {
-			if cv.Name == name && cv.Node == node {
-				return cv.Value
-			}
-		}
-		t.Fatalf("counter %s{%s} missing from snapshot", name, node)
-		return 0
+	counters := func(pt *Port) map[string]float64 {
+		m := map[string]float64{}
+		pt.Counters(func(name string, v float64) { m[name] = v })
+		return m
 	}
-	if v := find("serial_tx_transfers", "a"); v != 1 {
+	ca, cb := counters(a), counters(b)
+	if len(ca) != 13 || len(cb) != 13 {
+		t.Fatalf("ports report %d and %d counters, want 13 each", len(ca), len(cb))
+	}
+	if v := ca["serial_tx_transfers"]; v != 1 {
 		t.Fatalf("serial_tx_transfers{a} = %v, want 1", v)
 	}
-	if v := find("serial_rx_kb", "b"); math.Abs(v-0.6) > 1e-9 {
+	if v := cb["serial_rx_kb"]; math.Abs(v-0.6) > 1e-9 {
 		t.Fatalf("serial_rx_kb{b} = %v, want 0.6", v)
+	}
+	if v := ca["serial_tx_startup_s"]; v != a.Stats().TxStartupS || v <= 0 {
+		t.Fatalf("serial_tx_startup_s{a} = %v, want the port's %v", v, a.Stats().TxStartupS)
+	}
+	if c := counters(idle); len(c) != 0 {
+		t.Fatalf("an idle port reports %v", c)
+	}
+	gauges := reg.Snapshot().Gauges
+	if len(gauges) != 1 || gauges[0].Name != "serial_pending_depth" || gauges[0].Node != "b" || gauges[0].Value != 0 {
+		t.Fatalf("gauges %+v, want serial_pending_depth{b} = 0", gauges)
 	}
 }
 

@@ -116,7 +116,7 @@ func (tx *Tx) attempt() (bool, error) {
 	if q := dst.Pending(); q > dst.stats.MaxPending {
 		dst.stats.MaxPending = q
 	}
-	dst.met().pendingDepth.Set(float64(dst.Pending()))
+	dst.setDepth()
 	dst.arrive()
 	if deadline <= tx.pt.net.k.Now() {
 		return tx.withdraw(sim.ErrTimeout)
@@ -139,7 +139,6 @@ func (tx *Tx) withdraw(err error) (bool, error) {
 	}
 	if errors.Is(err, sim.ErrTimeout) {
 		tx.pt.stats.TxTimeouts++
-		tx.pt.met().txTimeouts.Inc()
 	}
 	return tx.result(err)
 }
@@ -176,7 +175,6 @@ func (tx *Tx) wired() (bool, error) {
 	pt, dst, net := tx.pt, tx.dst, tx.pt.net
 	msg := tx.of.msg
 	if tx.verdict != FaultNone {
-		net.faulted++
 		pt.accountTxFault(tx.verdict)
 		tx.of.done(tx.verdict)
 		if tx.verdict == FaultGarble {
@@ -184,8 +182,6 @@ func (tx *Tx) wired() (bool, error) {
 		}
 		return tx.result(ErrDropped)
 	}
-	net.transfers++
-	net.kbMoved += msg.KB
 	pt.accountTx(msg, tx.startup)
 	dst.accountRx(msg)
 	if f := net.OnTransfer; f != nil {
@@ -267,7 +263,6 @@ func (rx *Rx) Step(err error) (done bool, msg Message, res error) {
 			}
 			if errors.Is(err, sim.ErrTimeout) {
 				pt.stats.RxTimeouts++
-				pt.met().rxTimeouts.Inc()
 			}
 			return rx.end(err)
 		}
@@ -312,7 +307,6 @@ func (rx *Rx) scan() (bool, Message, error) {
 		// same — so none is kept.
 		if rx.deadline <= now {
 			pt.stats.RxTimeouts++
-			pt.met().rxTimeouts.Inc()
 			return rx.end(sim.ErrTimeout)
 		}
 		if pt.waiting {
@@ -377,27 +371,21 @@ func (rx *Rx) wake(err error) {
 
 // accountTxFault charges a dropped or garbled send to the sending port.
 func (pt *Port) accountTxFault(v FaultVerdict) {
-	m := pt.met()
 	if v == FaultGarble {
 		pt.stats.TxGarbled++
-		m.txGarbled.Inc()
 		return
 	}
 	pt.stats.TxDropped++
-	m.txDropped.Inc()
 }
 
 // accountRxFault charges a faulted delivery to the receiving port.
 func (pt *Port) accountRxFault(v FaultVerdict) {
-	m := pt.met()
 	if v == FaultGarble {
 		pt.stats.RxGarbled++
-		m.rxGarbled.Inc()
 	} else {
 		pt.stats.RxDropped++
-		m.rxDropped.Inc()
 	}
-	m.pendingDepth.Set(float64(pt.Pending()))
+	pt.setDepth()
 }
 
 // accountTx credits a completed send to the sending port.
@@ -408,18 +396,11 @@ func (pt *Port) accountTx(msg Message, startup float64) {
 	if msg.Kind == KindAck {
 		pt.stats.TxAcks++
 	}
-	m := pt.met()
-	m.txTransfers.Inc()
-	m.txKB.Add(msg.KB)
-	m.txStartupS.Add(startup)
 }
 
 // accountRx credits a completed receive to the accepting port.
 func (pt *Port) accountRx(msg Message) {
 	pt.stats.RxTransfers++
 	pt.stats.RxKB += msg.KB
-	m := pt.met()
-	m.rxTransfers.Inc()
-	m.rxKB.Add(msg.KB)
-	m.pendingDepth.Set(float64(pt.Pending()))
+	pt.setDepth()
 }

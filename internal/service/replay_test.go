@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"dvsim/internal/sweep"
 )
 
 func readGolden(t *testing.T) []byte {
@@ -221,5 +225,51 @@ func TestDistinctMissesHoldNoBytes(t *testing.T) {
 	}
 	if n > baseline {
 		t.Errorf("%d goroutines after the requests, %d before", n, baseline)
+	}
+}
+
+// TestPanickingRunFailsItsJobOnly: a run that panics — on the worker
+// itself, or inside a sweep pool that re-raises it as a *sweep.Panic —
+// fails its own job with the panic in its status and counts in
+// runs_failed, while the lone worker goes on to serve the job queued
+// behind it with the golden bytes.
+func TestPanickingRunFailsItsJobOnly(t *testing.T) {
+	golden := readGolden(t)
+	s, c := newTestServer(t, Config{Workers: 1})
+	gate := make(chan struct{})
+	panics := []func(){
+		func() { panic("engine bug") },
+		func() { sweep.Run([]int{0, 1, 2}, 2, func(i int) int { panic(fmt.Sprintf("line %d", i)) }) },
+	}
+	var failing []*job
+	for i, p := range panics {
+		s.mu.Lock()
+		j := s.newJobLocked(&resolved{key: testKey(fmt.Sprintf("panic%d", i)), kind: "run"})
+		j.stream = newStream()
+		j.run = func(context.Context, *job) error {
+			<-gate
+			p()
+			return nil
+		}
+		s.mu.Unlock()
+		if err := s.q.push(j); err != nil {
+			t.Fatal(err)
+		}
+		failing = append(failing, j)
+	}
+	queued, _ := postRun(t, c, Submission{Experiment: "1", UntilS: 120})
+	close(gate)
+	for i, j := range failing {
+		<-j.done
+		if st := j.snapshot(); st.State != StateFailed || !strings.Contains(st.Error, "panicked") {
+			t.Errorf("panicking job %d ended %s (%q), want failed with the panic", i, st.State, st.Error)
+		}
+	}
+	waitState(t, s, queued.ID, StateDone)
+	if code, b := getBody(t, c.Base+"/api/v1/runs/"+queued.ID+"/result"); code != http.StatusOK || !bytes.Equal(b, golden) {
+		t.Fatalf("queued job: HTTP %d, %d bytes; want the %d golden bytes", code, len(b), len(golden))
+	}
+	if st := s.stats(); st.RunsFailed != uint64(len(panics)) || st.RunsDone != 1 {
+		t.Fatalf("runs_failed %d, runs_done %d; want %d and 1", st.RunsFailed, st.RunsDone, len(panics))
 	}
 }

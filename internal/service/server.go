@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +119,7 @@ func (s *Server) worker() {
 
 func (s *Server) execute(j *job) {
 	j.setState(StateRunning)
-	err := j.run(j.ctx, j)
+	err := runRecovered(j)
 	if err == nil {
 		// Store before clearing in-flight, so every later lookup finds
 		// either the running job or the cached bytes, never a gap.
@@ -139,6 +140,24 @@ func (s *Server) execute(j *job) {
 	}
 	j.finish(err)
 	j.cancel()
+}
+
+// runRecovered runs j, turning a panic — the run's own, or one that
+// sweep.Run re-raises from a worker as a *sweep.Panic — into the job's
+// error, so one failing run fails its job and the worker keeps serving.
+// Its stream is closed, so followers see the end of what it wrote.
+func runRecovered(j *job) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			j.stream.close()
+			if p, ok := v.(*sweep.Panic); ok {
+				err = p
+			} else {
+				err = fmt.Errorf("run panicked: %v\n\n%s", v, debug.Stack())
+			}
+		}
+	}()
+	return j.run(j.ctx, j)
 }
 
 // lookup is the cache-or-submit decision: stored bytes if the artifact

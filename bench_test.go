@@ -84,7 +84,7 @@ func benchExperiment(b *testing.B, id core.ID) {
 	p := core.DefaultParams()
 	var o core.Outcome
 	for i := 0; i < b.N; i++ {
-		o = core.Run(id, p)
+		o = simulate(b, core.Spec{ID: id, Params: p})
 	}
 	b.ReportMetric(o.BatteryLifeH, "hours")
 	b.ReportMetric(core.PaperHours(id), "hours_paper")
@@ -142,8 +142,8 @@ func BenchmarkAblationBatteryModels(b *testing.B) {
 			p.Battery = m.mk
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				t1 := core.Run(core.Exp1, p).BatteryLifeH
-				t1A := core.Run(core.Exp1A, p).BatteryLifeH
+				t1 := simulate(b, core.Spec{ID: core.Exp1, Params: p}).BatteryLifeH
+				t1A := simulate(b, core.Spec{ID: core.Exp1A, Params: p}).BatteryLifeH
 				gain = t1A / t1
 			}
 			b.ReportMetric(gain*100, "dvs_io_gain_pct")
@@ -161,7 +161,7 @@ func BenchmarkAblationRotationPeriod(b *testing.B) {
 			p.RotationPeriod = period
 			var o core.Outcome
 			for i := 0; i < b.N; i++ {
-				o = core.Run(core.Exp2C, p)
+				o = simulate(b, core.Spec{ID: core.Exp2C, Params: p})
 			}
 			b.ReportMetric(o.BatteryLifeH, "hours")
 			b.ReportMetric(float64(o.NodeStats[0].Rotations), "rotations")
@@ -179,7 +179,7 @@ func BenchmarkAblationAckCost(b *testing.B) {
 			p.Link.StartupS = ms / 1000
 			var o core.Outcome
 			for i := 0; i < b.N; i++ {
-				o = core.Run(core.Exp2B, p)
+				o = simulate(b, core.Spec{ID: core.Exp2B, Params: p})
 			}
 			b.ReportMetric(o.BatteryLifeH, "hours")
 			b.ReportMetric(float64(o.Frames), "frames")
@@ -203,10 +203,10 @@ func BenchmarkAblationSerialGoodput(b *testing.B) {
 			}
 			var r2, r1a float64
 			for i := 0; i < b.N; i++ {
-				t1 := core.Run(core.Exp1, p).BatteryLifeH
-				r1a = core.Run(core.Exp1A, p).BatteryLifeH / t1
+				t1 := simulate(b, core.Spec{ID: core.Exp1, Params: p}).BatteryLifeH
+				r1a = simulate(b, core.Spec{ID: core.Exp1A, Params: p}).BatteryLifeH / t1
 				if partitionable {
-					r2 = core.Run(core.Exp2, p).BatteryLifeH / 2 / t1
+					r2 = simulate(b, core.Spec{ID: core.Exp2, Params: p}).BatteryLifeH / 2 / t1
 				}
 			}
 			b.ReportMetric(r2*100, "Rnorm2_pct")
@@ -238,7 +238,7 @@ func BenchmarkAblationFeasibilityTol(b *testing.B) {
 // load but pay more internode I/O — the tension of §5.3.
 func BenchmarkAblationPipelineWidth(b *testing.B) {
 	p := core.DefaultParams()
-	t1 := core.Run(core.Exp1, p).BatteryLifeH
+	t1 := simulate(b, core.Spec{ID: core.Exp1, Params: p}).BatteryLifeH
 	cuts := map[int][]atr.Block{
 		2: {atr.BlockDetect, atr.BlockDistance},
 		3: {atr.BlockDetect, atr.BlockIFFT, atr.BlockDistance},
@@ -267,13 +267,9 @@ func BenchmarkAblationPipelineWidth(b *testing.B) {
 func BenchmarkAblationFrameBuffering(b *testing.B) {
 	p := core.DefaultParams()
 	prof := p.Profile
-	perFrame := func(targets int) float64 {
-		per := prof.BlockRefS[atr.BlockFFT] + prof.BlockRefS[atr.BlockIFFT] + prof.BlockRefS[atr.BlockDistance]
-		return prof.BlockRefS[atr.BlockDetect] + float64(targets)*per
-	}
 	works := make([]float64, 200)
 	for i := range works {
-		works[i] = perFrame(1 + (i*7919)%3)
+		works[i] = prof.MultiRefSeconds(atr.FullSpan, 1+(i*7919)%3)
 	}
 	slot := 2*p.FrameDelayS - (p.Link.TxTime(prof.InputKB) + p.Link.TxTime(0.1))
 	for _, buffer := range []int{0, 2, 4} {
@@ -350,7 +346,7 @@ func BenchmarkSimKernel(b *testing.B) {
 	p := core.DefaultParams()
 	var fired uint64
 	for i := 0; i < b.N; i++ {
-		o := core.Run(core.Exp1, p)
+		o := simulate(b, core.Spec{ID: core.Exp1, Params: p})
 		_ = o
 	}
 	_ = fired
@@ -377,9 +373,9 @@ func BenchmarkAblationIrDALink(b *testing.B) {
 			}
 			var t1, t2 float64
 			for i := 0; i < b.N; i++ {
-				t1 = core.Run(core.Exp1, p).BatteryLifeH
+				t1 = simulate(b, core.Spec{ID: core.Exp1, Params: p}).BatteryLifeH
 				if feasible {
-					t2 = core.Run(core.Exp2, p).BatteryLifeH
+					t2 = simulate(b, core.Spec{ID: core.Exp2, Params: p}).BatteryLifeH
 				}
 			}
 			b.ReportMetric(t1, "T1_hours")
@@ -400,11 +396,11 @@ func BenchmarkRunTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	records := 0
 	for i := 0; i < b.N; i++ {
-		n, err := core.RunTelemetry(core.Exp2D, p, windowS, io.Discard)
+		out, err := core.Simulate(context.Background(), core.Spec{ID: core.Exp2D, Params: p, UntilS: windowS}, core.Sinks{Log: io.Discard, Telemetry: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		records = n
+		records = out.Records
 	}
 	b.ReportMetric(float64(records), "records")
 }

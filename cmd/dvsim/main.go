@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dvsim [-exp 2C] [-all] [-rotation N] [-battery twowell|ideal|peukert|kibam]
+//	dvsim [-exp 2C] [-rotation N] [-battery twowell|ideal|peukert|kibam]
 //	dvsim -run 2C -telemetry out.jsonl [-until SECONDS]
 //	dvsim -metrics[=FILE] [-run 2B]   # instrumented run, metrics snapshot as CSV
 //	dvsim -ports[=FILE]               # per-port serial accounting as CSV
@@ -120,50 +120,64 @@ func finishAssertions(spec *assert.Spec, outs []core.Outcome, violW *os.File, st
 	}
 }
 
-// flagConflicts lists pairs of flags that select contradictory modes.
-// -manifest runs a self-contained sweep (its runfile owns platform,
-// governor, faults and assertions), -check replays a recorded log with
-// no simulation, -plan searches configurations, -dumpparams only
-// prints, and -remote ships the run to a server that does not see
-// local profile or report destinations.
-var flagConflicts = [][2]string{
-	{"manifest", "exp"}, {"manifest", "run"}, {"manifest", "compare"},
-	{"manifest", "telemetry"}, {"manifest", "check"}, {"manifest", "plan"},
-	{"manifest", "runlog"}, {"manifest", "governor"}, {"manifest", "faults"},
-	{"manifest", "assert"}, {"manifest", "params"}, {"manifest", "rotation"},
-	{"manifest", "battery"}, {"manifest", "metrics"}, {"manifest", "ports"},
-	{"manifest", "csv"}, {"manifest", "frames"}, {"manifest", "until"},
-	{"manifest", "mc"}, {"check", "mc"}, {"plan", "mc"}, {"mc", "telemetry"},
-	{"mc", "runlog"}, {"mc", "metrics"}, {"mc", "ports"}, {"mc", "compare"},
-	{"mc", "frames"}, {"remote", "mc"}, {"dumpparams", "mc"},
-	{"check", "exp"}, {"check", "run"}, {"check", "telemetry"},
-	{"check", "runlog"}, {"check", "plan"}, {"check", "faults"},
-	{"check", "governor"}, {"check", "params"}, {"check", "metrics"},
-	{"check", "ports"}, {"check", "compare"}, {"check", "frames"},
-	{"plan", "exp"}, {"plan", "run"}, {"plan", "telemetry"},
-	{"plan", "runlog"}, {"plan", "compare"}, {"plan", "csv"},
-	{"runlog", "telemetry"}, {"compare", "csv"},
-	{"dumpparams", "exp"}, {"dumpparams", "run"}, {"dumpparams", "manifest"},
-	{"dumpparams", "check"}, {"dumpparams", "plan"}, {"dumpparams", "telemetry"},
-	{"remote", "check"}, {"remote", "plan"}, {"remote", "runlog"},
-	{"remote", "metrics"}, {"remote", "ports"}, {"remote", "compare"},
-	{"remote", "dumpparams"}, {"remote", "battery"}, {"remote", "csv"},
-	{"remote", "violations"}, {"remote", "cpuprofile"}, {"remote", "memprofile"},
-	{"remote", "trace"}, {"remote", "j"}, {"remote", "agg-jsonl"},
+// Flag groups the modes below share: every mode that simulates
+// locally reads the platform flags, and every local mode the profiling
+// flags.
+var (
+	platformFlags = []string{"params", "rotation", "battery", "governor", "faults", "assert"}
+	profileFlags  = []string{"cpuprofile", "memprofile", "trace"}
+)
+
+// local lists the flags of a mode that runs in this process.
+func local(flags ...string) []string {
+	return append(flags, profileFlags...)
 }
 
-// rejectConflictingFlags fails fast (exit 2) when explicitly set flags
-// contradict each other, before any output file is created or any
-// simulation starts.
-func rejectConflictingFlags() {
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, pair := range flagConflicts {
-		if set[pair[0]] && set[pair[1]] {
-			fmt.Fprintf(os.Stderr, "dvsim: -%s and -%s are mutually exclusive\n", pair[0], pair[1])
+// simulating lists the flags of a mode that simulates locally.
+func simulating(flags ...string) []string {
+	return local(append(flags, platformFlags...)...)
+}
+
+// modeFlags lists every flag each mode reads, the flags that select it
+// included. main picks one mode per invocation, in the order it
+// dispatches: -manifest runs a self-contained sweep (its runfile owns
+// platform, governor, faults and assertions), -check replays a recorded
+// log with no simulation, -dumpparams only prints, and -remote ships the
+// run to a server that sees no local profile or report destination. The
+// suite's outputs (-ports, -csv, -compare, the table) exclude each
+// other. The study 3A sets each run's governor itself.
+var modeFlags = map[string][]string{
+	"-dumpparams":       local("dumpparams"),
+	"-remote":           {"remote", "exp", "run", "until", "telemetry", "params", "rotation", "governor", "faults", "assert"},
+	"-remote -manifest": {"remote", "manifest", "agg-csv"},
+	"-manifest":         local("manifest", "j", "agg-csv", "agg-jsonl"),
+	"-check":            local("check", "assert", "violations", "csv"),
+	"-mc":               simulating("mc", "mc-warm", "mc-seed", "exp", "run", "until", "j"),
+	"-runlog":           simulating("runlog", "exp", "run"),
+	"-telemetry":        simulating("telemetry", "exp", "run", "until"),
+	"-plan":             simulating("plan", "j"),
+	"-exp 3A":           local("exp", "run", "frames", "j", "csv", "violations", "params", "rotation", "battery", "faults", "assert"),
+	"-metrics":          simulating("metrics", "exp", "run", "violations"),
+	"-ports":            simulating("ports", "exp", "run", "j", "violations"),
+	"-csv":              simulating("csv", "exp", "run", "j", "violations"),
+	"-compare":          simulating("compare", "exp", "run", "j", "violations"),
+	"the suite table":   simulating("exp", "run", "j", "violations"),
+}
+
+// rejectUnreadFlags fails fast (exit 2) on an explicitly set flag the
+// mode does not read, before any output file is created or any
+// simulation starts, so no flag is silently ignored.
+func rejectUnreadFlags(mode string) {
+	reads := make(map[string]bool)
+	for _, name := range modeFlags[mode] {
+		reads[name] = true
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			fmt.Fprintf(os.Stderr, "dvsim: -%s does not apply to %s\n", f.Name, mode)
 			os.Exit(2)
 		}
-	}
+	})
 }
 
 // remoteRun is a dvsim invocation shipped to a dvsimd server.
@@ -265,13 +279,6 @@ func exitOnRunError(flagName string, err error) {
 	os.Exit(1)
 }
 
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
-}
-
 func main() {
 	expFlag := flag.String("exp", "", "single experiment to run (0A, 0B, 1, 1A, 2, 2A, 2B, 2C, 2D)")
 	runFlag := flag.String("run", "", "alias for -exp")
@@ -312,7 +319,41 @@ func main() {
 		fmt.Println(buildinfo.Version())
 		return
 	}
-	rejectConflictingFlags()
+	if *expFlag == "" {
+		*expFlag = *runFlag
+	}
+	mode := "the suite table"
+	switch {
+	case *dump:
+		mode = "-dumpparams"
+	case *remote != "" && *manifestFile != "":
+		mode = "-remote -manifest"
+	case *remote != "":
+		mode = "-remote"
+	case *manifestFile != "":
+		mode = "-manifest"
+	case *checkFile != "":
+		mode = "-check"
+	case *mcForks > 0:
+		mode = "-mc"
+	case *runlog > 0:
+		mode = "-runlog"
+	case *telemetry != "":
+		mode = "-telemetry"
+	case *plan > 0:
+		mode = "-plan"
+	case core.ID(*expFlag) == core.Exp3A:
+		mode = "-exp 3A"
+	case metricsOut.on:
+		mode = "-metrics"
+	case portsOut.on:
+		mode = "-ports"
+	case *csvOut:
+		mode = "-csv"
+	case *compare:
+		mode = "-compare"
+	}
+	rejectUnreadFlags(mode)
 
 	// Resolve every output destination and spec up front: a bad path or
 	// spec must abort here, naming its flag, not after the simulation
@@ -378,7 +419,7 @@ func main() {
 	}
 	defer stopProf()
 
-	if *dump {
+	if mode == "-dumpparams" {
 		if err := core.SavePlatform(os.Stdout, core.DefaultPlatformConfig()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -386,10 +427,10 @@ func main() {
 		return
 	}
 
-	if *remote != "" {
+	if mode == "-remote" || mode == "-remote -manifest" {
 		runRemote(remoteRun{
 			base:       *remote,
-			exp:        firstNonEmpty(*expFlag, *runFlag),
+			exp:        *expFlag,
 			untilS:     *until,
 			manifest:   *manifestFile,
 			aggCSV:     *aggCSV,
@@ -404,7 +445,7 @@ func main() {
 		return
 	}
 
-	if *manifestFile != "" {
+	if mode == "-manifest" {
 		m, err := manifest.LoadFile(*manifestFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dvsim: -manifest: %v\n", err)
@@ -441,7 +482,7 @@ func main() {
 		return
 	}
 
-	if *checkFile != "" {
+	if mode == "-check" {
 		if spec == nil {
 			fmt.Fprintln(os.Stderr, "dvsim: -check needs -assert SPEC to know what to verify")
 			os.Exit(2)
@@ -468,10 +509,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *expFlag == "" {
-		*expFlag = *runFlag
 	}
 
 	p := core.DefaultParams()
@@ -502,7 +539,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *mcForks > 0 {
+	if mode == "-mc" {
 		// 2D is the default subject: Monte Carlo over fault seeds needs a
 		// fault load to diverge under, and 2D carries the built-in one.
 		id := core.Exp2D
@@ -542,7 +579,7 @@ func main() {
 		}
 		return
 	}
-	if *runlog > 0 {
+	if mode == "-runlog" {
 		id := core.Exp1
 		if *expFlag != "" {
 			id = core.ID(*expFlag)
@@ -552,7 +589,7 @@ func main() {
 		exitOnRunError("-runlog", err)
 		return
 	}
-	if *telemetry != "" {
+	if mode == "-telemetry" {
 		id := core.Exp1
 		if *expFlag != "" {
 			id = core.ID(*expFlag)
@@ -568,7 +605,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "exp %s: %d telemetry records (%.0f s window)\n", id, out.Records, window)
 		return
 	}
-	if *plan > 0 {
+	if mode == "-plan" {
 		c, err := core.PlanForLifetime(p, *plan, 4, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -585,7 +622,7 @@ func main() {
 		return
 	}
 
-	if core.ID(*expFlag) == core.Exp3A {
+	if mode == "-exp 3A" {
 		outs, err := core.RunGovernorStudy(p, *workers, *framesFlag)
 		exitOnRunError("-exp 3A", err)
 		if *csvOut {
@@ -601,7 +638,7 @@ func main() {
 	if *expFlag != "" {
 		ids = []core.ID{core.ID(*expFlag)}
 	}
-	if metricsOut.on {
+	if mode == "-metrics" {
 		outs := make([]core.Outcome, 0, len(ids))
 		for _, id := range ids {
 			out, err := core.Simulate(context.Background(), core.Spec{ID: id, Params: p}, core.Sinks{Metrics: true})
@@ -616,13 +653,13 @@ func main() {
 	outs, err := core.RunSuite(ids, p, *workers)
 	exitOnRunError("-exp", err)
 
-	switch {
-	case portsOut.on:
+	switch mode {
+	case "-ports":
 		fmt.Fprint(portsW, report.PortsCSV(outs))
 		portsDone()
-	case *csvOut:
+	case "-csv":
 		fmt.Print(report.CSV(outs))
-	case *compare:
+	case "-compare":
 		fmt.Println(report.Compare(outs))
 	default:
 		fmt.Printf("%-4s %-44s %6s %9s %9s %9s %7s %8s %8s\n",

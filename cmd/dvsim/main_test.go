@@ -84,6 +84,29 @@ func TestBadSpecExitsTwo(t *testing.T) {
 	}
 }
 
+// TestUnreadFlagExitsTwo: a flag the selected mode does not read exits
+// 2 and names the flag, before any output file is created.
+func TestUnreadFlagExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	out := func(name string) string { return filepath.Join(dir, name) }
+	for _, c := range []struct {
+		args   []string
+		unread string
+	}{
+		{[]string{"-runlog", "5", "-metrics=" + out("m.csv")}, "-metrics"},
+		{[]string{"-exp", "3A", "-frames", "20", "-ports=" + out("p.csv")}, "-ports"},
+		{[]string{"-exp", "1", "-telemetry", out("t.jsonl"), "-until", "5", "-ports=" + out("p.csv")}, "-ports"},
+	} {
+		_, stderr, code := dvsim(t, c.args...)
+		if code != 2 || !strings.Contains(stderr, c.unread+" does not apply") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", c.args, code, stderr, c.unread)
+		}
+		if files, _ := os.ReadDir(dir); len(files) > 0 {
+			t.Errorf("%v: created %s", c.args, files[0].Name())
+		}
+	}
+}
+
 // TestMetricsGolden pins the metrics snapshots dvsim prints: the whole
 // suite, a pid-governed experiment 2 and 2D under a crash and restart.
 // The goldens live beside the library's metrics goldens.

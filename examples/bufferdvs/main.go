@@ -22,11 +22,7 @@ func main() {
 
 	// Multi-target workload: detection scans the whole frame once, then
 	// each target pays the filter + distance blocks.
-	perFrameWork := func(targets int) float64 {
-		base := prof.BlockRefS[atr.BlockDetect]
-		per := prof.BlockRefS[atr.BlockFFT] + prof.BlockRefS[atr.BlockIFFT] + prof.BlockRefS[atr.BlockDistance]
-		return base + float64(targets)*per
-	}
+	perFrameWork := func(targets int) float64 { return prof.MultiRefSeconds(atr.FullSpan, targets) }
 
 	// A deterministic bursty stream: 1–3 targets per frame.
 	rng := rand.New(rand.NewSource(42))

@@ -18,7 +18,11 @@ func main() {
 	fmt.Println(report.Fig8(p))
 
 	schemes := p.TwoNodeSchemes()
-	baseline := core.Run(core.Exp1, p).BatteryLifeH
+	base, err := core.Simulate(context.Background(), core.Spec{ID: core.Exp1, Params: p}, core.Sinks{})
+	if err != nil {
+		panic(err)
+	}
+	baseline := base.BatteryLifeH
 
 	fmt.Printf("simulated to battery exhaustion (baseline T(1) = %.2f h):\n\n", baseline)
 	for i, s := range schemes {

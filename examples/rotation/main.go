@@ -15,14 +15,14 @@ import (
 
 func main() {
 	p := core.DefaultParams()
-	baseline := core.Run(core.Exp1, p).BatteryLifeH
+	baseline := run(core.Exp1, p).BatteryLifeH
 
 	fmt.Println("rotation period sweep (experiment 2C configuration):")
 	fmt.Printf("%10s %10s %10s %12s %14s\n", "period", "T (h)", "Rnorm", "death gap", "rotations")
 	for _, period := range []int{2, 10, 50, 100, 500, 2000, 10000} {
 		pp := p
 		pp.RotationPeriod = period
-		o := core.Run(core.Exp2C, pp)
+		o := run(core.Exp2C, pp)
 		// Death gap: how far apart the two batteries gave out — the
 		// balance metric rotation optimizes.
 		d1, d2 := o.NodeStats[0].DiedAtH, o.NodeStats[1].DiedAtH
@@ -38,7 +38,7 @@ func main() {
 			period, o.BatteryLifeH, o.BatteryLifeH/2/baseline*100, gap,
 			o.NodeStats[0].Rotations+o.NodeStats[1].Rotations)
 	}
-	static := core.Run(core.Exp2, p)
+	static := run(core.Exp2, p)
 	fmt.Printf("%10s %10.2f %9.0f%%   (static partitioning, experiment 2)\n\n",
 		"none", static.BatteryLifeH, static.BatteryLifeH/2/baseline*100)
 
@@ -51,4 +51,13 @@ func main() {
 		panic(err)
 	}
 	fmt.Println(report.Timeline([]string{"node1", "node2"}, traces, 0, 9*pp.FrameDelayS, 90))
+}
+
+// run simulates one paper experiment to battery exhaustion.
+func run(id core.ID, p core.Params) core.Outcome {
+	o, err := core.Simulate(context.Background(), core.Spec{ID: id, Params: p}, core.Sinks{})
+	if err != nil {
+		panic(err)
+	}
+	return o
 }

@@ -28,7 +28,11 @@ func main() {
 			i+1, s.Span, s.InKB, s.OutKB, s.CommS, s.Compute.FreqMHz, s.ProcS)
 	}
 
-	baseline := core.Run(core.Exp1, p).BatteryLifeH
+	base, err := core.Simulate(context.Background(), core.Spec{ID: core.Exp1, Params: p}, core.Sinks{})
+	if err != nil {
+		panic(err)
+	}
+	baseline := base.BatteryLifeH
 	fmt.Printf("\nbaseline T(1) = %.2f h\n\n", baseline)
 
 	for _, period := range []int{0, p.RotationPeriod} {

@@ -1,9 +1,9 @@
 package assert
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+
+	"dvsim/internal/telemetry"
 )
 
 // Violation is one assertion failure, anchored at the offending
@@ -64,8 +64,10 @@ func MustNew(spec *Spec) *Engine {
 	return e
 }
 
-// Observe feeds one record, in stream order, to every monitor.
-func (e *Engine) Observe(r Record) {
+// Observe feeds one record, in stream order, to every monitor. The
+// record is read during the call only: the run's merge reuses it for
+// the next record, so a monitor that keeps a record stores a copy.
+func (e *Engine) Observe(r *telemetry.Record) {
 	if e == nil {
 		return
 	}
@@ -137,30 +139,4 @@ func (e *Engine) Name() string {
 		return ""
 	}
 	return e.spec.Name
-}
-
-// Count returns how many violations one assertion recorded.
-func (e *Engine) Count(assertion string) int {
-	if e == nil {
-		return 0
-	}
-	return e.col.counts[assertion]
-}
-
-// Summary renders one line per violated assertion ("name: N
-// violation(s)"), sorted by name, or "ok" when everything held.
-func (e *Engine) Summary() string {
-	if e == nil || e.col.total == 0 {
-		return "ok"
-	}
-	rows := make([]string, 0, len(e.col.counts))
-	var b strings.Builder
-	for name, n := range e.col.counts {
-		b.Reset()
-		//lint:allow maprange rows are sorted before they are joined, so map iteration order never reaches the output; the reused builder keeps rendering allocation-free
-		fmt.Fprintf(&b, "%s: %d violation(s)", name, n)
-		rows = append(rows, b.String())
-	}
-	sort.Strings(rows)
-	return strings.Join(rows, "\n")
 }

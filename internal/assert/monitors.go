@@ -3,13 +3,15 @@ package assert
 import (
 	"fmt"
 	"sort"
+
+	"dvsim/internal/telemetry"
 )
 
 // A monitor is one compiled assertion: a deterministic state machine
 // consuming the record stream. observe sees every record in stream
 // order; finish flushes temporal obligations at the end of the log.
 type monitor interface {
-	observe(r Record, out *collector)
+	observe(r *telemetry.Record, out *collector)
 	finish(endT float64, out *collector)
 }
 
@@ -63,10 +65,10 @@ func compile(a Assertion) monitor {
 // widens the interval on both sides).
 type boundMon struct {
 	a     Assertion
-	field func(Record) float64
+	field func(*telemetry.Record) float64
 }
 
-func (m *boundMon) observe(r Record, out *collector) {
+func (m *boundMon) observe(r *telemetry.Record, out *collector) {
 	if !m.a.Select.Match(r) {
 		return
 	}
@@ -87,12 +89,12 @@ func (m *boundMon) finish(float64, *collector) {}
 // Tol, tracked per node (or globally).
 type monotoneMon struct {
 	a     Assertion
-	field func(Record) float64
+	field func(*telemetry.Record) float64
 	last  map[string]float64
 	seen  map[string]bool
 }
 
-func (m *monotoneMon) observe(r Record, out *collector) {
+func (m *monotoneMon) observe(r *telemetry.Record, out *collector) {
 	if !m.a.Select.Match(r) {
 		return
 	}
@@ -132,7 +134,7 @@ type rateMon struct {
 	times []float64
 }
 
-func (m *rateMon) observe(r Record, out *collector) {
+func (m *rateMon) observe(r *telemetry.Record, out *collector) {
 	if !m.a.Select.Match(r) {
 		return
 	}
@@ -155,15 +157,15 @@ func (m *rateMon) finish(float64, *collector) {}
 // on — deadline beyond the last record — are undecided and dropped.
 type impliesMon struct {
 	a    Assertion
-	open []Record
+	open []telemetry.Record // copies of the triggers: see Engine.Observe
 }
 
-func (m *impliesMon) observe(r Record, out *collector) {
+func (m *impliesMon) observe(r *telemetry.Record, out *collector) {
 	m.expire(r.T, out)
 	if m.a.Then.Match(r) {
 		kept := m.open[:0]
 		for _, trig := range m.open {
-			if m.agrees(trig, r) {
+			if m.agrees(&trig, r) {
 				continue // obligation discharged
 			}
 			kept = append(kept, trig)
@@ -171,7 +173,7 @@ func (m *impliesMon) observe(r Record, out *collector) {
 		m.open = kept
 	}
 	if m.a.Select.Match(r) {
-		m.open = append(m.open, r)
+		m.open = append(m.open, *r)
 	}
 }
 
@@ -185,7 +187,7 @@ func (m *impliesMon) expire(now float64, out *collector) {
 	kept := m.open[:0]
 	for _, trig := range m.open {
 		if now > trig.T+m.a.WindowS {
-			out.add(violation(m.a, trig, trig.T, m.a.WindowS,
+			out.add(violation(m.a, &trig, trig.T, m.a.WindowS,
 				fmt.Sprintf("no %s within %gs of %s at t=%g", m.a.Then, m.a.WindowS, m.a.Select, trig.T)))
 			continue
 		}
@@ -195,7 +197,7 @@ func (m *impliesMon) expire(now float64, out *collector) {
 }
 
 // agrees checks the Match fields between trigger and consequent.
-func (m *impliesMon) agrees(trig, cons Record) bool {
+func (m *impliesMon) agrees(trig, cons *telemetry.Record) bool {
 	for _, f := range m.a.Match {
 		switch f {
 		case "node":
@@ -227,13 +229,13 @@ func (m *impliesMon) agrees(trig, cons Record) bool {
 // WindowS has passed, the field must never change again.
 type settlesMon struct {
 	a       Assertion
-	field   func(Record) float64
+	field   func(*telemetry.Record) float64
 	started bool
 	startT  float64
 	last    float64
 }
 
-func (m *settlesMon) observe(r Record, out *collector) {
+func (m *settlesMon) observe(r *telemetry.Record, out *collector) {
 	if !m.a.Select.Match(r) {
 		return
 	}
@@ -259,11 +261,11 @@ func (m *settlesMon) finish(float64, *collector) {}
 // below Max.
 type skewMon struct {
 	a      Assertion
-	field  func(Record) float64
+	field  func(*telemetry.Record) float64
 	latest map[string]float64
 }
 
-func (m *skewMon) observe(r Record, out *collector) {
+func (m *skewMon) observe(r *telemetry.Record, out *collector) {
 	if !m.a.Select.Match(r) {
 		return
 	}
@@ -300,7 +302,7 @@ type absentMon struct {
 	a Assertion
 }
 
-func (m *absentMon) observe(r Record, out *collector) {
+func (m *absentMon) observe(r *telemetry.Record, out *collector) {
 	if !m.a.Select.Match(r) {
 		return
 	}
@@ -321,7 +323,7 @@ func (a Assertion) fieldName() string {
 }
 
 // violation fills the common fields from the offending record.
-func violation(a Assertion, r Record, value, bound float64, detail string) Violation {
+func violation(a Assertion, r *telemetry.Record, value, bound float64, detail string) Violation {
 	return Violation{
 		T:         r.T,
 		Assertion: a.Name,

@@ -6,65 +6,23 @@ import (
 	"fmt"
 	"io"
 	"os"
-)
 
-// Record is the assertion engine's view of one telemetry event. The
-// field set and JSON tags mirror core.LogRecord, so a recorded
-// telemetry JSONL file replays through the engine byte-for-byte the
-// way the live event stream does — that is what makes offline and
-// online verdicts identical. The engine depends only on this view, not
-// on internal/core (core imports assert, not the other way around).
-type Record struct {
-	// T is the simulated time in seconds.
-	T float64 `json:"t"`
-	// Event is the kind: mode, result, death, sample, link, latency,
-	// fault, retry, govern or violation (see DESIGN.md §6).
-	Event string `json:"event"`
-	Node  string `json:"node,omitempty"`
-	// Mode, MHz and End describe a mode span.
-	Mode string  `json:"mode,omitempty"`
-	MHz  float64 `json:"mhz,omitempty"`
-	End  float64 `json:"end,omitempty"`
-	// Frame tags result, latency, fault, retry and govern events.
-	Frame int    `json:"frame,omitempty"`
-	From  string `json:"from,omitempty"`
-	To    string `json:"to,omitempty"`
-	// Metric and Value carry sample events; Value doubles as the
-	// seconds figure of latency events and the backoff of retry events.
-	Metric string  `json:"metric,omitempty"`
-	Value  float64 `json:"value,omitempty"`
-	// Kind, KB and DurS describe a link event's transaction.
-	Kind string  `json:"kind,omitempty"`
-	KB   float64 `json:"kb,omitempty"`
-	DurS float64 `json:"dur_s,omitempty"`
-	// Fault is a fault event's kind and a retry event's cause.
-	Fault   string `json:"fault,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	// FromMHz, Queue and Ctl carry govern events.
-	FromMHz float64   `json:"from_mhz,omitempty"`
-	Queue   int       `json:"queue,omitempty"`
-	Ctl     []float64 `json:"ctl,omitempty"`
-	// Assert, Detail and Bound carry violation events, so a checked log
-	// replays cleanly through the engine (no assertion selects the
-	// "violation" kind; see Spec.Validate).
-	Assert string  `json:"assert,omitempty"`
-	Detail string  `json:"detail,omitempty"`
-	Bound  float64 `json:"bound,omitempty"`
-}
+	"dvsim/internal/telemetry"
+)
 
 // fields lists every numeric field an assertion may observe, mapped to
 // its accessor. Names follow the JSON tags.
-var fields = map[string]func(Record) float64{
-	"t":        func(r Record) float64 { return r.T },
-	"mhz":      func(r Record) float64 { return r.MHz },
-	"end":      func(r Record) float64 { return r.End },
-	"frame":    func(r Record) float64 { return float64(r.Frame) },
-	"value":    func(r Record) float64 { return r.Value },
-	"kb":       func(r Record) float64 { return r.KB },
-	"dur_s":    func(r Record) float64 { return r.DurS },
-	"attempt":  func(r Record) float64 { return float64(r.Attempt) },
-	"from_mhz": func(r Record) float64 { return r.FromMHz },
-	"queue":    func(r Record) float64 { return float64(r.Queue) },
+var fields = map[string]func(*telemetry.Record) float64{
+	"t":        func(r *telemetry.Record) float64 { return r.T },
+	"mhz":      func(r *telemetry.Record) float64 { return r.MHz },
+	"end":      func(r *telemetry.Record) float64 { return r.End },
+	"frame":    func(r *telemetry.Record) float64 { return float64(r.Frame) },
+	"value":    func(r *telemetry.Record) float64 { return r.Value },
+	"kb":       func(r *telemetry.Record) float64 { return r.KB },
+	"dur_s":    func(r *telemetry.Record) float64 { return r.DurS },
+	"attempt":  func(r *telemetry.Record) float64 { return float64(r.Attempt) },
+	"from_mhz": func(r *telemetry.Record) float64 { return r.FromMHz },
+	"queue":    func(r *telemetry.Record) float64 { return float64(r.Queue) },
 }
 
 // FieldNames lists the observable numeric fields, sorted, for error
@@ -88,11 +46,11 @@ func Replay(r io.Reader, e *Engine) (int, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
+		var rec telemetry.Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return n, fmt.Errorf("assert: record %d: %w", n+1, err)
 		}
-		e.Observe(rec)
+		e.Observe(&rec)
 		if rec.T > endT {
 			endT = rec.T
 		}

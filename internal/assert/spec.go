@@ -4,10 +4,11 @@
 // Processor Architectures"). A Spec — JSON-parsable, mirroring the
 // shape of governor.Spec and fault.Scenario — declares invariants with
 // bound, rate, implication and temporal-window operators; New compiles
-// it into streaming monitors that consume telemetry records one at a
-// time, either online during a run (core.Params.Assertions) or
-// offline over a recorded JSONL log (Replay, dvsim -check). Both paths observe the identical deterministic record
-// stream, so they return identical verdicts.
+// it into streaming monitors that consume telemetry.Record values one
+// at a time, either online during a run (core.Params.Assertions) or
+// offline over a recorded JSONL log (Replay, dvsim -check). Both paths
+// observe the identical deterministic stream of the one record type the
+// simulator writes, so they return identical verdicts.
 //
 // Checking is opt-in and must cost nothing when off: a nil *Engine is
 // the disabled state and every method on it is a nil-safe no-op — the
@@ -20,6 +21,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"dvsim/internal/telemetry"
 )
 
 // Spec is a serializable assertion catalog: a list of named invariants
@@ -96,7 +99,7 @@ type Select struct {
 }
 
 // Match reports whether the record satisfies every constraint.
-func (s Select) Match(r Record) bool {
+func (s Select) Match(r *telemetry.Record) bool {
 	return s.Event == r.Event &&
 		(s.Node == "" || s.Node == r.Node) &&
 		(s.Metric == "" || s.Metric == r.Metric) &&
@@ -141,7 +144,7 @@ var matchFields = map[string]bool{
 func (a Assertion) perNode() bool { return a.PerNode == nil || *a.PerNode }
 
 // field resolves the assertion's observed field accessor.
-func (a Assertion) field() func(Record) float64 {
+func (a Assertion) field() func(*telemetry.Record) float64 {
 	name := a.Field
 	if name == "" {
 		name = "value"
@@ -283,11 +286,4 @@ func LoadFile(path string) (*Spec, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Save writes the spec as indented JSON.
-func Save(w io.Writer, s *Spec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

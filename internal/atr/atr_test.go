@@ -30,26 +30,6 @@ func TestImageBasics(t *testing.T) {
 	}
 }
 
-func TestImageSerializeRoundTrip(t *testing.T) {
-	im := NewImage(5, 4)
-	for i := range im.Pix {
-		im.Pix[i] = float64(i) / float64(len(im.Pix)-1)
-	}
-	b := im.Bytes()
-	back, err := ImageFromBytes(b, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range im.Pix {
-		if math.Abs(back.Pix[i]-im.Pix[i]) > 1.0/255 {
-			t.Fatalf("pixel %d: %v vs %v", i, back.Pix[i], im.Pix[i])
-		}
-	}
-	if _, err := ImageFromBytes(b, 4, 4); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
 func TestSubImageClamps(t *testing.T) {
 	im := NewImage(4, 4)
 	im.Set(3, 3, 1)
@@ -63,10 +43,7 @@ func TestSubImageClamps(t *testing.T) {
 }
 
 func TestResizePreservesShape(t *testing.T) {
-	tpl, err := TemplateByName("bunker")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tpl := DefaultTemplates()[2] // bunker
 	big := tpl.Img.Resize(32, 32)
 	if big.W != 32 || big.H != 32 {
 		t.Fatal("resize dimensions wrong")
@@ -76,12 +53,6 @@ func TestResizePreservesShape(t *testing.T) {
 	ring := big.At(16, 3)
 	if center >= ring {
 		t.Fatalf("resize destroyed shape: center %v, ring %v", center, ring)
-	}
-}
-
-func TestTemplateByNameUnknown(t *testing.T) {
-	if _, err := TemplateByName("battleship"); err == nil {
-		t.Fatal("unknown template accepted")
 	}
 }
 

@@ -126,7 +126,3 @@ func NewSpectrum(patch []float64, w, h int) Spectrum {
 	FFT2D(data, pw, ph)
 	return Spectrum{W: pw, H: ph, Data: data}
 }
-
-// Bytes is the serialized payload size of the spectrum (two float32 per
-// bin), used to size distributed transfers of the native pipeline.
-func (s Spectrum) Bytes() int { return len(s.Data) * 8 }

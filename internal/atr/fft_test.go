@@ -223,7 +223,7 @@ func TestNewSpectrumPadsToPow2(t *testing.T) {
 	if s.W != 32 || s.H != 32 {
 		t.Fatalf("spectrum %dx%d, want 32x32", s.W, s.H)
 	}
-	if s.Bytes() != 32*32*8 {
-		t.Fatalf("Bytes = %d", s.Bytes())
+	if len(s.Data) != 32*32 {
+		t.Fatalf("%d bins, want 32x32", len(s.Data))
 	}
 }

@@ -1,55 +1,6 @@
 package atr
 
-import (
-	"bytes"
-	"testing"
-)
-
-// FuzzDecode checks the wire decoder never panics and that valid payloads
-// survive a decode→encode→decode cycle byte-identically.
-func FuzzDecode(f *testing.F) {
-	// Seed with every real payload type.
-	p := NewPipeline()
-	frame, _ := NewScene(3).Frame(1)
-	var cur any = frame
-	for _, b := range Blocks {
-		data, err := Encode(cur)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		cur = p.ApplyBlock(b, cur)
-	}
-	if data, err := Encode(cur); err == nil {
-		f.Add(data)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{tagEmpty})
-	f.Add([]byte{tagFrame, 0, 1, 2})
-	f.Add([]byte{tagSpectrum, 9, 9})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := Decode(data) // must not panic
-		if err != nil {
-			return
-		}
-		re, err := Encode(v)
-		if err != nil {
-			t.Fatalf("decoded value %T does not re-encode: %v", v, err)
-		}
-		v2, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoded bytes do not decode: %v", err)
-		}
-		re2, err := Encode(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, re2) {
-			t.Fatal("encode not stable after one round trip")
-		}
-	})
-}
+import "testing"
 
 // FuzzFFTRoundTrip checks IFFT∘FFT ≈ identity on arbitrary byte-derived
 // signals.

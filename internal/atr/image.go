@@ -56,27 +56,6 @@ func (im *Image) SubImage(x0, y0, w, h int) *Image {
 	return out
 }
 
-// Bytes serializes the image to 8-bit pixels (the wire format of a frame).
-func (im *Image) Bytes() []byte {
-	out := make([]byte, im.W*im.H)
-	for i, v := range im.Pix {
-		out[i] = byte(math.Round(clampUnit(v) * 255))
-	}
-	return out
-}
-
-// ImageFromBytes deserializes an 8-bit w×h image.
-func ImageFromBytes(b []byte, w, h int) (*Image, error) {
-	if len(b) != w*h {
-		return nil, fmt.Errorf("atr: %d bytes for %dx%d image", len(b), w, h)
-	}
-	im := NewImage(w, h)
-	for i, v := range b {
-		im.Pix[i] = float64(v) / 255
-	}
-	return im, nil
-}
-
 // Mean returns the mean pixel value.
 func (im *Image) Mean() float64 {
 	var s float64
@@ -117,16 +96,6 @@ func DefaultTemplates() []Template {
 		{Name: "truck", BaseSizePx: 16, RefDistanceM: 100, Img: renderTarget("truck", 16)},
 		{Name: "bunker", BaseSizePx: 16, RefDistanceM: 100, Img: renderTarget("bunker", 16)},
 	}
-}
-
-// TemplateByName returns the named built-in template.
-func TemplateByName(name string) (Template, error) {
-	for _, t := range DefaultTemplates() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return Template{}, fmt.Errorf("atr: unknown template %q", name)
 }
 
 // renderTarget draws a size×size synthetic target shape.

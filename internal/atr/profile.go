@@ -167,3 +167,22 @@ func Chain(cuts ...Block) []Span {
 	}
 	return spans
 }
+
+// MultiRefSeconds is the reference execution time of a span processing n
+// targets: detection scans the frame once; every other block runs per
+// target. It is the timing model behind the multi-target workload variant
+// (see examples/bufferdvs).
+func (p *Profile) MultiRefSeconds(s Span, n int) float64 {
+	if n < 0 {
+		panic("atr: negative target count")
+	}
+	var t float64
+	for b := s.First; b <= s.Last; b++ {
+		if b == BlockDetect {
+			t += p.BlockRefS[b]
+			continue
+		}
+		t += float64(n) * p.BlockRefS[b]
+	}
+	return t
+}

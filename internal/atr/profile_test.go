@@ -140,3 +140,31 @@ func TestChain(t *testing.T) {
 	}()
 	Chain(BlockDetect, BlockIFFT)
 }
+
+func TestMultiRefSecondsScalesPerTarget(t *testing.T) {
+	p := Default()
+	// Zero targets: detection still scans.
+	if got := p.MultiRefSeconds(FullSpan, 0); math.Abs(got-0.18) > 1e-12 {
+		t.Errorf("0 targets: %v", got)
+	}
+	// One target matches the isolated block sum.
+	if got := p.MultiRefSeconds(FullSpan, 1); math.Abs(got-1.22) > 1e-12 {
+		t.Errorf("1 target: %v", got)
+	}
+	// Three targets: detect once, filter thrice.
+	want := 0.18 + 3*(0.19+0.32+0.53)
+	if got := p.MultiRefSeconds(FullSpan, 3); math.Abs(got-want) > 1e-12 {
+		t.Errorf("3 targets: %v, want %v", got, want)
+	}
+	// Span without detection is purely per-target.
+	_, second := SplitAfter(BlockDetect)
+	if got := p.MultiRefSeconds(second, 2); math.Abs(got-2*1.04) > 1e-12 {
+		t.Errorf("tail span ×2: %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative count accepted")
+		}
+	}()
+	p.MultiRefSeconds(FullSpan, -1)
+}

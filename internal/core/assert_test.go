@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dvsim/internal/assert"
+	telem "dvsim/internal/telemetry"
 )
 
 func loadSpec(t *testing.T, name string) *assert.Spec {
@@ -40,7 +41,7 @@ func TestGoldensHoldCatalog(t *testing.T) {
 			t.Fatalf("%s: empty golden", c.golden)
 		}
 		if eng.Total() != 0 {
-			t.Errorf("%s vs %s: %d violation(s):\n%s", c.golden, c.spec, eng.Total(), eng.Summary())
+			t.Errorf("%s vs %s: %d violation(s), the first %+v", c.golden, c.spec, eng.Total(), eng.Violations()[0])
 		}
 	}
 }
@@ -72,8 +73,8 @@ func TestBrokenSpecDeterministic(t *testing.T) {
 }
 
 // TestOnlineOfflineParity is the tentpole's equivalence criterion: the
-// verdicts a catalog reaches online during RunTelemetry (embedded in the
-// JSONL as violation records) are identical to replaying that same log
+// verdicts a catalog reaches online during a telemetry run (embedded in
+// the JSONL as violation records) are identical to replaying that same log
 // offline through a fresh engine — for a failing spec (2D under the
 // impossible deadline) and for a clean one (2C under the catalog).
 func TestOnlineOfflineParity(t *testing.T) {
@@ -89,12 +90,10 @@ func TestOnlineOfflineParity(t *testing.T) {
 		p := DefaultParams()
 		p.Assertions = spec
 		var log bytes.Buffer
-		if _, err := RunTelemetry(c.id, p, 120, &log); err != nil {
-			t.Fatal(err)
-		}
+		mustSimulate(t, Spec{ID: c.id, Params: p, UntilS: 120}, Sinks{Log: &log, Telemetry: true})
 
 		// Online verdicts ride in the log as violation records.
-		var online []LogRecord
+		var online []telem.Record
 		for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
 			r := decodeRecord(t, line)
 			if r.Event == "violation" {
@@ -112,7 +111,7 @@ func TestOnlineOfflineParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		vio := eng.Violations()
-		offline := make([]LogRecord, len(vio))
+		offline := make([]telem.Record, len(vio))
 		for i := range vio {
 			violationRecord(&vio[i], &offline[i])
 		}
@@ -127,9 +126,9 @@ func TestOnlineOfflineParity(t *testing.T) {
 	}
 }
 
-func decodeRecord(t *testing.T, line string) LogRecord {
+func decodeRecord(t *testing.T, line string) telem.Record {
 	t.Helper()
-	var r LogRecord
+	var r telem.Record
 	if err := decodeStrict([]byte(line), &r); err != nil {
 		t.Fatalf("bad record %q: %v", line, err)
 	}
@@ -142,7 +141,7 @@ func TestCheckedRunOutcome(t *testing.T) {
 	catalog := loadSpec(t, "catalog.json")
 	p := DefaultParams()
 	p.Assertions = catalog
-	out := Run(Exp1, p)
+	out := mustSimulate(t, Spec{ID: Exp1, Params: p}, Sinks{})
 	if out.AssertionsRun != len(catalog.Assertions) {
 		t.Fatalf("checked run evaluated %d assertions, want %d", out.AssertionsRun, len(catalog.Assertions))
 	}
@@ -151,7 +150,7 @@ func TestCheckedRunOutcome(t *testing.T) {
 	}
 	// The outcome must match the plain run exactly: checking is an
 	// observer, never a perturbation.
-	plain := Run(Exp1, DefaultParams())
+	plain := mustSimulate(t, Spec{ID: Exp1, Params: DefaultParams()}, Sinks{})
 	if out.BatteryLifeH != plain.BatteryLifeH || out.Frames != plain.Frames {
 		t.Fatalf("checking perturbed the run: %v/%d vs %v/%d",
 			out.BatteryLifeH, out.Frames, plain.BatteryLifeH, plain.Frames)
@@ -161,7 +160,7 @@ func TestCheckedRunOutcome(t *testing.T) {
 // TestUncheckedRunUnchanged pins the nil contract: without a catalog
 // the outcome carries no assertion state at all.
 func TestUncheckedRunUnchanged(t *testing.T) {
-	out := Run(Exp1, DefaultParams())
+	out := mustSimulate(t, Spec{ID: Exp1, Params: DefaultParams()}, Sinks{})
 	if out.AssertionsRun != 0 || out.ViolationTotal != 0 || out.Violations != nil {
 		t.Fatalf("unchecked run carries assertion state: %+v", out)
 	}

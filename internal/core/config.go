@@ -15,8 +15,9 @@ import (
 // PlatformConfig is the serializable form of Params: everything a
 // downstream user edits to model their own platform — a different
 // profile, link, power curve, battery or frame budget — as one JSON
-// document. Load it with LoadPlatform; dump the calibrated defaults with
-// DefaultPlatformConfig + SavePlatform as a starting point.
+// document. Load it with LoadPlatformConfig and convert it with Params;
+// dump the calibrated defaults with DefaultPlatformConfig + SavePlatform
+// as a starting point.
 type PlatformConfig struct {
 	// Profile is the workload profile (block times, payload sizes).
 	Profile atr.Profile `json:"profile"`
@@ -139,10 +140,10 @@ func (pc PlatformConfig) Params() (Params, error) {
 	}, nil
 }
 
-// LoadPlatformConfig reads a JSON platform config without converting
-// it, for callers that need the serializable form itself — the
-// manifest layer and the simulation service key their content-
-// addressed run cache on it.
+// LoadPlatformConfig reads a JSON platform config, rejecting unknown
+// fields; PlatformConfig.Params converts it. Callers keep the
+// serializable form: the manifest layer and the simulation service key
+// their content-addressed run cache on it.
 func LoadPlatformConfig(r io.Reader) (PlatformConfig, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -151,15 +152,6 @@ func LoadPlatformConfig(r io.Reader) (PlatformConfig, error) {
 		return PlatformConfig{}, fmt.Errorf("core: parsing platform config: %w", err)
 	}
 	return pc, nil
-}
-
-// LoadPlatform reads a JSON platform config and converts it.
-func LoadPlatform(r io.Reader) (Params, error) {
-	pc, err := LoadPlatformConfig(r)
-	if err != nil {
-		return Params{}, err
-	}
-	return pc.Params()
 }
 
 // SavePlatform writes a config as indented JSON.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,19 +10,30 @@ import (
 	"dvsim/internal/cpu"
 )
 
+// loadParams reads a platform config and converts it, the path dvsim
+// -params and the manifest take.
+func loadParams(r io.Reader) (Params, error) {
+	pc, err := LoadPlatformConfig(r)
+	if err != nil {
+		return Params{}, err
+	}
+	return pc.Params()
+}
+
 func TestPlatformConfigRoundTrip(t *testing.T) {
 	pc := DefaultPlatformConfig()
 	var buf bytes.Buffer
 	if err := SavePlatform(&buf, pc); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadPlatform(&buf)
+	p, err := loadParams(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The round-tripped platform reproduces the baseline exactly.
 	def := DefaultParams()
-	if got, want := Run(Exp1, p).BatteryLifeH, Run(Exp1, def).BatteryLifeH; got != want {
+	got := mustSimulate(t, Spec{ID: Exp1, Params: p}, Sinks{}).BatteryLifeH
+	if want := mustSimulate(t, Spec{ID: Exp1, Params: def}, Sinks{}).BatteryLifeH; got != want {
 		t.Fatalf("round-tripped baseline %v h, default %v h", got, want)
 	}
 	// And the partition table.
@@ -40,7 +52,7 @@ func TestLoadPlatformCustomValues(t *testing.T) {
 	if err := SavePlatform(&buf, pc); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadPlatform(&buf)
+	p, err := loadParams(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +72,7 @@ func TestLoadPlatformZeroBatterySolvesAnchors(t *testing.T) {
 	if err := SavePlatform(&buf, pc); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadPlatform(&buf)
+	p, err := loadParams(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +90,7 @@ func TestLoadPlatformValidation(t *testing.T) {
 		if err := SavePlatform(&buf, pc); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadPlatform(&buf)
+		_, err := loadParams(&buf)
 		if err == nil {
 			return ""
 		}
@@ -102,7 +114,7 @@ func TestLoadPlatformValidation(t *testing.T) {
 }
 
 func TestLoadPlatformRejectsUnknownFields(t *testing.T) {
-	_, err := LoadPlatform(strings.NewReader(`{"frame_delay_s": 2.3, "warp_drive": true}`))
+	_, err := loadParams(strings.NewReader(`{"frame_delay_s": 2.3, "warp_drive": true}`))
 	if err == nil {
 		t.Fatal("unknown field accepted")
 	}

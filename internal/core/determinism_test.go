@@ -25,12 +25,8 @@ func TestTelemetryByteDeterminism(t *testing.T) {
 			t.Parallel()
 			p := DefaultParams()
 			var a, b bytes.Buffer
-			if _, err := RunTelemetry(id, p, telemetryGoldenWindowS, &a); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunTelemetry(id, p, telemetryGoldenWindowS, &b); err != nil {
-				t.Fatal(err)
-			}
+			mustSimulate(t, Spec{ID: id, Params: p, UntilS: telemetryGoldenWindowS}, Sinks{Log: &a, Telemetry: true})
+			mustSimulate(t, Spec{ID: id, Params: p, UntilS: telemetryGoldenWindowS}, Sinks{Log: &b, Telemetry: true})
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
 				t.Fatal("two runs of the same experiment produced different telemetry bytes")
 			}

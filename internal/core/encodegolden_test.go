@@ -14,7 +14,7 @@ import (
 
 // TestEncodeRecordMatchesGoldensAndStdlib is the encoder's contract
 // test against real telemetry: every committed golden line, decoded
-// into a LogRecord, must re-encode to the exact original bytes through
+// into a telemetry.Record, must re-encode to the exact original bytes through
 // BOTH encoding/json and the hand-rolled encoder. The stdlib leg proves
 // the goldens are a faithful oracle; the telemetry leg proves the fast
 // path cannot drift from them.
@@ -38,7 +38,7 @@ func TestEncodeRecordMatchesGoldensAndStdlib(t *testing.T) {
 		for sc.Scan() {
 			line++
 			raw := sc.Bytes()
-			var r LogRecord
+			var r telem.Record
 			if err := json.Unmarshal(raw, &r); err != nil {
 				t.Fatalf("%s:%d: %v", path, line, err)
 			}
@@ -73,7 +73,7 @@ func TestEncodeRecordMatchesGoldensAndStdlib(t *testing.T) {
 // goldens lack: controller terms as a fixed-size array under omitzero
 // must serialize exactly as encoding/json does.
 func TestEncodeRecordCtlMatchesStdlib(t *testing.T) {
-	recs := []LogRecord{
+	recs := []telem.Record{
 		{T: 4.6, Event: "govern", Node: "node1", Frame: 2, FromMHz: 73.7, MHz: 103.2,
 			Value: 0.41, Queue: 3, Ctl: [3]float64{0.5, -0.25, 1e-7}},
 		{T: 9.2, Event: "govern", Node: "node2", Ctl: [3]float64{0, 0, 0}}, // omitted
@@ -113,7 +113,7 @@ func FuzzEncodeRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-			var r LogRecord
+			var r telem.Record
 			if err := json.Unmarshal(line, &r); err != nil {
 				f.Fatalf("%s: %v", path, err)
 			}
@@ -125,7 +125,7 @@ func FuzzEncodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tt float64, event, nodeName, mode string, mhz, end float64, frame int,
 		from, to, metric string, value float64, kind string, kb, durS float64, fault string,
 		attempt int, fromMHz float64, queue int, c0, c1, c2 float64, assertion, detail string, bound float64) {
-		r := LogRecord{
+		r := telem.Record{
 			T: tt, Event: event, Node: nodeName, Mode: mode, MHz: mhz, End: end, Frame: frame,
 			From: from, To: to, Metric: metric, Value: value, Kind: kind, KB: kb, DurS: durS,
 			Fault: fault, Attempt: attempt, FromMHz: fromMHz, Queue: queue,
@@ -154,7 +154,7 @@ func FuzzEncodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encoding/json rejected the shifted record %+v: %v", alt, err)
 		}
-		for _, rec := range []*LogRecord{&r, &alt, &r} {
+		for _, rec := range []*telem.Record{&r, &alt, &r} {
 			encodeRecord(enc, rec)
 		}
 		if enc.Flush(); enc.Err() != nil {

@@ -83,7 +83,7 @@ func TestSuiteReproducesPaper(t *testing.T) {
 }
 
 func TestExp2Node2DiesFirstWithChargeStranded(t *testing.T) {
-	o := Run(Exp2, DefaultParams())
+	o := mustSimulate(t, Spec{ID: Exp2, Params: DefaultParams()}, Sinks{})
 	n1, n2 := o.NodeStats[0], o.NodeStats[1]
 	if n2.DiedAtH == 0 {
 		t.Fatal("node2 should die (§6.4: Node2 always fails first)")
@@ -97,7 +97,7 @@ func TestExp2Node2DiesFirstWithChargeStranded(t *testing.T) {
 }
 
 func TestExp2BMigrationKeepsSystemAlive(t *testing.T) {
-	o := Run(Exp2B, DefaultParams())
+	o := mustSimulate(t, Spec{ID: Exp2B, Params: DefaultParams()}, Sinks{})
 	n1, n2 := o.NodeStats[0], o.NodeStats[1]
 	if n1.Migrations != 1 {
 		t.Fatalf("node1 migrations %d, want 1", n1.Migrations)
@@ -119,7 +119,7 @@ func TestExp2BMigrationKeepsSystemAlive(t *testing.T) {
 }
 
 func TestExp2CBalancesDischarge(t *testing.T) {
-	o := Run(Exp2C, DefaultParams())
+	o := mustSimulate(t, Spec{ID: Exp2C, Params: DefaultParams()}, Sinks{})
 	n1, n2 := o.NodeStats[0], o.NodeStats[1]
 	if relErr(float64(n1.FramesProcessed), float64(n2.FramesProcessed)) > 0.02 {
 		t.Errorf("frames %d vs %d; rotation should balance", n1.FramesProcessed, n2.FramesProcessed)
@@ -142,8 +142,8 @@ func TestExp1AMatchesRecoveryEffectStory(t *testing.T) {
 	// frames than the no-I/O run, because the battery recovers during
 	// the low-current I/O phases.
 	p := DefaultParams()
-	f0A := Run(Exp0A, p).Frames
-	f1A := Run(Exp1A, p).Frames
+	f0A := mustSimulate(t, Spec{ID: Exp0A, Params: p}, Sinks{}).Frames
+	f1A := mustSimulate(t, Spec{ID: Exp1A, Params: p}, Sinks{}).Frames
 	if f1A <= f0A {
 		t.Errorf("F(1A)=%d ≤ F(0A)=%d; recovery effect missing", f1A, f0A)
 	}
@@ -183,8 +183,8 @@ func TestRunUnknownExperimentPanics(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := Run(Exp2C, DefaultParams())
-	b := Run(Exp2C, DefaultParams())
+	a := mustSimulate(t, Spec{ID: Exp2C, Params: DefaultParams()}, Sinks{})
+	b := mustSimulate(t, Spec{ID: Exp2C, Params: DefaultParams()}, Sinks{})
 	if a.Frames != b.Frames || a.WallH != b.WallH {
 		t.Fatalf("2C not deterministic: %d/%v vs %d/%v", a.Frames, a.WallH, b.Frames, b.WallH)
 	}
@@ -215,7 +215,7 @@ func TestLabelsAndPaperData(t *testing.T) {
 func TestFramesDroppedIsZero(t *testing.T) {
 	// The buffering host never drops frames while any node lives.
 	for _, id := range []ID{Exp2, Exp2C} {
-		if o := Run(id, DefaultParams()); o.FramesDropped != 0 {
+		if o := mustSimulate(t, Spec{ID: id, Params: DefaultParams()}, Sinks{}); o.FramesDropped != 0 {
 			t.Errorf("%s dropped %d frames", id, o.FramesDropped)
 		}
 	}
@@ -229,16 +229,16 @@ func TestIdealBatteryErasesTheHeadline(t *testing.T) {
 	p := DefaultParams()
 	cap := DefaultItsyBatteryParams().CapacityMAh
 	p.Battery = func() battery.Model { return battery.NewIdeal(cap) }
-	t1 := Run(Exp1, p).BatteryLifeH
-	t1A := Run(Exp1A, p).BatteryLifeH
+	t1 := mustSimulate(t, Spec{ID: Exp1, Params: p}, Sinks{}).BatteryLifeH
+	t1A := mustSimulate(t, Spec{ID: Exp1A, Params: p}, Sinks{}).BatteryLifeH
 	gain := t1A / t1
 	if gain > 1.5 {
 		t.Errorf("ideal-battery DVS-I/O gain %v; expected moderate", gain)
 	}
 	// And the real model's distinguishing behavior: 0A delivers half of
 	// 0B's charge on the calibrated pack, but identical charge on ideal.
-	f0A := Run(Exp0A, p).NodeStats[0].DeliveredMAh
-	f0B := Run(Exp0B, p).NodeStats[0].DeliveredMAh
+	f0A := mustSimulate(t, Spec{ID: Exp0A, Params: p}, Sinks{}).NodeStats[0].DeliveredMAh
+	f0B := mustSimulate(t, Spec{ID: Exp0B, Params: p}, Sinks{}).NodeStats[0].DeliveredMAh
 	if relErr(f0A, f0B) > 1e-6 {
 		t.Errorf("ideal battery delivered %v vs %v mAh", f0A, f0B)
 	}

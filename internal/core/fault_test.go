@@ -31,12 +31,8 @@ func TestFaultTelemetryDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.Faults = lossyLinks()
 	var a, b bytes.Buffer
-	if _, err := RunTelemetry(Exp2, p, 300, &a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTelemetry(Exp2, p, 300, &b); err != nil {
-		t.Fatal(err)
-	}
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &a, Telemetry: true})
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &b, Telemetry: true})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("telemetry logs differ between identical fault-injected runs")
 	}
@@ -177,11 +173,11 @@ func TestFaultCrashRestart(t *testing.T) {
 // death without touching the other pack.
 func TestFaultBatteryVariance(t *testing.T) {
 	p := DefaultParams()
-	base := Run(Exp2, p)
+	base := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{})
 	p.Faults = &fault.Scenario{
 		Batteries: []fault.BatteryScale{{Node: "node2", CapacityScale: 0.5}},
 	}
-	scaled := Run(Exp2, p)
+	scaled := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{})
 	died := func(o Outcome, name string) float64 {
 		for _, ns := range o.NodeStats {
 			if ns.Name == name {
@@ -206,7 +202,7 @@ func TestExp2DSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full run")
 	}
-	out := Run(Exp2D, DefaultParams())
+	out := mustSimulate(t, Spec{ID: Exp2D, Params: DefaultParams()}, Sinks{})
 	if out.FaultStats.Drops == 0 || out.FaultStats.Garbles == 0 {
 		t.Fatalf("2D injected no faults: %+v", out.FaultStats)
 	}

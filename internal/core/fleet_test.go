@@ -178,18 +178,11 @@ func TestFleetAssertions(t *testing.T) {
 	}
 }
 
-// TestRunExperimentBound: the bounded entry point caps pipeline
-// experiments and leaves unbounded ones identical to Run.
+// TestRunExperimentBound: Spec.Frames caps a pipeline experiment.
 func TestRunExperimentBound(t *testing.T) {
-	p := DefaultParams()
-	out := RunExperiment(Exp2, p, 50)
+	out := mustSimulate(t, Spec{ID: Exp2, Params: DefaultParams(), Frames: 50}, Sinks{})
 	if out.Frames != 50 {
 		t.Fatalf("bounded run delivered %d frames, want 50", out.Frames)
-	}
-	full := RunExperiment(Exp1, p, 0)
-	direct := Run(Exp1, p)
-	if !reflect.DeepEqual(full, direct) {
-		t.Fatal("unbounded RunExperiment diverged from Run")
 	}
 }
 

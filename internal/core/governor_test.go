@@ -64,9 +64,9 @@ func TestGovernorStudyAcceptance(t *testing.T) {
 // charge — with only the governor accounting differing.
 func TestStaticGovernorMatchesUngoverned(t *testing.T) {
 	p := DefaultParams()
-	base := Run(Exp2, p)
+	base := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{})
 	p.Governor = governor.Spec{Name: "static"}
-	gov := Run(Exp2, p)
+	gov := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{})
 
 	if gov.Frames != base.Frames || gov.BatteryLifeH != base.BatteryLifeH {
 		t.Errorf("static governor changed the run: %d frames %.4f h, want %d frames %.4f h",
@@ -97,12 +97,8 @@ func TestGovernedTelemetryDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.Governor = governor.Spec{Name: "pid"}
 	var a, b bytes.Buffer
-	if _, err := RunTelemetry(Exp2, p, 300, &a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTelemetry(Exp2, p, 300, &b); err != nil {
-		t.Fatal(err)
-	}
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &a, Telemetry: true})
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &b, Telemetry: true})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("governed telemetry differs between identical runs")
 	}
@@ -162,7 +158,7 @@ func TestPlatformConfigGovernorRoundTrip(t *testing.T) {
 	if err := SavePlatform(&buf, pc); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadPlatform(&buf)
+	p, err := loadParams(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +171,7 @@ func TestPlatformConfigGovernorRoundTrip(t *testing.T) {
 	if err := SavePlatform(&buf, pc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPlatform(&buf); err == nil {
+	if _, err := loadParams(&buf); err == nil {
 		t.Error("unknown governor accepted at load time")
 	}
 
@@ -184,7 +180,7 @@ func TestPlatformConfigGovernorRoundTrip(t *testing.T) {
 	if err := SavePlatform(&buf, pc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPlatform(&buf); err == nil {
+	if _, err := loadParams(&buf); err == nil {
 		t.Error("out-of-range tuning accepted at load time")
 	}
 }

@@ -7,19 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	telem "dvsim/internal/telemetry"
 )
 
 // decodeStrict unmarshals one telemetry line rejecting unknown fields,
-// so the committed goldens and the LogRecord schema cannot drift apart
+// so the committed goldens and the telemetry.Record schema cannot drift apart
 // silently.
-func decodeStrict(line []byte, r *LogRecord) error {
+func decodeStrict(line []byte, r *telem.Record) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	return dec.Decode(r)
 }
 
 // TestTelemetryGoldenRoundTrip parses every committed telemetry golden
-// back through the LogRecord schema and checks the stream contract the
+// back through the telemetry.Record schema and checks the stream contract the
 // consumers (assert.Replay, external plotting) rely on: every line
 // decodes strictly, timestamps never decrease, and records sharing a
 // timestamp appear in canonical lessRecord order — which subsumes the
@@ -34,13 +36,13 @@ func TestTelemetryGoldenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prev LogRecord
+		var prev telem.Record
 		n := 0
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 		for sc.Scan() {
 			n++
-			var r LogRecord
+			var r telem.Record
 			if err := decodeStrict(sc.Bytes(), &r); err != nil {
 				t.Fatalf("%s line %d: %v", path, n, err)
 			}

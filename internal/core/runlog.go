@@ -25,67 +25,6 @@ import (
 // JSON lines, for plotting and external analysis. The log is the
 // machine-readable counterpart of the timing diagrams.
 
-// LogRecord is one event in a run log.
-type LogRecord struct {
-	// T is the simulated time in seconds.
-	T float64 `json:"t"`
-	// Event is "mode", "result" or "death" for plain logs; telemetry
-	// logs add "sample", "link", "latency", — when a fault scenario is
-	// active — "fault" (an injected drop/garble/crash/restart) and
-	// "retry" (a scheduled retransmission), — when a governor is
-	// active — "govern" (one online DVS decision), and — when an
-	// assertion catalog is active — "violation" (one failed invariant).
-	Event string `json:"event"`
-	// Node is the acting node ("node1", …); empty for host events. For
-	// sample events it is the sampler's node label.
-	Node string `json:"node,omitempty"`
-	// Mode and MHz describe a mode span ("idle", "communication",
-	// "computation"); End is the span's end time.
-	Mode string  `json:"mode,omitempty"`
-	MHz  float64 `json:"mhz,omitempty"`
-	End  float64 `json:"end,omitempty"`
-	// Frame tags result and latency events.
-	Frame int `json:"frame,omitempty"`
-	// From tags result events with the delivering node and link events
-	// with the sending port; To is a link event's receiving port.
-	From string `json:"from,omitempty"`
-	To   string `json:"to,omitempty"`
-	// Metric and Value carry sample events (battery_soc, port_pending,
-	// …); Value doubles as the seconds figure of latency events and the
-	// observed quantity of violation events.
-	Metric string  `json:"metric,omitempty"`
-	Value  float64 `json:"value,omitempty"`
-	// Kind, KB and DurS describe a link event's transaction: message
-	// kind, payload size and wire time (startup included). Kind also
-	// tags fault and retry events with the affected message kind and
-	// violation events with the assertion's operator type.
-	Kind string  `json:"kind,omitempty"`
-	KB   float64 `json:"kb,omitempty"`
-	DurS float64 `json:"dur_s,omitempty"`
-	// Fault is the injected fault kind ("drop", "garble", "crash",
-	// "restart") of fault events, and the cause of retry events.
-	Fault string `json:"fault,omitempty"`
-	// Attempt is the failed transmission a retry event recovers from
-	// (1-based); its backoff duration rides in Value.
-	Attempt int `json:"attempt,omitempty"`
-	// FromMHz is a govern event's pre-decision compute clock; the
-	// decided clock rides in MHz and the frame's slack in Value.
-	FromMHz float64 `json:"from_mhz,omitempty"`
-	// Queue is a govern event's observed inbound backlog.
-	Queue int `json:"queue,omitempty"`
-	// Ctl carries a govern event's controller terms (governor.Terms).
-	// The fixed-size array spares one heap allocation per govern event;
-	// omitzero drops it when all three terms are zero, exactly as
-	// omitempty dropped the empty slice.
-	Ctl [3]float64 `json:"ctl,omitzero"`
-	// Assert names a violation event's failed invariant; Detail is its
-	// deterministic account and Bound the limit the observed Value
-	// broke (see internal/assert).
-	Assert string  `json:"assert,omitempty"`
-	Detail string  `json:"detail,omitempty"`
-	Bound  float64 `json:"bound,omitempty"`
-}
-
 // eventRank orders event kinds at equal timestamps, so logs are
 // byte-identical across runs regardless of collection order. The full
 // vocabulary and the ordering contract are documented in DESIGN.md §6.
@@ -120,7 +59,7 @@ func eventRank(event string) int {
 // kind, then the identifying labels. Same-instant records from
 // different sources (mode spans vs results vs samples) would otherwise
 // land in map- or callback-dependent order.
-func lessRecord(a, b *LogRecord) bool {
+func lessRecord(a, b *telem.Record) bool {
 	if a.T != b.T {
 		return a.T < b.T
 	}
@@ -132,7 +71,7 @@ func lessRecord(a, b *LogRecord) bool {
 
 // compareLabels orders two same-instant records of one event kind by
 // their identifying labels: the tail of lessRecord.
-func compareLabels(a, b *LogRecord) int {
+func compareLabels(a, b *telem.Record) int {
 	return cmp.Or(
 		strings.Compare(a.Node, b.Node),
 		strings.Compare(a.Metric, b.Metric),
@@ -147,7 +86,7 @@ func compareLabels(a, b *LogRecord) int {
 // recorder gathers a run's observable events on every engine: governHook
 // rides in the engine configuration and attach wires the remaining
 // observers once the rig is built. Each hook appends the event it
-// receives, as is, to its own typed bucket; a LogRecord exists only as
+// receives, as is, to its own typed bucket; a record exists only as
 // the head of a merge source (see merge). The buckets are chunk lists,
 // so a long run's appends never copy earlier events. The recorder backs
 // both Simulate's event log and its assertion checking.
@@ -218,9 +157,9 @@ func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 	if rc.telemetry {
 		for i := range series {
 			s := &series[i]
-			srcs = append(srcs, source{rank: eventRank("sample"), n: len(s.Samples), load: func(i int, rec *LogRecord) {
+			srcs = append(srcs, source{rank: eventRank("sample"), n: len(s.Samples), load: func(i int, rec *telem.Record) {
 				pt := &s.Samples[i]
-				*rec = LogRecord{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
+				*rec = telem.Record{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
 			}})
 		}
 	}
@@ -233,8 +172,8 @@ func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 		// End-to-end latency: arrival minus the instant the frame entered
 		// the system (frame·D).
 		d := r.d
-		srcs = append(srcs, bucket("latency", &rc.result, func(res *host.Result, rec *LogRecord) {
-			*rec = LogRecord{
+		srcs = append(srcs, bucket("latency", &rc.result, func(res *host.Result, rec *telem.Record) {
+			*rec = telem.Record{
 				T: float64(res.At), Event: "latency", Frame: res.Frame,
 				From: res.From, Value: float64(res.At) - float64(res.Frame)*d,
 			}
@@ -247,21 +186,21 @@ func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 // modeSource reads one node's mode spans, chronological by
 // construction.
 func modeSource(name string, trace *chunk.List[node.ModeSpan]) source {
-	return stream("mode", trace, func(sp *node.ModeSpan, rec *LogRecord) {
-		*rec = LogRecord{
+	return stream("mode", trace, func(sp *node.ModeSpan, rec *telem.Record) {
+		*rec = telem.Record{
 			T: float64(sp.Start), End: float64(sp.End), Event: "mode",
 			Node: name, Mode: sp.Mode.String(), MHz: sp.Op.FreqMHz,
 		}
 	})
 }
 
-func deathRecord(n **node.Node, rec *LogRecord) {
-	*rec = LogRecord{T: float64((*n).DeadAt), Event: "death", Node: (*n).Name}
+func deathRecord(n **node.Node, rec *telem.Record) {
+	*rec = telem.Record{T: float64((*n).DeadAt), Event: "death", Node: (*n).Name}
 }
 
-func governRecord(g *governEvent, rec *LogRecord) {
+func governRecord(g *governEvent, rec *telem.Record) {
 	ev := &g.ev
-	*rec = LogRecord{
+	*rec = telem.Record{
 		T: ev.Obs.NowS, Event: "govern", Node: g.node,
 		Frame: ev.Frame, FromMHz: ev.From.FreqMHz, MHz: ev.To.FreqMHz,
 		Value: ev.Obs.SlackS, Queue: ev.Obs.QueueIn,
@@ -269,16 +208,16 @@ func governRecord(g *governEvent, rec *LogRecord) {
 	}
 }
 
-func faultRecord(ev *fault.Event, rec *LogRecord) {
-	*rec = LogRecord{
+func faultRecord(ev *fault.Event, rec *telem.Record) {
+	*rec = telem.Record{
 		T: float64(ev.T), Event: "fault", Fault: ev.Kind,
 		Node: ev.Node, From: ev.From, To: ev.To,
 		Kind: ev.MsgKind, Frame: ev.Frame,
 	}
 }
 
-func retryRecord(ev *serial.RetryEvent, rec *LogRecord) {
-	*rec = LogRecord{
+func retryRecord(ev *serial.RetryEvent, rec *telem.Record) {
+	*rec = telem.Record{
 		T: float64(ev.T), Event: "retry",
 		From: ev.From, To: ev.To,
 		Kind: ev.Kind.String(), Frame: ev.Frame,
@@ -287,21 +226,21 @@ func retryRecord(ev *serial.RetryEvent, rec *LogRecord) {
 	}
 }
 
-func linkRecord(ev *serial.TransferEvent, rec *LogRecord) {
-	*rec = LogRecord{
+func linkRecord(ev *serial.TransferEvent, rec *telem.Record) {
+	*rec = telem.Record{
 		T: float64(ev.T), Event: "link",
 		From: ev.From, To: ev.To,
 		Kind: ev.Kind.String(), KB: ev.KB, DurS: ev.DurS,
 	}
 }
 
-func resultRecord(res *host.Result, rec *LogRecord) {
-	*rec = LogRecord{T: float64(res.At), Event: "result", Frame: res.Frame, From: res.From}
+func resultRecord(res *host.Result, rec *telem.Record) {
+	*rec = telem.Record{T: float64(res.At), Event: "result", Frame: res.Frame, From: res.From}
 }
 
 // violationRecord renders a violation as a telemetry event.
-func violationRecord(v *assert.Violation, rec *LogRecord) {
-	*rec = LogRecord{
+func violationRecord(v *assert.Violation, rec *telem.Record) {
+	*rec = telem.Record{
 		T: v.T, Event: "violation", Node: v.Node, Frame: v.Frame,
 		Kind: v.Type, Assert: v.Assertion, Value: v.Value,
 		Bound: v.Bound, Detail: v.Detail,
@@ -310,18 +249,18 @@ func violationRecord(v *assert.Violation, rec *LogRecord) {
 
 // source is one merge stream, read in place where the run left it: n
 // records of one event kind (rank is its eventRank), the i-th rendered
-// into a LogRecord by load only when it becomes the stream's head.
+// into a record by load only when it becomes the stream's head.
 // Every source is in lessRecord order, so in particular by time.
 type source struct {
 	rank int
 	n    int
-	load func(i int, rec *LogRecord)
+	load func(i int, rec *telem.Record)
 }
 
 // search returns the position of the source's first record at or after
 // instant t.
 func (s *source) search(t float64) int {
-	var rec LogRecord
+	var rec telem.Record
 	return sort.Search(s.n, func(i int) bool {
 		s.load(i, &rec)
 		return rec.T >= t
@@ -330,13 +269,13 @@ func (s *source) search(t float64) int {
 
 // stream makes the source of a chunk list's events, already in
 // lessRecord order.
-func stream[E any](event string, evs *chunk.List[E], render func(*E, *LogRecord)) source {
-	return source{rank: eventRank(event), n: evs.Len(), load: func(i int, rec *LogRecord) { render(evs.At(i), rec) }}
+func stream[E any](event string, evs *chunk.List[E], render func(*E, *telem.Record)) source {
+	return source{rank: eventRank(event), n: evs.Len(), load: func(i int, rec *telem.Record) { render(evs.At(i), rec) }}
 }
 
 // bucket makes the source of a hook's typed bucket, first restoring
 // lessRecord order within it.
-func bucket[E any](event string, evs *chunk.List[E], render func(*E, *LogRecord)) source {
+func bucket[E any](event string, evs *chunk.List[E], render func(*E, *telem.Record)) source {
 	ensureOrdered(evs, render)
 	return stream(event, evs, render)
 }
@@ -346,8 +285,8 @@ func bucket[E any](event string, evs *chunk.List[E], render func(*E, *LogRecord)
 // all known cases and the check is one linear pass; rebuilding the
 // bucket from a stably sorted flat copy is a correctness net for
 // same-instant events whose labels disagree with arrival order.
-func ensureOrdered[E any](evs *chunk.List[E], render func(*E, *LogRecord)) {
-	var pair [2]LogRecord
+func ensureOrdered[E any](evs *chunk.List[E], render func(*E, *telem.Record)) {
+	var pair [2]telem.Record
 	for i := range evs.Len() {
 		cur, prev := &pair[i&1], &pair[(i+1)&1]
 		render(evs.At(i), cur)
@@ -374,11 +313,11 @@ func ensureOrdered[E any](evs *chunk.List[E], render func(*E, *LogRecord)) {
 // time shard, one position range per source.
 type merger struct {
 	srcs  []source
-	pos   []int       // index of each source's head
-	end   []int       // one past each source's last record in the pass
-	heads []LogRecord // each source's current head
-	heap  []int       // sources with a head; heap[0] holds the least
-	top   int         // source whose head next returned last, or -1
+	pos   []int          // index of each source's head
+	end   []int          // one past each source's last record in the pass
+	heads []telem.Record // each source's current head
+	heap  []int          // sources with a head; heap[0] holds the least
+	top   int            // source whose head next returned last, or -1
 }
 
 // rewind starts a pass over the merge from every source's first record.
@@ -390,7 +329,7 @@ func (m *merger) rewind() { m.start(nil, nil) }
 func (m *merger) start(lo, hi []int) {
 	n := len(m.srcs)
 	if cap(m.pos) < n {
-		m.pos, m.end, m.heads, m.heap = make([]int, n), make([]int, n), make([]LogRecord, n), make([]int, 0, n)
+		m.pos, m.end, m.heads, m.heap = make([]int, n), make([]int, n), make([]telem.Record, n), make([]int, 0, n)
 	}
 	m.pos, m.end, m.heads, m.heap = m.pos[:n], m.end[:n], m.heads[:n], m.heap[:0]
 	for i, s := range m.srcs {
@@ -411,7 +350,7 @@ func (m *merger) start(lo, hi []int) {
 
 // next returns the next record in canonical order, or nil once every
 // source is drained. The record is valid until the following call.
-func (m *merger) next() *LogRecord {
+func (m *merger) next() *telem.Record {
 	if i := m.top; i >= 0 {
 		m.pos[i]++
 		if m.pos[i] < m.end[i] {
@@ -499,7 +438,7 @@ func (m *merger) shards() [][]int {
 	// Every sampled instant stands for shardSample records; a boundary
 	// falls on each shardRecords' worth of sorted samples.
 	var ts []float64
-	var rec LogRecord
+	var rec telem.Record
 	for _, s := range m.srcs {
 		for i := shardSample / 2; i < s.n; i += shardSample {
 			s.load(i, &rec)
@@ -526,27 +465,6 @@ func (m *merger) shards() [][]int {
 	return append(bounds, end)
 }
 
-// recordView converts a LogRecord to the assertion engine's mirrored
-// view; field order follows the struct. The engine's Ctl stays a slice;
-// a record without controller terms maps to nil, as before the array
-// representation.
-func recordView(r *LogRecord) assert.Record {
-	var ctl []float64
-	if r.Ctl != ([3]float64{}) {
-		ctl = r.Ctl[:]
-	}
-	return assert.Record{
-		T: r.T, Event: r.Event, Node: r.Node,
-		Mode: r.Mode, MHz: r.MHz, End: r.End,
-		Frame: r.Frame, From: r.From, To: r.To,
-		Metric: r.Metric, Value: r.Value,
-		Kind: r.Kind, KB: r.KB, DurS: r.DurS,
-		Fault: r.Fault, Attempt: r.Attempt,
-		FromMHz: r.FromMHz, Queue: r.Queue, Ctl: ctl,
-		Assert: r.Assert, Detail: r.Detail, Bound: r.Bound,
-	}
-}
-
 // evalAssertions streams one pass of the merge through the engine and
 // closes it at the last record's timestamp — the same end-of-stream
 // rule Replay applies offline, which is what makes online and offline
@@ -555,7 +473,7 @@ func evalAssertions(eng *assert.Engine, m *merger) []assert.Violation {
 	var endT float64
 	m.rewind()
 	for r := m.next(); r != nil; r = m.next() {
-		eng.Observe(recordView(r))
+		eng.Observe(r)
 		endT = r.T
 	}
 	eng.Finish(endT)
@@ -650,10 +568,10 @@ func writeShards(w io.Writer, m *merger, bounds [][]int, workers int) (int, erro
 	return records, err
 }
 
-// encodeRecord appends one record in LogRecord's field order with the
-// struct tags' omitempty/omitzero semantics, byte-identical to
+// encodeRecord appends one record in telemetry.Record's field order
+// with the struct tags' omitempty/omitzero semantics, byte-identical to
 // encoding/json (see internal/telemetry).
-func encodeRecord(enc *telem.Encoder, r *LogRecord) {
+func encodeRecord(enc *telem.Encoder, r *telem.Record) {
 	enc.Begin()
 	enc.Float("t", r.T)
 	enc.Str("event", r.Event)

@@ -18,6 +18,7 @@ import (
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
+	telem "dvsim/internal/telemetry"
 )
 
 // plainLog runs an experiment's first until seconds with the plain log
@@ -38,7 +39,7 @@ func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 	counts := map[string]int{}
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var r LogRecord
+		var r telem.Record
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			t.Fatalf("bad record %q: %v", sc.Text(), err)
 		}
@@ -106,14 +107,12 @@ func TestRunTelemetryContextCancellation(t *testing.T) {
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
 	var plain, polled bytes.Buffer
-	if _, err := RunTelemetry(Exp1, spec.Params, spec.UntilS, &plain); err != nil {
-		t.Fatal(err)
-	}
+	mustSimulate(t, spec, Sinks{Log: &plain, Telemetry: true})
 	if _, err := Simulate(live, spec, Sinks{Log: &polled, Telemetry: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), polled.Bytes()) {
-		t.Fatal("context-aware run diverged from RunTelemetry output")
+		t.Fatal("context-aware run diverged from the background-context run")
 	}
 }
 
@@ -127,8 +126,8 @@ func listOf[E any](evs ...E) *chunk.List[E] {
 }
 
 // drain copies one full pass of the merge.
-func drain(m *merger) []LogRecord {
-	var out []LogRecord
+func drain(m *merger) []telem.Record {
+	var out []telem.Record
 	m.rewind()
 	for r := m.next(); r != nil; r = m.next() {
 		out = append(out, *r)
@@ -137,7 +136,7 @@ func drain(m *merger) []LogRecord {
 }
 
 // describe renders records compactly for failure messages.
-func describe(recs []LogRecord) string {
+func describe(recs []telem.Record) string {
 	var b strings.Builder
 	for _, r := range recs {
 		fmt.Fprintf(&b, "\n  t=%v %s node=%q from=%q frame=%d", r.T, r.Event, r.Node, r.From, r.Frame)
@@ -159,7 +158,7 @@ func TestMergeOrdersSources(t *testing.T) {
 	)
 	rc.result = *listOf(host.Result{Frame: 1, At: 5, From: "node2"})
 	got := drain(rc.merge(&rig{d: 2.3}, nil))
-	want := []LogRecord{
+	want := []telem.Record{
 		{T: 3, Event: "link", From: "node1", To: "node2", Kind: "inter", KB: 1, DurS: 0.1},
 		{T: 5, Event: "link", From: "node1", To: "node2", Kind: "inter", KB: 1, DurS: 0.1},
 		{T: 5, Event: "link", From: "node2", To: "host", Kind: "result", KB: 1, DurS: 0.1},

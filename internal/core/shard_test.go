@@ -69,7 +69,7 @@ func TestShardedLogMatchesOneShard(t *testing.T) {
 // boundary is earlier than every record after it.
 func checkBoundaries(t *testing.T, name string, m *merger, bounds [][]int) {
 	t.Helper()
-	var rec LogRecord
+	var rec telem.Record
 	for k := 1; k < len(bounds)-1; k++ {
 		last, first := -1.0, -1.0
 		for i, s := range m.srcs {
@@ -134,14 +134,14 @@ func (w *peakWriter) Write(p []byte) (int, error) {
 func TestShardedLogStopsAtRefusedValue(t *testing.T) {
 	n := 3 * minShards * shardRecords
 	bad := n / 2
-	sample := func(i int, rec *LogRecord) {
-		*rec = LogRecord{T: float64(i / 3), Event: "sample", Metric: "x", Value: float64(i + 1)}
+	sample := func(i int, rec *telem.Record) {
+		*rec = telem.Record{T: float64(i / 3), Event: "sample", Metric: "x", Value: float64(i + 1)}
 	}
 	m := &merger{srcs: []source{
-		{rank: eventRank("mode"), n: n / 3, load: func(i int, rec *LogRecord) {
-			*rec = LogRecord{T: float64(i), Event: "mode", Node: "n1", Mode: "idle"}
+		{rank: eventRank("mode"), n: n / 3, load: func(i int, rec *telem.Record) {
+			*rec = telem.Record{T: float64(i), Event: "mode", Node: "n1", Mode: "idle"}
 		}},
-		{rank: eventRank("sample"), n: n, load: func(i int, rec *LogRecord) {
+		{rank: eventRank("sample"), n: n, load: func(i int, rec *telem.Record) {
 			if sample(i, rec); i == bad {
 				rec.Value = math.NaN()
 			}
@@ -188,11 +188,11 @@ func shardOf(bounds [][]int, i, j int) int {
 func TestWriteShardsPanicStopsWorkers(t *testing.T) {
 	armed := false
 	n := 2 * minShards * shardRecords
-	m := &merger{srcs: []source{{rank: eventRank("sample"), n: n, load: func(i int, rec *LogRecord) {
+	m := &merger{srcs: []source{{rank: eventRank("sample"), n: n, load: func(i int, rec *telem.Record) {
 		if armed && i == n/2 {
 			panic("load failed")
 		}
-		*rec = LogRecord{T: float64(i / 3), Event: "sample", Metric: "x", Value: float64(i)}
+		*rec = telem.Record{T: float64(i / 3), Event: "sample", Metric: "x", Value: float64(i)}
 	}}}}
 	bounds := m.shards()
 	armed = true

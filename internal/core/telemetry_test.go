@@ -5,15 +5,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	telem "dvsim/internal/telemetry"
 )
 
-func decodeLog(t *testing.T, buf *bytes.Buffer) []LogRecord {
+func decodeLog(t *testing.T, buf *bytes.Buffer) []telem.Record {
 	t.Helper()
-	var records []LogRecord
+	var records []telem.Record
 	sc := bufio.NewScanner(buf)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for sc.Scan() {
-		var r LogRecord
+		var r telem.Record
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			t.Fatalf("bad record %q: %v", sc.Text(), err)
 		}
@@ -30,16 +32,13 @@ func TestRunTelemetryEmitsAllEventKinds(t *testing.T) {
 	var buf bytes.Buffer
 	// 150 s ≈ 65 frame periods: enough for samples (60 s cadence), links,
 	// results and latencies; no deaths this early.
-	n, err := RunTelemetry(Exp2, p, 150, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 150}, Sinks{Log: &buf, Telemetry: true}).Records
 	records := decodeLog(t, &buf)
 	if len(records) != n {
 		t.Fatalf("wrote %d records, decoded %d", n, len(records))
 	}
 	counts := map[string]int{}
-	prev := LogRecord{T: -1}
+	prev := telem.Record{T: -1}
 	for _, r := range records {
 		if lessRecord(&r, &prev) {
 			t.Fatalf("records out of order: %+v after %+v", r, prev)
@@ -74,12 +73,8 @@ func TestRunTelemetryEmitsAllEventKinds(t *testing.T) {
 func TestRunTelemetryDeterministic(t *testing.T) {
 	p := DefaultParams()
 	var a, b bytes.Buffer
-	if _, err := RunTelemetry(Exp2C, p, 120, &a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTelemetry(Exp2C, p, 120, &b); err != nil {
-		t.Fatal(err)
-	}
+	mustSimulate(t, Spec{ID: Exp2C, Params: p, UntilS: 120}, Sinks{Log: &a, Telemetry: true})
+	mustSimulate(t, Spec{ID: Exp2C, Params: p, UntilS: 120}, Sinks{Log: &b, Telemetry: true})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("telemetry logs differ between identical runs")
 	}
@@ -143,7 +138,7 @@ func TestTelemetrySoCOrdering(t *testing.T) {
 // physics, only observe it.
 func TestInstrumentedMatchesPlainRun(t *testing.T) {
 	p := DefaultParams()
-	plain := Run(Exp2, p)
+	plain := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{})
 	inst := mustSimulate(t, Spec{ID: Exp2, Params: p}, Sinks{Metrics: true})
 	if plain.Frames != inst.Frames {
 		t.Fatalf("frames %d vs %d with telemetry", plain.Frames, inst.Frames)

@@ -119,14 +119,6 @@ type CallEdge struct {
 	Dynamic bool
 }
 
-// Node returns the call-graph node for fn, or nil.
-func (g *CallGraph) Node(fn *types.Func) *CallNode {
-	if fn == nil {
-		return nil
-	}
-	return g.Nodes[FuncID(fn)]
-}
-
 func buildCallGraph(fset *token.FileSet, pkgs []*ProgramPkg) *CallGraph {
 	g := &CallGraph{Nodes: map[string]*CallNode{}}
 	node := func(fn *types.Func) *CallNode {

@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -91,7 +92,8 @@ func TestPaperManifestReproducesGoldens(t *testing.T) {
 			t.Fatalf("paper manifest has %d lines for experiment %s, want 1", len(lines), id)
 		}
 		var buf bytes.Buffer
-		if _, err := core.RunTelemetry(id, lines[0].Params, 120, &buf); err != nil {
+		spec := core.Spec{ID: id, Params: lines[0].Params, UntilS: 120}
+		if _, err := core.Simulate(context.Background(), spec, core.Sinks{Log: &buf, Telemetry: true}); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(filepath.Join("..", "core", "testdata", golden))
@@ -105,7 +107,11 @@ func TestPaperManifestReproducesGoldens(t *testing.T) {
 
 	// Experiment 2's bounded manifest run is the direct library call.
 	e2 := byID[core.Exp2][0]
-	if got, want := e2.Run(), core.RunExperiment(core.Exp2, core.DefaultParams(), 120); !reflect.DeepEqual(got, want) {
+	direct, err := core.Simulate(context.Background(), core.Spec{ID: core.Exp2, Params: core.DefaultParams(), Frames: 120}, core.Sinks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.Run(); !reflect.DeepEqual(got, direct) {
 		t.Error("experiment 2 via the manifest diverged from the direct run")
 	}
 

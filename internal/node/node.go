@@ -340,9 +340,6 @@ func (n *Node) role() *Role { return &n.roles[n.roleIdx] }
 // Dead reports whether the node's battery is exhausted.
 func (n *Node) Dead() bool { return n.power.Dead() }
 
-// Crashed reports whether an injected crash outage is in progress.
-func (n *Node) Crashed() bool { return n.crashed }
-
 // Available reports whether the node is running: neither dead nor in a
 // crash outage. Peers use it to distinguish a genuinely failed neighbor
 // from one that is merely slow (retransmitting).

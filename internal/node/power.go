@@ -89,9 +89,6 @@ func (pw *Power) CPU() *cpu.CPU { return pw.cpu }
 // Dead reports whether the battery has emptied.
 func (pw *Power) Dead() bool { return pw.dead }
 
-// Suspended reports whether metering is halted by Suspend.
-func (pw *Power) Suspended() bool { return pw.suspended }
-
 // ModeSeconds returns the accumulated time in mode m.
 func (pw *Power) ModeSeconds(m cpu.Mode) float64 { return pw.modeTime[m] }
 

@@ -9,7 +9,6 @@ import (
 	"dvsim/internal/cpu"
 	"dvsim/internal/node"
 	"dvsim/internal/serial"
-	"dvsim/internal/sim"
 )
 
 // Fig6 renders the ATR performance profile: block times at the reference
@@ -203,24 +202,6 @@ func rank(c byte) int {
 	default:
 		return 0
 	}
-}
-
-// SpanClip limits trace spans to [t0, t1] for cleaner diagrams.
-func SpanClip(spans []node.ModeSpan, t0, t1 sim.Time) []node.ModeSpan {
-	var out []node.ModeSpan
-	for _, s := range spans {
-		if s.End <= t0 || s.Start >= t1 {
-			continue
-		}
-		if s.Start < t0 {
-			s.Start = t0
-		}
-		if s.End > t1 {
-			s.End = t1
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

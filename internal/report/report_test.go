@@ -173,21 +173,6 @@ func TestTimelineTwoNodeOverlap(t *testing.T) {
 	}
 }
 
-func TestSpanClip(t *testing.T) {
-	spans := []node.ModeSpan{
-		{Mode: cpu.Idle, Start: 0, End: 4},
-		{Mode: cpu.Comm, Start: 4, End: 8},
-		{Mode: cpu.Compute, Start: 8, End: 12},
-	}
-	got := SpanClip(spans, 5, 9)
-	if len(got) != 2 {
-		t.Fatalf("%d spans", len(got))
-	}
-	if got[0].Start != 5 || got[0].End != 8 || got[1].Start != 8 || got[1].End != 9 {
-		t.Fatalf("clip: %+v", got)
-	}
-}
-
 func TestDischargePlot(t *testing.T) {
 	params := core.DefaultItsyBatteryParams()
 	out := DischargePlot(func() battery.Model { return params.New() },

@@ -77,42 +77,6 @@ func (c *Client) Submit(ctx context.Context, sub Submission, w io.Writer) (Submi
 	return info, nil
 }
 
-// Version fetches the server's identification — compare its Engine
-// against the local buildinfo.EngineVersion to know whether cache keys
-// agree across the wire.
-func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
-	var v VersionInfo
-	return v, c.getJSON(ctx, "/api/v1/version", &v)
-}
-
-// CacheStats fetches the store's counters.
-func (c *Client) CacheStats(ctx context.Context) (CacheStats, error) {
-	var cs CacheStats
-	return cs, c.getJSON(ctx, "/api/v1/cache/stats", &cs)
-}
-
-// Stats fetches the server's accounting.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	return st, c.getJSON(ctx, "/api/v1/stats", &st)
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
 // decodeError turns an error response into a Go error, preferring the
 // server's JSON message.
 func decodeError(resp *http.Response) error {

@@ -208,11 +208,7 @@ func TestDistinctMissesHoldNoBytes(t *testing.T) {
 	if h16 > h4 && h16-h4 >= uint64(size) {
 		t.Errorf("live heap grew %d bytes from 4 to 16 misses, an artifact is %d", h16-h4, size)
 	}
-	cs, err := c.CacheStats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.MemBytes != 0 || cs.Misses != 16 || cs.Puts != 16 {
+	if cs := s.cache.Stats(); cs.MemBytes != 0 || cs.Misses != 16 || cs.Puts != 16 {
 		t.Errorf("cache stats %+v, want 16 misses and puts and no bytes in memory", cs)
 	}
 	if st := s.stats(); st.Jobs != 16 {

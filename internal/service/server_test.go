@@ -357,20 +357,28 @@ func TestRawRunfileSubmission(t *testing.T) {
 
 // TestVersionAndStats: the identification and accounting endpoints.
 func TestVersionAndStats(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1})
-	v, err := c.Version(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	s, c := newTestServer(t, Config{Workers: 1})
+	getJSON := func(path string, v any) {
+		t.Helper()
+		code, body := getBody(t, c.Base+path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d %s", path, code, body)
+		}
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
 	}
-	if v.Engine == "" || !strings.HasPrefix(v.Version, v.Engine) {
+	var v VersionInfo
+	if getJSON("/api/v1/version", &v); v.Engine == "" || !strings.HasPrefix(v.Version, v.Engine) {
 		t.Fatalf("version %+v", v)
 	}
-	st, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 1 || st.Requests < 1 {
+	var st Stats
+	if getJSON("/api/v1/stats", &st); st.Workers != 1 || st.Requests < 1 {
 		t.Fatalf("stats %+v", st)
+	}
+	var cs CacheStats
+	if getJSON("/api/v1/cache/stats", &cs); cs != s.Cache().Stats() {
+		t.Fatalf("cache stats %+v, store reports %+v", cs, s.Cache().Stats())
 	}
 	resp, err := http.Get(c.Base + "/api/v1/stats?format=csv")
 	if err != nil {

@@ -147,58 +147,3 @@ func Ordered[O any](n, workers, window int, fn func(i int) O, emit func(O) bool)
 		}
 	}
 }
-
-// Dim is one swept dimension.
-type Dim struct {
-	Name   string
-	Values []float64
-}
-
-// Point is one grid configuration: dimension name → value.
-type Point map[string]float64
-
-// Grid returns the cross product of the dimensions, ordered with the
-// first dimension varying slowest (row-major).
-func Grid(dims ...Dim) []Point {
-	if len(dims) == 0 {
-		return nil
-	}
-	for _, d := range dims {
-		if len(d.Values) == 0 {
-			return nil
-		}
-	}
-	total := 1
-	for _, d := range dims {
-		total *= len(d.Values)
-	}
-	out := make([]Point, total)
-	for i := range out {
-		p := make(Point, len(dims))
-		rem := i
-		for k := len(dims) - 1; k >= 0; k-- {
-			d := dims[k]
-			p[d.Name] = d.Values[rem%len(d.Values)]
-			rem /= len(d.Values)
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// Map applies fn to every grid point in parallel, pairing each point with
-// its output.
-type Result[O any] struct {
-	Point Point
-	Out   O
-}
-
-// Map evaluates fn over the grid on up to workers goroutines.
-func Map[O any](grid []Point, workers int, fn func(Point) O) []Result[O] {
-	outs := Run(grid, workers, fn)
-	res := make([]Result[O], len(grid))
-	for i := range grid {
-		res[i] = Result[O]{Point: grid[i], Out: outs[i]}
-	}
-	return res
-}

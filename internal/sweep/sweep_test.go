@@ -156,45 +156,6 @@ type errStr string
 
 func (e errStr) Error() string { return string(e) }
 
-func TestGridCrossProduct(t *testing.T) {
-	g := Grid(
-		Dim{Name: "a", Values: []float64{1, 2}},
-		Dim{Name: "b", Values: []float64{10, 20, 30}},
-	)
-	if len(g) != 6 {
-		t.Fatalf("%d points", len(g))
-	}
-	// Row-major: first dimension varies slowest.
-	if g[0]["a"] != 1 || g[0]["b"] != 10 {
-		t.Fatalf("g[0] = %v", g[0])
-	}
-	if g[2]["a"] != 1 || g[2]["b"] != 30 {
-		t.Fatalf("g[2] = %v", g[2])
-	}
-	if g[3]["a"] != 2 || g[3]["b"] != 10 {
-		t.Fatalf("g[3] = %v", g[3])
-	}
-}
-
-func TestGridDegenerate(t *testing.T) {
-	if Grid() != nil {
-		t.Error("no dims")
-	}
-	if Grid(Dim{Name: "x"}) != nil {
-		t.Error("empty dim")
-	}
-}
-
-func TestMapPairsPointsWithResults(t *testing.T) {
-	g := Grid(Dim{Name: "x", Values: []float64{3, 4, 5}})
-	res := Map(g, 2, func(p Point) float64 { return p["x"] * 2 })
-	for _, r := range res {
-		if r.Out != r.Point["x"]*2 {
-			t.Fatalf("mismatch: %v", r)
-		}
-	}
-}
-
 // Property: parallel Run equals sequential map for any inputs/workers.
 func TestPropertyRunEqualsSequential(t *testing.T) {
 	f := func(in []int16, workersRaw uint8) bool {
@@ -209,40 +170,6 @@ func TestPropertyRunEqualsSequential(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: grid size is the product of dimension sizes and every point
-// has every dimension.
-func TestPropertyGridComplete(t *testing.T) {
-	f := func(aRaw, bRaw, cRaw uint8) bool {
-		na, nb, nc := int(aRaw%4)+1, int(bRaw%4)+1, int(cRaw%4)+1
-		mk := func(name string, n int) Dim {
-			vs := make([]float64, n)
-			for i := range vs {
-				vs[i] = float64(i)
-			}
-			return Dim{Name: name, Values: vs}
-		}
-		g := Grid(mk("a", na), mk("b", nb), mk("c", nc))
-		if len(g) != na*nb*nc {
-			return false
-		}
-		seen := map[[3]float64]bool{}
-		for _, p := range g {
-			if len(p) != 3 {
-				return false
-			}
-			key := [3]float64{p["a"], p["b"], p["c"]}
-			if seen[key] {
-				return false
-			}
-			seen[key] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,10 @@
-// Package telemetry is the zero-allocation JSON Lines encoder behind
-// core.Simulate's event log (Sinks.Log). It emits
-// exactly the bytes encoding/json's Encoder would for the same field
-// sequence — string escaping (HTML-safe, U+2028/U+2029, invalid UTF-8),
-// ES6 shortest-round-trip float formatting and the trailing newline all
-// match — but appends into one reusable buffer instead of reflecting
+// Package telemetry owns the run log: Record, the one definition of a
+// log event that core.Simulate writes (Sinks.Log) and internal/assert
+// checks, and the zero-allocation JSON Lines encoder that writes it.
+// The encoder emits exactly the bytes encoding/json's Encoder would for
+// the same field sequence — string escaping (HTML-safe, U+2028/U+2029,
+// invalid UTF-8), ES6 shortest-round-trip float formatting and the
+// trailing newline all match — but appends into one reusable buffer instead of reflecting
 // over a struct per record, so a steady-state record costs no
 // allocation at all. Byte-compatibility with the standard library is
 // the package's contract, enforced by differential tests; the committed

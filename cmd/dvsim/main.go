@@ -140,13 +140,16 @@ func simulating(flags ...string) []string {
 
 // modeFlags lists every flag each mode reads, the flags that select it
 // included. main picks one mode per invocation, in the order it
-// dispatches: -manifest runs a self-contained sweep (its runfile owns
-// platform, governor, faults and assertions), -check replays a recorded
-// log with no simulation, -dumpparams only prints, and -remote ships the
-// run to a server that sees no local profile or report destination. The
-// suite's outputs (-ports, -csv, -compare, the table) exclude each
-// other. The study 3A sets each run's governor itself.
+// dispatches: -version and -dumpparams only print, -manifest runs a
+// self-contained sweep (its runfile owns platform, governor, faults and
+// assertions), -check replays a recorded log with no simulation, and
+// -remote ships the run to a server that sees no local profile or
+// report destination. The suite's outputs (-ports, -csv, -compare, the
+// table) exclude each other. The study 3A sets each run's governor
+// itself and has no rotation. Of the single experiments, only 2C reads
+// -rotation; main refuses it for any other, named or defaulted.
 var modeFlags = map[string][]string{
+	"-version":          {"version"},
 	"-dumpparams":       local("dumpparams"),
 	"-remote":           {"remote", "exp", "run", "until", "telemetry", "params", "rotation", "governor", "faults", "assert"},
 	"-remote -manifest": {"remote", "manifest", "agg-csv"},
@@ -156,7 +159,7 @@ var modeFlags = map[string][]string{
 	"-runlog":           simulating("runlog", "exp", "run"),
 	"-telemetry":        simulating("telemetry", "exp", "run", "until"),
 	"-plan":             simulating("plan", "j"),
-	"-exp 3A":           local("exp", "run", "frames", "j", "csv", "violations", "params", "rotation", "battery", "faults", "assert"),
+	"-exp 3A":           local("exp", "run", "frames", "j", "csv", "violations", "params", "battery", "faults", "assert"),
 	"-metrics":          simulating("metrics", "exp", "run", "violations"),
 	"-ports":            simulating("ports", "exp", "run", "j", "violations"),
 	"-csv":              simulating("csv", "exp", "run", "j", "violations"),
@@ -315,15 +318,13 @@ func main() {
 	version := flag.Bool("version", false, "print the engine/build version and exit")
 	flag.Parse()
 
-	if *version {
-		fmt.Println(buildinfo.Version())
-		return
-	}
 	if *expFlag == "" {
 		*expFlag = *runFlag
 	}
 	mode := "the suite table"
 	switch {
+	case *version:
+		mode = "-version"
 	case *dump:
 		mode = "-dumpparams"
 	case *remote != "" && *manifestFile != "":
@@ -354,6 +355,25 @@ func main() {
 		mode = "-compare"
 	}
 	rejectUnreadFlags(mode)
+	if mode == "-version" {
+		fmt.Println(buildinfo.Version())
+		return
+	}
+	// The single-run modes default their subject: 2D for Monte Carlo
+	// over fault seeds, which needs a fault load to diverge under and 2D
+	// carries the built-in one; 1 for the logs.
+	if *expFlag == "" {
+		switch mode {
+		case "-mc":
+			*expFlag = string(core.Exp2D)
+		case "-runlog", "-telemetry":
+			*expFlag = string(core.Exp1)
+		}
+	}
+	if *rotation != 0 && *expFlag != "" && core.ID(*expFlag) != core.Exp2C {
+		fmt.Fprintf(os.Stderr, "dvsim: -rotation applies only to experiment 2C, not %s\n", *expFlag)
+		os.Exit(2)
+	}
 
 	// Resolve every output destination and spec up front: a bad path or
 	// spec must abort here, naming its flag, not after the simulation
@@ -540,12 +560,7 @@ func main() {
 	}
 
 	if mode == "-mc" {
-		// 2D is the default subject: Monte Carlo over fault seeds needs a
-		// fault load to diverge under, and 2D carries the built-in one.
-		id := core.Exp2D
-		if *expFlag != "" {
-			id = core.ID(*expFlag)
-		}
+		id := core.ID(*expFlag)
 		horizon := *until
 		if horizon <= 0 {
 			horizon = 3600
@@ -580,20 +595,14 @@ func main() {
 		return
 	}
 	if mode == "-runlog" {
-		id := core.Exp1
-		if *expFlag != "" {
-			id = core.ID(*expFlag)
-		}
+		id := core.ID(*expFlag)
 		spec := core.Spec{ID: id, Params: p, UntilS: *runlog}
 		_, err := core.Simulate(context.Background(), spec, core.Sinks{Log: os.Stdout})
 		exitOnRunError("-runlog", err)
 		return
 	}
 	if mode == "-telemetry" {
-		id := core.Exp1
-		if *expFlag != "" {
-			id = core.ID(*expFlag)
-		}
+		id := core.ID(*expFlag)
 		window := *until
 		if window <= 0 {
 			window = core.DefaultTelemetryWindowS

@@ -71,6 +71,8 @@ func TestBadSpecExitsTwo(t *testing.T) {
 		{"-exp", "2", "-governor", "buffer:hi=1e300"},
 		{"-exp", "2", "-faults", file("faults.json", `{"links": [`)},
 		{"-exp", "1", "-params", file("params.json", `{"frame_delay_s": "slow"}`)},
+		{"-exp", "1", "-rotation", "5"},
+		{"-mc", "2", "-until", "120", "-rotation", "5"},
 		{"-manifest", file("governor.toml", "experiment, governor\n\"2\", \"interval:alpha=2\"\n")},
 		{"-manifest", file("infeasible.toml", "experiment, d, frames\n\"2\", 0.5, 5\n")},
 	} {
@@ -96,6 +98,7 @@ func TestUnreadFlagExitsTwo(t *testing.T) {
 		{[]string{"-runlog", "5", "-metrics=" + out("m.csv")}, "-metrics"},
 		{[]string{"-exp", "3A", "-frames", "20", "-ports=" + out("p.csv")}, "-ports"},
 		{[]string{"-exp", "1", "-telemetry", out("t.jsonl"), "-until", "5", "-ports=" + out("p.csv")}, "-ports"},
+		{[]string{"-version", "-exp", "9Z", "-ports=" + out("p.csv")}, "-exp"},
 	} {
 		_, stderr, code := dvsim(t, c.args...)
 		if code != 2 || !strings.Contains(stderr, c.unread+" does not apply") {
@@ -104,6 +107,22 @@ func TestUnreadFlagExitsTwo(t *testing.T) {
 		if files, _ := os.ReadDir(dir); len(files) > 0 {
 			t.Errorf("%v: created %s", c.args, files[0].Name())
 		}
+	}
+}
+
+// TestRotationRead2C: experiment 2C reads -rotation, so the flag
+// changes its run. Every other experiment refuses it (TestBadSpecExitsTwo).
+func TestRotationRead2C(t *testing.T) {
+	base, stderr, code := dvsim(t, "-exp", "2C")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	rotated, stderr, code := dvsim(t, "-exp", "2C", "-rotation", "5")
+	if code != 0 {
+		t.Fatalf("-rotation 5: exit %d: %s", code, stderr)
+	}
+	if rotated == base {
+		t.Error("-exp 2C -rotation 5 printed the same bytes as the default rotation period")
 	}
 }
 

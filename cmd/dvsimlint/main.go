@@ -1,14 +1,15 @@
 // Command dvsimlint is the multichecker for dvsim's custom static
 // analyzers: it type-checks the requested packages and enforces the
-// determinism and kernel invariants the simulator's goldens and
+// determinism and concurrency invariants the simulator's goldens and
 // benchmarks rely on (see internal/lint and DESIGN.md §"Static
-// analysis & invariants").
+// analysis & invariants"). Each analyzer checks one package at a time;
+// the nondeterminism analyzer also keeps simulator packages from
+// importing module packages it does not check.
 //
 // Usage:
 //
 //	go run ./cmd/dvsimlint ./...            # lint the module (CI gate)
 //	go run ./cmd/dvsimlint -list            # print the analyzer catalog
-//	go run ./cmd/dvsimlint -json ./...      # findings as JSON, for tooling
 //	go run ./cmd/dvsimlint ./internal/sim ./internal/node
 //
 // dvsimlint exits non-zero when any finding remains. Intentional
@@ -22,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +35,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "print the analyzer catalog and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: dvsimlint [flags] [packages]\n")
 		flag.PrintDefaults()
@@ -68,45 +67,14 @@ func main() {
 		fatal(err)
 	}
 
-	if *jsonOut {
-		if err := json.NewEncoder(os.Stdout).Encode(jsonFindings(modRoot, findings)); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			f.Pos.Filename = relTo(modRoot, f.Pos.Filename)
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		f.Pos.Filename = relTo(modRoot, f.Pos.Filename)
+		fmt.Println(f)
 	}
 	if n := len(findings); n > 0 {
 		fmt.Fprintf(os.Stderr, "dvsimlint: %d finding(s) in %d package(s)\n", n, len(pkgs))
-	}
-	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// jsonFinding is the machine-readable finding shape for -json.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func jsonFindings(modRoot string, findings []lint.Finding) []jsonFinding {
-	out := make([]jsonFinding, len(findings))
-	for i, f := range findings {
-		out[i] = jsonFinding{
-			File:     relTo(modRoot, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		}
-	}
-	return out
 }
 
 // relTo shortens path relative to root for readable diagnostics.

@@ -52,12 +52,6 @@ type Pass struct {
 	Pkg  *types.Package
 	Info *types.Info
 
-	// Program is the whole-run view — every loaded package, the call
-	// graph over them, and a memo for whole-program results. Analyzers
-	// that follow taint through helpers reach beyond the current
-	// package through it; per-file analyzers ignore it.
-	Program *Program
-
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 }

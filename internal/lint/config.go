@@ -13,26 +13,24 @@ import "strings"
 //     subsystem is excluded (it runs the go tool, not the sim), and so
 //     is the simulation service: a server legitimately reads the wall
 //     clock and the environment, and every simulation it launches goes
-//     through the still-guarded core entry points.
-//   - nondetflow reports *inside the same guarded packages* — it is the
-//     interprocedural half of the same invariant, flagging the call
-//     sites where taint enters from unguarded helpers.
+//     through the still-guarded core entry points. A guarded package
+//     may import no module package outside this scope.
 //   - maprange applies module-wide: any package may format output that
 //     lands in a golden file or a CI cmp smoke.
-//   - nakedgo and eventreuse apply everywhere except internal/sim,
-//     which owns the scheduling machinery they police.
+//   - nakedgo applies everywhere except internal/sim, which owns the
+//     scheduling machinery it polices.
 //   - floateq covers the packages doing continuous-quantity math on
 //     the simulator hot path.
 func inScope(analyzer, pkgPath string) bool {
 	switch analyzer {
-	case "nondeterminism", "nondetflow":
+	case "nondeterminism":
 		return strings.HasPrefix(pkgPath, "dvsim/internal/") &&
 			!strings.HasPrefix(pkgPath, "dvsim/internal/lint") &&
 			!strings.HasPrefix(pkgPath, "dvsim/internal/service")
 	case "maprange":
-		return pkgPath == "dvsim" || strings.HasPrefix(pkgPath, "dvsim/")
-	case "nakedgo", "eventreuse":
-		return (pkgPath == "dvsim" || strings.HasPrefix(pkgPath, "dvsim/")) &&
+		return inModule(pkgPath)
+	case "nakedgo":
+		return inModule(pkgPath) &&
 			pkgPath != "dvsim/internal/sim" &&
 			!strings.HasPrefix(pkgPath, "dvsim/internal/lint")
 	case "floateq":
@@ -44,6 +42,11 @@ func inScope(analyzer, pkgPath string) bool {
 		return false
 	}
 	return true
+}
+
+// inModule reports whether pkgPath names a package of the dvsim module.
+func inModule(pkgPath string) bool {
+	return pkgPath == "dvsim" || strings.HasPrefix(pkgPath, "dvsim/")
 }
 
 // sanctionedFiles lists files exempt from an analyzer by construction:

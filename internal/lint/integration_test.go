@@ -34,13 +34,12 @@ func TestMulticheckerKnownBad(t *testing.T) {
 	}
 	want := []string{
 		"knownbad.go:8:nondeterminism",  // math/rand import
+		"knownbad.go:11:nondeterminism", // import of the unguarded service package
 		"knownbad.go:14:nondeterminism", // time.Now
 		"knownbad.go:16:nondeterminism", // global rand.Intn
 		"knownbad.go:20:maprange",       // fmt.Println in range over map
 		"knownbad.go:24:nakedgo",        // raw go statement
 		"knownbad.go:26:floateq",        // a == b on float64
-		"knownbad.go:30:eventreuse",     // Bind on an At result
-		"knownbad.go:33:nondetflow",     // call into a wall-clock-tainted helper
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("diagnostic set mismatch:\n got  %v\n want %v\nfull findings:\n%s",

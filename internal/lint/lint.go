@@ -32,11 +32,9 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Nondeterminism,
-		NondetFlow,
 		MapRange,
 		NakedGo,
 		FloatEq,
-		EventReuse,
 	}
 }
 
@@ -68,32 +66,9 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) ([]
 		known[a.Name] = true
 	}
 	var findings []Finding
-	seen := map[Finding]bool{}
-	add := func(f Finding) {
-		if !seen[f] {
-			seen[f] = true
-			findings = append(findings, f)
-		}
-	}
-	// Directives are collected for the whole run up front: the
-	// interprocedural analyzers need the suppression state of *other*
-	// packages (an allowed root must not taint its callers) before any
-	// single package is analyzed.
-	dirs := directives{}
 	for _, pkg := range pkgs {
-		d, bad := collectDirectives(pkg, known)
-		for _, f := range bad {
-			add(f)
-		}
-		for k := range d {
-			dirs[k] = true
-		}
-	}
-	prog := analysis.NewProgram(fsetOf(pkgs), programPkgs(pkgs))
-	prog.Suppressed = func(analyzer string, pos token.Position) bool {
-		return allowedFile(analyzer, pos.Filename) || dirs.allows(analyzer, pos)
-	}
-	for _, pkg := range pkgs {
+		dirs, bad := collectDirectives(pkg, known)
+		findings = append(findings, bad...)
 		for _, a := range analyzers {
 			if !opts.IgnoreScope && !inScope(a.Name, pkg.Path) {
 				continue
@@ -104,14 +79,13 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) ([]
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Program:  prog,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)
 				if allowedFile(a.Name, pos.Filename) || dirs.allows(a.Name, pos) {
 					return
 				}
-				add(Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
@@ -132,24 +106,4 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) ([]
 		return a.Analyzer < b.Analyzer
 	})
 	return findings, nil
-}
-
-// programPkgs adapts the loader's packages to the analysis Program
-// view.
-func programPkgs(pkgs []*load.Package) []*analysis.ProgramPkg {
-	out := make([]*analysis.ProgramPkg, len(pkgs))
-	for i, p := range pkgs {
-		out[i] = &analysis.ProgramPkg{Path: p.Path, Files: p.Files, Types: p.Types, Info: p.Info}
-	}
-	return out
-}
-
-// fsetOf returns the run's shared FileSet. Load type-checks every
-// package against one FileSet; LoadDir runs are single-package, so the
-// first package's set is always the right one.
-func fsetOf(pkgs []*load.Package) *token.FileSet {
-	if len(pkgs) == 0 {
-		return token.NewFileSet()
-	}
-	return pkgs[0].Fset
 }

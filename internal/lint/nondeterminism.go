@@ -20,9 +20,15 @@ import (
 // splitmix64 streams in internal/fault/rng.go and internal/atr/rng.go,
 // or a rand.New(rand.NewSource(seed)) local — never the package-level
 // math/rand functions.
+//
+// The checks are per package, so a guarded package may not import a
+// dvsim package outside the guarded scope (config.go): code there is
+// never checked, and a banned read behind one of its functions would
+// reach the simulator unseen. Every call a guarded package can make
+// into this module then lands in code the same checks cover.
 var Nondeterminism = &analysis.Analyzer{
 	Name: "nondeterminism",
-	Doc:  "bans wall-clock reads, global math/rand and env-gated behavior in simulator packages",
+	Doc:  "bans wall-clock reads, global math/rand, env-gated behavior and imports of unguarded dvsim packages in simulator packages",
 	Run:  runNondeterminism,
 }
 
@@ -34,9 +40,11 @@ func runNondeterminism(pass *analysis.Pass) error {
 	// config.go; a deliberate seeded use is annotated in place.
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
-			switch imp.Path.Value {
-			case `"math/rand"`, `"math/rand/v2"`:
+			switch path := strings.Trim(imp.Path.Value, `"`); {
+			case path == "math/rand" || path == "math/rand/v2":
 				pass.Reportf(imp.Pos(), "math/rand in simulator code: its stream algorithms are not pinned across Go releases; use a splitmix64 stream (internal/fault/rng.go, internal/atr/rng.go) or annotate a deliberate seeded use with //lint:allow nondeterminism <reason>")
+			case inModule(path) && !inScope(pass.Analyzer.Name, path):
+				pass.Reportf(imp.Pos(), "simulator code imports %s, which the nondeterminism checks do not cover: a wall-clock, global-rand or environment read behind it would reach the run unseen; move what is needed into a guarded package or pass its result in", path)
 			}
 		}
 	}
@@ -68,24 +76,9 @@ const (
 	rootEnv
 )
 
-// String is the phrasing interprocedural diagnostics use for the root a
-// taint path ends in.
-func (k rootKind) String() string {
-	switch k {
-	case rootClock:
-		return "the wall clock"
-	case rootRand:
-		return "the process-global random stream"
-	case rootEnv:
-		return "an environment read"
-	}
-	return "a nondeterministic source"
-}
-
-// nondetRoot classifies fn as one of the banned ambient sources — the
-// shared vocabulary of the direct (nondeterminism) and interprocedural
-// (nondetflow) passes. Methods are never roots: rand.Rand.Intn on a
-// seeded local is exactly what the invariant steers code toward.
+// nondetRoot classifies fn as one of the banned ambient sources.
+// Methods are never roots: rand.Rand.Intn on a seeded local is exactly
+// what the invariant steers code toward.
 func nondetRoot(fn *types.Func) (rootKind, string) {
 	if fn == nil || fn.Pkg() == nil {
 		return rootNone, ""

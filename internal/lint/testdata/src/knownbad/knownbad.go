@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"time"
 
-	"dvsim/internal/sim"
+	_ "dvsim/internal/service"
 )
 
 func wallClock() int64 { return time.Now().UnixNano() }
@@ -24,10 +24,3 @@ func leakMapOrder(m map[string]int) {
 func nakedSpawn(f func()) { go f() }
 
 func exactFloat(a, b float64) bool { return a == b }
-
-func rebind(k *sim.Kernel) {
-	ev := k.At(1, func() {})
-	ev.Bind(func() {})
-}
-
-func indirect() int64 { return wallClock() }

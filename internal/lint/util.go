@@ -7,10 +7,6 @@ import (
 	"dvsim/internal/lint/analysis"
 )
 
-// simPkgPath is the package whose scheduling API several analyzers
-// recognize by type identity.
-const simPkgPath = "dvsim/internal/sim"
-
 // calledFunc resolves the function or method named by a call
 // expression, or nil for indirect calls (function values, conversions).
 func calledFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
@@ -25,28 +21,6 @@ func calledFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := pass.Info.Uses[id].(*types.Func)
 	return fn
-}
-
-// methodOn reports whether fn is a method with the given name declared
-// on a named type (or pointer to it) from package pkgPath.
-func methodOn(fn *types.Func, pkgPath, typeName, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 // isFloat reports whether t's underlying type is a floating-point

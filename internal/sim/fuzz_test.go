@@ -10,10 +10,11 @@ import (
 // FuzzKernelOrder is a differential check of the event queue. It
 // decodes an op sequence, three bytes per op, and applies it both to a
 // Kernel and to refKernel, a reference that keeps every live
-// (t, seq, id) in a slice and fires the minimum. The ops cover At,
-// Reschedule to a later, the current or an earlier instant, Cancel,
-// cancel-then-reschedule, Task starts, episodes, wakes, interrupts and
-// exits, ops scheduled from inside a firing callback, Run and RunUntil.
+// (t, seq, id) in a slice and fires the minimum. The ops cover arming
+// a new handle, Reschedule to a later, the current or an earlier
+// instant, Cancel, cancel-then-reschedule, Task starts, episodes,
+// wakes, interrupts and exits, ops scheduled from inside a firing
+// callback, Run and RunUntil.
 // After every op the two fire logs, the counters and the queue's read
 // accessors must agree.
 func FuzzKernelOrder(f *testing.F) {
@@ -65,7 +66,7 @@ const (
 const (
 	maxOrderOps   = 256
 	maxFuzzHandle = 32
-	poolHandles   = 4 // reusable handles bound up front; At handles follow
+	poolHandles   = 4 // reusable handles bound up front; armed handles follow
 )
 
 type orderOp struct{ code, a, b byte }
@@ -167,7 +168,7 @@ func (w *kernelWorld) apply(op orderOp, top bool) {
 	switch op.code {
 	case opAt:
 		if i := len(w.hs); i < maxFuzzHandle {
-			w.hs = append(w.hs, k.At(k.Now()+Time(op.b%8), func() { w.fire(i) }))
+			w.hs = append(w.hs, arm(k, k.Now()+Time(op.b%8), func() { w.fire(i) }))
 		}
 	case opResched:
 		k.Reschedule(h, reschedTime(k.Now(), h.Time(), op.b))

@@ -97,7 +97,7 @@ func TestCancelRescheduleInterleaving(t *testing.T) {
 
 func TestCancelOfTopKeepsAccessorsPure(t *testing.T) {
 	k := NewKernel()
-	e1 := k.At(1, func() {})
+	e1 := arm(k, 1, func() {})
 	k.At(2, func() {})
 	k.Cancel(e1)
 	// The canceled top leaves the queue at the cancel itself, so reads
@@ -125,7 +125,7 @@ func TestCancelAllReportsIdleWithoutRunning(t *testing.T) {
 	k := NewKernel()
 	events := make([]*Event, 5)
 	for i := range events {
-		events[i] = k.At(Time(i+1), func() { t.Error("canceled event fired") })
+		events[i] = arm(k, Time(i+1), func() { t.Error("canceled event fired") })
 	}
 	for _, e := range events {
 		k.Cancel(e)

@@ -52,9 +52,10 @@ type Duration = Time
 // Infinity is a time later than any schedulable event.
 const Infinity Time = Time(math.MaxFloat64)
 
-// Event is a scheduled callback handle. It is returned by the scheduling
-// methods so callers can cancel it before it fires, and a caller that owns
-// an Event may reuse it for a whole series of occurrences via Reschedule.
+// Event is a scheduled callback handle. Its owner binds a callback once
+// (Bind), arms it with Reschedule, may Cancel it before it fires, and
+// reuses it for a whole series of occurrences. At and After schedule
+// one-shot callbacks without exposing a handle.
 type Event struct {
 	t        Time
 	h        handler
@@ -79,8 +80,9 @@ func (e *Event) Time() Time { return e.t }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Bind sets the callback a zero Event handle fires, for use with
-// Reschedule. Events returned by At and After are already bound.
+// Bind sets the callback the handle fires, for use with Reschedule.
+// Bind once at setup: a queued occurrence keeps the callback it had
+// when it was scheduled.
 func (e *Event) Bind(fn func()) {
 	e.h = nil
 	if fn != nil {
@@ -327,24 +329,24 @@ func (k *Kernel) post(h handler) {
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
-// (t < Now) panics: allowing it would silently reorder causality.
+// (t < Now) panics: allowing it would silently reorder causality. The
+// occurrence has no handle: a caller that may cancel or re-arm it owns
+// an Event instead (Bind, then Reschedule).
 //
-// At stays out of line: its handle escapes wherever it is inlined, so
-// one call site keeps one allocation site.
+// At stays out of line: its Event escapes to the kernel's slot slab
+// wherever it is inlined, so one call site keeps one allocation site.
 //
 //go:noinline
-func (k *Kernel) At(t Time, fn func()) *Event {
-	e := &Event{h: funcHandler(fn)}
-	k.schedule(e, t)
-	return e
+func (k *Kernel) At(t Time, fn func()) {
+	k.schedule(&Event{h: funcHandler(fn)}, t)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
-func (k *Kernel) After(d Duration, fn func()) *Event {
+func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		fatal("sim: negative delay %v", d)
 	}
-	return k.At(k.now+d, fn)
+	k.At(k.now+d, fn)
 }
 
 // Cancel removes the event from the queue if it has not fired.

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// arm schedules fn at t on a handle the test keeps, by the Event
+// protocol: a zero Event, Bind, then Reschedule.
+func arm(k *Kernel, t Time, fn func()) *Event {
+	e := new(Event)
+	e.Bind(fn)
+	k.Reschedule(e, t)
+	return e
+}
+
 func TestKernelStartsAtZero(t *testing.T) {
 	k := NewKernel()
 	if k.Now() != 0 {
@@ -75,7 +84,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.At(1, func() { fired = true })
+	e := arm(k, 1, func() { fired = true })
 	k.Cancel(e)
 	k.Run()
 	if fired {
@@ -88,7 +97,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 
 func TestCancelIsIdempotent(t *testing.T) {
 	k := NewKernel()
-	e := k.At(1, func() {})
+	e := arm(k, 1, func() {})
 	k.Cancel(e)
 	k.Cancel(e)
 	k.Cancel(nil)
@@ -100,7 +109,7 @@ func TestCancelFromInsideEarlierEvent(t *testing.T) {
 	fired := false
 	var e *Event
 	k.At(1, func() { k.Cancel(e) })
-	e = k.At(2, func() { fired = true })
+	e = arm(k, 2, func() { fired = true })
 	k.Run()
 	if fired {
 		t.Fatal("event canceled at t=1 still fired at t=2")
@@ -191,7 +200,7 @@ func TestNextEventTime(t *testing.T) {
 	if k.NextEventTime() != Infinity {
 		t.Fatal("empty queue should report Infinity")
 	}
-	e := k.At(7, func() {})
+	e := arm(k, 7, func() {})
 	k.At(9, func() {})
 	if got := k.NextEventTime(); got != 7 {
 		t.Fatalf("NextEventTime = %v, want 7", got)
@@ -309,7 +318,7 @@ func TestCancelCheckStopsRun(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	var tick func()
-	ev := k.At(1, func() { fired++; tick() })
+	ev := arm(k, 1, func() { fired++; tick() })
 	tick = func() { k.Reschedule(ev, k.Now()+1) }
 	canceled := false
 	k.SetCancelCheck(1, func() bool { return canceled })
@@ -334,7 +343,7 @@ func TestCancelCheckPolledEveryN(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	var tick func()
-	ev := k.At(1, func() { fired++; tick() })
+	ev := arm(k, 1, func() { fired++; tick() })
 	tick = func() { k.Reschedule(ev, k.Now()+1) }
 	polls := 0
 	k.SetCancelCheck(4, func() bool { polls++; return true })

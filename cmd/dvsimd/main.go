@@ -56,7 +56,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan struct{})
-	//lint:allow nakedgo signal-driven shutdown; joined via the done channel before main returns
+	// Signal-driven shutdown, joined via done before main returns.
 	go func() {
 		defer close(done)
 		<-ctx.Done()

@@ -7,28 +7,34 @@ import (
 	"dvsim/internal/lint/load"
 )
 
-// directives indexes //lint:allow comments by file and line. A
-// diagnostic is suppressed when a matching directive sits on the same
-// line or on the line directly above it (a comment on its own line).
-type directives map[directiveKey]bool
-
-type directiveKey struct {
-	file     string
-	line     int
-	analyzer string
+// allow is one well-formed //lint:allow directive. It silences its
+// rule's findings on its own line and on the line below it.
+type allow struct {
+	pos  token.Position
+	rule string
+	used bool
 }
 
-func (d directives) allows(analyzer string, pos token.Position) bool {
-	return d[directiveKey{pos.Filename, pos.Line, analyzer}] ||
-		d[directiveKey{pos.Filename, pos.Line - 1, analyzer}]
+type allows []*allow
+
+// silence reports whether a directive covers a finding of rule at pos,
+// marking every directive that does as used.
+func (as allows) silence(rule string, pos token.Position) bool {
+	silenced := false
+	for _, a := range as {
+		if a.rule == rule && a.pos.Filename == pos.Filename && (a.pos.Line == pos.Line || a.pos.Line == pos.Line-1) {
+			a.used, silenced = true, true
+		}
+	}
+	return silenced
 }
 
-// collectDirectives scans a package's comments for //lint:allow
-// directives. Malformed directives — a missing analyzer, an unknown
-// analyzer name, or no reason — are returned as findings: a silent
-// suppression that silences nothing (or everything) is its own bug.
-func collectDirectives(pkg *load.Package, known map[string]bool) (directives, []Finding) {
-	dirs := directives{}
+// directives collects a package's //lint:allow directives. Malformed
+// ones — a missing rule, an unknown rule, or no reason — are returned
+// as findings: a suppression that silences nothing, or everything, is
+// its own bug.
+func directives(pkg *load.Package) (allows, []Finding) {
+	var as allows
 	var bad []Finding
 	for _, file := range pkg.Files {
 		for _, group := range file.Comments {
@@ -39,27 +45,31 @@ func collectDirectives(pkg *load.Package, known map[string]bool) (directives, []
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				fields := strings.Fields(text)
+				msg := ""
 				switch {
 				case len(fields) == 0:
-					bad = append(bad, Finding{
-						Analyzer: "directive", Pos: pos,
-						Message: "//lint:allow needs an analyzer name and a reason",
-					})
-				case !known[fields[0]]:
-					bad = append(bad, Finding{
-						Analyzer: "directive", Pos: pos,
-						Message: "//lint:allow names unknown analyzer " + fields[0],
-					})
+					msg = "//lint:allow needs a rule name and a reason"
+				case !known(fields[0]):
+					msg = "//lint:allow names unknown rule " + fields[0]
 				case len(fields) < 2:
-					bad = append(bad, Finding{
-						Analyzer: "directive", Pos: pos,
-						Message: "//lint:allow " + fields[0] + " needs a reason",
-					})
+					msg = "//lint:allow " + fields[0] + " needs a reason"
 				default:
-					dirs[directiveKey{pos.Filename, pos.Line, fields[0]}] = true
+					as = append(as, &allow{pos: pos, rule: fields[0]})
+					continue
 				}
+				bad = append(bad, Finding{Rule: "directive", Pos: pos, Message: msg})
 			}
 		}
 	}
-	return dirs, bad
+	return as, bad
+}
+
+// known reports whether name is a rule of this package.
+func known(name string) bool {
+	for _, r := range rules {
+		if r.name == name {
+			return true
+		}
+	}
+	return false
 }

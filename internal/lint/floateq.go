@@ -4,18 +4,20 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 
-	"dvsim/internal/lint/analysis"
+	"dvsim/internal/lint/load"
 )
 
-// FloatEq flags == and != between floating-point expressions in the
-// continuous-math packages (sim, node, battery, cpu, governor).
+// floatEq flags == and != between floating-point expressions.
 //
 // Invariant: quantities like simulated time, battery charge and busy
 // fractions are accumulated floats; exact equality between computed
 // values depends on summation order and compiler fusion, which is how
 // "same inputs, same outputs" quietly breaks between machines. Compare
-// with an epsilon, or compare in integer ticks/frames.
+// with an epsilon, or compare in integer ticks/frames. An exact test
+// can also hold on every input the tests try and still be the wrong
+// test, so no output check replaces this one.
 //
 // Two shapes are exempt because they are exact by construction:
 // comparison against a constant zero (the untouched-value sentinel:
@@ -23,38 +25,41 @@ import (
 // two *stored* (never recomputed) values for identity — the event
 // queue's tie-break — is legitimate and annotated in place with
 // //lint:allow floateq.
-var FloatEq = &analysis.Analyzer{
-	Name: "floateq",
-	Doc:  "flags ==/!= between floating-point expressions where epsilon or integer-tick comparison is required",
-	Run:  runFloatEq,
-}
-
-func runFloatEq(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
+func floatEq(pkg *load.Package, report func(token.Pos, string)) {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
 				return true
 			}
-			if !isFloat(pass.TypeOf(bin.X)) && !isFloat(pass.TypeOf(bin.Y)) {
+			if !isFloat(pkg.Info.TypeOf(bin.X)) && !isFloat(pkg.Info.TypeOf(bin.Y)) {
 				return true
 			}
-			if isConstZero(pass, bin.X) || isConstZero(pass, bin.Y) {
+			if isConstZero(pkg.Info, bin.X) || isConstZero(pkg.Info, bin.Y) {
 				return true
 			}
 			if bin.Op == token.NEQ && sameIdent(bin.X, bin.Y) {
 				return true // NaN probe
 			}
-			pass.Reportf(bin.OpPos, "floating-point %s comparison: exact equality of computed floats is machine-dependent; use an epsilon or integer ticks (//lint:allow floateq only for identity of stored values)", bin.Op)
+			report(bin.OpPos, "floating-point "+bin.Op.String()+" comparison: exact equality of computed floats is machine-dependent; use an epsilon or integer ticks (//lint:allow floateq only for identity of stored values)")
 			return true
 		})
 	}
-	return nil
+}
+
+// isFloat reports whether t's underlying type is a floating-point
+// basic type (covering named types like sim.Time).
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // isConstZero reports whether e is a compile-time constant equal to 0.
-func isConstZero(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
+func isConstZero(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Value == nil {
 		return false
 	}

@@ -1,94 +1,92 @@
-// Package lint is dvsim's static-analysis suite: custom analyzers that
-// enforce, at compile time, the invariants the simulator's determinism
-// claims rest on. Every number this repository reports — the Fig 8 and
-// Table 1 reproductions, the fault and governor experiments, the exact
-// event-count and allocation tests — assumes byte-identical reruns; the
-// golden files catch violations dynamically and late, these analyzers
-// catch the known bug classes statically, at the offending line.
+// Package lint holds the static checks that no output check replaces.
+// The goldens, determinism tests and CI cmp smokes check the bytes every
+// run writes; a rule stays here only where planting its fault in the
+// tree failed none of them (DESIGN.md §9 has the survey):
 //
-// The analyzers are written against internal/lint/analysis, a minimal
-// mirror of the golang.org/x/tools/go/analysis API, and are run by
-// cmd/dvsimlint (a multichecker) over type-checked packages produced by
-// internal/lint/load.
+//   - nondeterminism: an os.Getenv gate changes nothing while the
+//     variable is unset, which it is in every test;
+//   - maprange: output nothing pins byte for byte, such as the Markdown
+//     comparison table, can take map order unseen;
+//   - floateq: an exact float comparison can hold on every tested input
+//     and still be the wrong test.
 //
-// A finding that is intentional is silenced in place with
+// Run applies them to type-checked packages; TestCleanTree runs them
+// over the module, so `go test ./internal/lint` is the lint step. A
+// finding that is intentional is silenced in place with
 //
-//	//lint:allow <analyzer> <reason>
+//	//lint:allow <rule> <reason>
 //
 // on the flagged line or the line directly above it. The reason is
-// mandatory: an allow without a justification is itself a finding.
+// mandatory, and a directive that silences nothing is itself a finding,
+// so mending a line or retiring a rule cannot leave a stale one behind.
 package lint
 
 import (
 	"fmt"
 	"go/token"
 	"sort"
+	"strings"
 
-	"dvsim/internal/lint/analysis"
 	"dvsim/internal/lint/load"
 )
 
-// Analyzers returns the full analyzer catalog in stable order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Nondeterminism,
-		MapRange,
-		NakedGo,
-		FloatEq,
-	}
+// rules lists each check with the packages it covers: nondeterminism
+// everything under internal/, so every module package a simulator
+// package can import is checked too; maprange the whole module, since
+// any package may write output; floateq the packages doing the
+// simulator's continuous-quantity math.
+var rules = []struct {
+	name  string
+	scope func(pkgPath string) bool
+	check func(pkg *load.Package, report func(token.Pos, string))
+}{
+	{"nondeterminism", func(p string) bool { return strings.HasPrefix(p, "dvsim/internal/") }, nondeterminism},
+	{"maprange", func(string) bool { return true }, mapRange},
+	{"floateq", func(p string) bool {
+		switch p {
+		case "dvsim/internal/sim", "dvsim/internal/node", "dvsim/internal/battery",
+			"dvsim/internal/cpu", "dvsim/internal/governor":
+			return true
+		}
+		return false
+	}, floatEq},
 }
 
-// Finding is one diagnostic attributed to its analyzer.
+// Finding is one diagnostic attributed to its rule, or to "directive"
+// for a malformed or unused //lint:allow.
 type Finding struct {
-	Analyzer string
-	Pos      token.Position
-	Message  string
+	Rule    string
+	Pos     token.Position
+	Message string
 }
 
 func (f Finding) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Analyzer)
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Rule)
 }
 
-// Options controls a driver run.
-type Options struct {
-	// IgnoreScope runs every analyzer on every package regardless of
-	// the package-path scoping in config.go. Fixture tests use it:
-	// fixture packages live outside the dvsim module path.
-	IgnoreScope bool
-}
-
-// Run applies the analyzers to the packages, honoring per-analyzer
-// package scopes, sanctioned-file allowlists and //lint:allow
-// directives. Findings are sorted by position then analyzer.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) ([]Finding, error) {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
+// Run applies every rule to the packages in its scope and returns the
+// findings no directive silences, with the directive findings, sorted
+// by position then rule.
+func Run(pkgs []*load.Package) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
-		dirs, bad := collectDirectives(pkg, known)
+		allows, bad := directives(pkg)
 		findings = append(findings, bad...)
-		for _, a := range analyzers {
-			if !opts.IgnoreScope && !inScope(a.Name, pkg.Path) {
+		for _, r := range rules {
+			if !r.scope(pkg.Path) {
 				continue
 			}
-			pass := &analysis.Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				if allowedFile(a.Name, pos.Filename) || dirs.allows(a.Name, pos) {
-					return
+			r.check(pkg, func(pos token.Pos, msg string) {
+				p := pkg.Fset.Position(pos)
+				if !allows.silence(r.name, p) {
+					findings = append(findings, Finding{Rule: r.name, Pos: p, Message: msg})
 				}
-				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.Path, err)
+			})
+		}
+		for _, a := range allows {
+			if !a.used {
+				findings = append(findings, Finding{Rule: "directive", Pos: a.pos,
+					Message: "//lint:allow " + a.rule + " silences nothing on this line or the next"})
 			}
 		}
 	}
@@ -103,7 +101,7 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, opts Options) ([]
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		return a.Rule < b.Rule
 	})
-	return findings, nil
+	return findings
 }

@@ -1,11 +1,11 @@
 // Package load turns Go package patterns into parsed, type-checked
-// packages for the analyzers, using only the standard library and the
+// packages for the lint rules, using only the standard library and the
 // go tool. Dependency types come from compiled export data: `go list
 // -export -deps` compiles every dependency into the build cache and
 // reports the export file per package, and go/importer's gc mode reads
 // those files back. The whole pipeline is offline — no module proxy,
-// no network — which is what lets dvsimlint run in CI and in the
-// sealed build container alike.
+// no network. Type-checking the standard library from source instead
+// takes about ten times as long.
 package load
 
 import (
@@ -27,9 +27,7 @@ import (
 
 // Package is one parsed and type-checked package ready for analysis.
 type Package struct {
-	Path  string // import path (fixture directory base for LoadDir)
-	Name  string
-	Dir   string
+	Path  string // import path
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -39,11 +37,9 @@ type Package struct {
 // listEntry is the subset of `go list -json` output the loader needs.
 type listEntry struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	Incomplete bool
 	Error      *struct{ Err string }
 }
@@ -103,7 +99,7 @@ func newImporter(fset *token.FileSet, exports map[string]string) types.Importer 
 
 // check parses and type-checks one package's files.
 func check(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
-	pkg := &Package{Path: path, Dir: dir, Fset: fset}
+	pkg := &Package{Path: path, Fset: fset}
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -111,15 +107,10 @@ func check(fset *token.FileSet, imp types.Importer, path, dir string, files []st
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
-	if len(pkg.Files) == 0 {
-		return nil, fmt.Errorf("load: no Go files in %s", dir)
-	}
-	pkg.Name = pkg.Files[0].Name.Name
 	pkg.Info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, pkg.Files, pkg.Info)
@@ -132,11 +123,11 @@ func check(fset *token.FileSet, imp types.Importer, path, dir string, files []st
 
 // Load lists, parses and type-checks the packages matched by patterns,
 // resolved relative to modRoot (the module root directory). Test files
-// are not included: the invariants dvsimlint enforces guard the
-// simulator's production paths, and _test.go files live outside the
-// compiled package graph the export-data importer reconstructs.
+// are not included: the lint rules guard the simulator's production
+// paths, and _test.go files live outside the compiled package graph the
+// export-data importer reconstructs.
 func Load(modRoot string, patterns ...string) ([]*Package, error) {
-	targets, err := goList(modRoot, append([]string{"-json=ImportPath,Name,Dir,GoFiles,Incomplete,Error"}, patterns...)...)
+	targets, err := goList(modRoot, append([]string{"-json=ImportPath,Dir,GoFiles,Incomplete,Error"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -166,63 +157,4 @@ func Load(modRoot string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
-}
-
-// LoadDir parses and type-checks a single directory that is not part
-// of the module build (an analysistest-style fixture under testdata).
-// Imports are resolved through modRoot, so fixtures may import both the
-// standard library and dvsim's own packages. The package's Path is the
-// directory base name.
-func LoadDir(modRoot, dir string) (*Package, error) {
-	names, err := fixtureFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	// Pre-parse to discover the fixture's imports, then resolve them
-	// (and their transitive dependencies) to export data in one go
-	// list call.
-	importSet := map[string]bool{}
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range f.Imports {
-			p := strings.Trim(spec.Path.Value, `"`)
-			if p != "unsafe" {
-				importSet[p] = true
-			}
-		}
-	}
-	exports := map[string]string{}
-	if len(importSet) > 0 {
-		var imports []string
-		for p := range importSet {
-			imports = append(imports, p)
-		}
-		sort.Strings(imports)
-		exports, err = exportLookup(modRoot, imports)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return check(fset, newImporter(fset, exports), filepath.Base(dir), dir, names)
-}
-
-// fixtureFiles lists the non-test Go files of a fixture directory.
-func fixtureFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if !ent.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -66,29 +66,6 @@ func TestLoadTypeError(t *testing.T) {
 	}
 }
 
-// TestLoadDirMissingExportData: a fixture importing a package that has
-// no export data (here: one that does not exist in the module) must
-// fail with the importer's complaint, the export-data mismatch path.
-func TestLoadDirMissingExportData(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "fix.go", "package fix\n\nimport \"dvsim/internal/doesnotexist\"\n\nvar _ = doesnotexist.X\n")
-	_, err := load.LoadDir(modRoot(t), dir)
-	if err == nil {
-		t.Fatal("expected an error for an unresolvable fixture import")
-	}
-	if !strings.Contains(err.Error(), "doesnotexist") {
-		t.Errorf("error should name the unresolvable import, got: %v", err)
-	}
-}
-
-// TestLoadDirNoGoFiles: an empty fixture directory is a loader error,
-// not an empty analysis.
-func TestLoadDirNoGoFiles(t *testing.T) {
-	if _, err := load.LoadDir(modRoot(t), t.TempDir()); err == nil {
-		t.Fatal("expected an error for a fixture directory with no Go files")
-	}
-}
-
 // TestLoadVendoredImport: a module with a vendor tree must load with
 // imports resolved through it — the offline export-data pipeline and
 // -mod=vendor must compose.

@@ -6,24 +6,8 @@ import (
 	"go/types"
 	"strings"
 
-	"dvsim/internal/lint/analysis"
+	"dvsim/internal/lint/load"
 )
-
-// MapRange flags output emitted from inside a `range` over a map.
-//
-// Invariant: everything the simulator writes — telemetry JSONL, report
-// CSVs, experiment tables — is byte-deterministic, and Go randomizes
-// map iteration order on purpose. Any print, writer call or metrics
-// accumulation reached directly inside a map range therefore emits (or
-// accumulates floating-point state) in a different order every run.
-// This is exactly the bug class the telemetry-ordering goldens exist to
-// catch; the fix is the runlog pattern: collect the keys, sort them,
-// then range over the sorted slice.
-var MapRange = &analysis.Analyzer{
-	Name: "maprange",
-	Doc:  "flags output writes and metric accumulation inside range-over-map (iteration order is randomized)",
-	Run:  runMapRange,
-}
 
 // orderSensitiveWriters are method names that commit bytes to an output
 // stream or row sink.
@@ -38,15 +22,27 @@ var orderSensitiveWriters = map[string]bool{
 	"Encode":      true,
 }
 
-func runMapRange(pass *analysis.Pass) error {
+// mapRange flags output emitted from inside a `range` over a map.
+//
+// Invariant: everything the simulator writes — telemetry JSONL, report
+// CSVs, experiment tables — is byte-deterministic, and Go randomizes
+// map iteration order on purpose. Any print, writer call or metrics
+// accumulation reached directly inside a map range therefore emits (or
+// accumulates floating-point state) in a different order every run.
+// The goldens catch this wherever they pin the bytes, but only in the
+// runs whose map order differs; output no golden pins, such as the
+// Markdown comparison table, is left to this check. The fix is the
+// runlog pattern: collect the keys, sort them, then range over the
+// sorted slice.
+func mapRange(pkg *load.Package, report func(token.Pos, string)) {
 	reported := map[token.Pos]bool{}
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			t := pass.TypeOf(rng.X)
+			t := pkg.Info.TypeOf(rng.X)
 			if t == nil {
 				return true
 			}
@@ -58,27 +54,33 @@ func runMapRange(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				if kind := outputCall(pass, call); kind != "" && !reported[call.Pos()] {
+				if kind := outputCall(pkg.Info, call); kind != "" && !reported[call.Pos()] {
 					reported[call.Pos()] = true
-					pass.Reportf(call.Pos(), "%s inside range over map runs in randomized iteration order: collect the keys, sort, then emit (cf. internal/core/runlog.go)", kind)
+					report(call.Pos(), kind+" inside range over map runs in randomized iteration order: collect the keys, sort, then emit (cf. internal/core/runlog.go)")
 				}
 				return true
 			})
 			return true
 		})
 	}
-	return nil
 }
 
 // outputCall classifies a call as order-sensitive output, returning a
 // short description or "".
-func outputCall(pass *analysis.Pass, call *ast.CallExpr) string {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "print" || id.Name == "println") {
-		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return "builtin " + id.Name
-		}
+func outputCall(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return "" // a function value or a conversion
 	}
-	fn := calledFunc(pass, call)
+	if b, ok := info.Uses[id].(*types.Builtin); ok && (b.Name() == "print" || b.Name() == "println") {
+		return "builtin " + b.Name()
+	}
+	fn, _ := info.Uses[id].(*types.Func)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}

@@ -1,13 +1,15 @@
 package lint
 
 import (
+	"fmt"
+	"go/token"
 	"go/types"
 	"strings"
 
-	"dvsim/internal/lint/analysis"
+	"dvsim/internal/lint/load"
 )
 
-// Nondeterminism bans the ambient sources of run-to-run variation
+// nondeterminism bans the ambient sources of run-to-run variation
 // inside the simulator: the wall clock, the process-global math/rand
 // stream, and environment-variable reads.
 //
@@ -16,53 +18,38 @@ import (
 // results; the global rand stream is shared, unseeded (Go ≥ 1.20
 // auto-seeds it randomly) and algorithmically unpinned across Go
 // releases; os.Getenv gates behavior on state no golden file records.
-// Sanctioned randomness lives in explicitly seeded generators — the
-// splitmix64 streams in internal/fault/rng.go and internal/atr/rng.go,
-// or a rand.New(rand.NewSource(seed)) local — never the package-level
+// The goldens catch the first two the moment they touch a run; only
+// this check sees an environment gate that tests never set. Sanctioned
+// randomness lives in explicitly seeded generators — the splitmix64
+// streams in internal/fault/rng.go and internal/atr/rng.go, or a
+// rand.New(rand.NewSource(seed)) local — never the package-level
 // math/rand functions.
-//
-// The checks are per package, so a guarded package may not import a
-// dvsim package outside the guarded scope (config.go): code there is
-// never checked, and a banned read behind one of its functions would
-// reach the simulator unseen. Every call a guarded package can make
-// into this module then lands in code the same checks cover.
-var Nondeterminism = &analysis.Analyzer{
-	Name: "nondeterminism",
-	Doc:  "bans wall-clock reads, global math/rand, env-gated behavior and imports of unguarded dvsim packages in simulator packages",
-	Run:  runNondeterminism,
-}
-
-func runNondeterminism(pass *analysis.Pass) error {
-	// The import itself is flagged in simulator packages: the repo
-	// pins byte-stability of every seeded stream across Go releases,
-	// which math/rand does not promise (and math/rand/v2 explicitly
-	// disclaims). The sanctioned splitmix64 homes are exempt via
-	// config.go; a deliberate seeded use is annotated in place.
-	for _, file := range pass.Files {
+func nondeterminism(pkg *load.Package, report func(token.Pos, string)) {
+	// The import itself is flagged: the repo pins byte-stability of
+	// every seeded stream across Go releases, which math/rand does not
+	// promise (and math/rand/v2 explicitly disclaims). A deliberate
+	// seeded use is annotated in place.
+	for _, file := range pkg.Files {
 		for _, imp := range file.Imports {
-			switch path := strings.Trim(imp.Path.Value, `"`); {
-			case path == "math/rand" || path == "math/rand/v2":
-				pass.Reportf(imp.Pos(), "math/rand in simulator code: its stream algorithms are not pinned across Go releases; use a splitmix64 stream (internal/fault/rng.go, internal/atr/rng.go) or annotate a deliberate seeded use with //lint:allow nondeterminism <reason>")
-			case inModule(path) && !inScope(pass.Analyzer.Name, path):
-				pass.Reportf(imp.Pos(), "simulator code imports %s, which the nondeterminism checks do not cover: a wall-clock, global-rand or environment read behind it would reach the run unseen; move what is needed into a guarded package or pass its result in", path)
+			if path := strings.Trim(imp.Path.Value, `"`); path == "math/rand" || path == "math/rand/v2" {
+				report(imp.Pos(), "math/rand in simulator code: its stream algorithms are not pinned across Go releases; use a splitmix64 stream (internal/fault/rng.go, internal/atr/rng.go) or annotate a deliberate seeded use with //lint:allow nondeterminism <reason>")
 			}
 		}
 	}
-	for id, obj := range pass.Info.Uses {
+	for id, obj := range pkg.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok {
 			continue
 		}
 		switch kind, name := nondetRoot(fn); kind {
 		case rootClock:
-			pass.Reportf(id.Pos(), "wall-clock time.%s in simulator code: simulated time must come from the kernel clock (sim.Kernel.Now)", name)
+			report(id.Pos(), fmt.Sprintf("wall-clock time.%s in simulator code: simulated time must come from the kernel clock (sim.Kernel.Now)", name))
 		case rootRand:
-			pass.Reportf(id.Pos(), "global %s.%s draws from the process-wide random stream: use an explicitly seeded generator (rand.New(rand.NewSource(seed)) or a splitmix64 stream as in internal/fault/rng.go)", fn.Pkg().Name(), name)
+			report(id.Pos(), fmt.Sprintf("global %s.%s draws from the process-wide random stream: use an explicitly seeded generator (rand.New(rand.NewSource(seed)) or a splitmix64 stream as in internal/fault/rng.go)", fn.Pkg().Name(), name))
 		case rootEnv:
-			pass.Reportf(id.Pos(), "os.%s gates simulator behavior on the environment: thread configuration through Params/Options so runs are reproducible from recorded inputs", name)
+			report(id.Pos(), fmt.Sprintf("os.%s gates simulator behavior on the environment: thread configuration through Params/Options so runs are reproducible from recorded inputs", name))
 		}
 	}
-	return nil
 }
 
 // rootKind classifies the banned ambient sources. The zero value means

@@ -122,6 +122,27 @@ func TestFinishedJobsReplayGoldenBytes(t *testing.T) {
 	})
 }
 
+// holdWorker queues a job that occupies a worker until release is
+// called and then ends with err, so the jobs queued behind it stay
+// queued for as long as a test needs.
+func holdWorker(t *testing.T, s *Server, err error) (blocker *job, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	s.mu.Lock()
+	blocker = s.newJobLocked(&resolved{key: testKey("blocker"), kind: "run"})
+	blocker.stream = newStream()
+	blocker.run = func(ctx context.Context, j *job) error {
+		defer j.stream.close()
+		<-gate
+		return err
+	}
+	s.mu.Unlock()
+	if err := s.q.push(blocker); err != nil {
+		t.Fatal(err)
+	}
+	return blocker, func() { close(gate) }
+}
+
 // TestLateCoalescedFollowerGetsGoldenBytes: a request that joined a run
 // while it was queued, and attaches only once the run has finished and
 // dropped its stream, replays the stored artifact byte-identical to the
@@ -132,19 +153,7 @@ func TestLateCoalescedFollowerGetsGoldenBytes(t *testing.T) {
 		s, _ := newTestServer(t, cfg)
 		// Hold the lone worker so the run stays queued while the
 		// follower joins it.
-		gate := make(chan struct{})
-		s.mu.Lock()
-		blocker := s.newJobLocked(&resolved{key: testKey("blocker"), kind: "run"})
-		blocker.stream = newStream()
-		blocker.run = func(ctx context.Context, j *job) error {
-			defer j.stream.close()
-			<-gate
-			return errors.New("held")
-		}
-		s.mu.Unlock()
-		if err := s.q.push(blocker); err != nil {
-			t.Fatal(err)
-		}
+		_, release := holdWorker(t, s, errors.New("held"))
 		res, err := s.resolve(Submission{Experiment: "1", UntilS: 120})
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +166,7 @@ func TestLateCoalescedFollowerGetsGoldenBytes(t *testing.T) {
 		if err != nil || !coalesced || follower != j {
 			t.Fatalf("second lookup: coalesced %v onto the run: %v (%v)", coalesced, follower == j, err)
 		}
-		close(gate)
+		release()
 		<-j.done
 		if st := j.snapshot(); st.State != StateDone || j.live() != nil {
 			t.Fatalf("run ended %s (%s), stream kept: %v", st.State, st.Error, j.live() != nil)

@@ -80,13 +80,13 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cache:    cache,
 		q:        newQueue(cfg.QueueDepth),
-		start:    time.Now(),
+		start:    time.Now(), //lint:allow nondeterminism the server's uptime is wall time; no run reads it
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		//lint:allow nakedgo server worker pool; lifecycle is owned by Server.Close, which closes the queue and waits on s.wg
+		// Close owns the pool: it closes the queue and waits on s.wg.
 		go s.worker()
 	}
 	return s, nil
@@ -607,7 +607,7 @@ func (s *Server) stats() Stats {
 	s.mu.Unlock()
 	return Stats{
 		Engine:           buildinfo.EngineVersion,
-		UptimeS:          time.Since(s.start).Seconds(),
+		UptimeS:          time.Since(s.start).Seconds(), //lint:allow nondeterminism uptime, as above
 		Workers:          s.cfg.Workers,
 		QueueInteractive: qi,
 		QueueBulk:        qb,

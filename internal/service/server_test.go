@@ -203,33 +203,19 @@ func waitState(t *testing.T, s *Server, id, want string) JobStatus {
 	return JobStatus{}
 }
 
-// TestAsyncCancel: with one worker busy, a queued run cancels cleanly.
+// TestAsyncCancel: with the lone worker held, a queued run cancels
+// cleanly and the held job is unaffected.
 func TestAsyncCancel(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
-	post := func(sub Submission) JobStatus {
-		t.Helper()
-		body, _ := json.Marshal(sub)
-		resp, err := http.Post(c.Base+"/api/v1/runs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	// A's window is big enough to keep the lone worker busy for around
-	// a second of wall time, so B is still queued when the cancel lands.
-	a := post(Submission{Experiment: "1", UntilS: 7200})
-	b := post(Submission{Experiment: "2C", UntilS: 120})
+	blocker, release := holdWorker(t, s, nil)
+	b, _ := postRun(t, c, Submission{Experiment: "2C", UntilS: 120})
 	req, _ := http.NewRequest(http.MethodDelete, c.Base+"/api/v1/runs/"+b.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	release()
 
 	s.mu.Lock()
 	jb := s.jobs[b.ID]
@@ -238,13 +224,9 @@ func TestAsyncCancel(t *testing.T) {
 	if st := jb.snapshot(); st.State != StateCancelled {
 		t.Fatalf("cancelled job state %s (%s)", st.State, st.Error)
 	}
-	// The busy worker's job is unaffected.
-	s.mu.Lock()
-	ja := s.jobs[a.ID]
-	s.mu.Unlock()
-	<-ja.done
-	if st := ja.snapshot(); st.State != StateDone {
-		t.Fatalf("surviving job state %s (%s)", st.State, st.Error)
+	<-blocker.done
+	if st := blocker.snapshot(); st.State != StateDone {
+		t.Fatalf("held job state %s (%s)", st.State, st.Error)
 	}
 	// The cancelled run's result endpoint reports the loss.
 	r2, err := http.Get(c.Base + "/api/v1/runs/" + b.ID + "/result")

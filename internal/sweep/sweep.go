@@ -95,7 +95,7 @@ func Ordered[O any](n, workers, window int, fn func(i int) O, emit func(O) bool)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:allow nakedgo worker pool over independent work items (whole simulations, or time shards of one finished run log); no kernel is shared between workers and outputs merge in input order
+		// Workers share no kernel, and outputs merge in input order.
 		go func() {
 			defer wg.Done()
 			for i := range next {

@@ -3,17 +3,24 @@
 //
 // Usage:
 //
-//	dvsim [-exp 2C] [-rotation N] [-battery twowell|ideal|peukert|kibam]
+//	dvsim [-exp 2C] [-rotation N] [-battery twowell|ideal|peukert|kibam]   # -rotation: 2C only
 //	dvsim -run 2C -telemetry out.jsonl [-until SECONDS]
 //	dvsim -metrics[=FILE] [-run 2B]   # instrumented run, metrics snapshot as CSV
 //	dvsim -ports[=FILE]               # per-port serial accounting as CSV
 //	dvsim -exp 2D -faults scenario.json   # fault injection (see scenarios/)
-//	dvsim -exp 2 -governor pid            # online DVS instead of the static table
+//	dvsim -exp 2 -governor pid            # online DVS instead of the static table (not 0A/0B)
 //	dvsim -exp 3A [-frames N]             # governor study: all four policies head to head
 //	dvsim -exp 1 -assert spec.json        # check an assertion catalog online during the run
 //	dvsim -check log.jsonl -assert spec.json   # replay a recorded telemetry log offline
 //	dvsim -manifest sweep.toml [-j N] [-agg-jsonl FILE]   # run a declarative sweep (see MANIFESTS.md)
 //	dvsim -exp 2D -mc 1000 [-mc-warm 60] [-until 3600]    # Monte Carlo: seeded futures diverging at the warm point
+//
+// A platform flag that no experiment of the invocation reads exits 2
+// with core's message, as the same setting does in a runfile line or a
+// dvsimd envelope (with -remote the server refuses it: HTTP 400, exit
+// 2): only 2C reads -rotation, and 0A/0B, which have no I/O, read only
+// -assert. Over the whole suite (no -exp) a flag is refused only if no
+// experiment reads it, and each run applies what it reads.
 package main
 
 import (
@@ -146,8 +153,8 @@ func simulating(flags ...string) []string {
 // -remote ships the run to a server that sees no local profile or
 // report destination. The suite's outputs (-ports, -csv, -compare, the
 // table) exclude each other. The study 3A sets each run's governor
-// itself and has no rotation. Of the single experiments, only 2C reads
-// -rotation; main refuses it for any other, named or defaulted.
+// itself. Which platform flags an experiment reads is core's to say:
+// main refuses one that none of the experiments it runs reads.
 var modeFlags = map[string][]string{
 	"-version":          {"version"},
 	"-dumpparams":       local("dumpparams"),
@@ -159,7 +166,7 @@ var modeFlags = map[string][]string{
 	"-runlog":           simulating("runlog", "exp", "run"),
 	"-telemetry":        simulating("telemetry", "exp", "run", "until"),
 	"-plan":             simulating("plan", "j"),
-	"-exp 3A":           local("exp", "run", "frames", "j", "csv", "violations", "params", "battery", "faults", "assert"),
+	"-exp 3A":           local("exp", "run", "frames", "j", "csv", "violations", "params", "rotation", "battery", "faults", "assert"),
 	"-metrics":          simulating("metrics", "exp", "run", "violations"),
 	"-ports":            simulating("ports", "exp", "run", "j", "violations"),
 	"-csv":              simulating("csv", "exp", "run", "j", "violations"),
@@ -258,6 +265,12 @@ func runRemote(r remoteRun) {
 	done()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvsim: -remote: %v\n", err)
+		// A submission the server refuses is a bad spec, as it would be
+		// locally.
+		var refused *service.StatusError
+		if errors.As(err, &refused) && refused.Code/100 == 4 {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	what := "exp " + r.exp
@@ -285,7 +298,7 @@ func exitOnRunError(flagName string, err error) {
 func main() {
 	expFlag := flag.String("exp", "", "single experiment to run (0A, 0B, 1, 1A, 2, 2A, 2B, 2C, 2D)")
 	runFlag := flag.String("run", "", "alias for -exp")
-	rotation := flag.Int("rotation", 0, "override rotation period for 2C (frames)")
+	rotation := flag.Int("rotation", 0, "override the node-rotation period (frames); only experiment 2C reads it")
 	batFlag := flag.String("battery", "twowell", "battery model: twowell, ideal, peukert, kibam")
 	compare := flag.Bool("compare", false, "print the paper-vs-model comparison table")
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of the table")
@@ -298,7 +311,7 @@ func main() {
 	flag.Var(&metricsOut, "metrics", "run instrumented and write each experiment's metrics snapshot as CSV (bare = stdout, -metrics=FILE writes FILE)")
 	flag.Var(&portsOut, "ports", "write per-port serial accounting as CSV (bare = stdout, -ports=FILE writes FILE)")
 	faultsFile := flag.String("faults", "", "load a JSON fault scenario (link drop/garble, node crashes, battery variance) and inject it into the run")
-	governorFlag := flag.String("governor", "", "online DVS policy NAME[:key=value,...] applied to every pipeline node (static, interval, pid, buffer); e.g. pid:kp=0.5,ki=0.1")
+	governorFlag := flag.String("governor", "", "online DVS policy NAME[:key=value,...] applied to every pipeline node (static, interval, pid, buffer); e.g. pid:kp=0.5,ki=0.1. 0A/0B have no pipeline and refuse it")
 	framesFlag := flag.Int("frames", 0, "with -exp 3A: bound each governor run to N frames (0 = battery exhaustion)")
 	assertFile := flag.String("assert", "", "load a JSON assertion spec (see scenarios/assertions/) and check it against the run's telemetry stream; with -check, against a recorded log")
 	checkFile := flag.String("check", "", "replay a recorded telemetry JSONL FILE through the -assert spec and report the verdict (offline; no simulation)")
@@ -370,35 +383,14 @@ func main() {
 			*expFlag = string(core.Exp1)
 		}
 	}
-	if *rotation != 0 && *expFlag != "" && core.ID(*expFlag) != core.Exp2C {
-		fmt.Fprintf(os.Stderr, "dvsim: -rotation applies only to experiment 2C, not %s\n", *expFlag)
-		os.Exit(2)
+	ids := core.AllExperiments
+	if *expFlag != "" {
+		ids = []core.ID{core.ID(*expFlag)}
 	}
 
-	// Resolve every output destination and spec up front: a bad path or
-	// spec must abort here, naming its flag, not after the simulation
-	// has spent its budget.
-	var telemetryW io.Writer
-	telemetryClose := func() {}
-	if *telemetry != "" {
-		telemetryW = os.Stdout
-		if *telemetry != "-" {
-			f := mustCreate("telemetry", *telemetry)
-			telemetryW, telemetryClose = f, func() { f.Close() }
-		}
-	}
-	var metricsW, portsW io.Writer
-	metricsDone, portsDone := func() {}, func() {}
-	if metricsOut.on {
-		metricsW, metricsDone = metricsOut.writer("metrics")
-	}
-	if portsOut.on {
-		portsW, portsDone = portsOut.writer("ports")
-	}
-	var violW *os.File
-	if *violationsFile != "" {
-		violW = mustCreate("violations", *violationsFile)
-	}
+	// Resolve every spec and output destination up front: a bad spec or
+	// path must abort here, naming its flag, not after the simulation
+	// has spent its budget, and a bad spec before any file is created.
 	var spec *assert.Spec
 	if *assertFile != "" {
 		s, err := assert.LoadFile(*assertFile)
@@ -430,6 +422,40 @@ func main() {
 			os.Exit(2)
 		}
 		faults = sc
+	}
+	set := manifest.Settings{Rotation: *rotation, Governor: *governorFlag, Faults: faults, Assert: spec}
+	switch mode {
+	case "-dumpparams", "-remote", "-remote -manifest", "-manifest", "-check", "-plan":
+		// No paper experiment runs here: the server and the runfile
+		// check their own settings, and -plan's custom pipelines read
+		// every one.
+	default:
+		if err := set.Check(ids...); err != nil {
+			fmt.Fprintf(os.Stderr, "dvsim: %v\n", err)
+			os.Exit(2)
+		}
+	}
+
+	var telemetryW io.Writer
+	telemetryClose := func() {}
+	if *telemetry != "" {
+		telemetryW = os.Stdout
+		if *telemetry != "-" {
+			f := mustCreate("telemetry", *telemetry)
+			telemetryW, telemetryClose = f, func() { f.Close() }
+		}
+	}
+	var metricsW, portsW io.Writer
+	metricsDone, portsDone := func() {}, func() {}
+	if metricsOut.on {
+		metricsW, metricsDone = metricsOut.writer("metrics")
+	}
+	if portsOut.on {
+		portsW, portsDone = portsOut.writer("ports")
+	}
+	var violW *os.File
+	if *violationsFile != "" {
+		violW = mustCreate("violations", *violationsFile)
 	}
 
 	stopProf, err := bench.StartProfiles(*cpuprofile, *memprofile, *traceFile)
@@ -536,7 +562,7 @@ func main() {
 		p, err = platform.Params()
 	}
 	if err == nil {
-		p, err = manifest.Settings{Rotation: *rotation, Governor: *governorFlag, Faults: faults, Assert: spec}.Apply(p)
+		p, err = set.Apply(p)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvsim: %v\n", err)
@@ -643,10 +669,6 @@ func main() {
 		return
 	}
 
-	ids := core.AllExperiments
-	if *expFlag != "" {
-		ids = []core.ID{core.ID(*expFlag)}
-	}
 	if mode == "-metrics" {
 		outs := make([]core.Outcome, 0, len(ids))
 		for _, id := range ids {

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dvsim/internal/service"
 )
 
 // TestMain lets the test binary stand in for dvsim: with DVSIM_RUN_MAIN
@@ -110,8 +114,56 @@ func TestUnreadFlagExitsTwo(t *testing.T) {
 	}
 }
 
+// TestUnreadSettingRefusedAlike: a setting the experiment does not read
+// is refused with exit 2 and core's one message by each front end: the
+// flag, the runfile line that sets it, and the envelope dvsim -remote
+// ships to a dvsimd server. A spec the server refuses for any other
+// reason exits 2 as well, as it does locally.
+func TestUnreadSettingRefusedAlike(t *testing.T) {
+	srv, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer hs.Close()
+	linkdrop, err := filepath.Abs(filepath.Join("..", "..", "scenarios", "linkdrop.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, c := range []struct {
+		flags        []string // after -exp ID
+		id, col, val string   // the runfile line
+		want         string
+	}{
+		{[]string{"-rotation", "5"}, "1", "rotation", "5", "experiment 1 does not read rotation"},
+		{[]string{"-faults", linkdrop}, "0A", "faults", `"` + linkdrop + `"`, "experiment 0A does not read faults"},
+		{[]string{"-governor", "pid"}, "0B", "governor", `"pid"`, "experiment 0B does not read governor"},
+		{[]string{"-governor", "interval:alpha=2"}, "2", "governor", `"interval:alpha=2"`, "outside (0, 1]"},
+	} {
+		runfile := filepath.Join(dir, fmt.Sprintf("line%d.toml", i))
+		text := fmt.Sprintf("experiment, %s\n%q, %s\n", c.col, c.id, c.val)
+		if err := os.WriteFile(runfile, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		local := append([]string{"-exp", c.id}, c.flags...)
+		for _, args := range [][]string{
+			local,
+			{"-manifest", runfile},
+			append([]string{"-remote", hs.URL}, local...),
+		} {
+			_, stderr, code := dvsim(t, args...)
+			if code != 2 || !strings.Contains(stderr, c.want) {
+				t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q", args, code, stderr, c.want)
+			}
+		}
+	}
+}
+
 // TestRotationRead2C: experiment 2C reads -rotation, so the flag
-// changes its run. Every other experiment refuses it (TestBadSpecExitsTwo).
+// changes its run. Every other experiment refuses it
+// (TestUnreadSettingRefusedAlike).
 func TestRotationRead2C(t *testing.T) {
 	base, stderr, code := dvsim(t, "-exp", "2C")
 	if code != 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"dvsim/internal/assert"
 	"dvsim/internal/atr"
@@ -40,80 +41,21 @@ var AllExperiments = []ID{Exp0A, Exp0B, Exp1, Exp1A, Exp2, Exp2A, Exp2B, Exp2C, 
 // "not to be compared with other experiments", §6.1).
 var Fig10Experiments = []ID{Exp1, Exp1A, Exp2, Exp2A, Exp2B, Exp2C}
 
-// Label returns the paper's caption for an experiment.
+// Label returns the paper's caption for an experiment, or the id
+// itself for one without a caption.
 func Label(id ID) string {
-	switch id {
-	case Exp0A:
-		return "No I/O, full speed"
-	case Exp0B:
-		return "No I/O, half speed"
-	case Exp1:
-		return "Baseline"
-	case Exp1A:
-		return "DVS during I/O"
-	case Exp2:
-		return "Distributed DVS with partitioning"
-	case Exp2A:
-		return "Distributed DVS during I/O"
-	case Exp2B:
-		return "Distributed DVS with power failure recovery"
-	case Exp2C:
-		return "Distributed DVS with node rotation"
-	case Exp2D:
-		return "Distributed DVS recovery under link faults"
-	default:
-		return string(id)
+	if x := experiments[id]; x.label != "" {
+		return x.label
 	}
+	return string(id)
 }
 
 // PaperHours returns the battery life the paper reports, for comparison
-// tables (§6).
-func PaperHours(id ID) float64 {
-	switch id {
-	case Exp0A:
-		return 3.4
-	case Exp0B:
-		return 12.9
-	case Exp1:
-		return 6.13
-	case Exp1A:
-		return 7.6
-	case Exp2:
-		return 14.1
-	case Exp2A:
-		return 14.44
-	case Exp2B:
-		return 15.72
-	case Exp2C:
-		return 17.82
-	default:
-		return 0
-	}
-}
+// tables (§6); 0 where it reports none.
+func PaperHours(id ID) float64 { return experiments[id].paperH }
 
 // PaperFrames returns the completed workload the paper reports.
-func PaperFrames(id ID) int {
-	switch id {
-	case Exp0A:
-		return 11500
-	case Exp0B:
-		return 22500
-	case Exp1:
-		return 9600
-	case Exp1A:
-		return 11900
-	case Exp2:
-		return 22100
-	case Exp2A:
-		return 22600
-	case Exp2B:
-		return 24500
-	case Exp2C:
-		return 27900
-	default:
-		return 0
-	}
-}
+func PaperFrames(id ID) int { return experiments[id].paperF }
 
 // NodeStat summarizes one node after a run.
 type NodeStat struct {
@@ -216,26 +158,128 @@ const DefaultSamplePeriodS = 60.0
 // simulated hours, past every battery death.
 const DefaultTelemetryWindowS = 30 * 3600
 
+// A Setting is one run setting a front end can give an experiment: a
+// dvsim flag, a runfile column and a dvsimd envelope field, each named
+// as String spells it. Settings combine as a bit set.
+type Setting uint8
+
+const (
+	Rotation   Setting = 1 << iota // Params.RotationPeriod
+	Governor                       // Params.Governor
+	Faults                         // Params.Faults
+	Frames                         // Spec.Frames
+	FrameDelay                     // Params.FrameDelayS, "d"
+	Assertions                     // Params.Assertions, "assert"
+)
+
+// String names the lowest setting in s, which must not be empty.
+func (s Setting) String() string {
+	names := [...]string{"rotation", "governor", "faults", "frames", "d", "assert"}
+	return names[bits.TrailingZeros8(uint8(s))]
+}
+
+// experiment is one row of the experiments table.
+type experiment struct {
+	label string // the paper's caption
+	nodes int
+	// faults is the fault load the experiment injects when
+	// Params.Faults is nil; nil for a clean wire.
+	faults func() *fault.Scenario
+	// reads is every setting that can change the run.
+	reads Setting
+	// paperH and paperF are the battery life and frames the paper
+	// reports (§6); zero for the experiments beyond it.
+	paperH float64
+	paperF int
+}
+
+// pipelineReads is what a pipeline experiment reads: all but rotation,
+// which only 2C's ring uses (§6.7).
+const pipelineReads = Governor | Faults | Frames | FrameDelay | Assertions
+
+// experiments is the one table of what each experiment is beyond its
+// stages: its caption, node count, built-in fault load, the settings
+// it reads and the paper's numbers. The no-I/O experiments have no
+// link, frame source or frame deadline, so they read only an assertion
+// catalog. plan takes the rotation period and the fault load from
+// here, CheckSettings refuses for every front end a setting the named
+// runs do not read, and TestSettingsTableExact holds each row's reads
+// to the engine.
+var experiments = map[ID]experiment{
+	// caption, nodes, built-in faults, reads, paper hours, paper frames
+	Exp0A: {"No I/O, full speed", 1, nil, Assertions, 3.4, 11500},
+	Exp0B: {"No I/O, half speed", 1, nil, Assertions, 12.9, 22500},
+	Exp1:  {"Baseline", 1, nil, pipelineReads, 6.13, 9600},
+	Exp1A: {"DVS during I/O", 1, nil, pipelineReads, 7.6, 11900},
+	Exp2:  {"Distributed DVS with partitioning", 2, nil, pipelineReads, 14.1, 22100},
+	Exp2A: {"Distributed DVS during I/O", 2, nil, pipelineReads, 14.44, 22600},
+	Exp2B: {"Distributed DVS with power failure recovery", 2, nil, pipelineReads, 15.72, 24500},
+	Exp2C: {"Distributed DVS with node rotation", 2, nil, pipelineReads | Rotation, 17.82, 27900},
+	Exp2D: {"Distributed DVS recovery under link faults", 2, DefaultFaultScenario, pipelineReads, 0, 0},
+	Exp3A: {"", 2, nil, pipelineReads, 0, 0},
+}
+
+// lookup returns the experiment's row, or the error for an unknown id.
+func lookup(id ID) (experiment, error) {
+	x, ok := experiments[id]
+	if !ok {
+		return x, specErr("unknown experiment %q", id)
+	}
+	return x, nil
+}
+
+// Nodes returns the experiment's node count; 0 for an unknown one.
+func (id ID) Nodes() int { return experiments[id].nodes }
+
+// FaultLoad returns the fault scenario a run injects under
+// Params.Faults sc: sc itself, or when sc is nil the experiment's
+// built-in load (2D's DefaultFaultScenario). Custom runs (id "") and
+// the other experiments have none built in.
+func (id ID) FaultLoad(sc *fault.Scenario) *fault.Scenario {
+	if f := experiments[id].faults; sc == nil && f != nil {
+		return f()
+	}
+	return sc
+}
+
+// CheckSettings refuses a setting that none of the experiments reads,
+// or an unknown experiment, with an error wrapping ErrBadSpec. Every
+// front end calls it before it runs, so a setting that would leave the
+// output unchanged is an error, never a second name for the same run.
+func CheckSettings(set Setting, ids ...ID) error {
+	var reads Setting
+	for _, id := range ids {
+		x, err := lookup(id)
+		if err != nil {
+			return err
+		}
+		reads |= x.reads
+	}
+	if unread := set &^ reads; unread != 0 {
+		if len(ids) == 1 {
+			return specErr("experiment %s does not read %s", ids[0], unread)
+		}
+		return specErr("no experiment of %v reads %s", ids, unread)
+	}
+	return nil
+}
+
 // stagesFor derives the per-node configuration of a pipeline
-// experiment: its stages, and whether the recovery protocol and node
-// rotation are on.
-func stagesFor(id ID, p Params) (stages []StageConfig, ack bool, rotation int, err error) {
+// experiment: its stages, and whether the recovery protocol is on.
+func stagesFor(id ID, p Params) (stages []StageConfig, ack bool, err error) {
 	switch id {
 	case Exp1:
 		return []StageConfig{
 			{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint},
-		}, false, 0, nil
+		}, false, nil
 	case Exp1A:
 		return []StageConfig{
 			{Span: atr.FullSpan, Compute: cpu.MaxPoint, Comm: cpu.MinPoint},
-		}, false, 0, nil
-	case Exp2, Exp2A, Exp2B, Exp2C, Exp2D, Exp3A:
-	default:
-		return nil, false, 0, specErr("unknown experiment %q", id)
+		}, false, nil
 	}
 	s, err := p.BestTwoNodeScheme()
 	if err != nil {
-		return nil, false, 0, specErr("experiment %s: %v", id, err)
+		return nil, false, specErr("experiment %s: %v", id, err)
 	}
 	s0, s1 := s.Stages[0], s.Stages[1]
 	switch id {
@@ -243,12 +287,14 @@ func stagesFor(id ID, p Params) (stages []StageConfig, ack bool, rotation int, e
 		return []StageConfig{
 			{Span: s0.Span, Compute: s0.Compute, Comm: s0.Compute},
 			{Span: s1.Span, Compute: s1.Compute, Comm: s1.Compute},
-		}, false, 0, nil
-	case Exp2A:
+		}, false, nil
+	case Exp2A, Exp2C:
+		// 2C is 2A on a ring that rotates the roles (plan sets the
+		// period).
 		return []StageConfig{
 			{Span: s0.Span, Compute: s0.Compute, Comm: cpu.MinPoint},
 			{Span: s1.Span, Compute: s1.Compute, Comm: cpu.MinPoint},
-		}, false, 0, nil
+		}, false, nil
 	case Exp2B, Exp2D:
 		// §6.6: with the recovery protocol's extra transactions both
 		// nodes run faster — the paper operates them at 73.7 and 118 MHz
@@ -257,22 +303,17 @@ func stagesFor(id ID, p Params) (stages []StageConfig, ack bool, rotation int, e
 		return []StageConfig{
 			{Span: s0.Span, Compute: cpu.PointAt(73.7), Comm: cpu.MinPoint},
 			{Span: s1.Span, Compute: cpu.PointAt(118.0), Comm: cpu.MinPoint},
-		}, true, 0, nil
-	case Exp2C:
-		return []StageConfig{
-			{Span: s0.Span, Compute: s0.Compute, Comm: cpu.MinPoint},
-			{Span: s1.Span, Compute: s1.Compute, Comm: cpu.MinPoint},
-		}, false, p.RotationPeriod, nil
+		}, true, nil
 	default: // Exp3A
 		// The experiment-2 partition with both compute clocks started
 		// at the full 206.4 MHz; the governor has to find the savings.
 		if !p.Governor.Enabled() {
-			return nil, false, 0, specErr("experiment 3A needs a governor (set Params.Governor)")
+			return nil, false, specErr("experiment 3A needs a governor (set Params.Governor)")
 		}
 		return []StageConfig{
 			{Span: s0.Span, Compute: cpu.MaxPoint, Comm: cpu.MinPoint},
 			{Span: s1.Span, Compute: cpu.MaxPoint, Comm: cpu.MinPoint},
-		}, false, 0, nil
+		}, false, nil
 	}
 }
 

@@ -47,11 +47,8 @@ func MonteCarlo(s Spec, warmS float64, seeds []uint64, workers int) (float64, []
 		return 0, nil, specErr("horizon %v s not past the warm point %v s", s.UntilS, warm)
 	}
 	var base fault.Scenario
-	switch {
-	case s.Params.Faults != nil:
-		base = *s.Params.Faults
-	case s.ID == Exp2D:
-		base = *DefaultFaultScenario()
+	if sc := s.ID.FaultLoad(s.Params.Faults); sc != nil {
+		base = *sc
 	}
 	res := sweep.Run(seeds, workers, func(seed uint64) ForkResult {
 		sc := base

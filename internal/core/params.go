@@ -40,8 +40,9 @@ type Params struct {
 	// RotationPeriod is the number of frames between node rotations
 	// (§6.7: every 100 frames); > 1 enables rotation. Experiment 2C,
 	// custom stages and chain graphs read it; the other paper
-	// experiments ignore it, and a non-chain graph rejects it — set 0
-	// for a static custom run or a fleet.
+	// experiments ignore it (CheckSettings refuses it for them), and a
+	// non-chain graph rejects it — set 0 for a static custom run or a
+	// fleet.
 	RotationPeriod int
 	// AckTimeoutS is the failure-detection timeout of the recovery
 	// scheme (§5.4). Chosen as a small multiple of the ack transaction
@@ -51,9 +52,10 @@ type Params struct {
 	// matters when a fault scenario is active (without one no transfer
 	// ever faults). A scenario's own retry policy overrides it.
 	Retry serial.RetryPolicy
-	// Faults, when non-nil, injects the scenario into every run: link
-	// drop/garble, node crashes and battery capacity variance. It also
-	// overrides experiment 2D's built-in scenario.
+	// Faults, when non-nil, injects the scenario into every run with a
+	// link (not the no-I/O 0A/0B): link drop/garble, node crashes and
+	// battery capacity variance. It also overrides experiment 2D's
+	// built-in scenario.
 	Faults *fault.Scenario
 	// Governor, when enabled, attaches an online DVS policy to every
 	// pipeline node: the compute operating point is re-decided at each

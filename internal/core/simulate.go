@@ -255,22 +255,25 @@ func (s *Spec) plan() (plan, error) {
 		if s.Ack || s.Native != nil {
 			return pl, specErr("ack and native apply to custom pipelines, not experiment %s", s.ID)
 		}
-		pl.id, pl.label = s.ID, Label(s.ID)
+		x, err := lookup(s.ID)
+		if err != nil {
+			return pl, err
+		}
+		pl.id, pl.label, pl.faults = s.ID, x.label, s.ID.FaultLoad(p.Faults)
+		if x.reads&Rotation != 0 {
+			pl.rotation = p.RotationPeriod
+		}
 		switch s.ID {
 		case Exp0A, Exp0B:
-			pl.noIO, pl.at, pl.maxFrames, pl.faults = true, cpu.MaxPoint, 0, nil
+			pl.noIO, pl.at = true, cpu.MaxPoint
 			if s.ID == Exp0B {
 				pl.at = cpu.PointAt(103.2)
 			}
 			return pl, nil
-		case Exp2D:
-			if pl.faults == nil {
-				pl.faults = DefaultFaultScenario()
-			}
 		case Exp3A:
 			pl.label = "Governor study: " + p.Governor.String()
 		}
-		pl.stages, pl.ack, pl.rotation, err = stagesFor(s.ID, p)
+		pl.stages, pl.ack, err = stagesFor(s.ID, p)
 		return pl, err
 	}
 

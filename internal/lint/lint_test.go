@@ -61,64 +61,6 @@ import "math/rand"
 func seeded() float64 { return rand.New(rand.NewSource(7)).Float64() }
 `, nil},
 
-	{"maprange", "flagged", "dvsim/internal/report", `package p
-
-import (
-	"fmt"
-	"strings"
-)
-
-func emit(m map[string]int, b *strings.Builder) {
-	for k, v := range m {
-		fmt.Printf("%s=%d\n", k, v)
-		b.WriteString(k)
-	}
-}
-`, []string{
-		"10:maprange: fmt.Printf inside range over map",
-		"11:maprange: writer call WriteString inside range over map",
-	}},
-	{"maprange", "exempt", "dvsim/internal/report", `package p
-
-import (
-	"fmt"
-	"sort"
-)
-
-// Collect, sort, then emit: the map range writes nothing.
-func emit(m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("%s=%d\n", k, m[k])
-	}
-}
-`, nil},
-	{"maprange", "allowed", "dvsim/internal/report", `package p
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-func rows(m map[string]int) string {
-	var rows []string
-	var b strings.Builder
-	for k, v := range m {
-		b.Reset()
-		//lint:allow maprange rows are sorted before they are joined
-		fmt.Fprintf(&b, "%s=%d", k, v)
-		rows = append(rows, b.String())
-	}
-	sort.Strings(rows)
-	return strings.Join(rows, "\n")
-}
-`, nil},
-
 	{"floateq", "flagged", "dvsim/internal/battery", `package p
 
 type ticks float64
@@ -172,7 +114,6 @@ func d() {}
 }
 
 func TestNondeterminism(t *testing.T)      { runCases(t, "nondeterminism") }
-func TestMapRange(t *testing.T)            { runCases(t, "maprange") }
 func TestFloatEq(t *testing.T)             { runCases(t, "floateq") }
 func TestDirectiveValidation(t *testing.T) { runCases(t, "directive") }
 

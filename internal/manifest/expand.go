@@ -51,16 +51,6 @@ type Experiment struct {
 	Platform core.PlatformConfig
 }
 
-// experimentNodes maps each paper experiment to its node count.
-func experimentNodes(id core.ID) int {
-	switch id {
-	case core.Exp2, core.Exp2A, core.Exp2B, core.Exp2C, core.Exp2D, core.Exp3A:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // Expand resolves every manifest line against the globals and unrolls
 // the seed lists: one Experiment per line per seed (or exactly one for
 // a seedless line, with the fault scenario's committed seed untouched —
@@ -167,10 +157,10 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 
 	// The cells this line sets, parsed.
 	var err error
-	if e.Frames, err = m.intValue(row, "frames", 0); err != nil {
+	set := Settings{Governor: m.value(row, "governor")}
+	if set.Frames, err = m.intValue(row, "frames", 0); err != nil {
 		return nil, err
 	}
-	set := Settings{Governor: m.value(row, "governor")}
 	if set.Rotation, err = m.intValue(row, "rotation", 0); err != nil {
 		return nil, err
 	}
@@ -203,9 +193,6 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 		if err != nil {
 			return nil, err
 		}
-		if set.Rotation > 1 && kind != "serial" {
-			return nil, fmt.Errorf("rotation needs a serial topology, not %q", kind)
-		}
 		e.Kind = kind
 		e.Graph = g
 		e.Shape = shape
@@ -227,10 +214,7 @@ func (m *Manifest) expandLine(row line, base core.Params, basePC core.PlatformCo
 	if seeds == nil {
 		return []Experiment{e}, nil
 	}
-	sc := e.Params.Faults
-	if sc == nil && e.ID == core.Exp2D {
-		sc = core.DefaultFaultScenario()
-	}
+	sc := e.ID.FaultLoad(e.Params.Faults)
 	if sc == nil {
 		return nil, fmt.Errorf("seeds need a fault scenario (the link/crash RNG is the only seeded randomness)")
 	}

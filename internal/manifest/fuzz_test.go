@@ -33,9 +33,11 @@ func FuzzManifestLoad(f *testing.F) {
 		f.Add(b)
 	}
 	// Lines that parse but cannot run: a governor tuning value out of
-	// range, and a frame budget no two-node partition fits.
+	// range, a frame budget no two-node partition fits, and a setting
+	// the experiment does not read.
 	f.Add([]byte("experiment, governor\n\"2\", \"interval:alpha=2\"\n"))
 	f.Add([]byte("experiment, d, frames\n\"2\", 0.5, 5\n"))
+	f.Add([]byte("experiment, rotation\n\"1\", 5\n"))
 	f.Fuzz(func(t *testing.T, text []byte) {
 		m, err := Load(bytes.NewReader(text))
 		if err != nil {

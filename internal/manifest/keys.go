@@ -40,8 +40,11 @@ const (
 //     file and editing the file itself hash identically;
 //   - a zero-value battery means "the calibrated default" at load time,
 //     so it is replaced by the default it resolves to;
-//   - experiment 2D's built-in fault load is materialized when no
-//     explicit scenario overrides it.
+//   - experiment 2D's built-in fault load (core.ID.FaultLoad) is
+//     materialized when no explicit scenario overrides it;
+//   - a setting the experiment does not read cannot reach the key:
+//     Resolve refuses it, so no runfile cell or envelope field gives
+//     the same bytes a second key.
 //
 // Labels, sweep indices and manifest line numbers are presentation,
 // not physics, and are excluded. The derived fault seed is key
@@ -90,7 +93,7 @@ func (e Experiment) KeySpec(output string, untilS float64) KeySpec {
 	if pc.Battery == (battery.TwoWellParams{}) {
 		pc.Battery = core.DefaultItsyBatteryParams()
 	}
-	ks := KeySpec{
+	return KeySpec{
 		Engine:      buildinfo.EngineVersion,
 		Output:      output,
 		UntilS:      untilS,
@@ -101,17 +104,15 @@ func (e Experiment) KeySpec(output string, untilS float64) KeySpec {
 		Frames:      e.Frames,
 		FrameDelayS: e.Params.FrameDelayS,
 		Governor:    e.Params.Governor,
-		// Experiments other than 2C ignore the rotation period, so
-		// keying it over-discriminates at worst (a spurious miss, never
-		// a wrong hit).
+		// Resolve refuses a rotation setting on an experiment that does
+		// not read it, so what is keyed there is always the platform's
+		// own period. Only a platform document that changes it keys the
+		// same run apart (a spurious miss, never a wrong hit); keying it
+		// for every run keeps the keys of cached runs where they are.
 		Rotation: e.Params.RotationPeriod,
-		Faults:   e.Params.Faults,
+		Faults:   e.ID.FaultLoad(e.Params.Faults),
 		Assert:   e.Params.Assertions,
 	}
-	if e.ID == core.Exp2D && ks.Faults == nil {
-		ks.Faults = core.DefaultFaultScenario()
-	}
-	return ks
 }
 
 // CanonicalJSON renders the spec as its one canonical byte sequence:

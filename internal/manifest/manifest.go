@@ -85,7 +85,8 @@ type Manifest struct {
 }
 
 // LoadFile parses the runfile at path. Relative platform, scenario and
-// assertion paths inside the manifest resolve against its directory.
+// assertion paths inside the manifest resolve against its directory;
+// absolute ones stay as written.
 func LoadFile(path string) (*Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -100,9 +101,15 @@ func LoadFile(path string) (*Manifest, error) {
 	return m, nil
 }
 
-// inDir resolves references relative to dir.
+// inDir resolves relative references against dir and returns an
+// absolute one unchanged.
 func inDir(dir string) func(string) (string, error) {
-	return func(ref string) (string, error) { return filepath.Join(dir, ref), nil }
+	return func(ref string) (string, error) {
+		if filepath.IsAbs(ref) {
+			return ref, nil
+		}
+		return filepath.Join(dir, ref), nil
+	}
 }
 
 // Load parses a runfile. Relative paths inside it resolve against the

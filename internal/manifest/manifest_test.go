@@ -81,7 +81,7 @@ func TestExpandRejects(t *testing.T) {
 		{"unknown topology",
 			"topology, nodes\n\"ring\", 4\n", `unknown topology "ring"`},
 		{"rotation on tree",
-			"topology, bf, depth, rotation\n\"tree\", 2, 2, 50\n", "rotation needs a serial topology"},
+			"topology, bf, depth, rotation\n\"tree\", 2, 2, 50\n", "rotation (Params.RotationPeriod 50) and native mode need a chain"},
 		{"seeds without faults",
 			"topology, nodes, seeds\n\"serial\", 2, \"1..3\"\n", "seeds need a fault scenario"},
 		{"bad seed range",
@@ -114,6 +114,14 @@ func TestExpandRejects(t *testing.T) {
 			"experiment, d, frames\n\"2\", 0.5, 5\n", "no feasible two-node partition"},
 		{"negative rotation",
 			"topology, nodes, rotation\n\"serial\", 2, -5\n", "rotation must be positive"},
+		// A setting the line's experiment does not read, in a cell or
+		// inherited from a global.
+		{"rotation off 2C",
+			"experiment, rotation\n\"1\", 5\n", "line 2: core: bad run spec: experiment 1 does not read rotation"},
+		{"faults on 0A",
+			"experiment, faults\n\"0A\", \"default\"\n", "experiment 0A does not read faults"},
+		{"inherited frames on 0B",
+			"frames = 40\nexperiment, label\n\"1\", \"one\"\n\"0B\", \"half\"\n", "line 4: core: bad run spec: experiment 0B does not read frames"},
 		// Fleet shapes past the node limit, including sizes whose node
 		// count overflows an int.
 		{"huge serial",
@@ -165,6 +173,36 @@ func TestResolveRoutesEveryPath(t *testing.T) {
 	if _, err := m.Expand(); err != nil {
 		t.Errorf("keywords went through the resolver: %v", err)
 	}
+
+	// A runfile's own resolver joins a relative reference under its
+	// directory and keeps an absolute one as written.
+	catalog, err := filepath.Abs(filepath.Join(scenariosDir, "assertions", "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	resolve := inDir(dir)
+	for ref, want := range map[string]string{
+		"a.json":          filepath.Join(dir, "a.json"),
+		"../b/c.json":     filepath.Join(filepath.Dir(dir), "b", "c.json"),
+		catalog:           catalog,
+		"/no/such/f.json": "/no/such/f.json",
+	} {
+		if got, err := resolve(ref); err != nil || got != want {
+			t.Errorf("inDir(%q)(%q) = %q, %v; want %q", dir, ref, got, err, want)
+		}
+	}
+	runfile := filepath.Join(dir, "abs.toml")
+	if err := os.WriteFile(runfile, []byte("experiment, assert\n\"1\", \""+catalog+"\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err = LoadFile(runfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exps, err := m.Expand(); err != nil || exps[0].Params.Assertions == nil {
+		t.Errorf("runfile naming %s absolutely: %v", catalog, err)
+	}
 }
 
 // TestGlobalOverride: an unquoted empty cell inherits the global, an
@@ -190,6 +228,19 @@ experiment, frames, governor, label
 	}
 	if exps[2].Frames != 0 || exps[2].Params.Governor.Enabled() {
 		t.Fatalf("cleared line got frames=%d governor=%q", exps[2].Frames, exps[2].Params.Governor.Name)
+	}
+}
+
+// TestGlobalClearedPerLine: a global is a default for its column's
+// cells, so a line whose experiment does not read it clears it with a
+// quoted empty cell and the other lines still inherit it.
+func TestGlobalClearedPerLine(t *testing.T) {
+	exps := expand(t, "frames = 40\ngovernor = \"pid\"\n\nexperiment, frames, governor\n\"1\", , \n\"0A\", \"\", \"\"\n")
+	if exps[0].Frames != 40 || exps[0].Params.Governor.Name != "pid" {
+		t.Errorf("line 1 got frames %d governor %q, want the globals", exps[0].Frames, exps[0].Params.Governor.Name)
+	}
+	if exps[1].Frames != 0 || exps[1].Params.Governor.Enabled() {
+		t.Errorf("line 0A got frames %d governor %q, want both cleared", exps[1].Frames, exps[1].Params.Governor.Name)
 	}
 }
 

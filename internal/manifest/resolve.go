@@ -10,20 +10,45 @@ import (
 	"dvsim/internal/governor"
 )
 
-// Settings are the knobs a run sets on its platform, parsed from a
-// front end's own syntax: runfile cells, dvsimd envelope fields or
-// dvsim flags. Governor is in dvsim -governor form. A zero field keeps
-// the platform's value.
+// Settings are the knobs a run sets, parsed from a front end's own
+// syntax: runfile cells, dvsimd envelope fields or dvsim flags.
+// Governor is in dvsim -governor form. A zero field is not set: it
+// keeps the platform's value, or for Frames runs to exhaustion.
 type Settings struct {
 	D        float64
 	Rotation int
 	Governor string
 	Faults   *fault.Scenario
 	Assert   *assert.Spec
+	Frames   int
 }
 
-// Apply returns p with the settings applied, or the first one out of
-// range.
+// Check refuses a setting that none of the experiments reads
+// (core.CheckSettings). Every front end calls it: dvsim with the
+// experiments its flags reach, and Resolve with a runfile line's or an
+// envelope's one experiment.
+func (s Settings) Check(ids ...core.ID) error {
+	var set core.Setting
+	for _, f := range []struct {
+		on bool
+		s  core.Setting
+	}{
+		{s.D != 0, core.FrameDelay},
+		{s.Rotation != 0, core.Rotation},
+		{s.Governor != "", core.Governor},
+		{s.Faults != nil, core.Faults},
+		{s.Assert != nil, core.Assertions},
+		{s.Frames != 0, core.Frames},
+	} {
+		if f.on {
+			set |= f.s
+		}
+	}
+	return core.CheckSettings(set, ids...)
+}
+
+// Apply returns p with the platform settings applied (all but Frames),
+// or the first one out of range.
 func (s Settings) Apply(p core.Params) (core.Params, error) {
 	if s.D < 0 || math.IsNaN(s.D) || math.IsInf(s.D, 0) {
 		return p, fmt.Errorf("d must be positive and finite, got %g", s.D)
@@ -57,9 +82,15 @@ func (s Settings) Apply(p core.Params) (core.Params, error) {
 // checks the run with core, so an experiment that resolves cannot fail
 // on its spec when it runs. It resolves runfile lines and dvsimd
 // envelopes alike; e names the system (ID, or Kind, Graph and Shape).
-// A topology rotates only when the settings ask it to: the platform's
-// default period belongs to experiment 2C.
+// A paper experiment refuses a setting it does not read. A topology
+// reads them all, and rotates only when the settings ask it to: the
+// platform's default period belongs to experiment 2C.
 func (e *Experiment) Resolve(s Settings) error {
+	if e.Graph == nil {
+		if err := s.Check(e.ID); err != nil {
+			return err
+		}
+	}
 	p, err := s.Apply(e.Params)
 	if err != nil {
 		return err
@@ -68,9 +99,9 @@ func (e *Experiment) Resolve(s Settings) error {
 		e.Nodes = len(e.Graph.Nodes)
 		p.RotationPeriod = s.Rotation
 	} else {
-		e.Nodes = experimentNodes(e.ID)
+		e.Nodes = e.ID.Nodes()
 	}
-	e.Params = p
+	e.Params, e.Frames = p, s.Frames
 	return e.Spec().Check()
 }
 

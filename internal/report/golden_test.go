@@ -103,4 +103,5 @@ func TestGoldenCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "compare", Compare(outs))
+	checkGolden(t, "markdown_compare", MarkdownCompare(outs))
 }

@@ -77,15 +77,27 @@ func (c *Client) Submit(ctx context.Context, sub Submission, w io.Writer) (Submi
 	return info, nil
 }
 
-// decodeError turns an error response into a Go error, preferring the
-// server's JSON message.
+// StatusError is a response the server answered with an error status:
+// 4xx for a submission it refuses, 5xx for one it cannot serve now.
+type StatusError struct {
+	Code    int    // HTTP status code
+	Message string // the server's message
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("%d %s: %s", e.Code, http.StatusText(e.Code), e.Message)
+}
+
+// decodeError turns an error response into a *StatusError, preferring
+// the server's JSON message.
 func decodeError(resp *http.Response) error {
 	var e struct {
 		Error string `json:"error"`
 	}
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	msg := strings.TrimSpace(string(b))
 	if json.Unmarshal(b, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
+		msg = e.Error
 	}
-	return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(b)))
+	return &StatusError{Code: resp.StatusCode, Message: msg}
 }

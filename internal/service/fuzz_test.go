@@ -48,7 +48,8 @@ func FuzzSubmission(f *testing.F) {
 		envelopes = append(envelopes, `{"manifest": `+jsonString(runfile)+`}`)
 		f.Add([]byte(runfile), true)
 	}
-	envelopes = append(envelopes, `{"experiment": "2", "d": 0.5}`)
+	envelopes = append(envelopes, `{"experiment": "2", "d": 0.5}`,
+		`{"experiment":"0A","faults":"default"}`, `{"experiment":"1","rotation":5}`)
 	for _, e := range envelopes {
 		f.Add([]byte(e), false)
 	}

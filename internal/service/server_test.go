@@ -276,6 +276,10 @@ func TestSubmitValidation(t *testing.T) {
 		`{"manifest": "experiment, seeds\n\"2D\", \"0..999999\"\n"}`,
 		`{"experiment": "2", "d": 0.5}`,
 		`{"experiment": "2", "governor": "interval:alpha=2"}`,
+		// Settings the experiment does not read.
+		`{"experiment": "1", "rotation": 5}`,
+		`{"experiment": "0A", "faults": "default"}`,
+		`{"experiment": "0B", "d": 3}`,
 	}
 	for _, runfile := range unrunnableRunfiles {
 		cases = append(cases, `{"manifest": `+jsonString(runfile)+`}`)

@@ -396,7 +396,7 @@ func BenchmarkRunTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	records := 0
 	for i := 0; i < b.N; i++ {
-		out, err := core.Simulate(context.Background(), core.Spec{ID: core.Exp2D, Params: p, UntilS: windowS}, core.Sinks{Log: io.Discard, Telemetry: true})
+		out, err := core.Simulate(context.Background(), core.Spec{ID: core.Exp2D, Params: p, UntilS: windowS}, core.Sinks{Log: io.Discard})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	dvsim [-exp 2C] [-rotation N] [-battery twowell|ideal|peukert|kibam]   # -rotation: 2C only
-//	dvsim -run 2C -telemetry out.jsonl [-until SECONDS]
-//	dvsim -metrics[=FILE] [-run 2B]   # instrumented run, metrics snapshot as CSV
+//	dvsim -exp 2C -telemetry out.jsonl [-until SECONDS] [-assert spec.json]
+//	dvsim -metrics[=FILE] [-exp 2B]   # instrumented run, metrics snapshot as CSV
 //	dvsim -ports[=FILE]               # per-port serial accounting as CSV
 //	dvsim -exp 2D -faults scenario.json   # fault injection (see scenarios/)
 //	dvsim -exp 2 -governor pid            # online DVS instead of the static table (not 0A/0B)
@@ -87,11 +87,11 @@ func (o *outFlag) writer(flagName string) (io.Writer, func()) {
 	return f, func() { f.Close() }
 }
 
-// finishAssertions renders each checked outcome's verdict, writes the
-// violations CSV when -violations asked for one, and exits non-zero
+// finishAssertions renders each checked outcome's verdict to w, writes
+// the violations CSV when -violations asked for one, and exits non-zero
 // when any invariant failed. Unchecked runs (no catalog, or a no-I/O
 // experiment the catalog cannot observe) pass through silently.
-func finishAssertions(spec *assert.Spec, outs []core.Outcome, violW *os.File, stopProf func()) {
+func finishAssertions(w io.Writer, spec *assert.Spec, outs []core.Outcome, violW *os.File, stopProf func()) {
 	if violW != nil {
 		var all []assert.Violation
 		for _, o := range outs {
@@ -116,7 +116,7 @@ func finishAssertions(spec *assert.Spec, outs []core.Outcome, violW *os.File, st
 			}
 			name = fmt.Sprintf("%s [exp %s]", name, tag)
 		}
-		fmt.Print(report.ViolationsTable(name, o.AssertionsRun, o.ViolationTotal, o.Violations))
+		io.WriteString(w, report.ViolationsTable(name, o.AssertionsRun, o.ViolationTotal, o.Violations))
 		if o.ViolationTotal > 0 {
 			code = 1
 		}
@@ -158,20 +158,19 @@ func simulating(flags ...string) []string {
 var modeFlags = map[string][]string{
 	"-version":          {"version"},
 	"-dumpparams":       local("dumpparams"),
-	"-remote":           {"remote", "exp", "run", "until", "telemetry", "params", "rotation", "governor", "faults", "assert"},
+	"-remote":           {"remote", "exp", "until", "telemetry", "params", "rotation", "governor", "faults", "assert"},
 	"-remote -manifest": {"remote", "manifest", "agg-csv"},
 	"-manifest":         local("manifest", "j", "agg-csv", "agg-jsonl"),
 	"-check":            local("check", "assert", "violations", "csv"),
-	"-mc":               simulating("mc", "mc-warm", "mc-seed", "exp", "run", "until", "j"),
-	"-runlog":           simulating("runlog", "exp", "run"),
-	"-telemetry":        simulating("telemetry", "exp", "run", "until"),
+	"-mc":               simulating("mc", "mc-warm", "mc-seed", "exp", "until", "j"),
+	"-telemetry":        simulating("telemetry", "exp", "until"),
 	"-plan":             simulating("plan", "j"),
-	"-exp 3A":           local("exp", "run", "frames", "j", "csv", "violations", "params", "rotation", "battery", "faults", "assert"),
-	"-metrics":          simulating("metrics", "exp", "run", "violations"),
-	"-ports":            simulating("ports", "exp", "run", "j", "violations"),
-	"-csv":              simulating("csv", "exp", "run", "j", "violations"),
-	"-compare":          simulating("compare", "exp", "run", "j", "violations"),
-	"the suite table":   simulating("exp", "run", "j", "violations"),
+	"-exp 3A":           local("exp", "frames", "j", "csv", "violations", "params", "rotation", "battery", "faults", "assert"),
+	"-metrics":          simulating("metrics", "exp", "violations"),
+	"-ports":            simulating("ports", "exp", "j", "violations"),
+	"-csv":              simulating("csv", "exp", "j", "violations"),
+	"-compare":          simulating("compare", "exp", "j", "violations"),
+	"the suite table":   simulating("exp", "j", "violations"),
 }
 
 // rejectUnreadFlags fails fast (exit 2) on an explicitly set flag the
@@ -239,7 +238,7 @@ func runRemote(r remoteRun) {
 			out, done = os.Stdout, func() {}
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "dvsim: -remote needs -exp/-run or -manifest to know what to submit")
+		fmt.Fprintln(os.Stderr, "dvsim: -remote needs -exp or -manifest to know what to submit")
 		os.Exit(2)
 	}
 	if r.faults != nil {
@@ -297,15 +296,13 @@ func exitOnRunError(flagName string, err error) {
 
 func main() {
 	expFlag := flag.String("exp", "", "single experiment to run (0A, 0B, 1, 1A, 2, 2A, 2B, 2C, 2D)")
-	runFlag := flag.String("run", "", "alias for -exp")
 	rotation := flag.Int("rotation", 0, "override the node-rotation period (frames); only experiment 2C reads it")
 	batFlag := flag.String("battery", "twowell", "battery model: twowell, ideal, peukert, kibam")
 	compare := flag.Bool("compare", false, "print the paper-vs-model comparison table")
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of the table")
 	workers := flag.Int("j", 0, "parallel experiment workers (0 = GOMAXPROCS)")
 	plan := flag.Float64("plan", 0, "plan the cheapest configuration reaching this battery life (hours)")
-	runlog := flag.Float64("runlog", 0, "with -exp: emit a JSONL event log of the first N seconds instead of running to exhaustion")
-	telemetry := flag.String("telemetry", "", "with -exp/-run: write a telemetry JSONL log (mode/result/death/sample/link/latency events) to FILE ('-' for stdout)")
+	telemetry := flag.String("telemetry", "", "with -exp: write the run's JSONL event log (every event kind, DESIGN.md §6) to FILE ('-' for stdout); with -assert, the verdict goes to stderr and a violation exits 1")
 	until := flag.Float64("until", 0, "simulated window in seconds for -telemetry (0 = 30 h, past every battery death)")
 	var metricsOut, portsOut outFlag
 	flag.Var(&metricsOut, "metrics", "run instrumented and write each experiment's metrics snapshot as CSV (bare = stdout, -metrics=FILE writes FILE)")
@@ -327,13 +324,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to FILE")
 	memprofile := flag.String("memprofile", "", "write a heap profile to FILE at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to FILE")
-	remote := flag.String("remote", "", "submit the run to a dvsimd server at URL instead of simulating locally (with -exp/-run or -manifest); identical submissions replay from the server's content-addressed cache")
+	remote := flag.String("remote", "", "submit the run to a dvsimd server at URL instead of simulating locally (with -exp or -manifest); identical submissions replay from the server's content-addressed cache")
 	version := flag.Bool("version", false, "print the engine/build version and exit")
 	flag.Parse()
 
-	if *expFlag == "" {
-		*expFlag = *runFlag
-	}
 	mode := "the suite table"
 	switch {
 	case *version:
@@ -350,8 +344,6 @@ func main() {
 		mode = "-check"
 	case *mcForks > 0:
 		mode = "-mc"
-	case *runlog > 0:
-		mode = "-runlog"
 	case *telemetry != "":
 		mode = "-telemetry"
 	case *plan > 0:
@@ -374,12 +366,12 @@ func main() {
 	}
 	// The single-run modes default their subject: 2D for Monte Carlo
 	// over fault seeds, which needs a fault load to diverge under and 2D
-	// carries the built-in one; 1 for the logs.
+	// carries the built-in one; 1 for the log.
 	if *expFlag == "" {
 		switch mode {
 		case "-mc":
 			*expFlag = string(core.Exp2D)
-		case "-runlog", "-telemetry":
+		case "-telemetry":
 			*expFlag = string(core.Exp1)
 		}
 	}
@@ -620,24 +612,19 @@ func main() {
 		}
 		return
 	}
-	if mode == "-runlog" {
-		id := core.ID(*expFlag)
-		spec := core.Spec{ID: id, Params: p, UntilS: *runlog}
-		_, err := core.Simulate(context.Background(), spec, core.Sinks{Log: os.Stdout})
-		exitOnRunError("-runlog", err)
-		return
-	}
 	if mode == "-telemetry" {
 		id := core.ID(*expFlag)
 		window := *until
 		if window <= 0 {
 			window = core.DefaultTelemetryWindowS
 		}
-		spec := core.Spec{ID: id, Params: p, UntilS: window}
-		out, err := core.Simulate(context.Background(), spec, core.Sinks{Log: telemetryW, Telemetry: true})
+		run := core.Spec{ID: id, Params: p, UntilS: window}
+		out, err := core.Simulate(context.Background(), run, core.Sinks{Log: telemetryW})
 		telemetryClose()
 		exitOnRunError("-telemetry", err)
 		fmt.Fprintf(os.Stderr, "exp %s: %d telemetry records (%.0f s window)\n", id, out.Records, window)
+		// The log may be on stdout, so the verdict goes to stderr.
+		finishAssertions(os.Stderr, spec, []core.Outcome{out}, nil, stopProf)
 		return
 	}
 	if mode == "-plan" {
@@ -665,7 +652,7 @@ func main() {
 		} else {
 			fmt.Println(report.GovernorTable(outs))
 		}
-		finishAssertions(spec, outs, violW, stopProf)
+		finishAssertions(os.Stdout, spec, outs, violW, stopProf)
 		return
 	}
 
@@ -678,7 +665,7 @@ func main() {
 			outs = append(outs, out)
 		}
 		metricsDone()
-		finishAssertions(spec, outs, violW, stopProf)
+		finishAssertions(os.Stdout, spec, outs, violW, stopProf)
 		return
 	}
 	outs, err := core.RunSuite(ids, p, *workers)
@@ -714,5 +701,5 @@ func main() {
 			}
 		}
 	}
-	finishAssertions(spec, outs, violW, stopProf)
+	finishAssertions(os.Stdout, spec, outs, violW, stopProf)
 }

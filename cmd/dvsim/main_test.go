@@ -56,6 +56,26 @@ func TestTelemetryNoIOExperiment(t *testing.T) {
 	}
 }
 
+// TestTelemetryAssertVerdict: a logged run checked against a catalog
+// writes the whole log to stdout, its verdict to stderr, and exits 1
+// when an invariant failed.
+func TestTelemetryAssertVerdict(t *testing.T) {
+	spec := func(name string) string { return filepath.Join("..", "..", "scenarios", "assertions", name) }
+	stdout, stderr, code := dvsim(t, "-exp", "1", "-telemetry", "-", "-until", "300", "-assert", spec("broken.json"))
+	if code != 1 {
+		t.Fatalf("broken catalog: exit %d, want 1 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, "violation") || strings.Contains(stdout, "violation(s)") {
+		t.Errorf("verdict not on stderr alone:\nstderr %.300s", stderr)
+	}
+	if !strings.Contains(stdout, `"event":"violation"`) || !strings.HasSuffix(stdout, "}\n") {
+		t.Errorf("log lacks violation records or is cut short:\n%.300s", stdout)
+	}
+	if _, stderr, code := dvsim(t, "-exp", "1", "-telemetry", os.DevNull, "-until", "300", "-assert", spec("exp1.json")); code != 0 {
+		t.Fatalf("exp1 catalog: exit %d, want 0 (stderr %q)", code, stderr)
+	}
+}
+
 // TestBadSpecExitsTwo: a spec the simulator rejects is one line on
 // stderr and exit code 2, not a panic: bad flags, bad spec files and
 // runfiles whose lines cannot run.
@@ -91,22 +111,25 @@ func TestBadSpecExitsTwo(t *testing.T) {
 }
 
 // TestUnreadFlagExitsTwo: a flag the selected mode does not read exits
-// 2 and names the flag, before any output file is created.
+// 2 and names the flag, and so does a retired one, before any output
+// file is created.
 func TestUnreadFlagExitsTwo(t *testing.T) {
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
 	for _, c := range []struct {
-		args   []string
-		unread string
+		args []string
+		want string
 	}{
-		{[]string{"-runlog", "5", "-metrics=" + out("m.csv")}, "-metrics"},
-		{[]string{"-exp", "3A", "-frames", "20", "-ports=" + out("p.csv")}, "-ports"},
-		{[]string{"-exp", "1", "-telemetry", out("t.jsonl"), "-until", "5", "-ports=" + out("p.csv")}, "-ports"},
-		{[]string{"-version", "-exp", "9Z", "-ports=" + out("p.csv")}, "-exp"},
+		{[]string{"-exp", "3A", "-frames", "20", "-ports=" + out("p.csv")}, "-ports does not apply"},
+		{[]string{"-exp", "1", "-telemetry", out("t.jsonl"), "-until", "5", "-ports=" + out("p.csv")}, "-ports does not apply"},
+		{[]string{"-version", "-exp", "9Z", "-ports=" + out("p.csv")}, "-exp does not apply"},
+		// Retired flags are unknown, not ignored.
+		{[]string{"-exp", "1", "-run", "2", "-ports=" + out("p.csv")}, "flag provided but not defined: -run"},
+		{[]string{"-runlog", "5", "-metrics=" + out("m.csv")}, "flag provided but not defined: -runlog"},
 	} {
 		_, stderr, code := dvsim(t, c.args...)
-		if code != 2 || !strings.Contains(stderr, c.unread+" does not apply") {
-			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", c.args, code, stderr, c.unread)
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q", c.args, code, stderr, c.want)
 		}
 		if files, _ := os.ReadDir(dir); len(files) > 0 {
 			t.Errorf("%v: created %s", c.args, files[0].Name())

@@ -8,7 +8,7 @@
 // run is byte-deterministic).
 //
 //	dvsimd -addr :8080 -cache-dir /var/cache/dvsim -scenarios ./scenarios
-//	dvsim -remote http://localhost:8080 -run 1 -telemetry - -until 120
+//	dvsim -remote http://localhost:8080 -exp 1 -telemetry - -until 120
 //	curl -s --data-binary @scenarios/manifests/paper.toml -H 'Content-Type: application/toml' localhost:8080/api/v1/submit
 package main
 

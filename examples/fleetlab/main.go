@@ -43,11 +43,11 @@ func main() {
 	// A binary tree of depth 4: 16 leaf sensors source frames, interior
 	// vertices gather both children and aggregate, the root delivers
 	// one aggregate per round to the host.
-	tree := topology.Tree(2, 4, topology.Config{})
+	tree := topology.Tree(2, 4)
 
 	// A sensor mesh: 12 sensors striped over 3 aggregators, all feeding
 	// one collector — the fan-in shape of a fielded sensor deployment.
-	mesh := topology.Mesh(12, 3, topology.Config{})
+	mesh := topology.Mesh(12, 3)
 
 	fmt.Printf("%-18s %6s %8s %8s %10s %12s\n",
 		"fleet", "nodes", "frames", "dropped", "mAh", "mAh/frame")

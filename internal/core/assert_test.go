@@ -72,6 +72,44 @@ func TestBrokenSpecDeterministic(t *testing.T) {
 	}
 }
 
+// TestVerdictIndependentOfLog: a catalog's verdict on a run does not
+// depend on whether the run writes a log, and a logged run carries each
+// violation as exactly one record.
+func TestVerdictIndependentOfLog(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		id   ID
+		s    float64
+	}{
+		{"broken.json", Exp1, 300},
+		{"catalog.json", Exp2D, 600},
+	} {
+		p := DefaultParams()
+		p.Assertions = loadSpec(t, c.spec)
+		run := Spec{ID: c.id, Params: p, UntilS: c.s}
+		bare := mustSimulate(t, run, Sinks{})
+		var log bytes.Buffer
+		logged := mustSimulate(t, run, Sinks{Log: &log})
+		if bare.AssertionsRun == 0 {
+			t.Fatalf("%s on %s: no assertion evaluated", c.spec, c.id)
+		}
+		if !reflect.DeepEqual(bare.Violations, logged.Violations) ||
+			bare.AssertionsRun != logged.AssertionsRun || bare.ViolationTotal != logged.ViolationTotal {
+			t.Errorf("%s on %s: unlogged run %d evaluated, %d violation(s); logged run %d, %d",
+				c.spec, c.id, bare.AssertionsRun, bare.ViolationTotal, logged.AssertionsRun, logged.ViolationTotal)
+		}
+		records := 0
+		for _, r := range decodeLog(t, &log) {
+			if r.Event == "violation" {
+				records++
+			}
+		}
+		if records != len(logged.Violations) {
+			t.Errorf("%s on %s: %d violation records for %d violations", c.spec, c.id, records, len(logged.Violations))
+		}
+	}
+}
+
 // TestOnlineOfflineParity is the tentpole's equivalence criterion: the
 // verdicts a catalog reaches online during a telemetry run (embedded in
 // the JSONL as violation records) are identical to replaying that same log
@@ -90,7 +128,7 @@ func TestOnlineOfflineParity(t *testing.T) {
 		p := DefaultParams()
 		p.Assertions = spec
 		var log bytes.Buffer
-		mustSimulate(t, Spec{ID: c.id, Params: p, UntilS: 120}, Sinks{Log: &log, Telemetry: true})
+		mustSimulate(t, Spec{ID: c.id, Params: p, UntilS: 120}, Sinks{Log: &log})
 
 		// Online verdicts ride in the log as violation records.
 		var online []telem.Record

@@ -17,9 +17,9 @@ func TestChargeAndTimeConservation(t *testing.T) {
 	fp := p
 	fp.RotationPeriod = 0
 	for _, g := range []*topology.Graph{
-		topology.Tree(2, 2, topology.Config{}),
-		topology.Mesh(6, 2, topology.Config{}),
-		topology.Wide(2, 2, topology.Config{}),
+		topology.Tree(2, 2),
+		topology.Mesh(6, 2),
+		topology.Wide(2, 2),
 	} {
 		outs = append(outs, mustSimulate(t, Spec{Graph: g, Label: g.Kind, Params: fp}, Sinks{}))
 	}

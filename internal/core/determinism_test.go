@@ -25,8 +25,8 @@ func TestTelemetryByteDeterminism(t *testing.T) {
 			t.Parallel()
 			p := DefaultParams()
 			var a, b bytes.Buffer
-			mustSimulate(t, Spec{ID: id, Params: p, UntilS: telemetryGoldenWindowS}, Sinks{Log: &a, Telemetry: true})
-			mustSimulate(t, Spec{ID: id, Params: p, UntilS: telemetryGoldenWindowS}, Sinks{Log: &b, Telemetry: true})
+			mustSimulate(t, Spec{ID: id, Params: p, UntilS: telemetryGoldenWindowS}, Sinks{Log: &a})
+			mustSimulate(t, Spec{ID: id, Params: p, UntilS: telemetryGoldenWindowS}, Sinks{Log: &b})
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
 				t.Fatal("two runs of the same experiment produced different telemetry bytes")
 			}

@@ -44,8 +44,8 @@ func engineSpecs() []struct {
 		{"2C", exp(Exp2C), 509017},
 		{"2D", exp(Exp2D), 563613},
 		{"3A", Spec{ID: Exp3A, Params: pg}, 450910},
-		{"tree", Spec{Graph: topology.Tree(2, 2, topology.Config{}), Label: "tree", Params: pf}, 541813},
-		{"mesh", Spec{Graph: topology.Mesh(6, 2, topology.Config{}), Label: "mesh", Params: pf}, 528485},
+		{"tree", Spec{Graph: topology.Tree(2, 2), Label: "tree", Params: pf}, 541813},
+		{"mesh", Spec{Graph: topology.Mesh(6, 2), Label: "mesh", Params: pf}, 528485},
 	}
 }
 
@@ -96,7 +96,7 @@ func TestRunStartsNoGoroutines(t *testing.T) {
 		runs = append(runs, run{string(id), Spec{ID: id, Params: p}, 0})
 	}
 	runs = append(runs,
-		run{"tree", Spec{Graph: topology.Tree(2, 2, topology.Config{}), Label: "tree", Params: pf, Frames: 200}, 0},
+		run{"tree", Spec{Graph: topology.Tree(2, 2), Label: "tree", Params: pf, Frames: 200}, 0},
 		run{"cancelled 2", Spec{ID: Exp2, Params: p}, 50},
 	)
 	for _, r := range runs {
@@ -288,10 +288,10 @@ func TestAllocsPerRun(t *testing.T) {
 	checked := p
 	checked.Assertions = loadSpec(t, "broken.json")
 	bound("2D log", 366, 1823940, func() {
-		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: p, UntilS: 3600}, Sinks{Log: io.Discard, Telemetry: true})
+		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: p, UntilS: 3600}, Sinks{Log: io.Discard})
 	})
 	bound("2D log+catalog", 6648, 2123690, func() {
-		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: checked, UntilS: 3600}, Sinks{Log: io.Discard, Telemetry: true})
+		simulateOK(t, context.Background(), Spec{ID: Exp2D, Params: checked, UntilS: 3600}, Sinks{Log: io.Discard})
 	})
 	// writeShards at two processors over 16 shards of a synthetic log.
 	// It allocates per shardWork, never per record: one costs 30

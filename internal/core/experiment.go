@@ -113,8 +113,8 @@ type Outcome struct {
 	// network, sorted by port name.
 	PortStats []PortStat
 	// Metrics is the run's instrumentation snapshot; empty unless the
-	// run was instrumented (Sinks.Metrics or a full-vocabulary log) —
-	// assertion-checked runs are instrumented implicitly.
+	// run was instrumented: with Sinks.Metrics, and implicitly for a
+	// logged or assertion-checked run, whose sample records it holds.
 	Metrics metrics.Snapshot
 	// Violations are the assertion-catalog failures of a checked run in
 	// canonical order, capped per assertion (see internal/assert); nil

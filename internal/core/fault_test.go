@@ -31,8 +31,8 @@ func TestFaultTelemetryDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.Faults = lossyLinks()
 	var a, b bytes.Buffer
-	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &a, Telemetry: true})
-	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &b, Telemetry: true})
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &a})
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &b})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("telemetry logs differ between identical fault-injected runs")
 	}

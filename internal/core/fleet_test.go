@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -27,7 +28,7 @@ func fleet(t *testing.T, label string, p Params, g *topology.Graph, frames int) 
 // all of its behavior (rotation, recovery, telemetry).
 func TestFleetChainRoutesThroughPipeline(t *testing.T) {
 	p := staticParams()
-	g := topology.Serial(3, topology.Config{})
+	g := topology.Serial(3)
 	got := fleet(t, "serial/3", p, g, 40)
 
 	stages := make([]StageConfig, len(g.Nodes))
@@ -47,7 +48,7 @@ func TestFleetChainRoutesThroughPipeline(t *testing.T) {
 // aggregate per round, with every vertex doing work.
 func TestFleetTreeDelivers(t *testing.T) {
 	p := DefaultParams()
-	g := topology.Tree(2, 2, topology.Config{})
+	g := topology.Tree(2, 2)
 	out := fleet(t, "tree/2x2", p, g, 20)
 	if out.Nodes != 7 {
 		t.Fatalf("tree has %d nodes, want 7", out.Nodes)
@@ -71,7 +72,7 @@ func TestFleetTreeDelivers(t *testing.T) {
 // replicas; every frame still arrives exactly once.
 func TestFleetWideRoundRobin(t *testing.T) {
 	p := DefaultParams()
-	g := topology.Wide(2, 2, topology.Config{})
+	g := topology.Wide(2, 2)
 	out := fleet(t, "wide/2x2", p, g, 40)
 	if out.Frames != 40 {
 		t.Fatalf("wide pipeline delivered %d frames, want 40", out.Frames)
@@ -94,7 +95,7 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 		Seed:  7,
 		Links: []fault.LinkFault{{DropRate: 0.05, GarbleRate: 0.02}},
 	}
-	g := topology.Mesh(4, 2, topology.Config{})
+	g := topology.Mesh(4, 2)
 	out := fleet(t, "mesh/4x2", p, g, 60)
 	if out.FaultStats.Drops+out.FaultStats.Garbles == 0 {
 		t.Fatal("scenario injected nothing")
@@ -113,7 +114,7 @@ func TestFleetMeshUnderFaults(t *testing.T) {
 func TestFleetGoverned(t *testing.T) {
 	p := DefaultParams()
 	p.Governor = governor.Spec{Name: "interval"}
-	g := topology.Tree(2, 2, topology.Config{})
+	g := topology.Tree(2, 2)
 	out := fleet(t, "tree/governed", p, g, 30)
 	if out.Governor == "" {
 		t.Fatal("outcome does not name the governor")
@@ -152,7 +153,7 @@ func TestFleetAssertions(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.Assertions = clean
-	g := topology.Mesh(3, 1, topology.Config{})
+	g := topology.Mesh(3, 1)
 	out := fleet(t, "mesh/checked", p, g, 20)
 	if out.AssertionsRun != 2 {
 		t.Fatalf("ran %d assertions, want 2", out.AssertionsRun)
@@ -212,7 +213,7 @@ func TestFleetSourceCrashRestart(t *testing.T) {
 	p := DefaultParams()
 	// Two interleaved source-sinks: node1 owns the even frames, node2
 	// the odd ones, each delivering straight to the host.
-	g := topology.Wide(1, 2, topology.Config{})
+	g := topology.Wide(1, 2)
 	// node1 crashes half a second into frame 4 (it starts at 4·D = 9.2 s).
 	const crashAt, restartAt = 9.7, 31.0
 	p.Faults = &fault.Scenario{Crashes: []fault.Crash{
@@ -273,15 +274,18 @@ func TestFleetBufferSeesDownstreamWait(t *testing.T) {
 	p.Governor = governor.Spec{Name: "buffer"}
 	// Each aggregator input costs 2 s of reference work: far more than
 	// the 2.3 s frame delay once two sensors feed it.
-	g := topology.Mesh(2, 1, topology.Config{AggRefS: 2})
+	g := topology.Mesh(2, 1)
+	g.Nodes[2].RefS, g.Nodes[3].RefS = 4, 2
+	var buf bytes.Buffer
+	mustSimulate(t, Spec{Graph: g, Label: "mesh/slow", Params: p, Frames: 20}, Sinks{Log: &buf})
+	// The buffer governor's second controller term is the downstream
+	// wait it observed.
 	maxWait := 0.0
-	mustSimulate(t, Spec{Graph: g, Label: "mesh/slow", Params: p, Frames: 20}, Sinks{
-		OnGovern: func(name string, ev governor.Event) {
-			if (name == "node1" || name == "node2") && ev.Obs.DownWaitS > maxWait {
-				maxWait = ev.Obs.DownWaitS
-			}
-		},
-	})
+	for _, r := range decodeLog(t, &buf) {
+		if r.Event == "govern" && (r.Node == "node1" || r.Node == "node2") {
+			maxWait = max(maxWait, r.Ctl[1])
+		}
+	}
 	if maxWait <= 0 {
 		t.Fatal("no sensor observed a downstream wait behind a saturated aggregator")
 	}

@@ -97,8 +97,8 @@ func TestGovernedTelemetryDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.Governor = governor.Spec{Name: "pid"}
 	var a, b bytes.Buffer
-	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &a, Telemetry: true})
-	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &b, Telemetry: true})
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &a})
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 300}, Sinks{Log: &b})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("governed telemetry differs between identical runs")
 	}

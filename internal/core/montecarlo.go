@@ -57,7 +57,7 @@ func MonteCarlo(s Spec, warmS float64, seeds []uint64, workers int) (float64, []
 		run := s
 		run.Params.Faults = &sc
 		h := fnv.New64a()
-		out, err := Simulate(context.Background(), run, Sinks{Log: h, Telemetry: true})
+		out, err := Simulate(context.Background(), run, Sinks{Log: h})
 		return ForkResult{Seed: seed, Records: out.Records, Sum64: h.Sum64(), Err: err}
 	})
 	return warm, res, nil

@@ -83,21 +83,19 @@ func compareLabels(a, b *telem.Record) int {
 	)
 }
 
-// recorder gathers a run's observable events on every engine: governHook
-// rides in the engine configuration and attach wires the remaining
-// observers once the rig is built. Each hook appends the event it
-// receives, as is, to its own typed bucket; a record exists only as
-// the head of a merge source (see merge). The buckets are chunk lists,
-// so a long run's appends never copy earlier events. The recorder backs
-// both Simulate's event log and its assertion checking.
+// recorder gathers a run's observable events on every engine: a
+// governor observer rides in the engine configuration and attach wires
+// the remaining observers once the rig is built. Each hook appends the
+// event it receives, as is, to its own typed bucket; a record exists
+// only as the head of a merge source (see merge). The buckets are chunk
+// lists, so a long run's appends never copy earlier events. The
+// recorder backs both Simulate's event log and its assertion checking.
 type recorder struct {
-	telemetry bool
-	govern    chunk.List[governEvent]
-	fault     chunk.List[fault.Event]
-	retry     chunk.List[serial.RetryEvent]
-	link      chunk.List[serial.TransferEvent]
-	// result backs both the "result" and, with the full vocabulary, the
-	// "latency" stream.
+	govern chunk.List[governEvent]
+	fault  chunk.List[fault.Event]
+	retry  chunk.List[serial.RetryEvent]
+	link   chunk.List[serial.TransferEvent]
+	// result backs both the "result" and the "latency" stream.
 	result chunk.List[host.Result]
 }
 
@@ -107,27 +105,14 @@ type governEvent struct {
 	ev   governor.Event
 }
 
-// governHook chains the recorder behind the caller's governor observer
-// (nil for none); the result goes into the engine configuration.
-func (rc *recorder) governHook(prev func(string, governor.Event)) func(string, governor.Event) {
-	return func(nodeName string, ev governor.Event) {
-		if prev != nil {
-			prev(nodeName, ev)
-		}
-		rc.govern.Append(governEvent{nodeName, ev})
-	}
-}
-
-// attach wires the post-build observers onto the rig: results always,
-// and for the full vocabulary every serial transaction, retransmission
-// and injected fault. Nothing has fired yet, so no event is missed.
+// attach wires the post-build observers onto the rig: every serial
+// transaction, retransmission, injected fault and result. Nothing has
+// fired yet, so no event is missed.
 func (rc *recorder) attach(r *rig) {
-	if rc.telemetry {
-		r.net.OnTransfer = func(ev serial.TransferEvent) { rc.link.Append(ev) }
-		r.net.OnRetry = func(ev serial.RetryEvent) { rc.retry.Append(ev) }
-		if r.inj != nil {
-			r.inj.OnFault = func(ev fault.Event) { rc.fault.Append(ev) }
-		}
+	r.net.OnTransfer = func(ev serial.TransferEvent) { rc.link.Append(ev) }
+	r.net.OnRetry = func(ev serial.RetryEvent) { rc.retry.Append(ev) }
+	if r.inj != nil {
+		r.inj.OnFault = func(ev fault.Event) { rc.fault.Append(ev) }
 	}
 	r.observe = func(res host.Result) {
 		// No record shows a native run's payload; dropping it here keeps
@@ -139,7 +124,7 @@ func (rc *recorder) attach(r *rig) {
 
 // merge returns the cursor over the run's records. The sources are
 // listed in tie order — per node its mode spans, the deaths, per
-// sampled series its points (full vocabulary only), then the hook
+// sampled series its points, then the hook
 // buckets — and each reads its events in place: the nodes' mode traces
 // and death instants, the points of series (the outcome's metrics
 // snapshot) and the buckets. Call it once the nodes' metering is
@@ -154,32 +139,28 @@ func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 		}
 	}
 	srcs = append(srcs, bucket("death", &dead, deathRecord))
-	if rc.telemetry {
-		for i := range series {
-			s := &series[i]
-			srcs = append(srcs, source{rank: eventRank("sample"), n: len(s.Samples), load: func(i int, rec *telem.Record) {
-				pt := &s.Samples[i]
-				*rec = telem.Record{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
-			}})
-		}
+	for i := range series {
+		s := &series[i]
+		srcs = append(srcs, source{rank: eventRank("sample"), n: len(s.Samples), load: func(i int, rec *telem.Record) {
+			pt := &s.Samples[i]
+			*rec = telem.Record{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
+		}})
 	}
+	// End-to-end latency: arrival minus the instant the frame entered the
+	// system (frame·D).
+	d := r.d
 	srcs = append(srcs,
 		bucket("govern", &rc.govern, governRecord),
 		bucket("fault", &rc.fault, faultRecord),
 		bucket("retry", &rc.retry, retryRecord),
-		bucket("link", &rc.link, linkRecord))
-	if rc.telemetry {
-		// End-to-end latency: arrival minus the instant the frame entered
-		// the system (frame·D).
-		d := r.d
-		srcs = append(srcs, bucket("latency", &rc.result, func(res *host.Result, rec *telem.Record) {
+		bucket("link", &rc.link, linkRecord),
+		bucket("latency", &rc.result, func(res *host.Result, rec *telem.Record) {
 			*rec = telem.Record{
 				T: float64(res.At), Event: "latency", Frame: res.Frame,
 				From: res.From, Value: float64(res.At) - float64(res.Frame)*d,
 			}
-		}))
-	}
-	srcs = append(srcs, bucket("result", &rc.result, resultRecord))
+		}),
+		bucket("result", &rc.result, resultRecord))
 	return &merger{srcs: srcs}
 }
 

@@ -21,17 +21,10 @@ import (
 	telem "dvsim/internal/telemetry"
 )
 
-// plainLog runs an experiment's first until seconds with the plain log
-// vocabulary.
-func plainLog(t *testing.T, id ID, until float64, buf *bytes.Buffer) int {
-	t.Helper()
-	return mustSimulate(t, Spec{ID: id, Params: DefaultParams(), UntilS: until}, Sinks{Log: buf}).Records
-}
-
 func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 	p := DefaultParams()
 	var buf bytes.Buffer
-	n := plainLog(t, Exp2, 5*p.FrameDelayS, &buf)
+	n := mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 5 * p.FrameDelayS}, Sinks{Log: &buf}).Records
 	if n < 20 {
 		t.Fatalf("only %d records", n)
 	}
@@ -68,7 +61,7 @@ func TestRunLoggedEmitsOrderedEvents(t *testing.T) {
 func TestRunLoggedModesCoverBothNodes(t *testing.T) {
 	p := DefaultParams()
 	var buf bytes.Buffer
-	plainLog(t, Exp2, 4*p.FrameDelayS, &buf)
+	mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 4 * p.FrameDelayS}, Sinks{Log: &buf})
 	out := buf.String()
 	for _, want := range []string{`"node":"node1"`, `"node":"node2"`, `"mode":"communication"`, `"mode":"computation"`} {
 		if !strings.Contains(out, want) {
@@ -95,7 +88,7 @@ func TestRunTelemetryContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	out, err := Simulate(ctx, spec, Sinks{Log: &buf, Telemetry: true})
+	out, err := Simulate(ctx, spec, Sinks{Log: &buf})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: records=%d err=%v, want context.Canceled", out.Records, err)
 	}
@@ -107,8 +100,8 @@ func TestRunTelemetryContextCancellation(t *testing.T) {
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
 	var plain, polled bytes.Buffer
-	mustSimulate(t, spec, Sinks{Log: &plain, Telemetry: true})
-	if _, err := Simulate(live, spec, Sinks{Log: &polled, Telemetry: true}); err != nil {
+	mustSimulate(t, spec, Sinks{Log: &plain})
+	if _, err := Simulate(live, spec, Sinks{Log: &polled}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), polled.Bytes()) {
@@ -150,7 +143,7 @@ func describe(recs []telem.Record) string {
 func TestMergeOrdersSources(t *testing.T) {
 	// Two link completions at one instant arrive with their From labels
 	// reversed; the bucket's order net must restore node1 before node2.
-	rc := &recorder{telemetry: true}
+	rc := &recorder{}
 	rc.link = *listOf(
 		serial.TransferEvent{T: 3, From: "node1", To: "node2", Kind: serial.KindInter, KB: 1, DurS: 0.1},
 		serial.TransferEvent{T: 5, From: "node2", To: "host", Kind: serial.KindResult, KB: 1, DurS: 0.1},
@@ -207,7 +200,7 @@ func TestCatalogLogInterleavesViolations(t *testing.T) {
 	p := DefaultParams()
 	p.Assertions = loadSpec(t, "broken.json")
 	var buf bytes.Buffer
-	out := mustSimulate(t, Spec{ID: Exp2D, Params: p, UntilS: 600}, Sinks{Log: &buf, Telemetry: true})
+	out := mustSimulate(t, Spec{ID: Exp2D, Params: p, UntilS: 600}, Sinks{Log: &buf})
 	records := decodeLog(t, &buf)
 	if len(records) != out.Records {
 		t.Fatalf("decoded %d records, Outcome.Records %d", len(records), out.Records)
@@ -266,9 +259,9 @@ func TestSimulateCountsDeliveredRecordsOnWriteError(t *testing.T) {
 		sk   Sinks
 	}{
 		{"plain", Spec{ID: Exp2, Params: DefaultParams(), UntilS: 1800}, Sinks{}},
-		{"telemetry", Spec{ID: Exp2, Params: DefaultParams(), UntilS: 1800}, Sinks{Telemetry: true}},
-		{"catalog", Spec{ID: Exp2D, Params: checked, UntilS: 1800}, Sinks{Telemetry: true}},
-		{"sharded", Spec{ID: Exp2D, Params: DefaultParams(), UntilS: fullWindowS}, Sinks{Telemetry: true}},
+		{"telemetry", Spec{ID: Exp2, Params: DefaultParams(), UntilS: 1800}, Sinks{}},
+		{"catalog", Spec{ID: Exp2D, Params: checked, UntilS: 1800}, Sinks{}},
+		{"sharded", Spec{ID: Exp2D, Params: DefaultParams(), UntilS: fullWindowS}, Sinks{}},
 	} {
 		var full bytes.Buffer
 		sk := c.sk

@@ -20,8 +20,8 @@ const settingsWindowS = 600
 // Every experiment runs once as a base and once per setting perturbed,
 // straight through Simulate, so no front end's CheckSettings refuses
 // the unread ones. A setting the table says the experiment does not
-// read must leave the Outcome and the full-vocabulary log byte-identical;
-// one it reads must change one of them. The log is compared as well as
+// read must leave the Outcome and the log byte-identical; one it
+// reads must change one of them. The log is compared as well as
 // the Outcome because it holds every event, not only the totals: a
 // governor on experiment 1 adds govern records and leaves the summary
 // table as it was.
@@ -42,7 +42,7 @@ func TestSettingsTableExact(t *testing.T) {
 	run := func(s Spec) (Outcome, []byte) {
 		t.Helper()
 		var log bytes.Buffer
-		out := mustSimulate(t, s, Sinks{Log: &log, Telemetry: true})
+		out := mustSimulate(t, s, Sinks{Log: &log})
 		return out, log.Bytes()
 	}
 	for _, id := range append(AllExperiments, Exp3A) {

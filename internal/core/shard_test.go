@@ -34,7 +34,7 @@ func TestShardedLogMatchesOneShard(t *testing.T) {
 		{"2D", Spec{ID: Exp2D, Params: DefaultParams(), UntilS: fullWindowS}},
 		{"2D catalog", Spec{ID: Exp2D, Params: checked, UntilS: fullWindowS}},
 	} {
-		out, m, err := simulate(context.Background(), c.spec, Sinks{Log: io.Discard, Telemetry: true})
+		out, m, err := simulate(context.Background(), c.spec, Sinks{Log: io.Discard})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -109,7 +109,7 @@ func TestLogShardsOnlyWhenAlone(t *testing.T) {
 		before := settledGoroutines()
 		w := &peakWriter{}
 		running.Add(others)
-		mustSimulate(t, spec, Sinks{Log: w, Telemetry: true})
+		mustSimulate(t, spec, Sinks{Log: w})
 		running.Add(-others)
 		if sharded := w.peak > before; sharded != (others == 0) {
 			t.Errorf("%d other run(s) in flight: sharded = %v (%d goroutines during the writes, %d before)",

@@ -54,15 +54,15 @@ type Spec struct {
 // and costs nothing.
 type Sinks struct {
 	// Log receives the run's events as JSON lines in canonical order
-	// (time, event kind, labels; DESIGN.md §6).
+	// (time, event kind, labels; DESIGN.md §6): every mode span
+	// ("mode"), node death ("death"), governor decision ("govern"),
+	// injected fault and retransmission ("fault", "retry"), serial
+	// transaction ("link"), result and its end-to-end latency
+	// ("result", "latency"), the sampler series ("sample") and, with
+	// Params.Assertions set, every violation ("violation"). An
+	// assertion catalog checks the same records whether or not a log
+	// is written.
 	Log io.Writer
-	// Telemetry selects the full log vocabulary: on top of the plain
-	// "mode", "result", "death" and "govern" events, every serial
-	// transaction ("link"), each result's end-to-end latency
-	// ("latency"), the sampler series ("sample"), injected faults and
-	// retransmissions ("fault", "retry") and, with Params.Assertions
-	// set, every violation ("violation").
-	Telemetry bool
 	// Metrics attaches the metrics registry: the kernel, serial
 	// network, nodes, batteries and host record into it, periodic
 	// samplers track battery state and queue depths, and the snapshot
@@ -75,8 +75,6 @@ type Sinks struct {
 	// OnResult observes each result as it reaches the host (frame
 	// number and, for native runs, the decoded payload).
 	OnResult func(frame int, payload any)
-	// OnGovern observes every governor decision.
-	OnGovern func(node string, ev governor.Event)
 }
 
 // ErrBadSpec marks a Spec that cannot be simulated: an unknown
@@ -132,17 +130,15 @@ func simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, *merger, error) {
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, nil, err
 	}
-	// A log or a catalog needs the event stream. A catalog always sees
-	// the full vocabulary unless the log asked for the plain one.
+	// A log or a catalog needs the event stream, and both read the same
+	// records.
 	var rc *recorder
 	if sk.Log != nil || eng != nil {
-		rc = &recorder{telemetry: sk.Telemetry || sk.Log == nil}
-		pl.onGovern = rc.governHook(sk.OnGovern)
-	} else {
-		pl.onGovern = sk.OnGovern
+		rc = &recorder{}
+		pl.onGovern = func(node string, ev governor.Event) { rc.govern.Append(governEvent{node, ev}) }
 	}
 	pl.trace = rc != nil || sk.Traces != nil
-	pl.instrument = sk.Metrics || rc != nil && rc.telemetry
+	pl.instrument = sk.Metrics || rc != nil
 	r := pl.build()
 	r.onResult = sk.OnResult
 	if rc != nil {
@@ -319,10 +315,10 @@ func RunExperiment(id ID, p Params, maxFrames int) Outcome {
 	return out
 }
 
-// RunTelemetry writes the full-vocabulary event log of an experiment's
-// first until seconds to w and returns the record count. Kept for the
-// benchmark probe, like Run.
+// RunTelemetry writes the event log of an experiment's first until
+// seconds to w and returns the record count. Kept for the benchmark
+// probe, like Run.
 func RunTelemetry(id ID, p Params, until float64, w io.Writer) (int, error) {
-	out, err := Simulate(context.Background(), Spec{ID: id, Params: p, UntilS: until}, Sinks{Log: w, Telemetry: true})
+	out, err := Simulate(context.Background(), Spec{ID: id, Params: p, UntilS: until}, Sinks{Log: w})
 	return out.Records, err
 }

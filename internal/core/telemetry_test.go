@@ -32,7 +32,7 @@ func TestRunTelemetryEmitsAllEventKinds(t *testing.T) {
 	var buf bytes.Buffer
 	// 150 s ≈ 65 frame periods: enough for samples (60 s cadence), links,
 	// results and latencies; no deaths this early.
-	n := mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 150}, Sinks{Log: &buf, Telemetry: true}).Records
+	n := mustSimulate(t, Spec{ID: Exp2, Params: p, UntilS: 150}, Sinks{Log: &buf}).Records
 	records := decodeLog(t, &buf)
 	if len(records) != n {
 		t.Fatalf("wrote %d records, decoded %d", n, len(records))
@@ -73,8 +73,8 @@ func TestRunTelemetryEmitsAllEventKinds(t *testing.T) {
 func TestRunTelemetryDeterministic(t *testing.T) {
 	p := DefaultParams()
 	var a, b bytes.Buffer
-	mustSimulate(t, Spec{ID: Exp2C, Params: p, UntilS: 120}, Sinks{Log: &a, Telemetry: true})
-	mustSimulate(t, Spec{ID: Exp2C, Params: p, UntilS: 120}, Sinks{Log: &b, Telemetry: true})
+	mustSimulate(t, Spec{ID: Exp2C, Params: p, UntilS: 120}, Sinks{Log: &a})
+	mustSimulate(t, Spec{ID: Exp2C, Params: p, UntilS: 120}, Sinks{Log: &b})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("telemetry logs differ between identical runs")
 	}
@@ -184,7 +184,7 @@ func TestTelemetryLogMatchesOutcome(t *testing.T) {
 		t.Skip("full window")
 	}
 	var buf bytes.Buffer
-	out := mustSimulate(t, Spec{ID: Exp2C, Params: DefaultParams(), UntilS: 30 * 3600}, Sinks{Log: &buf, Telemetry: true})
+	out := mustSimulate(t, Spec{ID: Exp2C, Params: DefaultParams(), UntilS: 30 * 3600}, Sinks{Log: &buf})
 	results, deaths := 0, map[string]bool{}
 	for _, r := range decodeLog(t, &buf) {
 		switch r.Event {

@@ -93,7 +93,7 @@ func TestPaperManifestReproducesGoldens(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		spec := core.Spec{ID: id, Params: lines[0].Params, UntilS: 120}
-		if _, err := core.Simulate(context.Background(), spec, core.Sinks{Log: &buf, Telemetry: true}); err != nil {
+		if _, err := core.Simulate(context.Background(), spec, core.Sinks{Log: &buf}); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(filepath.Join("..", "core", "testdata", golden))

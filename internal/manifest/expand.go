@@ -303,7 +303,7 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if err := fleetSize(kind, v[0]); err != nil {
 			return nil, "", nil, err
 		}
-		return topology.Serial(v[0], topology.Config{}), kind, shape(v, "nodes"), nil
+		return topology.Serial(v[0]), kind, shape(v, "nodes"), nil
 	case "wide":
 		v, err := need("stages", "width")
 		if err != nil {
@@ -315,7 +315,7 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if err := fleetSize(kind, max(v[0], v[1]), v[0]*v[1]); err != nil {
 			return nil, "", nil, err
 		}
-		return topology.Wide(v[0], v[1], topology.Config{}), kind, shape(v, "stages", "width"), nil
+		return topology.Wide(v[0], v[1]), kind, shape(v, "stages", "width"), nil
 	case "tree":
 		v, err := need("bf", "depth")
 		if err != nil {
@@ -333,7 +333,7 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if err := fleetSize(kind, total); err != nil {
 			return nil, "", nil, err
 		}
-		return topology.Tree(v[0], v[1], topology.Config{}), kind, shape(v, "bf", "depth"), nil
+		return topology.Tree(v[0], v[1]), kind, shape(v, "bf", "depth"), nil
 	case "mesh":
 		v, err := need("sensors", "aggregators")
 		if err != nil {
@@ -345,7 +345,7 @@ func (m *Manifest) buildTopology(row line, kind string) (*topology.Graph, string
 		if err := fleetSize(kind, v[0], v[0]+v[1]); err != nil {
 			return nil, "", nil, err
 		}
-		return topology.Mesh(v[0], v[1], topology.Config{}), kind, shape(v, "sensors", "aggregators"), nil
+		return topology.Mesh(v[0], v[1]), kind, shape(v, "sensors", "aggregators"), nil
 	default:
 		return nil, "", nil, fmt.Errorf("unknown topology %q (want serial, wide, tree or mesh)", kind)
 	}

@@ -22,8 +22,8 @@ func TestMetricsGolden(t *testing.T) {
 		golden string
 		spec   core.Spec
 	}{
-		{"metrics_tree", core.Spec{Graph: topology.Tree(2, 2, topology.Config{}), Label: "tree", Params: pf}},
-		{"metrics_mesh", core.Spec{Graph: topology.Mesh(6, 2, topology.Config{}), Label: "mesh", Params: pf}},
+		{"metrics_tree", core.Spec{Graph: topology.Tree(2, 2), Label: "tree", Params: pf}},
+		{"metrics_mesh", core.Spec{Graph: topology.Mesh(6, 2), Label: "mesh", Params: pf}},
 		{"metrics_3A_pid", core.Spec{ID: core.Exp3A, Params: pg}},
 	} {
 		t.Run(c.golden, func(t *testing.T) {

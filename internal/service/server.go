@@ -229,7 +229,7 @@ func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) error 
 	defer j.stream.close()
 	spec := res.run.Spec()
 	spec.UntilS = res.untilS
-	_, err := core.Simulate(ctx, spec, core.Sinks{Log: j.stream, Telemetry: true})
+	_, err := core.Simulate(ctx, spec, core.Sinks{Log: j.stream})
 	return err
 }
 

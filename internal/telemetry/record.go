@@ -6,12 +6,13 @@ package telemetry
 type Record struct {
 	// T is the simulated time in seconds.
 	T float64 `json:"t"`
-	// Event is "mode", "result" or "death" for plain logs; telemetry
-	// logs add "sample", "link", "latency", — when a fault scenario is
-	// active — "fault" (an injected drop/garble/crash/restart) and
-	// "retry" (a scheduled retransmission), — when a governor is
-	// active — "govern" (one online DVS decision), and — when an
-	// assertion catalog is active — "violation" (one failed invariant).
+	// Event is one of the log's ten kinds (DESIGN.md §6): "mode",
+	// "death", "result", "latency", "link" and "sample" in every run
+	// that has them; "govern" (one online DVS decision) when a governor
+	// is active; "fault" (an injected drop/garble/crash/restart) and
+	// "retry" (a scheduled retransmission) when a fault scenario is;
+	// and "violation" (one failed invariant) when an assertion catalog
+	// is.
 	Event string `json:"event"`
 	// Node is the acting node ("node1", …); empty for host events. For
 	// sample events it is the sampler's node label.

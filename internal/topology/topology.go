@@ -231,83 +231,48 @@ func (g *Graph) Chain() []NodeSpec {
 	return order
 }
 
-// Config tunes the builders' per-vertex work model. The zero value
-// reproduces the paper's frame workload: defaults come from the ATR
-// profile, so a 1-node Serial graph is the experiment-1 workload shape.
-type Config struct {
-	// FrameRefS is the total reference compute time of one frame,
-	// divided across a pipeline's stages (default: the full ATR
-	// algorithm, ≈2.2 s at 206.4 MHz).
-	FrameRefS float64
-	// PayloadKB sizes intermediate transfers (default: the ATR
-	// post-FFT payload, 7.5 KB — the dominant inter-stage transfer).
-	PayloadKB float64
-	// ResultKB sizes the final result transfer (default: the ATR
-	// detection report, 0.1 KB).
-	ResultKB float64
-	// AggRefS is the aggregation work per gathered input at tree and
-	// mesh interior vertices (default 50 ms of reference time).
-	AggRefS float64
-	// Compute/Comm/Idle are the operating points given to every vertex
-	// (defaults: maximum clock for compute and comm, like the paper's
-	// baseline).
-	Compute cpu.OperatingPoint
-	Comm    cpu.OperatingPoint
-	Idle    cpu.OperatingPoint
-}
+// The builders' per-vertex work model is the paper's frame workload,
+// taken from the ATR profile, so a 1-node Serial graph is the
+// experiment-1 workload shape. Every vertex computes and communicates at
+// the maximum clock, like the paper's baseline.
+var (
+	profile = atr.Default()
+	// frameRefS is the total reference compute time of one frame,
+	// divided across a graph's stages or sensors: the full ATR
+	// algorithm, ≈2.2 s at 206.4 MHz.
+	frameRefS = profile.RefSeconds(atr.FullSpan)
+	// payloadKB sizes intermediate transfers: the ATR post-FFT payload,
+	// 7.5 KB, the dominant inter-stage transfer.
+	payloadKB = profile.InterKB[atr.BlockFFT]
+	// resultKB sizes the final result transfer: the ATR detection
+	// report, 0.1 KB.
+	resultKB = profile.OutKB(atr.FullSpan)
+)
 
-func (c Config) withDefaults() Config {
-	prof := atr.Default()
-	if c.FrameRefS <= 0 {
-		c.FrameRefS = prof.RefSeconds(atr.FullSpan)
-	}
-	if c.PayloadKB <= 0 {
-		c.PayloadKB = prof.InterKB[atr.BlockFFT]
-	}
-	if c.ResultKB <= 0 {
-		c.ResultKB = prof.OutKB(atr.FullSpan)
-	}
-	if c.AggRefS <= 0 {
-		c.AggRefS = 0.05
-	}
-	if c.Compute.FreqMHz <= 0 {
-		c.Compute = cpu.MaxPoint
-	}
-	if c.Comm.FreqMHz <= 0 {
-		c.Comm = cpu.MaxPoint
-	}
-	return c
-}
+// aggRefS is the aggregation work per gathered input at tree and mesh
+// interior vertices, in reference seconds.
+const aggRefS = 0.05
 
-// vertex applies the Config's shared fields to a NodeSpec under
-// construction.
-func (c Config) vertex(name string, refS, outKB float64) NodeSpec {
-	return NodeSpec{
-		Name:    name,
-		RefS:    refS,
-		OutKB:   outKB,
-		Compute: c.Compute,
-		Comm:    c.Comm,
-		Idle:    c.Idle,
-	}
+// vertex returns a NodeSpec with the builders' operating points.
+func vertex(name string, refS, outKB float64) NodeSpec {
+	return NodeSpec{Name: name, RefS: refS, OutKB: outKB, Compute: cpu.MaxPoint, Comm: cpu.MaxPoint}
 }
 
 // Serial builds an n-stage serial pipeline: the paper's shape at any
 // length. The frame's work is split evenly across stages; the final
 // stage delivers the result. Serial graphs are chains, so they run on
 // the pipeline ring with host pacing and (optionally) rotation.
-func Serial(n int, c Config) *Graph {
+func Serial(n int) *Graph {
 	if n < 1 {
 		panic(fmt.Sprintf("topology: serial pipeline needs at least 1 node, got %d", n))
 	}
-	c = c.withDefaults()
 	g := &Graph{Kind: "serial", Nodes: make([]NodeSpec, n)}
 	for i := 0; i < n; i++ {
-		out := c.PayloadKB
+		out := payloadKB
 		if i == n-1 {
-			out = c.ResultKB
+			out = resultKB
 		}
-		ns := c.vertex(fmt.Sprintf("node%d", i+1), c.FrameRefS/float64(n), out)
+		ns := vertex(fmt.Sprintf("node%d", i+1), frameRefS/float64(n), out)
 		if i > 0 {
 			ns.Parents = []int{i - 1}
 		}
@@ -327,16 +292,15 @@ func Serial(n int, c Config) *Graph {
 // assignment from the round-robin fan-out), so each replica gets
 // width·D of budget per frame — the throughput argument of §4.5 turned
 // sideways. Every replica of the last stage is a sink.
-func Wide(stages, width int, c Config) *Graph {
+func Wide(stages, width int) *Graph {
 	if stages < 1 || width < 1 {
 		panic(fmt.Sprintf("topology: wide pipeline needs stages ≥ 1 and width ≥ 1, got %d×%d", stages, width))
 	}
-	c = c.withDefaults()
 	g := &Graph{Kind: "wide", Nodes: make([]NodeSpec, 0, stages*width)}
 	idx := func(stage, rep int) int { return stage*width + rep }
 	for s := 0; s < stages; s++ {
 		for r := 0; r < width; r++ {
-			ns := c.vertex(fmt.Sprintf("node%d", idx(s, r)+1), c.FrameRefS/float64(stages), c.PayloadKB)
+			ns := vertex(fmt.Sprintf("node%d", idx(s, r)+1), frameRefS/float64(stages), payloadKB)
 			ns.BudgetFactor = float64(width)
 			if s == 0 {
 				ns.Stride, ns.Phase = width, r
@@ -348,7 +312,7 @@ func Wide(stages, width int, c Config) *Graph {
 			}
 			if s == stages-1 {
 				ns.Sink = true
-				ns.OutKB = c.ResultKB
+				ns.OutKB = resultKB
 			} else {
 				ns.Children = make([]int, width)
 				for q := 0; q < width; q++ {
@@ -367,11 +331,10 @@ func Wide(stages, width int, c Config) *Graph {
 // root (node1), so leaves occupy the tail of the node list. Each leaf
 // samples every frame period; each interior vertex gathers one message
 // per child per round and forwards the aggregate.
-func Tree(bf, depth int, c Config) *Graph {
+func Tree(bf, depth int) *Graph {
 	if bf < 2 || depth < 1 {
 		panic(fmt.Sprintf("topology: tree needs branching factor ≥ 2 and depth ≥ 1, got bf=%d depth=%d", bf, depth))
 	}
-	c = c.withDefaults()
 	// Total vertices of a complete bf-ary tree of the given depth.
 	total := 0
 	for l, w := 0, 1; l <= depth; l, w = l+1, w*bf {
@@ -387,9 +350,9 @@ func Tree(bf, depth int, c Config) *Graph {
 		var ns NodeSpec
 		if i >= firstLeaf {
 			// Sensor leaf: the frame's sensing work split across leaves.
-			ns = c.vertex(fmt.Sprintf("node%d", i+1), c.FrameRefS/float64(leaves), c.PayloadKB)
+			ns = vertex(fmt.Sprintf("node%d", i+1), frameRefS/float64(leaves), payloadKB)
 		} else {
-			ns = c.vertex(fmt.Sprintf("node%d", i+1), c.AggRefS*float64(bf), c.PayloadKB)
+			ns = vertex(fmt.Sprintf("node%d", i+1), aggRefS*float64(bf), payloadKB)
 			ns.FanInAll = true
 			ns.Parents = make([]int, bf)
 			for b := 0; b < bf; b++ {
@@ -398,7 +361,7 @@ func Tree(bf, depth int, c Config) *Graph {
 		}
 		if i == 0 {
 			ns.Sink = true
-			ns.OutKB = c.ResultKB
+			ns.OutKB = resultKB
 		} else {
 			ns.Children = []int{(i - 1) / bf}
 		}
@@ -412,16 +375,15 @@ func Tree(bf, depth int, c Config) *Graph {
 // aggregators fanning in to a single collector sink. Vertices are
 // numbered sensors first (node1…), then aggregators, then the
 // collector last.
-func Mesh(sensors, aggregators int, c Config) *Graph {
+func Mesh(sensors, aggregators int) *Graph {
 	if sensors < 1 || aggregators < 1 || aggregators > sensors {
 		panic(fmt.Sprintf("topology: mesh needs 1 ≤ aggregators ≤ sensors, got %d sensors, %d aggregators", sensors, aggregators))
 	}
-	c = c.withDefaults()
 	total := sensors + aggregators + 1
 	g := &Graph{Kind: "mesh", Nodes: make([]NodeSpec, total)}
 	collector := total - 1
 	for s := 0; s < sensors; s++ {
-		ns := c.vertex(fmt.Sprintf("node%d", s+1), c.FrameRefS/float64(sensors), c.PayloadKB)
+		ns := vertex(fmt.Sprintf("node%d", s+1), frameRefS/float64(sensors), payloadKB)
 		ns.Children = []int{sensors + s%aggregators}
 		g.Nodes[s] = ns
 	}
@@ -433,7 +395,7 @@ func Mesh(sensors, aggregators int, c Config) *Graph {
 				fanIn++
 			}
 		}
-		ns := c.vertex(fmt.Sprintf("node%d", i+1), c.AggRefS*float64(fanIn), c.PayloadKB)
+		ns := vertex(fmt.Sprintf("node%d", i+1), aggRefS*float64(fanIn), payloadKB)
 		ns.FanInAll = true
 		ns.Parents = make([]int, 0, fanIn)
 		for s := 0; s < sensors; s++ {
@@ -444,7 +406,7 @@ func Mesh(sensors, aggregators int, c Config) *Graph {
 		ns.Children = []int{collector}
 		g.Nodes[i] = ns
 	}
-	root := c.vertex(fmt.Sprintf("node%d", collector+1), c.AggRefS*float64(aggregators), c.ResultKB)
+	root := vertex(fmt.Sprintf("node%d", collector+1), aggRefS*float64(aggregators), resultKB)
 	root.FanInAll = true
 	root.Sink = true
 	root.Parents = make([]int, aggregators)

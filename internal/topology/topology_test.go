@@ -9,7 +9,7 @@ import (
 
 func TestSerialShape(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 16} {
-		g := Serial(n, Config{})
+		g := Serial(n)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("Serial(%d): %v", n, err)
 		}
@@ -33,7 +33,7 @@ func TestSerialShape(t *testing.T) {
 		for _, ns := range g.Nodes {
 			sum += ns.RefS
 		}
-		want := Config{}.withDefaults().FrameRefS
+		want := frameRefS
 		if diff := sum - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("Serial(%d): total RefS %g, want %g", n, sum, want)
 		}
@@ -41,7 +41,7 @@ func TestSerialShape(t *testing.T) {
 }
 
 func TestWideShape(t *testing.T) {
-	g := Wide(3, 4, Config{})
+	g := Wide(3, 4)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestWideShape(t *testing.T) {
 		t.Fatalf("got %d sources, %d sinks; want 4 and 4", sources, sinks)
 	}
 	// Width 1 degenerates to a chain.
-	if Wide(3, 1, Config{}).Chain() == nil {
+	if Wide(3, 1).Chain() == nil {
 		t.Fatal("Wide(3,1) should be a chain")
 	}
 }
 
 func TestTreeShape(t *testing.T) {
-	g := Tree(2, 4, Config{})
+	g := Tree(2, 4)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTreeShape(t *testing.T) {
 }
 
 func TestMeshShape(t *testing.T) {
-	g := Mesh(12, 3, Config{})
+	g := Mesh(12, 3)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMeshShape(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	base := func() *Graph { return Serial(3, Config{}) }
+	base := func() *Graph { return Serial(3) }
 	cases := []struct {
 		name   string
 		mutate func(g *Graph)
@@ -161,7 +161,7 @@ func TestValidateRejects(t *testing.T) {
 func TestValidateRejectsCycle(t *testing.T) {
 	// a -> b, b <-> c (the cycle), b -> d (the sink): every local
 	// invariant holds, only Kahn's pass can reject it.
-	v := Config{}.withDefaults().vertex
+	v := vertex
 	g := &Graph{Kind: "custom", Nodes: []NodeSpec{
 		func() NodeSpec { n := v("a", 1, 1); n.Children = []int{1}; return n }(),
 		func() NodeSpec {

@@ -276,7 +276,7 @@ func runRemote(r remoteRun) {
 	if sub.Manifest != "" {
 		what = "manifest " + r.manifest
 	}
-	fmt.Fprintf(os.Stderr, "remote %s: cache %s, %d byte(s) (key %.12s)\n",
+	fmt.Fprintf(os.Stderr, "remote %s: cache %s, %d byte(s) (key %s)\n",
 		what, info.Cache, info.Bytes, info.Key)
 }
 

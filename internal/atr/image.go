@@ -181,8 +181,8 @@ type Scene struct {
 
 // NewScene returns a deterministic scene generator. Frames are a pure
 // function of the seed: the generator is a self-contained splitmix64
-// stream (see rng.go), so synthesized scenes are byte-stable across Go
-// releases.
+// stream (internal/splitmix), so synthesized scenes are byte-stable
+// across Go releases.
 func NewScene(seed int64) *Scene {
 	return &Scene{
 		rng:        newRNG(seed),
@@ -202,7 +202,7 @@ func (s *Scene) Frame(n int) (*Image, []PlacedTarget) {
 	var placed []PlacedTarget
 	for i := 0; i < n; i++ {
 		tpl := s.Templates[s.rng.intn(len(s.Templates))]
-		dist := 60 + s.rng.float64()*120 // 60–180 m
+		dist := 60 + s.rng.Float64()*120 // 60–180 m
 		size := apparentSize(tpl, dist)
 		scaled := tpl.Img.Resize(size, size)
 		x := s.rng.intn(FrameW - size)

@@ -1,35 +1,24 @@
 package atr
 
-import "math"
+import (
+	"math"
 
-// rng is a splitmix64 pseudo-random stream, the same generator
-// internal/fault uses: self-contained, so a Scene seed pins its frames
-// forever — math/rand's algorithms are not guaranteed byte-stable
-// across Go releases, and synthesized frames feed goldens and
-// ground-truth assertions. The normal variate uses the Marsaglia polar
-// method (with a cached spare), which depends only on this stream and
-// math.Sqrt/Log, both exactly-rounded per IEEE 754.
+	"dvsim/internal/splitmix"
+)
+
+// rng is the scene generator's splitmix64 stream with the draws scenes
+// need on top: self-contained, so a Scene seed pins its frames forever,
+// since synthesized frames feed goldens and ground-truth assertions.
+// The normal variate uses the Marsaglia polar method (with a cached
+// spare), which depends only on the stream and math.Sqrt/Log, both
+// exactly-rounded per IEEE 754.
 type rng struct {
-	state    uint64
+	splitmix.Stream
 	spare    float64
 	hasSpare bool
 }
 
-func newRNG(seed int64) *rng { return &rng{state: uint64(seed)} }
-
-// next returns the next 64-bit output.
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform draw in [0, 1) with 53 bits of precision.
-func (r *rng) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
+func newRNG(seed int64) *rng { return &rng{Stream: *splitmix.New(uint64(seed))} }
 
 // intn returns a uniform draw in [0, n). The modulo bias is below
 // n/2^64 — irrelevant for scene placement, where determinism is the
@@ -38,7 +27,7 @@ func (r *rng) intn(n int) int {
 	if n <= 0 {
 		panic("atr: intn with non-positive bound")
 	}
-	return int(r.next() % uint64(n))
+	return int(r.Next() % uint64(n))
 }
 
 // normFloat64 returns a standard normal draw (Marsaglia polar method).
@@ -48,8 +37,8 @@ func (r *rng) normFloat64() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.float64() - 1
-		v := 2*r.float64() - 1
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s >= 1 || s == 0 {
 			continue

@@ -8,6 +8,7 @@ import (
 
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
+	"dvsim/internal/splitmix"
 )
 
 func TestValidateErrors(t *testing.T) {
@@ -127,16 +128,16 @@ func TestRNGStream(t *testing.T) {
 		0.27860113025513866,
 		0.34419071652363753,
 	}
-	r := newRNG(42)
+	r := splitmix.New(42)
 	for i, w := range want {
-		if got := r.float64(); math.Abs(got-w) > 1e-16 {
+		if got := r.Float64(); math.Abs(got-w) > 1e-16 {
 			t.Fatalf("draw %d from seed 42 = %.17g, want %.17g", i, got, w)
 		}
 	}
-	if newRNG(42).next() != newRNG(42).next() {
+	if splitmix.New(42).Next() != splitmix.New(42).Next() {
 		t.Fatal("same seed diverged")
 	}
-	if newRNG(1).next() == newRNG(2).next() {
+	if splitmix.New(1).Next() == splitmix.New(2).Next() {
 		t.Fatal("different seeds collided on the first draw")
 	}
 }

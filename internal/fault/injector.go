@@ -3,6 +3,7 @@ package fault
 import (
 	"dvsim/internal/serial"
 	"dvsim/internal/sim"
+	"dvsim/internal/splitmix"
 )
 
 // Event is one injected fault occurrence, for telemetry streams (the
@@ -37,7 +38,7 @@ func (s Stats) Total() int { return s.Drops + s.Garbles + s.Crashes + s.Restarts
 // events on a kernel via Arm. One injector serves one simulation.
 type Injector struct {
 	sc  Scenario
-	rng *rng
+	rng *splitmix.Stream
 	// links[i] tracks rule i's consumed scheduled faults.
 	links []linkCursor
 	// OnFault, when set, observes every injected fault. Set it before
@@ -57,7 +58,7 @@ func NewInjector(sc Scenario) (*Injector, error) {
 		return nil, err
 	}
 	// The scenario is copied by value; the injector owns its cursors.
-	return &Injector{sc: sc, rng: newRNG(sc.Seed), links: make([]linkCursor, len(sc.Links))}, nil
+	return &Injector{sc: sc, rng: splitmix.New(sc.Seed), links: make([]linkCursor, len(sc.Links))}, nil
 }
 
 // MustInjector is NewInjector, panicking on an invalid scenario. Use it
@@ -105,7 +106,7 @@ func (in *Injector) Transfer(now sim.Time, from, to string, msg serial.Message) 
 	// the fork's stream. Transfers are decided in simulation order, so
 	// the switch happens at the same transfer in every replay.
 	if !in.reseeded && in.sc.ReseedAtS > 0 && float64(now) >= in.sc.ReseedAtS {
-		in.rng = newRNG(in.sc.ReseedSeed)
+		in.rng = splitmix.New(in.sc.ReseedSeed)
 		in.reseeded = true
 	}
 	for i := range in.sc.Links {
@@ -128,7 +129,7 @@ func (in *Injector) Transfer(now sim.Time, from, to string, msg serial.Message) 
 		// One uniform draw decides both outcomes, consumed in transfer
 		// order: the stream is a pure function of the seed and the
 		// deterministic simulation schedule.
-		u := in.rng.float64()
+		u := in.rng.Float64()
 		switch {
 		case u < lf.DropRate:
 			return in.linkFault(serial.FaultDrop, now, from, to, msg)

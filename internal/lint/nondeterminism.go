@@ -21,9 +21,8 @@ import (
 // The goldens catch the first two the moment they touch a run; only
 // this check sees an environment gate that tests never set. Sanctioned
 // randomness lives in explicitly seeded generators — the splitmix64
-// streams in internal/fault/rng.go and internal/atr/rng.go, or a
-// rand.New(rand.NewSource(seed)) local — never the package-level
-// math/rand functions.
+// stream in internal/splitmix/splitmix.go, or a rand.New(rand.NewSource(seed))
+// local — never the package-level math/rand functions.
 func nondeterminism(pkg *load.Package, report func(token.Pos, string)) {
 	// The import itself is flagged: the repo pins byte-stability of
 	// every seeded stream across Go releases, which math/rand does not
@@ -32,7 +31,7 @@ func nondeterminism(pkg *load.Package, report func(token.Pos, string)) {
 	for _, file := range pkg.Files {
 		for _, imp := range file.Imports {
 			if path := strings.Trim(imp.Path.Value, `"`); path == "math/rand" || path == "math/rand/v2" {
-				report(imp.Pos(), "math/rand in simulator code: its stream algorithms are not pinned across Go releases; use a splitmix64 stream (internal/fault/rng.go, internal/atr/rng.go) or annotate a deliberate seeded use with //lint:allow nondeterminism <reason>")
+				report(imp.Pos(), "math/rand in simulator code: its stream algorithms are not pinned across Go releases; use a splitmix64 stream (internal/splitmix/splitmix.go) or annotate a deliberate seeded use with //lint:allow nondeterminism <reason>")
 			}
 		}
 	}
@@ -45,7 +44,7 @@ func nondeterminism(pkg *load.Package, report func(token.Pos, string)) {
 		case rootClock:
 			report(id.Pos(), fmt.Sprintf("wall-clock time.%s in simulator code: simulated time must come from the kernel clock (sim.Kernel.Now)", name))
 		case rootRand:
-			report(id.Pos(), fmt.Sprintf("global %s.%s draws from the process-wide random stream: use an explicitly seeded generator (rand.New(rand.NewSource(seed)) or a splitmix64 stream as in internal/fault/rng.go)", fn.Pkg().Name(), name))
+			report(id.Pos(), fmt.Sprintf("global %s.%s draws from the process-wide random stream: use an explicitly seeded generator (rand.New(rand.NewSource(seed)) or a splitmix64 stream as in internal/splitmix/splitmix.go)", fn.Pkg().Name(), name))
 		case rootEnv:
 			report(id.Pos(), fmt.Sprintf("os.%s gates simulator behavior on the environment: thread configuration through Params/Options so runs are reproducible from recorded inputs", name))
 		}

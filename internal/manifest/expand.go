@@ -9,6 +9,7 @@ import (
 	"dvsim/internal/assert"
 	"dvsim/internal/core"
 	"dvsim/internal/fault"
+	"dvsim/internal/splitmix"
 	"dvsim/internal/topology"
 )
 
@@ -464,16 +465,7 @@ func tooManySeeds(text string) error {
 // token still see independent fault streams, while the derivation stays
 // byte-stable across runs, machines and worker counts.
 func deriveSeed(base uint64, lineNo int, seed uint64) uint64 {
-	h := splitmix64(base ^ 0xd1b54a32d192ed03)
-	h = splitmix64(h ^ uint64(lineNo))
-	return splitmix64(h ^ seed)
-}
-
-// splitmix64 is the standard 64-bit finalizer (same generator the fault
-// injector's RNG steps with).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	h := splitmix.Mix(base ^ 0xd1b54a32d192ed03)
+	h = splitmix.Mix(h ^ uint64(lineNo))
+	return splitmix.Mix(h ^ seed)
 }

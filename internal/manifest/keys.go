@@ -44,7 +44,9 @@ const (
 //     materialized when no explicit scenario overrides it;
 //   - a setting the experiment does not read cannot reach the key:
 //     Resolve refuses it, so no runfile cell or envelope field gives
-//     the same bytes a second key.
+//     the same bytes a second key, and the platform's own rotation
+//     period is keyed only for the runs that read it: topology lines,
+//     and the experiments whose core table row reads it (2C today).
 //
 // Labels, sweep indices and manifest line numbers are presentation,
 // not physics, and are excluded. The derived fault seed is key
@@ -65,7 +67,8 @@ type KeySpec struct {
 	Experiment string         `json:"experiment,omitempty"`
 	Topology   string         `json:"topology,omitempty"`
 	Shape      map[string]int `json:"shape,omitempty"`
-	// Rotation is the effective node-rotation period.
+	// Rotation is the effective node-rotation period of a run that
+	// reads it, zero for any other.
 	Rotation int `json:"rotation,omitempty"`
 	// Frames bounds the run; 0 runs to battery exhaustion.
 	Frames int `json:"frames,omitempty"`
@@ -93,7 +96,7 @@ func (e Experiment) KeySpec(output string, untilS float64) KeySpec {
 	if pc.Battery == (battery.TwoWellParams{}) {
 		pc.Battery = core.DefaultItsyBatteryParams()
 	}
-	return KeySpec{
+	ks := KeySpec{
 		Engine:      buildinfo.EngineVersion,
 		Output:      output,
 		UntilS:      untilS,
@@ -104,15 +107,16 @@ func (e Experiment) KeySpec(output string, untilS float64) KeySpec {
 		Frames:      e.Frames,
 		FrameDelayS: e.Params.FrameDelayS,
 		Governor:    e.Params.Governor,
-		// Resolve refuses a rotation setting on an experiment that does
-		// not read it, so what is keyed there is always the platform's
-		// own period. Only a platform document that changes it keys the
-		// same run apart (a spurious miss, never a wrong hit); keying it
-		// for every run keeps the keys of cached runs where they are.
-		Rotation: e.Params.RotationPeriod,
-		Faults:   e.ID.FaultLoad(e.Params.Faults),
-		Assert:   e.Params.Assertions,
+		Faults:      e.ID.FaultLoad(e.Params.Faults),
+		Assert:      e.Params.Assertions,
 	}
+	// Only a topology line and an experiment whose core row reads the
+	// rotation period run differently under another one; any other
+	// run's platform period would give its bytes a second key.
+	if e.Graph != nil || core.CheckSettings(core.Rotation, e.ID) == nil {
+		ks.Rotation = e.Params.RotationPeriod
+	}
+	return ks
 }
 
 // CanonicalJSON renders the spec as its one canonical byte sequence:

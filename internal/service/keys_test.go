@@ -31,15 +31,15 @@ func TestCacheKeysPinned(t *testing.T) {
 		key  string
 	}{
 		{"1@120", Submission{Experiment: "1", UntilS: 120},
-			"d79e3a24ae364cc49f7e43f03b009eddc154ce97e0a42898d7eb4eba7c251123"},
+			"618ba750a5cc00cf2a98142be3faf6497010f2ed6c4de98b981feda3383d822f"},
 		{"2C@120 rotation 50 pid", Submission{Experiment: "2C", UntilS: 120, Rotation: 50, Governor: "pid"},
 			"daaa72136e0e2e828ce7548ff3044b7eca4ca199d540bf942db69664d1539a32"},
 		{"2D@120 default faults", Submission{Experiment: "2D", UntilS: 120, Faults: []byte(`"default"`)},
-			"6786f9bf7a3f20714fac6f22df4c80813478682f5405bb4a40abd207f1bb7b03"},
+			"cc17f060a9dbdd5f1793491f06c9d73bbe8eeb3e0aab2baaf210f9eac001e878"},
 		{"3A@120 pid", Submission{Experiment: "3A", UntilS: 120, Governor: "pid"},
-			"4f1a3860b6ae0ca61623b611d0b21ce624d1de42ebe3fe4fe35176b36b10df78"},
+			"714b05c70713439c1d43446f262632ed9e6fc3ea4ed9c2cd27c60c733768f812"},
 		{"2@120 inline platform", Submission{Experiment: "2", UntilS: 120, Platform: &pc},
-			"d8352a4847515f1a565f2d3b310968ba749edc83731f8ee24ddb97e2712164fb"},
+			"e1dbaad9b34c4c858bcbfb500a480d7bdca3a230c47293f9f9f61d48e936a608"},
 		{"tree_scaling", Submission{Manifest: string(tree)},
 			"7e8db130d1daadf734ac5df3433d1fef26d710c3e9413ea45a17cc730dfa0f28"},
 	} {
@@ -50,6 +50,32 @@ func TestCacheKeysPinned(t *testing.T) {
 		}
 		if res.key != c.key {
 			t.Errorf("%s: key %s, want %s", c.name, res.key, c.key)
+		}
+	}
+}
+
+// TestUnreadRotationKeysNothing: a platform's rotation period reaches
+// the key only of a run that reads it. Experiment 1 keys the same with
+// no platform and with a default platform whose period is 50; 2C keys
+// the two apart.
+func TestUnreadRotationKeysNothing(t *testing.T) {
+	s := &Server{}
+	pc := core.DefaultPlatformConfig()
+	pc.RotationPeriod = 50
+	for _, c := range []struct {
+		exp  string
+		same bool
+	}{{"1", true}, {"2C", false}} {
+		plain, err := s.resolve(Submission{Experiment: c.exp, UntilS: 120})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotated, err := s.resolve(Submission{Experiment: c.exp, UntilS: 120, Platform: &pc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := plain.key == rotated.key; same != c.same {
+			t.Errorf("experiment %s: keys %s and %s; want equal %v", c.exp, plain.key, rotated.key, c.same)
 		}
 	}
 }

@@ -126,25 +126,24 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// job is one unit of work on the pool: a resolved submission bound for
-// the cache. The zero fields fill in as it moves through its lifecycle.
+// job is one run on the pool, entered in the server's table under
+// its artifact's cache key, which is also its ID. The zero fields fill
+// in as it moves through its lifecycle.
 type job struct {
-	id       string
 	key      string // cache key of the job's artifact
 	kind     string // "run" or "sweep"
 	desc     string // human label for listings
 	priority Priority
 
-	// run produces the artifact into stream; the worker calls it once.
+	// run produces the artifact into stream; the worker calls it once
+	// and closes the stream when it returns.
 	run func(ctx context.Context, j *job) error
+	ctx context.Context
 
+	mu     sync.Mutex
 	cancel context.CancelFunc
-	ctx    context.Context
-
-	mu sync.Mutex
 	// stream broadcasts the artifact's bytes as the run produces them.
-	// A done job drops it (its artifact is in the cache); a failed or
-	// cancelled one keeps what the run wrote.
+	// A queued or running job holds it; a finished one does not.
 	stream    *stream
 	state     string
 	err       error
@@ -153,29 +152,52 @@ type job struct {
 	done      chan struct{}
 }
 
+// newJob is res's table entry in the given state, with no run.
+func newJob(res *resolved, state string) *job {
+	j := &job{key: res.key, kind: res.kind, desc: res.desc, priority: res.priority, state: state}
+	if res.kind == "sweep" {
+		j.lines = len(res.exps)
+	}
+	return j
+}
+
 func (j *job) setState(s string) {
 	j.mu.Lock()
 	j.state = s
 	j.mu.Unlock()
 }
 
-// live returns the job's stream, or nil once the job is done.
+// live returns the job's stream while it is queued or running, nil
+// once it has finished.
 func (j *job) live() *stream {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stream
 }
 
+// abort cancels a queued or running job; a finished one has nothing
+// left to cancel.
+func (j *job) abort() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
 // finish records the terminal state exactly once and releases waiters.
-// A done job keeps its status and cache key, and no bytes.
+// A finished job keeps its status and cache key, and drops its stream,
+// run and context: a follower that attached earlier holds its own
+// reference to the stream and reads it to the end.
 func (j *job) finish(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.run = nil
+	j.cancel()
+	j.run, j.ctx, j.cancel, j.stream = nil, nil, nil, nil
 	switch {
 	case err == nil:
 		j.state = StateDone
-		j.stream = nil
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = err
@@ -191,7 +213,7 @@ func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:       j.id,
+		ID:       j.key,
 		Key:      j.key,
 		Kind:     j.kind,
 		Desc:     j.desc,
@@ -206,7 +228,8 @@ func (j *job) snapshot() JobStatus {
 	return st
 }
 
-// JobStatus is the wire form of a job's state.
+// JobStatus is the wire form of a job's state. ID is the run's cache
+// key, the X-Dvsim-Key of its submission, and equals Key.
 type JobStatus struct {
 	ID       string `json:"id"`
 	Key      string `json:"key"`

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func qjob(p Priority, id string) *job {
-	return &job{id: id, priority: p, state: StateQueued, done: make(chan struct{})}
+func qjob(p Priority, key string) *job {
+	return &job{key: key, priority: p, state: StateQueued, done: make(chan struct{})}
 }
 
 // TestQueuePriorityOrder: interactive jobs overtake the whole bulk
@@ -28,7 +28,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, j.id)
+		got = append(got, j.key)
 	}
 	want := []string{"i1", "i2", "b1", "b2"}
 	if len(got) != len(want) {
@@ -56,7 +56,7 @@ func TestQueueBoundsBacklog(t *testing.T) {
 		t.Fatal("push after close accepted")
 	}
 	// The backlog drains even after close.
-	if j, ok := q.pop(); !ok || j.id != "b1" {
+	if j, ok := q.pop(); !ok || j.key != "b1" {
 		t.Fatalf("drain pop = %v, %v", j, ok)
 	}
 	if _, ok := q.pop(); ok {

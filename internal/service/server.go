@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,12 +49,8 @@ type Server struct {
 	q     *queue
 	start time.Time
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string        // job IDs in submission order
-	inflight map[string]*job // cache key → queued/running job
-	nextID   int
-	closed   bool
+	mu   sync.Mutex
+	runs map[string]*job // cache key → the key's latest run
 
 	wg sync.WaitGroup
 
@@ -77,12 +75,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache,
-		q:        newQueue(cfg.QueueDepth),
-		start:    time.Now(), //lint:allow nondeterminism the server's uptime is wall time; no run reads it
-		jobs:     make(map[string]*job),
-		inflight: make(map[string]*job),
+		cfg:   cfg,
+		cache: cache,
+		q:     newQueue(cfg.QueueDepth),
+		start: time.Now(), //lint:allow nondeterminism the server's uptime is wall time; no run reads it
+		runs:  make(map[string]*job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -96,9 +93,6 @@ func New(cfg Config) (*Server, error) {
 // finish, then the workers exit. Call after http.Server.Shutdown so
 // in-flight responses complete first.
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	s.q.close()
 	s.wg.Wait()
 }
@@ -121,15 +115,10 @@ func (s *Server) execute(j *job) {
 	j.setState(StateRunning)
 	err := runRecovered(j)
 	if err == nil {
-		// Store before clearing in-flight, so every later lookup finds
-		// either the running job or the cached bytes, never a gap.
+		// Store before turning done: lookup asks the cache first, so it
+		// finds the bytes or the running job, never a gap.
 		err = s.cache.put(j.key, j.stream.parts())
 	}
-	s.mu.Lock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.mu.Unlock()
 	switch {
 	case err == nil:
 		s.runsDone.Add(1)
@@ -139,17 +128,17 @@ func (s *Server) execute(j *job) {
 		s.runsFailed.Add(1)
 	}
 	j.finish(err)
-	j.cancel()
 }
 
 // runRecovered runs j, turning a panic — the run's own, or one that
 // sweep.Run re-raises from a worker as a *sweep.Panic — into the job's
 // error, so one failing run fails its job and the worker keeps serving.
-// Its stream is closed, so followers see the end of what it wrote.
+// However the run ends, its stream is closed, so followers see the end
+// of what it wrote.
 func runRecovered(j *job) (err error) {
 	defer func() {
+		j.stream.close()
 		if v := recover(); v != nil {
-			j.stream.close()
 			if p, ok := v.(*sweep.Panic); ok {
 				err = p
 			} else {
@@ -161,72 +150,59 @@ func runRecovered(j *job) (err error) {
 }
 
 // lookup is the cache-or-submit decision: stored bytes if the artifact
-// exists, the in-flight job to follow if an identical run is already
-// going (coalesced), or a freshly queued job.
+// exists, the key's queued or running job to follow if an identical run
+// is already going (coalesced), or a freshly queued job that replaces
+// the key's finished one.
 func (s *Server) lookup(res *resolved) (cached []byte, j *job, coalesced bool, err error) {
 	if b, ok := s.cache.Get(res.key); ok {
 		return b, nil, false, nil
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, false, errQueueClosed
-	}
-	if running, ok := s.inflight[res.key]; ok {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if j := s.runs[res.key]; j != nil && j.live() != nil {
 		s.cache.Coalesced()
-		return nil, running, true, nil
+		return nil, j, true, nil
 	}
-	j = s.newJobLocked(res)
-	j.stream = newStream()
-	j.run = func(ctx context.Context, j *job) error {
+	j, err = s.enqueueLocked(res, func(ctx context.Context, j *job) error {
 		if res.kind == "sweep" {
 			return s.runSweep(ctx, j, res)
 		}
 		return s.runTelemetry(ctx, j, res)
-	}
-	s.inflight[res.key] = j
-	s.mu.Unlock()
-	if err := s.q.push(j); err != nil {
-		s.mu.Lock()
-		delete(s.inflight, res.key)
-		s.mu.Unlock()
-		j.stream.close()
-		j.finish(err)
-		j.cancel()
-		return nil, nil, false, err
-	}
-	return nil, j, false, nil
+	})
+	return nil, j, false, err
 }
 
-// newJobLocked registers a job for a resolved submission; s.mu held.
-// The caller gives a job it queues a stream and a run.
-func (s *Server) newJobLocked(res *resolved) *job {
-	s.nextID++
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:       fmt.Sprintf("r%06d", s.nextID),
-		key:      res.key,
-		kind:     res.kind,
-		desc:     res.desc,
-		priority: res.priority,
-		ctx:      ctx,
-		cancel:   cancel,
-		state:    StateQueued,
-		done:     make(chan struct{}),
+// enqueueLocked queues a job that produces res's artifact with run and
+// enters it in the table under res.key; s.mu held. A job the queue
+// refuses is not entered.
+func (s *Server) enqueueLocked(res *resolved, run func(context.Context, *job) error) (*job, error) {
+	j := newJob(res, StateQueued)
+	j.ctx, j.cancel = context.WithCancel(context.Background())
+	j.run, j.stream, j.done = run, newStream(), make(chan struct{})
+	if err := s.q.push(j); err != nil {
+		j.cancel()
+		return nil, err
 	}
-	if res.kind == "sweep" {
-		j.lines = len(res.exps)
+	s.runs[res.key] = j
+	return j, nil
+}
+
+// hit returns the table entry of res, whose artifact is stored: the
+// key's done job, or a status-only done entry recorded in its place.
+func (s *Server) hit(res *resolved) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.runs[res.key]; j != nil && j.snapshot().State == StateDone {
+		return j
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	j := newJob(res, StateDone)
+	s.runs[res.key] = j
 	return j
 }
 
 // runTelemetry produces a single run's JSONL artifact into the job's
 // stream as the simulation advances, so followers see telemetry live.
 func (s *Server) runTelemetry(ctx context.Context, j *job, res *resolved) error {
-	defer j.stream.close()
 	spec := res.run.Spec()
 	spec.UntilS = res.untilS
 	_, err := core.Simulate(ctx, spec, core.Sinks{Log: j.stream})
@@ -258,7 +234,6 @@ func (s *Server) send(w io.Writer, j *job) (int64, error) {
 // individually — a sweep sharing lines with past submissions only pays
 // for the new ones.
 func (s *Server) runSweep(ctx context.Context, j *job, res *resolved) error {
-	defer j.stream.close()
 	rows := make([]manifest.Row, len(res.exps))
 	keys := make([]string, len(res.exps))
 	var missIdx []int
@@ -335,8 +310,8 @@ func hashBytes(b []byte) string {
 //	GET    /api/v1/version            engine/build identification
 //	POST   /api/v1/submit             synchronous run: stream the artifact
 //	POST   /api/v1/runs               asynchronous run: 202 + job status
-//	GET    /api/v1/runs               list jobs
-//	GET    /api/v1/runs/{id}          one job's status
+//	GET    /api/v1/runs               list runs, sorted by key
+//	GET    /api/v1/runs/{id}          one run's status; {id} is its cache key
 //	GET    /api/v1/runs/{id}/stream   follow the artifact (live during the run)
 //	GET    /api/v1/runs/{id}/result   completed artifact bytes
 //	DELETE /api/v1/runs/{id}          cancel
@@ -466,7 +441,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRunsSubmit is the asynchronous entry: 202 with the job to
-// poll, or 200 with a synthetic done status when the artifact is
+// poll, or 200 with the key's done status when the artifact is
 // already stored.
 func (s *Server) handleRunsSubmit(w http.ResponseWriter, r *http.Request) {
 	sub, err := readSubmission(r)
@@ -485,39 +460,29 @@ func (s *Server) handleRunsSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached != nil {
-		// Register a pre-completed job so the usual status/result
-		// endpoints work without special-casing hits client-side; it
-		// holds no bytes and replays from the cache.
-		s.mu.Lock()
-		j = s.newJobLocked(res)
-		s.mu.Unlock()
-		j.finish(nil)
-		j.cancel()
 		w.Header().Set("X-Dvsim-Cache", "hit")
-		writeJSON(w, http.StatusOK, j.snapshot())
+		writeJSON(w, http.StatusOK, s.hit(res).snapshot())
 		return
 	}
 	w.Header().Set("X-Dvsim-Cache", "miss")
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
+// handleRunsList lists the run table sorted by key.
 func (s *Server) handleRunsList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
+	out := make([]JobStatus, 0, len(s.runs))
+	for _, j := range s.runs {
+		out = append(out, j.snapshot())
 	}
 	s.mu.Unlock()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.snapshot()
-	}
+	slices.SortFunc(out, func(a, b JobStatus) int { return strings.Compare(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) *job {
 	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
+	j := s.runs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no such run %q", r.PathValue("id")))
@@ -531,27 +496,34 @@ func (s *Server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleRunStream follows the job's artifact as it is produced; on a
-// finished job it replays the stored bytes.
+// handleRunStream follows the job's artifact as it is produced; a
+// finished job answers as /result does.
 func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
 		return
 	}
+	st := j.live()
+	if st == nil {
+		s.result(w, j)
+		return
+	}
 	w.Header().Set("X-Dvsim-Key", j.key)
 	w.Header().Set("Content-Type", contentType(j.kind))
-	n, err := s.send(w, j)
+	n, _ := st.follow(w)
 	s.streamedBytes.Add(uint64(n))
-	if errors.Is(err, errNotStored) {
-		httpError(w, http.StatusGone, fmt.Errorf("run %s: %w", j.id, err))
-	}
 }
 
 func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
-	if j == nil {
-		return
+	if j := s.job(w, r); j != nil {
+		s.result(w, j)
 	}
+}
+
+// result answers /result for j: its stored artifact once done, 409
+// while queued or running, 410 once failed or cancelled or once its
+// file has left the cache.
+func (s *Server) result(w http.ResponseWriter, j *job) {
 	st := j.snapshot()
 	switch st.State {
 	case StateDone:
@@ -576,7 +548,7 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.cancel()
+	j.abort()
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
@@ -603,7 +575,7 @@ type Stats struct {
 func (s *Server) stats() Stats {
 	qi, qb := s.q.depth()
 	s.mu.Lock()
-	jobs := len(s.jobs)
+	jobs := len(s.runs)
 	s.mu.Unlock()
 	return Stats{
 		Engine:           buildinfo.EngineVersion,

@@ -60,6 +60,12 @@ func TestSubmitMissThenHitMatchesGolden(t *testing.T) {
 	if !bytes.Equal(coldBytes, golden) {
 		t.Fatalf("cold run diverged from golden: %d bytes vs %d", len(coldBytes), len(golden))
 	}
+	// The X-Dvsim-Key names the run.
+	var run JobStatus
+	if code, b := getBody(t, c.Base+"/api/v1/runs/"+cold.Key); code != http.StatusOK || json.Unmarshal(b, &run) != nil ||
+		run.ID != cold.Key || run.State != StateDone {
+		t.Fatalf("GET /api/v1/runs/%s: HTTP %d %s", cold.Key, code, bytes.TrimSpace(b))
+	}
 
 	warm, warmBytes := submit(t, c, sub)
 	if warm.Cache != "hit" {
@@ -185,7 +191,7 @@ func waitState(t *testing.T, s *Server, id, want string) JobStatus {
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
 		s.mu.Lock()
-		j := s.jobs[id]
+		j := s.runs[id]
 		s.mu.Unlock()
 		if j == nil {
 			t.Fatalf("job %s vanished", id)
@@ -209,16 +215,13 @@ func TestAsyncCancel(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	blocker, release := holdWorker(t, s, nil)
 	b, _ := postRun(t, c, Submission{Experiment: "2C", UntilS: 120})
-	req, _ := http.NewRequest(http.MethodDelete, c.Base+"/api/v1/runs/"+b.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if code := deleteRun(t, c, b.ID); code != http.StatusOK {
+		t.Fatalf("DELETE: HTTP %d", code)
 	}
-	resp.Body.Close()
 	release()
 
 	s.mu.Lock()
-	jb := s.jobs[b.ID]
+	jb := s.runs[b.ID]
 	s.mu.Unlock()
 	<-jb.done
 	if st := jb.snapshot(); st.State != StateCancelled {
@@ -396,7 +399,7 @@ func TestGracefulDrain(t *testing.T) {
 	s.Close()
 
 	s.mu.Lock()
-	j := s.jobs[st.ID]
+	j := s.runs[st.ID]
 	s.mu.Unlock()
 	if got := j.snapshot(); got.State != StateDone {
 		t.Fatalf("job after drain: %s (%s)", got.State, got.Error)

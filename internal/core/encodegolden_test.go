@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -69,6 +70,28 @@ func TestEncodeRecordMatchesGoldensAndStdlib(t *testing.T) {
 	}
 }
 
+// TestEncodeRecordAllocatesNothing pins the package promise that a
+// steady-state record costs no allocation: once an encoder has taken
+// every committed golden line, encoding them all again allocates
+// nothing.
+func TestEncodeRecordAllocatesNothing(t *testing.T) {
+	recs := goldenRecords(t)
+	enc := telem.NewEncoder(io.Discard)
+	encodeAll := func() {
+		for i := range recs {
+			encodeRecord(enc, &recs[i])
+		}
+		enc.Flush()
+	}
+	encodeAll()
+	if allocs := testing.AllocsPerRun(10, encodeAll); allocs != 0 {
+		t.Errorf("encoding %d warm records allocated %v times per pass, want 0", len(recs), allocs)
+	}
+	if enc.Err() != nil {
+		t.Fatal(enc.Err())
+	}
+}
+
 // TestEncodeRecordCtlMatchesStdlib covers the govern-event shape the
 // goldens lack: controller terms as a fixed-size array under omitzero
 // must serialize exactly as encoding/json does.
@@ -103,24 +126,10 @@ func TestEncodeRecordCtlMatchesStdlib(t *testing.T) {
 // the record twice, a differently-valued record, then the record again,
 // so every line after the first goes through a warm number memo.
 func FuzzEncodeRecord(f *testing.F) {
-	goldens, err := filepath.Glob(filepath.Join("testdata", "telemetry_*.jsonl"))
-	if err != nil || len(goldens) == 0 {
-		f.Fatalf("no telemetry goldens found: %v", err)
-	}
-	for _, path := range goldens {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-			var r telem.Record
-			if err := json.Unmarshal(line, &r); err != nil {
-				f.Fatalf("%s: %v", path, err)
-			}
-			f.Add(r.T, r.Event, r.Node, r.Mode, r.MHz, r.End, r.Frame, r.From, r.To,
-				r.Metric, r.Value, r.Kind, r.KB, r.DurS, r.Fault, r.Attempt,
-				r.FromMHz, r.Queue, r.Ctl[0], r.Ctl[1], r.Ctl[2], r.Assert, r.Detail, r.Bound)
-		}
+	for _, r := range goldenRecords(f) {
+		f.Add(r.T, r.Event, r.Node, r.Mode, r.MHz, r.End, r.Frame, r.From, r.To,
+			r.Metric, r.Value, r.Kind, r.KB, r.DurS, r.Fault, r.Attempt,
+			r.FromMHz, r.Queue, r.Ctl[0], r.Ctl[1], r.Ctl[2], r.Assert, r.Detail, r.Bound)
 	}
 	f.Fuzz(func(t *testing.T, tt float64, event, nodeName, mode string, mhz, end float64, frame int,
 		from, to, metric string, value float64, kind string, kb, durS float64, fault string,
@@ -171,4 +180,28 @@ func FuzzEncodeRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// goldenRecords decodes every line of the committed telemetry goldens.
+func goldenRecords(tb testing.TB) []telem.Record {
+	tb.Helper()
+	goldens, err := filepath.Glob(filepath.Join("testdata", "telemetry_*.jsonl"))
+	if err != nil || len(goldens) == 0 {
+		tb.Fatalf("no telemetry goldens found: %v", err)
+	}
+	var recs []telem.Record
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var r telem.Record
+			if err := json.Unmarshal(line, &r); err != nil {
+				tb.Fatalf("%s: %v", path, err)
+			}
+			recs = append(recs, r)
+		}
+	}
+	return recs
 }

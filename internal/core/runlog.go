@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dvsim/internal/assert"
@@ -138,7 +139,7 @@ func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 			dead.Append(n)
 		}
 	}
-	srcs = append(srcs, bucket("death", &dead, deathRecord))
+	srcs = append(srcs, bucket("death", &dead, func(n **node.Node) float64 { return float64((*n).DeadAt) }, deathRecord))
 	for i := range series {
 		s := &series[i]
 		srcs = append(srcs, source{rank: eventRank("sample"), n: len(s.Samples), load: func(i int, rec *telem.Record) {
@@ -146,21 +147,24 @@ func (rc *recorder) merge(r *rig, series []metrics.SeriesValue) *merger {
 			*rec = telem.Record{T: pt.T, Event: "sample", Node: s.Node, Metric: s.Name, Value: pt.V}
 		}})
 	}
+	// The result bucket is checked once: the latency stream reads it as
+	// checked, since both renders order by the same From and Frame labels.
+	result := bucket("result", &rc.result, func(res *host.Result) float64 { return float64(res.At) }, resultRecord)
 	// End-to-end latency: arrival minus the instant the frame entered the
 	// system (frame·D).
 	d := r.d
 	srcs = append(srcs,
-		bucket("govern", &rc.govern, governRecord),
-		bucket("fault", &rc.fault, faultRecord),
-		bucket("retry", &rc.retry, retryRecord),
-		bucket("link", &rc.link, linkRecord),
-		bucket("latency", &rc.result, func(res *host.Result, rec *telem.Record) {
+		bucket("govern", &rc.govern, func(g *governEvent) float64 { return g.ev.Obs.NowS }, governRecord),
+		bucket("fault", &rc.fault, func(ev *fault.Event) float64 { return float64(ev.T) }, faultRecord),
+		bucket("retry", &rc.retry, func(ev *serial.RetryEvent) float64 { return float64(ev.T) }, retryRecord),
+		bucket("link", &rc.link, func(ev *serial.TransferEvent) float64 { return float64(ev.T) }, linkRecord),
+		stream("latency", &rc.result, func(res *host.Result, rec *telem.Record) {
 			*rec = telem.Record{
 				T: float64(res.At), Event: "latency", Frame: res.Frame,
 				From: res.From, Value: float64(res.At) - float64(res.Frame)*d,
 			}
 		}),
-		bucket("result", &rc.result, resultRecord))
+		result)
 	return &merger{srcs: srcs}
 }
 
@@ -255,35 +259,45 @@ func stream[E any](event string, evs *chunk.List[E], render func(*E, *telem.Reco
 }
 
 // bucket makes the source of a hook's typed bucket, first restoring
-// lessRecord order within it.
-func bucket[E any](event string, evs *chunk.List[E], render func(*E, *telem.Record)) source {
-	ensureOrdered(evs, render)
+// lessRecord order within it; at reads an event's instant, the T its
+// render gives.
+func bucket[E any](event string, evs *chunk.List[E], at func(*E) float64, render func(*E, *telem.Record)) source {
+	ensureOrdered(evs, at, render)
 	return stream(event, evs, render)
 }
 
 // ensureOrdered restores lessRecord order within one bucket. The kernel
 // fires events in time order, so buckets are sorted by construction in
-// all known cases and the check is one linear pass; rebuilding the
-// bucket from a stably sorted flat copy is a correctness net for
-// same-instant events whose labels disagree with arrival order.
-func ensureOrdered[E any](evs *chunk.List[E], render func(*E, *telem.Record)) {
+// all known cases and the check is one linear pass over the events'
+// instants, rendering records only for neighbours at one instant;
+// rebuilding the bucket from a stably sorted flat copy is a correctness
+// net for same-instant events whose labels disagree with arrival order.
+func ensureOrdered[E any](evs *chunk.List[E], at func(*E) float64, render func(*E, *telem.Record)) {
 	var pair [2]telem.Record
-	for i := range evs.Len() {
-		cur, prev := &pair[i&1], &pair[(i+1)&1]
-		render(evs.At(i), cur)
-		if i > 0 && lessRecord(cur, prev) {
-			flat := evs.Slice()
-			sort.SliceStable(flat, func(a, b int) bool {
-				render(&flat[a], &pair[0])
-				render(&flat[b], &pair[1])
-				return lessRecord(&pair[0], &pair[1])
-			})
-			*evs = chunk.List[E]{}
-			for _, e := range flat {
-				evs.Append(e)
+	for i := 1; i < evs.Len(); i++ {
+		prev, cur := evs.At(i-1), evs.At(i)
+		// Apart from equal instants this is lessRecord's test, NaN
+		// included: a later or unordered instant keeps the order.
+		if tp, tc := at(prev), at(cur); tc == tp {
+			render(prev, &pair[0])
+			render(cur, &pair[1])
+			if compareLabels(&pair[1], &pair[0]) >= 0 {
+				continue
 			}
-			return
+		} else if !(tc < tp) {
+			continue
 		}
+		flat := evs.Slice()
+		sort.SliceStable(flat, func(a, b int) bool {
+			render(&flat[a], &pair[0])
+			render(&flat[b], &pair[1])
+			return lessRecord(&pair[0], &pair[1])
+		})
+		*evs = chunk.List[E]{}
+		for _, e := range flat {
+			evs.Append(e)
+		}
+		return
 	}
 }
 
@@ -551,32 +565,59 @@ func writeShards(w io.Writer, m *merger, bounds [][]int, workers int) (int, erro
 
 // encodeRecord appends one record in telemetry.Record's field order
 // with the struct tags' omitempty/omitzero semantics, byte-identical to
-// encoding/json (see internal/telemetry).
+// encoding/json (see internal/telemetry). Each key and its separator is
+// one constant fragment: "t" always leads, so every later field starts
+// with its comma.
 func encodeRecord(enc *telem.Encoder, r *telem.Record) {
-	enc.Begin()
-	enc.Float("t", r.T)
-	enc.Str("event", r.Event)
-	enc.StrOmit("node", r.Node)
-	enc.StrOmit("mode", r.Mode)
-	enc.FloatOmit("mhz", r.MHz)
-	enc.FloatOmit("end", r.End)
-	enc.IntOmit("frame", r.Frame)
-	enc.StrOmit("from", r.From)
-	enc.StrOmit("to", r.To)
-	enc.StrOmit("metric", r.Metric)
-	enc.FloatOmit("value", r.Value)
-	enc.StrOmit("kind", r.Kind)
-	enc.FloatOmit("kb", r.KB)
-	enc.FloatOmit("dur_s", r.DurS)
-	enc.StrOmit("fault", r.Fault)
-	enc.IntOmit("attempt", r.Attempt)
-	enc.FloatOmit("from_mhz", r.FromMHz)
-	enc.IntOmit("queue", r.Queue)
-	if r.Ctl != ([3]float64{}) {
-		enc.Floats("ctl", r.Ctl[:])
+	b := enc.Open()
+	b = enc.AppendFloat(append(b, `"t":`...), r.T)
+	b = telem.AppendString(append(b, `,"event":`...), r.Event)
+	b = appendStr(b, `,"node":`, r.Node)
+	b = appendStr(b, `,"mode":`, r.Mode)
+	b = appendNum(enc, b, `,"mhz":`, r.MHz)
+	b = appendNum(enc, b, `,"end":`, r.End)
+	b = appendInt(b, `,"frame":`, r.Frame)
+	b = appendStr(b, `,"from":`, r.From)
+	b = appendStr(b, `,"to":`, r.To)
+	b = appendStr(b, `,"metric":`, r.Metric)
+	b = appendNum(enc, b, `,"value":`, r.Value)
+	b = appendStr(b, `,"kind":`, r.Kind)
+	b = appendNum(enc, b, `,"kb":`, r.KB)
+	b = appendNum(enc, b, `,"dur_s":`, r.DurS)
+	b = appendStr(b, `,"fault":`, r.Fault)
+	b = appendInt(b, `,"attempt":`, r.Attempt)
+	b = appendNum(enc, b, `,"from_mhz":`, r.FromMHz)
+	b = appendInt(b, `,"queue":`, r.Queue)
+	if c := &r.Ctl; *c != ([3]float64{}) {
+		b = enc.AppendFloat(append(b, `,"ctl":[`...), c[0])
+		b = enc.AppendFloat(append(b, ','), c[1])
+		b = append(enc.AppendFloat(append(b, ','), c[2]), ']')
 	}
-	enc.StrOmit("assert", r.Assert)
-	enc.StrOmit("detail", r.Detail)
-	enc.FloatOmit("bound", r.Bound)
-	enc.End()
+	b = appendStr(b, `,"assert":`, r.Assert)
+	b = appendStr(b, `,"detail":`, r.Detail)
+	b = appendNum(enc, b, `,"bound":`, r.Bound)
+	enc.Commit(b)
+}
+
+// appendStr, appendNum and appendInt append key and v unless v is
+// empty or zero (omitempty).
+func appendStr(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return telem.AppendString(append(b, key...), v)
+}
+
+func appendNum(enc *telem.Encoder, b []byte, key string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	return enc.AppendFloat(append(b, key...), v)
+}
+
+func appendInt(b []byte, key string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
 }

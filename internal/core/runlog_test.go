@@ -137,9 +137,9 @@ func describe(recs []telem.Record) string {
 	return b.String()
 }
 
-// TestMergeOrdersSources pins the merge on the same-instant cases no
-// golden reaches: a hook bucket filled against lessRecord order, and a
-// death at the instant a mode span starts.
+// TestMergeOrdersSources pins the merge on the cases no golden reaches:
+// hook buckets filled against lessRecord order at one instant or across
+// instants, and a death at the instant a mode span starts.
 func TestMergeOrdersSources(t *testing.T) {
 	// Two link completions at one instant arrive with their From labels
 	// reversed; the bucket's order net must restore node1 before node2.
@@ -162,6 +162,47 @@ func TestMergeOrdersSources(t *testing.T) {
 		t.Fatalf("reversed link bucket merged as%s\nwant%s", describe(got), describe(want))
 	}
 
+	// Two results at one instant arrive with their From labels reversed:
+	// the one check of the result bucket puts both the latency and the
+	// result stream in label order.
+	rc = &recorder{}
+	rc.result = *listOf(
+		host.Result{Frame: 2, At: 7, From: "node2"},
+		host.Result{Frame: 1, At: 7, From: "node1"},
+	)
+	d := 2.3
+	got = drain(rc.merge(&rig{d: d}, nil))
+	want = []telem.Record{
+		{T: 7, Event: "latency", Frame: 1, From: "node1", Value: 7 - d},
+		{T: 7, Event: "latency", Frame: 2, From: "node2", Value: 7 - 2*d},
+		{T: 7, Event: "result", Frame: 1, From: "node1"},
+		{T: 7, Event: "result", Frame: 2, From: "node2"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reversed result bucket merged as%s\nwant%s", describe(got), describe(want))
+	}
+
+	// A link bucket whose instants go backwards takes the stable-sort
+	// fallback: time order first, arrival order kept between equal
+	// records.
+	rc = &recorder{}
+	rc.link = *listOf(
+		serial.TransferEvent{T: 4, From: "node1", To: "node2", Kind: serial.KindInter, KB: 2, DurS: 0.2},
+		serial.TransferEvent{T: 2, From: "node2", To: "host", Kind: serial.KindResult, KB: 1, DurS: 0.1},
+		serial.TransferEvent{T: 4, From: "node1", To: "node2", Kind: serial.KindInter, KB: 3, DurS: 0.3},
+		serial.TransferEvent{T: 1, From: "node1", To: "node2", Kind: serial.KindInter, KB: 1, DurS: 0.1},
+	)
+	got = drain(rc.merge(&rig{d: 2.3}, nil))
+	want = []telem.Record{
+		{T: 1, Event: "link", From: "node1", To: "node2", Kind: "inter", KB: 1, DurS: 0.1},
+		{T: 2, Event: "link", From: "node2", To: "host", Kind: "result", KB: 1, DurS: 0.1},
+		{T: 4, Event: "link", From: "node1", To: "node2", Kind: "inter", KB: 2, DurS: 0.2},
+		{T: 4, Event: "link", From: "node1", To: "node2", Kind: "inter", KB: 3, DurS: 0.3},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("backward link bucket merged as%s\nwant%s", describe(got), describe(want))
+	}
+
 	// node1 dies at t=5, the instant one of its spans and one of node2's
 	// start: both spans precede the death (mode ranks before death).
 	span := func(mode cpu.Mode, start, end float64) node.ModeSpan {
@@ -170,7 +211,7 @@ func TestMergeOrdersSources(t *testing.T) {
 	m := &merger{srcs: []source{
 		modeSource("node1", listOf(span(cpu.Compute, 0, 5), span(cpu.Idle, 5, 5.5))),
 		modeSource("node2", listOf(span(cpu.Comm, 4, 5), span(cpu.Compute, 5, 6))),
-		bucket("death", listOf(&node.Node{Name: "node1", DeadAt: 5}), deathRecord),
+		bucket("death", listOf(&node.Node{Name: "node1", DeadAt: 5}), func(n **node.Node) float64 { return float64((*n).DeadAt) }, deathRecord),
 	}}
 	got = drain(m)
 	var order []string

@@ -185,7 +185,7 @@ func simulate(ctx context.Context, s Spec, sk Sinks) (Outcome, *merger, error) {
 			for _, v := range out.Violations {
 				vs.Append(v)
 			}
-			m.srcs = append(m.srcs, bucket("violation", &vs, violationRecord))
+			m.srcs = append(m.srcs, bucket("violation", &vs, func(v *assert.Violation) float64 { return v.T }, violationRecord))
 		}
 	}
 	return out, m, nil

@@ -16,8 +16,8 @@
 // record at one instant shares its time, and clock rates, payload sizes
 // and transfer durations come from a handful of operating points. Each
 // Encoder therefore keeps a small direct-mapped memo of the text
-// AppendFloat produced for recently seen values, and Float, FloatOmit
-// and Floats append a hit's bytes instead of formatting again. The memo
+// AppendFloat produced for recently seen values, and its AppendFloat
+// method appends a hit's bytes instead of formatting again. The memo
 // is keyed by the value's bit pattern, not by ==: 0 and -0 compare
 // equal but format differently, and NaN never compares equal to
 // itself. A slot holds the bits and the exact AppendFloat bytes inline,
@@ -25,6 +25,18 @@
 // allocation; values whose text is longer than a slot, and the NaN and
 // infinities AppendFloat refuses, are never stored. AppendFloat remains
 // the one formatting function: a miss calls it and copies its output.
+//
+// # Records
+//
+// A caller that knows its schema appends a whole record itself: Open
+// hands out the encoder's buffer with the record's '{' appended, the
+// caller appends constant key fragments (`"t":`, `,"event":`, …),
+// strings through AppendString and numbers through the Encoder's
+// AppendFloat method, and Commit takes the buffer back and closes the
+// record. The buffer lives in a local slice for the whole record, so a
+// field costs no store into the heap Encoder. Begin, Str, Float, Floats
+// and End are the same primitives behind one call per field, with the
+// key and its separator written from the key's name.
 package telemetry
 
 import (
@@ -41,7 +53,7 @@ import (
 // a caller bug, not a data condition.
 var ErrUnsupportedValue = errors.New("telemetry: unsupported float value (NaN or Inf)")
 
-// flushAt bounds the encode buffer: End hands the buffer to the writer
+// flushAt bounds the encode buffer: Commit hands the buffer to the writer
 // once it grows past this, so a multi-hundred-thousand-record log
 // streams through a fixed window instead of materializing in memory.
 const flushAt = 32 << 10
@@ -70,9 +82,9 @@ func memoIndex(bits uint64) uint64 {
 }
 
 // Encoder writes JSON Lines records through one reusable buffer. Usage
-// per record: Begin, one call per present field in declaration order
-// (the *Omit variants implement omitempty/omitzero), End. The zero
-// Encoder is not ready; use NewEncoder.
+// per record: Open, appends, Commit; or Begin, one call per field in
+// declaration order, End. A caller implements omitempty by leaving a
+// field out. The zero Encoder is not ready; use NewEncoder.
 //
 // Float values go through the encoder's number memo (see the package
 // comment): a value formatted before, and not evicted since, is copied
@@ -84,10 +96,10 @@ type Encoder struct {
 	buf   []byte
 	err   error
 	first bool
-	// done counts fully encoded records; flushed counts those whose
-	// bytes reached the writer — the honest figure to report after a
-	// mid-stream write error.
-	done    int
+	// refused marks an unsupported value met in the open record.
+	refused bool
+	// flushed counts the records whose bytes reached the writer — the
+	// honest figure to report after a mid-stream write error.
 	flushed int
 	// pending is how many completed records sit in buf; start is where
 	// the open record begins in it.
@@ -104,8 +116,8 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 func (e *Encoder) Reset(w io.Writer) {
 	e.w = w
 	e.buf = e.buf[:0]
-	e.err = nil
-	e.done, e.flushed, e.pending = 0, 0, 0
+	e.err, e.refused = nil, false
+	e.flushed, e.pending = 0, 0
 }
 
 // Err returns the first error encountered (a write failure or an
@@ -115,23 +127,38 @@ func (e *Encoder) Err() error { return e.err }
 // Flushed returns how many records have fully reached the writer.
 func (e *Encoder) Flushed() int { return e.flushed }
 
-// Begin opens a record.
-func (e *Encoder) Begin() {
+// Open starts a record: it hands out the buffer with the record's '{'
+// appended, for the caller to append the fields to and give back to
+// Commit.
+func (e *Encoder) Open() []byte {
 	e.start = len(e.buf)
-	e.buf = append(e.buf, '{')
-	e.first = true
+	return append(e.buf, '{')
 }
 
-// End closes the record with the newline encoding/json's Encoder
-// appends, and flushes once the buffer is full.
-func (e *Encoder) End() {
-	e.buf = append(e.buf, '}', '\n')
-	e.done++
+// Commit takes back the buffer Open handed out, closes the record with
+// the newline encoding/json's Encoder appends, and flushes once the
+// buffer is full. A record that met an unsupported value is dropped
+// whole instead (see refuse).
+func (e *Encoder) Commit(buf []byte) {
+	e.buf = append(buf, '}', '\n')
+	if e.refused {
+		e.refuse()
+		return
+	}
 	e.pending++
 	if len(e.buf) >= flushAt {
 		e.Flush()
 	}
 }
+
+// Begin opens a record for the field methods.
+func (e *Encoder) Begin() {
+	e.buf = e.Open()
+	e.first = true
+}
+
+// End closes the record Begin opened.
+func (e *Encoder) End() { e.Commit(e.buf) }
 
 // Flush hands buffered bytes to the writer. A failed write still counts
 // the records whose lines it delivered whole: every record ends in the
@@ -169,36 +196,12 @@ func (e *Encoder) Str(k, v string) {
 	e.buf = AppendString(e.buf, v)
 }
 
-// StrOmit appends a string field unless it is empty (omitempty).
-func (e *Encoder) StrOmit(k, v string) {
-	if v != "" {
-		e.Str(k, v)
-	}
-}
-
 // Float appends a float64 field.
 func (e *Encoder) Float(k string, v float64) {
 	e.key(k)
-	e.float(v)
-}
-
-// FloatOmit appends a float64 field unless it is zero (omitempty).
-func (e *Encoder) FloatOmit(k string, v float64) {
-	if v != 0 {
-		e.Float(k, v)
-	}
-}
-
-// Int appends an int field.
-func (e *Encoder) Int(k string, v int) {
-	e.key(k)
-	e.buf = strconv.AppendInt(e.buf, int64(v), 10)
-}
-
-// IntOmit appends an int field unless it is zero (omitempty).
-func (e *Encoder) IntOmit(k string, v int) {
-	if v != 0 {
-		e.Int(k, v)
+	e.buf = e.AppendFloat(e.buf, v)
+	if e.refused {
+		e.refuse()
 	}
 }
 
@@ -210,38 +213,43 @@ func (e *Encoder) Floats(k string, vs []float64) {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.float(v)
+		e.buf = e.AppendFloat(e.buf, v)
 	}
 	e.buf = append(e.buf, ']')
+	if e.refused {
+		e.refuse()
+	}
 }
 
-// float appends v through the number memo: a slot holding v's bits
-// supplies the text, otherwise AppendFloat formats v and the slot takes
-// a copy. A refused value (NaN, ±Inf) sets ErrUnsupportedValue and is
-// never stored.
-func (e *Encoder) float(v float64) {
+// AppendFloat appends v to dst through the number memo: a slot holding
+// v's bits supplies the text, otherwise the package's AppendFloat
+// formats v and the slot takes a copy. A refused value (NaN, ±Inf)
+// appends nothing, is never stored, and marks the open record, which
+// Commit then drops with ErrUnsupportedValue.
+func (e *Encoder) AppendFloat(dst []byte, v float64) []byte {
 	bits := math.Float64bits(v)
 	s := &e.memo[memoIndex(bits)]
 	if s.n != 0 && s.bits == bits {
-		e.buf = append(e.buf, s.text[:s.n]...)
-		return
+		return append(dst, s.text[:s.n]...)
 	}
-	start := len(e.buf)
-	var ok bool
-	if e.buf, ok = AppendFloat(e.buf, v); !ok {
-		e.refuse()
-		return
+	start := len(dst)
+	dst, ok := AppendFloat(dst, v)
+	if !ok {
+		e.refused = true
+		return dst
 	}
-	if n := len(e.buf) - start; n <= len(s.text) {
+	if n := len(dst) - start; n <= len(s.text) {
 		s.bits, s.n = bits, uint8(n)
-		copy(s.text[:], e.buf[start:])
+		copy(s.text[:], dst[start:])
 	}
+	return dst
 }
 
 // refuse sets ErrUnsupportedValue, unless an error came first, after
 // handing the writer the whole records before the open one: what
 // reaches the writer is then every record before the refused one,
-// however the stream was split into flushes.
+// however the stream was split into flushes. The field methods call it
+// at the refused value, Commit at the end of the record.
 func (e *Encoder) refuse() {
 	if e.err != nil {
 		return
@@ -259,13 +267,37 @@ const hexDigits = "0123456789abcdef"
 // encoding/json with HTML escaping on: quote/backslash and the short
 // control escapes, \u00XX for remaining control bytes and for & < >,
 // \ufffd for invalid UTF-8 and \u2028/\u2029 for the JS line
-// separators.
+// separators. A string of safe bytes only, every run-log label among
+// them, is copied whole after one scan of the safeBytes table.
 func AppendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !safeBytes[s[i]] {
+			return appendEscaped(append(dst, '"'), s, i)
+		}
+	}
 	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// safeBytes marks the bytes encoding/json's HTML-escaping table passes
+// through unescaped: printable ASCII but for the quote, the backslash
+// and & < >. Every byte of a multi-byte rune is unmarked, so the
+// escaper checks its encoding.
+var safeBytes = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
+// appendEscaped is AppendString's escaper, from s[i], the first byte
+// the table does not pass: s[:i] needs no escape.
+func appendEscaped(dst []byte, s string, i int) []byte {
 	start := 0
-	for i := 0; i < len(s); {
+	for i < len(s) {
 		if b := s[i]; b < utf8.RuneSelf {
-			if htmlSafe(b) {
+			if safeBytes[b] {
 				i++
 				continue
 			}
@@ -310,12 +342,6 @@ func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, s[start:]...)
 	dst = append(dst, '"')
 	return dst
-}
-
-// htmlSafe reports whether an ASCII byte passes through unescaped under
-// encoding/json's HTML-escaping table.
-func htmlSafe(b byte) bool {
-	return b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
 }
 
 // AppendFloat appends f in encoding/json's ES6-style number format:

@@ -45,6 +45,34 @@ func TestAppendStringMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestAppendStringBoundaryMatchesStdlib pins the edge between the
+// table-scanned copy and the escaper: every byte value alone and first,
+// in the middle and last of an otherwise safe ASCII string; the JS line
+// separators at either end; and truncated and overlong UTF-8.
+func TestAppendStringBoundaryMatchesStdlib(t *testing.T) {
+	var cases []string
+	for b := range 256 {
+		c := string([]byte{byte(b)})
+		cases = append(cases, c, c+"node1", "no"+c+"de1", "node1"+c)
+	}
+	for _, sep := range []string{"\u2028", "\u2029"} {
+		cases = append(cases, sep+"node1", "node1"+sep)
+	}
+	cases = append(cases,
+		"node1\xe2\x80", "\xe2\x80node1", "node1\xf0\x9f\x98", "node1\xc3",
+		"\xc0\xafnode1", "node1\xe0\x80\xaf", "\xf0\x80\x80\xafnode1", "node1\xc1\xbf",
+	)
+	for _, s := range cases {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("stdlib refused %q: %v", s, err)
+		}
+		if got := AppendString([]byte("x"), s); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Errorf("AppendString(%q) = %s, stdlib %s", s, got[1:], want)
+		}
+	}
+}
+
 // TestAppendStringMatchesStdlibRandom sweeps deterministic pseudo-random
 // byte strings (valid and invalid UTF-8 alike) through both encoders.
 func TestAppendStringMatchesStdlibRandom(t *testing.T) {
@@ -170,9 +198,15 @@ func TestEncoderMatchesStdlibEncoder(t *testing.T) {
 		enc.Begin()
 		enc.Float("t", r.T)
 		enc.Str("event", r.Event)
-		enc.StrOmit("node", r.Node)
-		enc.FloatOmit("value", r.Value)
-		enc.IntOmit("frame", r.Frame)
+		if r.Node != "" {
+			enc.Str("node", r.Node)
+		}
+		if r.Value != 0 {
+			enc.Float("value", r.Value)
+		}
+		if r.Frame != 0 {
+			enc.Float("frame", float64(r.Frame))
+		}
 		if len(r.Ctl) > 0 {
 			enc.Floats("ctl", r.Ctl)
 		}
@@ -196,11 +230,16 @@ func TestEncoderNaNSetsErr(t *testing.T) {
 		enc := NewEncoder(io.Discard)
 		enc.Begin()
 		enc.Float("t", v)
-		enc.FloatOmit("value", v)
+		enc.Float("value", v)
 		enc.Floats("ctl", []float64{1, v, v})
 		enc.End()
 		if !errors.Is(enc.Err(), ErrUnsupportedValue) {
 			t.Errorf("%v: Err() = %v, want ErrUnsupportedValue", v, enc.Err())
+		}
+		enc.Reset(io.Discard)
+		enc.Commit(enc.AppendFloat(append(enc.Open(), `"t":`...), v))
+		if !errors.Is(enc.Err(), ErrUnsupportedValue) {
+			t.Errorf("%v: Open/AppendFloat/Commit: Err() = %v, want ErrUnsupportedValue", v, enc.Err())
 		}
 		for i, s := range enc.memo {
 			if f := math.Float64frombits(s.bits); s.n != 0 && (math.IsNaN(f) || math.IsInf(f, 0)) {
@@ -257,11 +296,9 @@ func TestEncoderMemoMatchesAppendFloat(t *testing.T) {
 				if ref := mustAppendFloat(t, v); !bytes.Equal(ref, want) {
 					t.Fatalf("AppendFloat(%v) = %s, stdlib %s", v, ref, want)
 				}
-				enc.buf = enc.buf[:0]
-				enc.float(v)
-				if !bytes.Equal(enc.buf, want) {
+				if got := enc.AppendFloat(nil, v); !bytes.Equal(got, want) {
 					t.Errorf("%s, %s: %v (bits %#x) encoded %s, want %s",
-						pass, c.name, v, math.Float64bits(v), enc.buf, want)
+						pass, c.name, v, math.Float64bits(v), got, want)
 				}
 			}
 			want, err := json.Marshal(c.vs)
@@ -318,7 +355,7 @@ func TestFlushedCountsOnlyDeliveredRecords(t *testing.T) {
 	enc := NewEncoder(&failAfter{})
 	for i := 0; i < 3; i++ {
 		enc.Begin()
-		enc.Int("i", i+1)
+		enc.Float("i", float64(i+1))
 		enc.End()
 	}
 	if err := enc.Flush(); err == nil {
@@ -330,13 +367,13 @@ func TestFlushedCountsOnlyDeliveredRecords(t *testing.T) {
 
 	enc = NewEncoder(&failAfter{n: 1})
 	enc.Begin()
-	enc.Int("i", 1)
+	enc.Float("i", 1)
 	enc.End()
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	enc.Begin()
-	enc.Int("i", 2)
+	enc.Float("i", 2)
 	enc.End()
 	enc.Flush()
 	if enc.Err() == nil {
@@ -355,11 +392,11 @@ func TestRefusedValueDeliversEarlierRecords(t *testing.T) {
 	enc := NewEncoder(&got)
 	for i := 0; i < 3; i++ {
 		enc.Begin()
-		enc.Int("i", i+1)
+		enc.Float("i", float64(i+1))
 		enc.End()
 	}
 	enc.Begin()
-	enc.Int("i", 4)
+	enc.Float("i", 4)
 	enc.Float("v", math.NaN())
 	enc.Float("w", 1)
 	enc.End()
@@ -377,7 +414,7 @@ func TestRefusedValueDeliversEarlierRecords(t *testing.T) {
 	// A write error that comes first stays the reported error.
 	enc = NewEncoder(&failAfter{})
 	enc.Begin()
-	enc.Int("i", 1)
+	enc.Float("i", 1)
 	enc.End()
 	enc.Begin()
 	enc.Float("v", math.Inf(1))
@@ -398,9 +435,9 @@ func BenchmarkEncodeJSONL(b *testing.B) {
 		enc.Begin()
 		enc.Float("t", 59.8)
 		enc.Str("event", "sample")
-		enc.StrOmit("node", "node1")
-		enc.StrOmit("metric", "battery_soc")
-		enc.FloatOmit("value", 0.9912345678)
+		enc.Str("node", "node1")
+		enc.Str("metric", "battery_soc")
+		enc.Float("value", 0.9912345678)
 		enc.End()
 	}
 	enc.Flush()
